@@ -20,6 +20,8 @@ from .core_model import (
     Configuration,
     ModelParams,
     default_beta,
+    dist_to_lattice,
+    gather_weights,
     gradw_sum_diagnostic,
     hardcore_violations,
     is_regular_pair,
@@ -121,11 +123,8 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
     worst = 0.0
     n_tested = 0
     for f in regular[:4]:
-        _, rel, dist = chi.local_atoms(f.position, 2.0 * lam)
-        from .core_model import dist_to_lattice
-        from .potentials import phi_eval
-        w = phi_eval(dist / lam)
-        s_dist = float(np.sum(dist_to_lattice(f.aff_hat, rel) ** 2 * w)) / (params.cphi * lam**d)
+        rel, w, c = gather_weights(chi, f.position, lam)
+        s_dist = float(np.sum(dist_to_lattice(f.aff_hat, rel) ** 2 * w)) * c
         j_val = f.breakdown.j_term
         a = f.aff_hat.A
         na = float(np.sum(a * a))

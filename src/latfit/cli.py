@@ -1,8 +1,7 @@
 """Command-line surface: generate, fit, field, loop, check, report.
 
 Exit codes: 0 ok, 1 invariant violation (check), 2 usage or file errors.
-All commands are deterministic given their input files and seeds; the
-LATFIT_THREADS environment variable caps internal parallelism.
+All commands are deterministic given their input files and seeds.
 """
 
 from __future__ import annotations

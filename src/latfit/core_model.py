@@ -13,7 +13,7 @@ has a diagonal Hessian.  Flattened parameter order is row-major A then tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -30,9 +30,7 @@ from .potentials import (
     default_elastic,
     derive_constants,
     phi_eval,
-    w_eval,
     w_grad,
-    w_hess_diag,
 )
 
 
@@ -97,11 +95,11 @@ class AffinePair:
 
 
 class Configuration:
-    """Atom positions with interior/boundary tags, a domain box, and a cell index.
+    """Atom positions with interior/boundary tags, a domain box, and a k-d tree.
 
-    The uniform cell index has edge 2*lam; radius queries gather the needed
-    ring of cells, so any query radius works (radii <= 2*lam touch only the
-    3^d surrounding cells).  Immutable after construction.
+    One scipy cKDTree over all positions answers every radius query
+    (`local_atoms`, indices ascending so gathers sum in a fixed order) and
+    the hardcore pair search.  Immutable after construction.
     """
 
     def __init__(self, positions, interior, domain: Box, lam: float, validate: bool = True):
@@ -109,6 +107,8 @@ class Configuration:
         interior = np.array(interior, dtype=bool)
         if positions.ndim != 2 or positions.shape[1] != domain.d:
             raise ValueError(f"positions must be (N, {domain.d}), got {positions.shape}")
+        if not np.all(np.isfinite(positions)):
+            raise ValueError("positions must be finite")
         if interior.shape != (positions.shape[0],):
             raise ValueError("interior mask must have one entry per atom")
         if lam <= 0:
@@ -128,21 +128,8 @@ class Configuration:
         self.interior = interior
         self.domain = domain
         self.lam = float(lam)
-        self.cell_edge = 2.0 * float(lam)
-        self._build_index()
+        self._tree = cKDTree(positions)
         self._hardcore_cache: dict[float, np.ndarray] = {}
-
-    def _build_index(self):
-        if self.n_atoms == 0:
-            self._origin = np.zeros(self.d)
-            self._cells = {}
-            return
-        self._origin = self.positions.min(axis=0)
-        keys = np.floor((self.positions - self._origin) / self.cell_edge).astype(np.int64)
-        cells: dict[tuple, list] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(i)
-        self._cells = {k: np.array(v, dtype=np.intp) for k, v in cells.items()}
 
     @property
     def n_atoms(self) -> int:
@@ -152,47 +139,23 @@ class Configuration:
     def d(self) -> int:
         return self.domain.d
 
-    def neighbors(self, x, r: float) -> np.ndarray:
-        """Indices of all atoms with |x_i - x| <= r (exact, via the cell rings)."""
-        if self.n_atoms == 0:
-            return np.empty(0, dtype=np.intp)
-        x = np.asarray(x, dtype=float)
-        center = np.floor((x - self._origin) / self.cell_edge).astype(np.int64)
-        rings = int(math.ceil(r / self.cell_edge))
-        chunks = []
-        for off in product(range(-rings, rings + 1), repeat=self.d):
-            got = self._cells.get(tuple(center + np.array(off)))
-            if got is not None:
-                chunks.append(got)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        idx = np.concatenate(chunks)
-        rel = self.positions[idx] - x
-        keep = np.einsum("ij,ij->i", rel, rel) <= r * r
-        return idx[keep]
-
     def local_atoms(self, x, r: float):
-        """(indices, relative positions, distances) of atoms within r of x."""
-        idx = self.neighbors(x, r)
-        rel = self.positions[idx] - np.asarray(x, dtype=float)
-        dist = np.linalg.norm(rel, axis=1) if idx.size else np.empty(0)
-        return idx, rel, dist
+        """(indices, relative positions, distances) of atoms with |x_i - x| <= r."""
+        x = np.asarray(x, dtype=float)
+        idx = np.asarray(self._tree.query_ball_point(x, r, return_sorted=True), dtype=np.intp)
+        rel = self.positions[idx] - x
+        return idx, rel, np.linalg.norm(rel, axis=1)
 
     def hardcore_pairs(self, s0: float) -> np.ndarray:
         """All index pairs (i < j) with |x_i - x_j| < s0, cached per s0."""
         cached = self._hardcore_cache.get(s0)
         if cached is not None:
             return cached
-        if self.n_atoms < 2:
-            pairs = np.empty((0, 2), dtype=np.intp)
-        else:
-            tree = cKDTree(self.positions)
-            pairs = tree.query_pairs(s0, output_type="ndarray")
-            if pairs.size:
-                diff = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
-                strict = np.linalg.norm(diff, axis=1) < s0
-                pairs = pairs[strict]
-            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))] if pairs.size else pairs
+        pairs = self._tree.query_pairs(s0, output_type="ndarray")
+        if pairs.size:
+            diff = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
+            pairs = pairs[np.linalg.norm(diff, axis=1) < s0]
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         pairs.setflags(write=False)
         self._hardcore_cache[s0] = pairs
         return pairs
@@ -283,30 +246,33 @@ class EnergyBreakdown:
 # densities and the pre-energy
 # ---------------------------------------------------------------------------
 
+def gather_weights(chi: Configuration, x, lam: float):
+    """The sample behind every local quantity at x on scale lam.
+
+    Returns (rel, w, c): positions of the atoms within 2 lam relative to x,
+    their cutoff weights phi(|x_i - x| / lam), and c = 1/(C_phi lam^d), so
+    rho_lam(x) = c sum(w).
+    """
+    _, rel, dist = chi.local_atoms(x, 2.0 * lam)
+    return rel, phi_eval(dist / lam), 1.0 / (cphi(chi.d) * lam**chi.d)
+
+
 def local_density(chi: Configuration, x, scale: float) -> float:
     """rho_scale(x) = (C_phi scale^d)^{-1} sum_i phi(|x_i - x| / scale)."""
-    _, _, dist = chi.local_atoms(x, 2.0 * scale)
-    if dist.size == 0:
-        return 0.0
-    return float(np.sum(phi_eval(dist / scale))) / (cphi(chi.d) * scale**chi.d)
+    _, w, c = gather_weights(chi, x, scale)
+    return float(np.sum(w)) * c
 
 
-def _j_terms(aff: AffinePair, chi: Configuration, x, lam: float):
-    """Common gather for J and its derivatives: (rel, weights, z, g, norm const)."""
-    _, rel, dist = chi.local_atoms(x, 2.0 * lam)
-    w = phi_eval(dist / lam)
-    z = rel @ aff.A.T + aff.tau
-    ainv = np.linalg.inv(aff.A)
-    g = float(np.sum(ainv * ainv))
-    return rel, w, z, ainv, g, 1.0 / (cphi(chi.d) * lam**chi.d)
+def _density_and_misfit(aff: AffinePair, chi: Configuration, x, lam: float):
+    """(rho_lam(x), J(A, tau; x)) from one gather."""
+    rel, w, c = gather_weights(chi, x, lam)
+    return float(np.sum(w)) * c, assemble_j(rel, w, aff, c, want_grad=False)[0]
 
 
 def j_lambda(aff: AffinePair, chi: Configuration, x, lam: float) -> float:
     """Misfit energy of the fitted lattice at x on scale lam."""
-    rel, w, z, _, g, c = _j_terms(aff, chi, x, lam)
-    if rel.shape[0] == 0:
-        return 0.0
-    return g * float(np.sum(w_eval(z) * w)) * c
+    rel, w, c = gather_weights(chi, x, lam)
+    return assemble_j(rel, w, aff, c, want_grad=False)[0]
 
 
 def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
@@ -365,23 +331,10 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
     return value, grad, hess
 
 
-def gather_weights(chi: Configuration, x, lam: float):
-    """(rel, w, c) for the J sums at x: relative positions, cutoff weights, norm."""
-    _, rel, dist = chi.local_atoms(x, 2.0 * lam)
-    w = phi_eval(dist / lam)
-    return rel, w, 1.0 / (cphi(chi.d) * lam**chi.d)
-
-
-def j_value_grad_hess(aff: AffinePair, chi: Configuration, x, lam: float,
-                      want_hess: bool = True):
-    """J with its exact (A, tau)-derivatives (single gather wrapper)."""
+def j_value_grad_hess(aff: AffinePair, chi: Configuration, x, lam: float):
+    """J with its exact (A, tau)-gradient and Hessian from one gather."""
     rel, w, c = gather_weights(chi, x, lam)
-    return assemble_j(rel, w, aff, c, want_hess=want_hess)
-
-
-def j_grad_aff(aff: AffinePair, chi: Configuration, x, lam: float) -> np.ndarray:
-    """Exact gradient of j_lambda wrt (A, tau), flattened row-major A then tau."""
-    return j_value_grad_hess(aff, chi, x, lam, want_hess=False)[1]
+    return assemble_j(rel, w, aff, c)
 
 
 def _g_hess(ainv: np.ndarray) -> np.ndarray:
@@ -398,11 +351,6 @@ def _g_hess(ainv: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def j_hess_aff(aff: AffinePair, chi: Configuration, x, lam: float) -> np.ndarray:
-    """Exact symmetric Hessian of j_lambda wrt (A, tau)."""
-    return j_value_grad_hess(aff, chi, x, lam, want_hess=True)[2]
-
-
 def nu_lambda(A, chi: Configuration, x, lam: float, vartheta: float) -> float:
     """Vacancy cost vartheta |det A - rho_lam(x)|."""
     A = np.asarray(A, dtype=float)
@@ -414,9 +362,8 @@ def nu_lambda(A, chi: Configuration, x, lam: float, vartheta: float) -> float:
 
 def pre_energy(aff: AffinePair, chi: Configuration, x, params: ModelParams) -> EnergyBreakdown:
     """h = F(A) + J(A, tau) + nu(A), parts reported separately."""
-    rho = local_density(chi, x, params.lam)
+    rho, j_term = _density_and_misfit(aff, chi, x, params.lam)
     f_term = params.elastic.f_el(aff.A)
-    j_term = j_lambda(aff, chi, x, params.lam)
     nu_term = params.vartheta * abs(float(np.linalg.det(aff.A)) - rho)
     return EnergyBreakdown(f_term=f_term, j_term=j_term, nu_term=nu_term,
                            total=f_term + j_term + nu_term, rho=rho)
@@ -462,11 +409,11 @@ def split_regular_atoms(chi: Configuration, aff: AffinePair, beta: float, x,
         raise ValueError("beta must be positive")
     idx, rel, dist = chi.local_atoms(x, 2.0 * lam)
     w = phi_eval(dist / lam)
-    norm = cphi(chi.d) * lam**chi.d
+    c = 1.0 / (cphi(chi.d) * lam**chi.d)
     lattice_dist = dist_to_lattice(aff, rel)
     reg = lattice_dist <= beta
-    rho_reg = float(np.sum(w[reg])) / norm
-    rho_irr = float(np.sum(w[~reg])) / norm
+    rho_reg = float(np.sum(w[reg])) * c
+    rho_irr = float(np.sum(w[~reg])) * c
     return idx[reg], idx[~reg], rho_reg, rho_irr
 
 
@@ -502,9 +449,8 @@ def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams,
     thr = thresholds if thresholds is not None else params.thresholds
     lam = params.lam
     norm_ainv = float(np.linalg.norm(np.linalg.inv(aff.A)))
-    rho = local_density(chi, x, lam)
+    rho, j_val = _density_and_misfit(aff, chi, x, lam)
     det_a = float(np.linalg.det(aff.A))
-    j_val = j_lambda(aff, chi, x, lam)
 
     hardcore_ok = True
     pairs = chi.hardcore_pairs(params.s0)
@@ -534,10 +480,8 @@ def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams,
 def gradw_sum_diagnostic(aff: AffinePair, chi: Configuration, x, lam: float,
                          constants: DerivedConstants):
     """(J, alpha^{-1} |A^{-1}|^2 C_phi^{-1} lam^{-d} sum |grad W|^2 phi); lhs >= rhs."""
-    rel, w, z, _, g, c = _j_terms(aff, chi, x, lam)
-    if rel.shape[0] == 0:
-        return 0.0, 0.0
-    lhs = g * float(np.sum(w_eval(z) * w)) * c
-    gw2 = np.sum(w_grad(z) ** 2, axis=1)
-    rhs = g * float(np.sum(gw2 * w)) * c / constants.alpha_nabla
-    return lhs, rhs
+    rel, w, c = gather_weights(chi, x, lam)
+    lhs = assemble_j(rel, w, aff, c, want_grad=False)[0]
+    g = float(np.sum(np.linalg.inv(aff.A) ** 2))
+    gw2 = np.sum(w_grad(rel @ aff.A.T + aff.tau) ** 2, axis=1)
+    return lhs, g * float(np.sum(gw2 * w)) * c / constants.alpha_nabla

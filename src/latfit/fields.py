@@ -11,15 +11,13 @@ first-gradient estimate is checked at every node.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .core_model import AffinePair, Configuration, ModelParams, local_density
+from .core_model import Configuration, ModelParams, local_density
 from .fitting import BasinEscapeError, BranchPoint, FitError, fit_global, minimize_j_local
 from .potentials import DerivedConstants, c_con, c_tilde_nabla
 from .topology import (
@@ -29,13 +27,6 @@ from .topology import (
     classify_product,
     find_reparam,
 )
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LATFIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
 
     Alignment propagates by breadth-first search from a seed (the valid node
     nearest the grid center); disconnected valid regions get their own seeds,
-    recorded in `component`.  LATFIT_THREADS > 1 parallelizes the node fits.
+    recorded in `component`.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
@@ -97,30 +88,17 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
     ny, nx = geom.ny, geom.nx
     nodes = [(ix, iy) for iy in range(ny) for ix in range(nx)]
-
-    def fit_node(ixy):
-        ix, iy = ixy
-        try:
-            return fit_global(chi, geom.node(ix, iy), params, thresholds=thresholds)
-        except FitError as err:
-            return err
-
-    n_threads = _n_threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            raw = list(pool.map(fit_node, nodes))
-    else:
-        raw = [fit_node(n) for n in nodes]
-
     fits = [[None] * nx for _ in range(ny)]
     reasons = [[None] * nx for _ in range(ny)]
     valid = np.zeros((ny, nx), dtype=bool)
     h_hat = np.full((ny, nx), np.nan)
     rho_l = np.full((ny, nx), np.nan)
     rho_2l = np.full((ny, nx), np.nan)
-    for (ix, iy), out in zip(nodes, raw):
-        if isinstance(out, FitError):
-            reasons[iy][ix] = f"fit failed: {out}"
+    for ix, iy in nodes:
+        try:
+            out = fit_global(chi, geom.node(ix, iy), params, thresholds=thresholds)
+        except FitError as err:
+            reasons[iy][ix] = f"fit failed: {err}"
             continue
         fits[iy][ix] = out
         h_hat[iy, ix] = out.breakdown.total
@@ -556,8 +534,9 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
     """Cluster invalid nodes and ring each cluster with a minimal valid loop.
 
     Each ring's chain product (from the already-computed node fits) is the
-    enclosed Burgers content; clusters whose rings would leave the grid are
-    reported unringable.
+    enclosed Burgers content.  A ring with a refused reparametrisation step
+    gives way to the next larger one; clusters with no usable ring inside
+    the grid are reported unringable.
     """
     ny, nx = field.shape
     seen = np.zeros((ny, nx), dtype=bool)
@@ -584,27 +563,28 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
     for nodes in clusters:
         xs = [n[0] for n in nodes]
         ys = [n[1] for n in nodes]
-        ring = None
+        cluster = DefectCluster(nodes=nodes, ring=None, product=None,
+                                classification=None, unringable=True)
         for m in range(1, max(nx, ny)):
             x0, x1 = min(xs) - m, max(xs) + m
             y0, y1 = min(ys) - m, max(ys) + m
             if x0 < 0 or y0 < 0 or x1 >= nx or y1 >= ny:
                 break
-            candidate = ([(x, y0) for x in range(x0, x1)]
-                         + [(x1, y) for y in range(y0, y1)]
-                         + [(x, y1) for x in range(x1, x0, -1)]
-                         + [(x0, y) for y in range(y1, y0, -1)])
-            if all(field.valid[j, i] for i, j in candidate):
-                ring = tuple(candidate)
-                break
-        if ring is None:
-            out.append(DefectCluster(nodes=nodes, ring=None, product=None,
-                                     classification=None, unringable=True))
-            continue
-        fits = [(field.geometry.node(i, j), field.fits[j][i].aff_hat) for i, j in ring]
-        steps = [find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
-                 for k in range(len(fits))]
-        product = chain_product(steps)
-        out.append(DefectCluster(nodes=nodes, ring=ring, product=product,
-                                 classification=classify_product(product), unringable=False))
+            ring = ([(x, y0) for x in range(x0, x1)]
+                    + [(x1, y) for y in range(y0, y1)]
+                    + [(x, y1) for x in range(x1, x0, -1)]
+                    + [(x0, y) for y in range(y1, y0, -1)])
+            if not all(field.valid[j, i] for i, j in ring):
+                continue
+            fits = [(field.geometry.node(i, j), field.fits[j][i].aff_hat) for i, j in ring]
+            try:
+                steps = [find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
+                         for k in range(len(fits))]
+            except ReparamError:
+                continue
+            product = chain_product(steps)
+            cluster = DefectCluster(nodes=nodes, ring=tuple(ring), product=product,
+                                    classification=classify_product(product), unringable=False)
+            break
+        out.append(cluster)
     return DefectMap(clusters=tuple(out), plaquettes=plaquette_products(field, chi))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -79,9 +80,12 @@ def read_atoms_csv(path: str):
             if len(row) != d + 1:
                 raise FileFormatError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
             try:
-                positions.append([float(v) for v in row[:d]])
+                coords = [float(v) for v in row[:d]]
             except ValueError as err:
                 raise FileFormatError(f"{path}:{lineno}: bad coordinate: {err}") from None
+            if not all(math.isfinite(v) for v in coords):
+                raise FileFormatError(f"{path}:{lineno}: coordinates must be finite, got {row[:d]}")
+            positions.append(coords)
             kind = row[d].strip()
             if kind not in ("I", "S"):
                 raise FileFormatError(f"{path}:{lineno}: kind must be I or S, got {kind!r}")

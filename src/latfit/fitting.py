@@ -28,7 +28,6 @@ from .core_model import (
     is_regular_pair,
     pre_energy,
 )
-from .potentials import phi_eval
 from .topology import Reparam
 
 TWO_PI = 2.0 * math.pi
@@ -264,9 +263,8 @@ def tau_init(A, chi: Configuration, x, lam: float) -> np.ndarray:
     tau_k = -arg( sum_i phi_i exp(2 pi i (A(x_i - x))_k) ) / 2 pi, in [0, 1).
     """
     A = np.asarray(A, dtype=float)
-    _, rel, dist = chi.local_atoms(x, 2.0 * lam)
-    w = phi_eval(dist / lam)
-    if rel.shape[0] == 0 or float(np.sum(w)) <= 0.0:
+    rel, w, _ = gather_weights(chi, x, lam)
+    if float(np.sum(w)) <= 0.0:
         raise FitError(f"no atoms in range of {np.asarray(x)}")
     y = rel @ A.T
     u = np.sum(w[:, None] * np.exp(1j * TWO_PI * y), axis=0)

@@ -19,9 +19,8 @@ from latfit.core_model import (
     Configuration,
     ModelParams,
     is_regular_pair,
-    j_grad_aff,
-    j_hess_aff,
     j_lambda,
+    j_value_grad_hess,
     local_density,
     low_energy_thresholds,
     split_regular_atoms,
@@ -40,7 +39,7 @@ from latfit.topology import (
     burgers_loop,
 )
 
-from cli_harness import field_csv_mismatches, run_cli
+from cli_harness import field_csv_mismatches, loop_json_mismatches, run_cli
 from conftest import exact_lattice, random_a
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -110,8 +109,7 @@ def test_criterion_02_analytic_derivatives():
         if not ok:
             continue
         theta = np.concatenate([aff.A.ravel(), aff.tau])
-        grad = j_grad_aff(aff, chi, x, params.lam)
-        hess = j_hess_aff(aff, chi, x, params.lam)
+        _, grad, hess = j_value_grad_hess(aff, chi, x, params.lam)
         fd_g = np.empty(6)
         fd_h = np.empty((6, 6))
         for i in range(6):
@@ -121,8 +119,8 @@ def test_criterion_02_analytic_derivatives():
             am = AffinePair((theta - e)[:4].reshape(2, 2), (theta - e)[4:])
             fd_g[i] = (j_lambda(ap, chi, x, params.lam)
                        - j_lambda(am, chi, x, params.lam)) / (2 * step)
-            fd_h[:, i] = (j_grad_aff(ap, chi, x, params.lam)
-                          - j_grad_aff(am, chi, x, params.lam)) / (2 * step)
+            fd_h[:, i] = (j_value_grad_hess(ap, chi, x, params.lam)[1]
+                          - j_value_grad_hess(am, chi, x, params.lam)[1]) / (2 * step)
         worst_g = max(worst_g, np.linalg.norm(fd_g - grad) / np.linalg.norm(grad))
         worst_h = max(worst_h, np.linalg.norm(fd_h - hess) / np.linalg.norm(hess))
         checked += 1
@@ -147,7 +145,7 @@ def test_criterion_03_local_convexity():
         ok, _ = is_regular_pair(x, bp.aff_tilde, chi, params)
         if not ok:
             continue
-        hess = j_hess_aff(bp.aff_tilde, chi, x, params.lam)
+        hess = j_value_grad_hess(bp.aff_tilde, chi, x, params.lam)[2]
         hs = hess / scale[:, None] / scale[None, :]
         mineig = float(np.min(np.linalg.eigvalsh(hs)))
         rho = local_density(chi, x, params.lam)
@@ -441,13 +439,15 @@ def test_criterion_11_cli_end_to_end(tmp_path):
         ok &= proc.returncode == 0
     golden_match = True
     for produced, golden in (("atoms.csv", "golden_atoms.csv"),
-                             ("truth.json", "golden_truth.json"),
-                             ("loop.json", "golden_loop.json")):
+                             ("truth.json", "golden_truth.json")):
         golden_match &= (tmp_path / produced).read_bytes() == (DATA / golden).read_bytes()
-    # Fitted floats drift <= 8.9e-16 across BLAS kernels, so field.csv allows 1e-13 + 1e-12|y|.
-    field_problems = field_csv_mismatches((tmp_path / "field.csv").read_text(),
-                                          (DATA / "golden_field.csv").read_text())
-    golden_match &= not field_problems
+    # Fitted floats drift <= 8.9e-16 across BLAS kernels, so the floats of field.csv and
+    # loop.json allow 1e-13 + 1e-12|y|; their integers and strings stay exact.
+    problems = field_csv_mismatches((tmp_path / "field.csv").read_text(),
+                                    (DATA / "golden_field.csv").read_text())
+    problems += loop_json_mismatches((tmp_path / "loop.json").read_text(),
+                                     (DATA / "golden_loop.json").read_text())
+    golden_match &= not problems
     report(11, "CLI end to end", ok and golden_match,
-           f"exit codes {codes}, goldens match (field.csv to 1e-13 + 1e-12|y|, "
-           f"others byte-exact): {golden_match} {field_problems[:3]}")
+           f"exit codes {codes}, goldens match (field.csv and loop.json floats to "
+           f"1e-13 + 1e-12|y|, all else exact): {golden_match} {problems[:3]}")

@@ -1,9 +1,10 @@
+import json
 import math
 import shutil
 
 import pytest
 
-from cli_harness import DATA, field_csv_mismatches, run_cli
+from cli_harness import DATA, field_csv_mismatches, loop_json_mismatches, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,14 @@ class TestPipeline:
     def test_outputs_match_goldens_byte_exactly(self, pipeline):
         for produced, golden in (("atoms.csv", "golden_atoms.csv"),
                                  ("truth.json", "golden_truth.json"),
-                                 ("field.svg", "golden_field.svg"),
-                                 ("loop.json", "golden_loop.json")):
+                                 ("field.svg", "golden_field.svg")):
             assert (pipeline / produced).read_bytes() == (DATA / golden).read_bytes(), produced
-        # Fitted floats drift <= 8.9e-16 across BLAS kernels, so field.csv allows 1e-13 + 1e-12|y|.
+        # Fitted floats drift <= 8.9e-16 across BLAS kernels, so field.csv and loop.json
+        # floats allow 1e-13 + 1e-12|y|; their integers and strings stay exact.
         assert field_csv_mismatches((pipeline / "field.csv").read_text(),
                                     (DATA / "golden_field.csv").read_text()) == []
+        assert loop_json_mismatches((pipeline / "loop.json").read_text(),
+                                    (DATA / "golden_loop.json").read_text()) == []
 
     def test_check_exits_zero(self, pipeline):
         proc = run_cli("check", "--atoms", "atoms.csv", "--params", "params.json",
@@ -83,11 +86,9 @@ class TestPipeline:
         assert doc["breakdown"]["total"] >= 0.0
 
 
-class TestFieldGoldenComparison:
-    """The field.csv tolerance must still catch a real change in any kind of cell."""
-
-    @staticmethod
-    def _edit_cell(text, column, edit):
+def _edit_cell(column, edit):
+    """field.csv perturbation: apply `edit` to the first `column` cell it accepts."""
+    def apply(text):
         lines = text.splitlines()
         col = lines[0].split(",").index(column)
         for i, line in enumerate(lines[1:], start=1):
@@ -98,18 +99,51 @@ class TestFieldGoldenComparison:
                 lines[i] = ",".join(cells)
                 return "\n".join(lines) + "\n"
         raise AssertionError(f"no {column} cell to edit")
+    return apply
 
-    @pytest.mark.parametrize("column, edit", [
-        ("A11", lambda v: repr(float(v) + 10.0 ** (math.floor(math.log10(abs(float(v)))) - 10))),
-        ("align_B12", lambda v: str(int(v) + 1)),
-        ("slack", lambda v: "0.5" if v == "" else None),
-    ], ids=["A11_11th_digit", "align_B12_integer", "blank_slack_filled"])
-    def test_perturbed_golden_is_rejected(self, column, edit):
-        golden = (DATA / "golden_field.csv").read_text()
-        perturbed = self._edit_cell(golden, column, edit)
+
+def _edit_doc(edit):
+    """loop.json perturbation: apply `edit` to the parsed document, re-serialise it."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, indent=2) + "\n"
+    return apply
+
+
+def _bound_a_relative(doc):
+    doc["steps"][0]["bound_A"] *= 1.0 + 1e-11
+
+
+def _product_t_integer(doc):
+    doc["product"]["t"][1] += 1
+
+
+def _classification(doc):
+    doc["classification"] = "trivial"
+
+
+class TestFieldGoldenComparison:
+    """The field.csv and loop.json tolerances must still catch a real change in any kind of cell."""
+
+    @pytest.mark.parametrize("golden_name, perturb, where", [
+        ("golden_field.csv",
+         _edit_cell("A11", lambda v: repr(float(v) + 10.0 ** (math.floor(math.log10(abs(float(v)))) - 10))),
+         "A11"),
+        ("golden_field.csv", _edit_cell("align_B12", lambda v: str(int(v) + 1)), "align_B12"),
+        ("golden_field.csv", _edit_cell("slack", lambda v: "0.5" if v == "" else None), "slack"),
+        ("golden_loop.json", _edit_doc(_bound_a_relative), "$.steps[0].bound_A"),
+        ("golden_loop.json", _edit_doc(_product_t_integer), "$.product.t[1]"),
+        ("golden_loop.json", _edit_doc(_classification), "$.classification"),
+    ], ids=["A11_11th_digit", "align_B12_integer", "blank_slack_filled",
+            "loop_bound_A_1e-11_relative", "loop_product_t_integer", "loop_classification"])
+    def test_perturbed_golden_is_rejected(self, golden_name, perturb, where):
+        golden = (DATA / golden_name).read_text()
+        perturbed = perturb(golden)
         assert perturbed != golden
-        problems = field_csv_mismatches(perturbed, golden)
-        assert len(problems) == 1 and column in problems[0], problems
+        mismatches = field_csv_mismatches if golden_name.endswith(".csv") else loop_json_mismatches
+        problems = mismatches(perturbed, golden)
+        assert len(problems) == 1 and where in problems[0], problems
 
 
 class TestErrorPaths:
@@ -131,6 +165,17 @@ class TestErrorPaths:
                        "--at", "1,1", "--out", "out.json", cwd=tmp_path)
         assert proc.returncode == 2
         assert "atoms.csv:3" in proc.stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, bad):
+        # no domain in params: the domain would be inferred from the coordinates
+        (tmp_path / "params.json").write_text('{"lambda": 8.0}\n')
+        (tmp_path / "atoms.csv").write_text(f"x,y,kind\n1.0,2.0,I\n{bad},2.0,I\n3.0,1.0,I\n")
+        proc = run_cli("fit", "--atoms", "atoms.csv", "--params", "params.json",
+                       "--at", "1,1", "--out", "out.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "atoms.csv:3:" in proc.stderr and "finite" in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_unknown_param_key_exit_2(self, tmp_path):
         (tmp_path / "params.json").write_text('{"lambda": 8.0, "bogus": 1}\n')

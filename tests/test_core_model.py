@@ -13,9 +13,8 @@ from latfit.core_model import (
     gradw_sum_diagnostic,
     hardcore_violations,
     is_regular_pair,
-    j_grad_aff,
-    j_hess_aff,
     j_lambda,
+    j_value_grad_hess,
     local_density,
     low_energy_thresholds,
     nu_lambda,
@@ -34,7 +33,7 @@ DENSITY_C = 1e-3
 
 
 def brute_force_j(aff, chi, x, lam):
-    """Independent misfit oracle: direct sum over all atoms, no cell index."""
+    """Independent misfit oracle: direct sum over all atoms, no spatial index."""
     rel = chi.positions - np.asarray(x, dtype=float)
     w = phi_eval(np.linalg.norm(rel, axis=1) / lam)
     z = rel @ aff.A.T + aff.tau
@@ -59,6 +58,13 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="boundary"):
             Configuration(np.array([[100.0, 0.0]]), np.array([False]), box, 2.0)
 
+    def test_non_finite_positions_rejected(self):
+        box = Box(np.zeros(2), np.full(2, 4.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                Configuration(np.array([[1.0, 1.0], [bad, 2.0]]), np.array([True, True]),
+                              box, 2.0, validate=False)
+
     def test_cell_index_matches_brute_force(self):
         rng = np.random.default_rng(0)
         box = Box(np.zeros(2), np.full(2, 10.0))
@@ -69,7 +75,7 @@ class TestConfiguration:
         for _ in range(60):
             x = rng.uniform(-1.0, 11.0, size=2)
             r = rng.uniform(0.1, 2.0 * lam)
-            found = np.sort(chi.neighbors(x, r))
+            found = np.sort(chi.local_atoms(x, r)[0])
             oracle = np.sort(np.flatnonzero(np.linalg.norm(chi.positions - x, axis=1) <= r))
             assert np.array_equal(found, oracle)
 
@@ -78,7 +84,7 @@ class TestConfiguration:
         x = np.array([3.0, 3.0])
         r = 4.0 * chi.lam
         oracle = np.flatnonzero(np.linalg.norm(chi.positions - x, axis=1) <= r)
-        assert np.array_equal(np.sort(chi.neighbors(x, r)), np.sort(oracle))
+        assert np.array_equal(np.sort(chi.local_atoms(x, r)[0]), np.sort(oracle))
 
 
 class TestLocalDensity:
@@ -159,7 +165,7 @@ class TestMisfitDerivatives:
         chi = exact_lattice(a, tau, params.lam)
         x = np.array([3.0, 3.0])
         aff = AffinePair(a, tau + a @ x)
-        g = j_grad_aff(aff, chi, x, params.lam)
+        g = j_value_grad_hess(aff, chi, x, params.lam)[1]
         # zero up to the trig roundoff of |z| ~ lam-sized arguments
         assert np.linalg.norm(g) == pytest.approx(0.0, abs=1e-12)
 
@@ -170,8 +176,7 @@ class TestMisfitDerivatives:
             x = rng.uniform(10, 30, size=2)
             aff = AffinePair(np.eye(2) + 0.01 * rng.standard_normal((2, 2)), rng.random(2))
             theta = np.concatenate([aff.A.ravel(), aff.tau])
-            grad = j_grad_aff(aff, chi_noise, x, params.lam)
-            hess = j_hess_aff(aff, chi_noise, x, params.lam)
+            _, grad, hess = j_value_grad_hess(aff, chi_noise, x, params.lam)
             fd_g = np.empty(6)
             fd_h = np.empty((6, 6))
             for i in range(6):
@@ -181,8 +186,8 @@ class TestMisfitDerivatives:
                 am = AffinePair((theta - e)[:4].reshape(2, 2), (theta - e)[4:])
                 fd_g[i] = (j_lambda(ap, chi_noise, x, params.lam)
                            - j_lambda(am, chi_noise, x, params.lam)) / (2 * step)
-                fd_h[:, i] = (j_grad_aff(ap, chi_noise, x, params.lam)
-                              - j_grad_aff(am, chi_noise, x, params.lam)) / (2 * step)
+                fd_h[:, i] = (j_value_grad_hess(ap, chi_noise, x, params.lam)[1]
+                              - j_value_grad_hess(am, chi_noise, x, params.lam)[1]) / (2 * step)
             assert np.linalg.norm(fd_g - grad) <= 1e-6 * np.linalg.norm(grad)
             assert np.linalg.norm(fd_h - hess) <= 1e-6 * np.linalg.norm(hess)
             assert np.allclose(hess, hess.T, atol=1e-14)
@@ -192,7 +197,7 @@ class TestMisfitDerivatives:
         from latfit.potentials import c_con
         fit = fit_global(chi_noise, np.array([20.0, 20.0]), params)
         bp = minimize_j_local(fit.aff_hat, chi_noise, fit.position, params, check_regular=False)
-        hess = j_hess_aff(bp.aff_tilde, chi_noise, fit.position, params.lam)
+        hess = j_value_grad_hess(bp.aff_tilde, chi_noise, fit.position, params.lam)[2]
         scale = np.concatenate([np.full(4, params.lam), np.ones(2)])
         hs = hess / scale[:, None] / scale[None, :]
         mineig = float(np.min(np.linalg.eigvalsh(hs)))

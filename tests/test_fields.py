@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from latfit.core_model import Box, ModelParams, low_energy_thresholds
+from latfit.core_model import AffinePair, Box, ModelParams, low_energy_thresholds
 from latfit.fields import (
     FCResult,
     GridGeometry,
@@ -243,6 +244,31 @@ class TestDefectMap:
         chi, field = perfect_field
         dm = defect_map(field, chi)
         assert dm.clusters == ()
+
+    def test_refused_ring_step_tries_larger_ring(self, perfect_field):
+        chi, field = perfect_field
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        rot = np.array([[c, -s], [s, c]])
+
+        def with_defect(invalid, rotated):
+            """The field with one node invalid and one fit turned by 30 degrees."""
+            valid = field.valid.copy()
+            valid[invalid[1], invalid[0]] = False
+            fits = [row[:] for row in field.fits]
+            ix, iy = rotated
+            aff = fits[iy][ix].aff_hat
+            fits[iy][ix] = dataclasses.replace(fits[iy][ix],
+                                               aff_hat=AffinePair(rot @ aff.A, aff.tau))
+            return dataclasses.replace(field, valid=valid, fits=fits)
+
+        # the turned node sits on the smallest ring only; the next ring carries the content
+        (cluster,) = defect_map(with_defect((3, 3), (2, 2)), chi).clusters
+        assert not cluster.unringable and (2, 2) not in cluster.ring
+        assert cluster.product is not None and cluster.product.is_identity
+        assert cluster.classification == "trivial"
+        # no larger ring fits inside the grid
+        (cluster,) = defect_map(with_defect((1, 1), (0, 0)), chi).clusters
+        assert cluster.unringable and cluster.ring is None and cluster.product is None
 
     def test_single_dislocation_cluster_and_ring(self, grid_params, dislocation8):
         chi, truth = dislocation8
