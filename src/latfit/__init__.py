@@ -20,6 +20,7 @@ from .fitting import (
     BranchPoint,
     FitResult,
     a_init_candidates,
+    fit_from,
     fit_global,
     minimize_j_local,
     tau_init,
@@ -48,7 +49,7 @@ __all__ = [
     "RegularityThresholds", "hardcore_violations", "is_regular_pair",
     "j_lambda", "local_density",
     "low_energy_thresholds", "nu_lambda", "pre_energy", "split_regular_atoms",
-    "BranchPoint", "FitResult", "a_init_candidates", "fit_global",
+    "BranchPoint", "FitResult", "a_init_candidates", "fit_from", "fit_global",
     "minimize_j_local", "tau_init", "track_minimizer",
     "GeneratorSpec", "GroundTruth", "generate",
     "DerivedConstants", "ElasticDensity", "derive_constants",

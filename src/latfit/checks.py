@@ -4,8 +4,9 @@ Each check samples the given configuration (seeded, deterministic), verifies
 one of the quantitative statements behind the model (jump bounds, misfit
 sandwich, irregular-density bound, local convexity, minimizer distance,
 transfer to shifted scales, chain drift, plaquette consistency, and the
-certified lower bound), and reports one pass/fail line.  Conditional checks
-skip samples that fail their regularity hypotheses.
+certified lower bound), and reports one PASS, FAIL or SKIP line.  Conditional
+checks skip samples that fail their regularity hypotheses; a check that could
+not run at all reports SKIP, which fails nothing and passes nothing.
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ from .topology import (
 )
 
 
+PASS, SKIP, FAIL = "PASS", "SKIP", "FAIL"
+
+
+def _verdict(ok: bool) -> str:
+    return PASS if ok else FAIL
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
+    status: str         # PASS, FAIL, or SKIP when the check could not run
     detail: str
 
 
@@ -62,10 +70,11 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.results)
+        """No check failed; a skipped check neither passes nor fails the report."""
+        return all(r.status != FAIL for r in self.results)
 
     def lines(self) -> list[str]:
-        return [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in self.results]
+        return [f"[{r.status}] {r.name}: {r.detail}" for r in self.results]
 
 
 def _lam_metric_mineig(hess: np.ndarray, lam: float, d: int) -> float:
@@ -87,7 +96,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
 
     # 1. hardcore gate
     pairs = hardcore_violations(chi, params.s0)
-    results.append(CheckResult("hardcore", len(pairs) == 0,
+    results.append(CheckResult("hardcore", _verdict(len(pairs) == 0),
                                f"{len(pairs)} pair(s) closer than s0"))
 
     # sample points and fits
@@ -101,7 +110,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
         except FitError:
             fits.append(None)
     good = [f for f in fits if f is not None and f.converged]
-    results.append(CheckResult("fits", len(good) >= max(2, n_samples // 2),
+    results.append(CheckResult("fits", _verdict(len(good) >= max(2, n_samples // 2)),
                                f"{len(good)}/{n_samples} sample fits converged"))
 
     # 2. low-energy points are regular (lemma thresholds)
@@ -114,7 +123,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             bad.append(f.position)
         if float(np.linalg.det(f.aff_hat.A)) > 1.5 * params.elastic.det_e + 1e-9:
             bad.append(f.position)
-    results.append(CheckResult("low_energy_regular", not bad,
+    results.append(CheckResult("low_energy_regular", _verdict(not bad),
                                f"{len(low)} low-energy fits, {len(bad)} regularity failures"))
 
     regular = [f for f in good if f.regular]
@@ -143,7 +152,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             if j_rep > cap + 1e-12:
                 worst = max(worst, j_rep - cap)
             n_tested += 1
-    results.append(CheckResult("misfit_sandwich", worst == 0.0,
+    results.append(CheckResult("misfit_sandwich", _verdict(worst == 0.0),
                                f"{n_tested} reparametrised misfits within bounds (worst excess {worst:.2e})"))
 
     # 4. irregular-density bound rho_irr <= J / (C0_W beta^2)
@@ -155,7 +164,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             cap = f.breakdown.j_term / (dc.C0_W * beta**2)
             worst = max(worst, rho_irr - cap)
             n_tested += 1
-    results.append(CheckResult("irregular_density", worst <= 1e-12,
+    results.append(CheckResult("irregular_density", _verdict(worst <= 1e-12),
                                f"{n_tested} splits obey the J/(C0 beta^2) cap (worst excess {worst:.2e})"))
 
     # 5. jump bounds + triangle identity on nearby regular pairs
@@ -197,9 +206,9 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                         tri_fail += 1
             except (FitError, ReparamError):
                 pass
-    results.append(CheckResult("jump_bounds", jump_fail == 0,
+    results.append(CheckResult("jump_bounds", _verdict(jump_fail == 0),
                                f"{n_steps} steps within the jump bounds ({jump_fail} failures)"))
-    results.append(CheckResult("triangle_identity", tri_fail == 0 and anti_fail == 0,
+    results.append(CheckResult("triangle_identity", _verdict(tri_fail == 0 and anti_fail == 0),
                                f"{n_steps} triangles/inverses exact ({tri_fail}+{anti_fail} failures)"))
 
     # 6. local convexity at branch minimizers
@@ -226,7 +235,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                                                 * float(np.sum(np.linalg.inv(f.aff_hat.A) ** 2)) * rho))
         if aff_distance(bp.aff_tilde, f.aff_hat, lam) > bound + 1e-12:
             conv_fail += 1
-    results.append(CheckResult("local_convexity", conv_fail == 0,
+    results.append(CheckResult("local_convexity", _verdict(conv_fail == 0),
                                f"{n_conv} branch Hessians above the convexity floor"))
 
     # 7. gradient-sum diagnostic J >= alpha^{-1} sum |grad W|^2 phi ...
@@ -235,7 +244,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
         lhs, rhs = gradw_sum_diagnostic(f.aff_hat, chi, f.position, lam, dc)
         if lhs < rhs - 1e-12:
             diag_fail += 1
-    results.append(CheckResult("gradw_diagnostic", diag_fail == 0,
+    results.append(CheckResult("gradw_diagnostic", _verdict(diag_fail == 0),
                                f"{min(len(regular), 4)} points with J >= gradient-sum bound"))
 
     # 8. transfer to a shifted base point and shrunken scale
@@ -253,28 +262,30 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             n_tr += 1
             if j_moved > cap + 1e-12:
                 tr_fail += 1
-    results.append(CheckResult("scale_transfer", tr_fail == 0,
+    results.append(CheckResult("scale_transfer", _verdict(tr_fail == 0),
                                f"{n_tr} shifted evaluations under the (lam/lam~)^d cap"))
 
     # 9. chain drift bound on a short chain through the samples
-    drift_ok = True
-    detail = "skipped (needs >= 3 regular fits)"
+    status = SKIP
+    detail = f"skipped ({len(regular)} regular fits, needs >= 3)"
     if len(regular) >= 3:
         chain = sorted(regular, key=lambda f: tuple(f.position))
         chain_fits = []
         for f in chain:
             if not chain_fits or np.linalg.norm(f.position - chain_fits[-1].position) <= 1.5 * lam:
                 chain_fits.append(f)
-        if len(chain_fits) >= 2:
+        if len(chain_fits) < 2:
+            detail = "skipped (no two regular fits within 1.5 lam)"
+        else:
             try:
                 db = chain_drift_bound(chain_fits, chi, params)
-                drift_ok = db.lhs_a <= db.rhs_a + 1e-12 and db.lhs_tau <= db.rhs_tau + 1e-12
+                status = _verdict(db.lhs_a <= db.rhs_a + 1e-12
+                                  and db.lhs_tau <= db.rhs_tau + 1e-12)
                 detail = (f"A drift {db.lhs_a:.2e} <= {db.rhs_a:.2e}, "
                           f"tau drift {db.lhs_tau:.2e} <= {db.rhs_tau:.2e}")
             except ReparamError as err:
-                drift_ok = True
                 detail = f"skipped ({err})"
-    results.append(CheckResult("chain_drift", drift_ok, detail))
+    results.append(CheckResult("chain_drift", status, detail))
 
     # 10. grid: plaquettes, lower bound, first-gradient bound
     extent = hi - lo
@@ -289,18 +300,18 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
 
         plq = plaquette_products(field, chi)
         plq_bad = sum(0 if v.is_identity else 1 for v in plq.values())
-        results.append(CheckResult("plaquette_consistency", plq_bad == 0,
+        results.append(CheckResult("plaquette_consistency", _verdict(plq_bad == 0),
                                    f"{len(plq)} computable plaquettes, {plq_bad} nontrivial"))
 
         rep = lower_bound_report(field, grads, tol=tol_slack)
-        results.append(CheckResult("lower_bound_slack", rep.ok,
+        results.append(CheckResult("lower_bound_slack", _verdict(rep.ok),
                                    f"{len(rep.entries)} nodes, min slack {rep.min_slack:.3e}"))
 
         gb = gradient_bound_check(field, grads)
         gb_bad = sum(0 if lhs >= rhs - 1e-12 else 1 for _, lhs, rhs in gb)
-        results.append(CheckResult("gradient_bound", gb_bad == 0,
+        results.append(CheckResult("gradient_bound", _verdict(gb_bad == 0),
                                    f"{len(gb)} nodes obey the first-gradient bound"))
     else:
-        results.append(CheckResult("grid_checks", True, "skipped (domain too small for a grid)"))
+        results.append(CheckResult("grid_checks", SKIP, "skipped (domain too small for a grid)"))
 
     return CheckReport(results=tuple(results))

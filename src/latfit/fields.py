@@ -1,5 +1,14 @@
 """Grid evaluation of fits, branch-aligned finite differences, and the lower bound.
 
+Grid nodes are fitted by natural-parameter continuation: in seed order
+(distance from the grid center, then iy, then ix) each node starts one
+Newton on h from a valid neighbour's fit transported by the node spacing,
+and keeps it when it converges to a regular pair; the first node, and any
+node whose step fails, gets the full multistart fit.  Fitted parameters of
+nearby low-energy points differ little, which is what makes the transported
+fit a good start.  A continued fit inherits its neighbour's integer
+parametrisation, so most nodes share the seed's gauge.
+
 Fits at the grid nodes are glued onto one parametrization branch by a
 spanning tree of integer reparametrisations from a seed node, so the tau
 field is a single-valued Lagrangian coordinate whose finite differences
@@ -17,8 +26,15 @@ from itertools import product as iter_product
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .core_model import Configuration, ModelParams, local_density
-from .fitting import BasinEscapeError, BranchPoint, FitError, fit_global, minimize_j_local
+from .core_model import AffinePair, Configuration, ModelParams, local_density
+from .fitting import (
+    BasinEscapeError,
+    BranchPoint,
+    FitError,
+    fit_from,
+    fit_global,
+    minimize_j_local,
+)
 from .potentials import DerivedConstants, c_con, c_tilde_nabla
 from .topology import (
     Reparam,
@@ -51,6 +67,9 @@ class GridGeometry:
         return self.origin + self.h * np.array([ix, iy], dtype=float)
 
 
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 @dataclass
 class FieldGrid:
     """Per-node fits, branch points, and alignment onto one parametrization branch."""
@@ -78,8 +97,17 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
                   thresholds=None) -> FieldGrid:
     """Fit every node, mask irregular ones, and align fits on one branch.
 
+    Nodes are fitted in seed order: distance from the grid center, then iy,
+    then ix.  A node with an already-fitted valid 4-neighbour (the earliest
+    in that order) is fitted by one damped Newton on h from the neighbour's
+    transported fit (A_n, tau_n + A_n dx), and the result is kept when it
+    converged and is a regular pair under `thresholds`.  Otherwise, at the
+    first node and on any FitError, the full multistart `fit_global` runs.
+    A continued node's raw fit therefore stays in its neighbour's integer
+    parametrisation, so `align` is mostly the identity.
+
     Alignment propagates by breadth-first search from a seed (the valid node
-    nearest the grid center); disconnected valid regions get their own seeds,
+    first in seed order); disconnected valid regions get their own seeds,
     recorded in `component`.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
@@ -88,22 +116,39 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
     ny, nx = geom.ny, geom.nx
     nodes = [(ix, iy) for iy in range(ny) for ix in range(nx)]
+    center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0])
+    order = sorted(nodes, key=lambda n: (float(np.hypot(n[0] - center[0], n[1] - center[1])),
+                                         n[1], n[0]))
+    rank = {n: i for i, n in enumerate(order)}
     fits = [[None] * nx for _ in range(ny)]
     reasons = [[None] * nx for _ in range(ny)]
     valid = np.zeros((ny, nx), dtype=bool)
     h_hat = np.full((ny, nx), np.nan)
     rho_l = np.full((ny, nx), np.nan)
     rho_2l = np.full((ny, nx), np.nan)
-    for ix, iy in nodes:
-        try:
-            out = fit_global(chi, geom.node(ix, iy), params, thresholds=thresholds)
-        except FitError as err:
-            reasons[iy][ix] = f"fit failed: {err}"
-            continue
+    for ix, iy in order:
+        x = geom.node(ix, iy)
+        parents = [(ix + dx, iy + dy) for dx, dy in _STEPS
+                   if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
+        out = None
+        if parents:
+            px, py = min(parents, key=rank.__getitem__)
+            aff = fits[py][px].aff_hat
+            pred = AffinePair(aff.A, aff.tau + aff.A @ (x - geom.node(px, py)))
+            try:
+                out = fit_from(pred, chi, x, params, thresholds)
+            except FitError:
+                pass
+        if out is None or not (out.converged and out.regular):
+            try:
+                out = fit_global(chi, x, params, thresholds=thresholds)
+            except FitError as err:
+                reasons[iy][ix] = f"fit failed: {err}"
+                continue
         fits[iy][ix] = out
         h_hat[iy, ix] = out.breakdown.total
         rho_l[iy, ix] = out.breakdown.rho
-        rho_2l[iy, ix] = local_density(chi, geom.node(ix, iy), 2.0 * params.lam)
+        rho_2l[iy, ix] = local_density(chi, x, 2.0 * params.lam)
         if not out.converged:
             reasons[iy][ix] = "fit did not converge"
         elif not out.regular:
@@ -115,13 +160,10 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     align = [[None] * nx for _ in range(ny)]
     aligned_aff = [[None] * nx for _ in range(ny)]
     component = np.full((ny, nx), -1, dtype=int)
-    center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0])
-    todo = sorted(((ix, iy) for (ix, iy) in nodes if valid[iy, ix]),
-                  key=lambda n: (float(np.hypot(n[0] - center[0], n[1] - center[1])), n[1], n[0]))
     comp = 0
-    for seed in todo:
+    for seed in order:
         sx, sy = seed
-        if component[sy, sx] >= 0:
+        if not valid[sy, sx] or component[sy, sx] >= 0:
             continue
         component[sy, sx] = comp
         align[sy][sx] = Reparam.identity(2)
@@ -129,7 +171,7 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
         queue = [seed]
         while queue:
             cx, cy = queue.pop(0)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            for dx, dy in _STEPS:
                 nx_, ny_ = cx + dx, cy + dy
                 if not (0 <= nx_ < nx and 0 <= ny_ < ny):
                     continue
@@ -137,8 +179,7 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
                     continue
                 try:
                     step = find_reparam((geom.node(cx, cy), aligned_aff[cy][cx]),
-                                        (geom.node(nx_, ny_), fits[ny_][nx_].aff_hat),
-                                        chi, params)
+                                        fits[ny_][nx_], chi, params)
                 except ReparamError:
                     continue
                 component[ny_, nx_] = comp
@@ -152,10 +193,7 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     a_tilde = np.full((ny, nx, 2, 2), np.nan)
     tau_tilde = np.full((ny, nx, 2), np.nan)
     for ix, iy in nodes:
-        if component[iy, ix] < 0:
-            if valid[iy, ix]:
-                valid[iy, ix] = False
-                reasons[iy][ix] = "alignment unreachable"
+        if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
             continue
         try:
             bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params,
@@ -189,7 +227,7 @@ def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, 
             quad = [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1), (ix, iy + 1)]
             if not all(field.valid[j, i] for i, j in quad):
                 continue
-            fits = [(geom.node(i, j), field.fits[j][i].aff_hat) for i, j in quad]
+            fits = [field.fits[j][i] for i, j in quad]
             try:
                 steps = [find_reparam(fits[k], fits[(k + 1) % 4], chi, field.params)
                          for k in range(4)]
@@ -576,7 +614,7 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
                     + [(x0, y) for y in range(y1, y0, -1)])
             if not all(field.valid[j, i] for i, j in ring):
                 continue
-            fits = [(field.geometry.node(i, j), field.fits[j][i].aff_hat) for i, j in ring]
+            fits = [field.fits[j][i] for i, j in ring]
             try:
                 steps = [find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
                          for k in range(len(fits))]

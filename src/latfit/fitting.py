@@ -6,6 +6,8 @@ global fit is a deterministic multistart: candidate A's from short difference
 vectors, tau from the phase of the weighted lattice sum, then Newton on the
 full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
+`fit_from` runs one start alone, from a caller's predictor; both finish a
+start the same way (canonical tau, exact energy, regular-pair test).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ TWO_PI = 2.0 * math.pi
 
 TOL_GRAD = 1e-10        # dual lambda-norm of the gradient at convergence
 MAX_ITER = 50
+MAX_ITER_H = 60         # Newton steps on h per fit start
 DELTA_AFF = 0.2         # basin radius in lambda-norm units, validated by the PD check
 ARMIJO_C1 = 1e-4
 # eps_nu = factor * rho; 1e-5 keeps the smoothed-ridge curvature vartheta/eps_nu
@@ -381,7 +384,7 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best candidate of the multistart fit of h at a point."""
+    """A fit of h at a point: the best multistart candidate, or one continuation step."""
 
     position: np.ndarray
     aff_hat: AffinePair
@@ -416,7 +419,7 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
 
 
 def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
-               k: int = 12, tol_grad: float = TOL_GRAD, max_iter: int = 60,
+               k: int = 12, tol_grad: float = TOL_GRAD, max_iter: int = MAX_ITER_H,
                max_candidates: int = 10, thresholds=None) -> FitResult:
     """Multistart damped Newton on h = J + F + smoothed nu; lowest total wins.
 
@@ -456,27 +459,55 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     outcomes = []
     best_seen = math.inf
     for aff0 in starts:
+        abort_above = 1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None
         try:
-            res = _newton(obj, pack(aff0), tol_grad, max_iter, require_pd=False,
-                          abort_above=1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None)
+            out = _run_start(obj, aff0, chi, x, params, tol_grad, max_iter, abort_above)
         except FitError:
             continue
-        aff = unpack(res.theta, chi.d).canonical_tau()
-        breakdown = pre_energy(aff, chi, x, params)
-        best_seen = min(best_seen, breakdown.total)
-        outcomes.append((breakdown.total, aff, breakdown, res))
+        best_seen = min(best_seen, out[1].total)
+        outcomes.append(out)
     if not outcomes:
         raise FitError(f"all fit candidates failed at {x}")
 
-    best_total = min(o[0] for o in outcomes)
-    tied = [o for o in outcomes if o[0] <= best_total + 1e-12]
-    tied.sort(key=lambda o: (tuple(o[1].tau), tuple(o[1].A.ravel())))
-    total, aff, breakdown, res = tied[0]
+    best_total = min(o[1].total for o in outcomes)
+    tied = [o for o in outcomes if o[1].total <= best_total + 1e-12]
+    tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
+    aff, breakdown, res = tied[0]
+    return _finish(x, aff, breakdown, res, chi, params, thresholds,
+                   converged=any(o[2].converged for o in tied), n_candidates=len(starts))
+
+
+def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
+             thresholds=None) -> FitResult:
+    """One damped Newton on h from aff0, finished exactly as a multistart start is.
+
+    The continuation step of a grid fit: aff0 is a neighbour's fit transported
+    to x, and the result keeps aff0's integer parametrisation (tau wrapped to
+    [0, 1)).  Raises FitError when aff0 has det A <= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    obj = _Objective(chi, x, params, j_only=False)
+    aff, breakdown, res = _run_start(obj, aff0, chi, x, params, TOL_GRAD, MAX_ITER_H)
+    return _finish(x, aff, breakdown, res, chi, params, thresholds,
+                   converged=res.converged, n_candidates=1)
+
+
+def _run_start(obj: _Objective, aff0: AffinePair, chi: Configuration, x, params: ModelParams,
+               tol_grad: float, max_iter: int, abort_above: float | None = None):
+    """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy."""
+    res = _newton(obj, pack(aff0), tol_grad, max_iter, require_pd=False, abort_above=abort_above)
+    aff = unpack(res.theta, chi.d).canonical_tau()
+    return aff, pre_energy(aff, chi, x, params), res
+
+
+def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, res: _NewtonResult,
+            chi: Configuration, params: ModelParams, thresholds, converged: bool,
+            n_candidates: int) -> FitResult:
+    """The regular-pair test of the chosen fit, packed into a FitResult."""
     regular, report = is_regular_pair(x, aff, chi, params, thresholds)
     return FitResult(position=x, aff_hat=aff, breakdown=breakdown, regular=regular,
-                     report=report, iterations=res.iterations,
-                     converged=any(o[3].converged and o[0] <= best_total + 1e-12 for o in outcomes),
-                     grad_norm=res.grad_norm, n_candidates=len(starts))
+                     report=report, iterations=res.iterations, converged=converged,
+                     grad_norm=res.grad_norm, n_candidates=n_candidates)
 
 
 def track_minimizer(branch: BranchPoint, path, chi: Configuration, params: ModelParams,

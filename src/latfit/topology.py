@@ -132,12 +132,21 @@ def _as_point_aff(fit):
     return np.asarray(y, dtype=float), aff
 
 
+def _misfit(fit, chi: Configuration, lam: float) -> float:
+    """J_lam of a fitted pair; a FitResult carries it from its energy breakdown."""
+    if hasattr(fit, "breakdown"):
+        return fit.breakdown.j_term
+    y, aff = _as_point_aff(fit)
+    return j_lambda(aff, chi, y, lam)
+
+
 def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainStep:
     """Unique reparametrisation connecting two nearby fitted pairs.
 
     B is the rounding of A1 A2^{-1}; t rounds the transported phase mismatch.
     A rounding gap above 0.25 means the integer candidate is not safely
-    unique and the step is refused.
+    unique and the step is refused.  A FitResult endpoint's J is taken from
+    its breakdown rather than recomputed.
     """
     y1, aff1 = _as_point_aff(fit1)
     y2, aff2 = _as_point_aff(fit2)
@@ -169,8 +178,8 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
     delta_a = float(np.linalg.norm(np.eye(chi.d) - np.linalg.inv(aff1.A) @ ba2))
     delta_tau = float(np.linalg.norm(rep.B @ aff2.tau + rep.t - aff1.tau - 0.5 * (ba2 + aff1.A) @ dy))
 
-    j1 = j_lambda(aff1, chi, y1, lam)
-    j2 = j_lambda(aff2, chi, y2, lam)
+    j1 = _misfit(fit1, chi, lam)
+    j2 = _misfit(fit2, chi, lam)
     jmax = max(j1, j2)
     det2 = float(np.linalg.det(aff2.A))
     geom = (2.0 * lam / (2.0 * lam - sep)) ** (chi.d / 2.0)
@@ -287,6 +296,7 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     if fits is None:
         from .fitting import fit_global
         fits = [fit_global(chi, p, params) for p in core]
+    fits = list(fits)
     pairs = [_as_point_aff(f) for f in fits]
 
     for i, (y, aff) in enumerate(pairs):
@@ -295,8 +305,8 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
             raise IrregularSampleError(
                 f"loop sample {i} at {np.array2string(y, precision=3)} is not a regular pair")
 
-    steps = [find_reparam(pairs[i], pairs[(i + 1) % len(pairs)], chi, params)
-             for i in range(len(pairs))]
+    steps = [find_reparam(fits[i], fits[(i + 1) % len(fits)], chi, params)
+             for i in range(len(fits))]
     product = chain_product(steps)
 
     if verify_refinement:
@@ -334,29 +344,28 @@ def chain_drift_bound(fits, chi: Configuration, params: ModelParams) -> DriftBou
     the tau side compares the product translation against the midpoint
     transport between the chain ends.
     """
-    pairs = [_as_point_aff(f) for f in fits]
-    if len(pairs) < 2:
+    fits = list(fits)
+    if len(fits) < 2:
         raise ValueError("chain needs at least two fits")
     lam = params.lam
     dc = params.constants
     d = chi.d
-    js = [j_lambda(aff, chi, y, lam) for y, aff in pairs]
 
     steps = []
     b_hats = []
     seps = []
-    for i in range(len(pairs) - 1):
-        step = find_reparam(pairs[i], pairs[i + 1], chi, params)
+    for i in range(len(fits) - 1):
+        step = find_reparam(fits[i], fits[i + 1], chi, params)
         steps.append(step)
         sep = float(np.linalg.norm(step.y2 - step.y1))
         seps.append(sep)
         geom = (2.0 * lam / (2.0 * lam - sep)) ** (d / 2.0)
-        det_j = float(np.linalg.det(pairs[i + 1][1].A))
-        b_hats.append(geom / math.sqrt(det_j) * math.sqrt(max(js[i], js[i + 1])))
+        det_j = float(np.linalg.det(step.aff2.A))
+        b_hats.append(geom / math.sqrt(det_j) * math.sqrt(max(step.j1, step.j2)))
 
     prod = chain_product(steps)
-    y0, aff0 = pairs[0]
-    yn, affn = pairs[-1]
+    y0, aff0 = _as_point_aff(fits[0])
+    yn, affn = _as_point_aff(fits[-1])
     bn = prod.B @ affn.A
     lhs_a = float(np.linalg.norm(np.eye(d) - np.linalg.inv(aff0.A) @ bn, 2))
     s_hat = float(np.sum(b_hats))

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from cli_harness import DATA, FIELD_ATOL, FIELD_RTOL
 
+from latfit import fields, fileio
 from latfit.core_model import AffinePair, Box, ModelParams, low_energy_thresholds
 from latfit.fields import (
     FCResult,
@@ -18,6 +20,7 @@ from latfit.fields import (
     theorem2_check,
     unimodular_matrices,
 )
+from latfit.fitting import FitError, fit_from
 from latfit.generators import Box as GenBox  # same class, readability
 from latfit.generators import GeneratorSpec, edge_dipole, generate, lattice_from_map
 
@@ -306,3 +309,101 @@ class TestDefectMap:
                 and (lo[1] < 0.5 < hi[1])
             if encloses_both:
                 assert c.product.is_identity
+
+
+def multistart_field(chi, geom, params, thresholds=None):
+    """The field of the per-node multistart: `fit_global` at every node, as before continuation.
+
+    Refusing every continuation step sends each node to the unchanged
+    `fit_global` fallback; alignment and branch stages are evaluate_grid's own.
+    """
+    def refuse(*args, **kwargs):
+        raise FitError("continuation refused for the multistart reference")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "fit_from", refuse)
+        return evaluate_grid(chi, geom, params, thresholds=thresholds)
+
+
+def within_field_tol(got, want):
+    return abs(got - want) <= FIELD_ATOL + FIELD_RTOL * abs(want)
+
+
+def test_continuation_matches_multistart():
+    # golden 6x6 grid: same valid nodes, energies and aligned branch up to the gauge
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
+    cont = evaluate_grid(chi, geom, params)
+    ref = multistart_field(chi, geom, params)
+    assert np.array_equal(cont.valid, ref.valid) and bool(ref.valid.all())
+    assert np.array_equal(cont.component, ref.component)
+    for iy in range(geom.ny):
+        for ix in range(geom.nx):
+            fc, fr = cont.fits[iy][ix], ref.fits[iy][ix]
+            assert within_field_tol(cont.h_hat[iy, ix], ref.h_hat[iy, ix])
+            assert within_field_tol(cont.rho_l[iy, ix], ref.rho_l[iy, ix])
+            for part in ("f_term", "j_term", "nu_term"):
+                assert within_field_tol(getattr(fc.breakdown, part), getattr(fr.breakdown, part))
+            # the raw fits differ by an integer relabeling (B, t) only
+            b = np.round(fc.aff_hat.A @ np.linalg.inv(fr.aff_hat.A))
+            assert round(float(np.linalg.det(b))) == 1
+            assert np.max(np.abs(b @ fr.aff_hat.A - fc.aff_hat.A)) <= 1e-10
+            t = np.round(fc.aff_hat.tau - b @ fr.aff_hat.tau)
+            assert np.max(np.abs(b @ fr.aff_hat.tau + t - fc.aff_hat.tau)) <= 1e-10
+            ac = cont.align[iy][ix].apply(fc.aff_hat)
+            ar = ref.align[iy][ix].apply(fr.aff_hat)
+            assert np.max(np.abs(ac.A - ar.A)) <= 1e-10
+            assert np.max(np.abs(ac.tau - ar.tau)) <= 1e-10
+    assert np.max(np.abs(cont.a_tilde - ref.a_tilde)) <= 1e-10
+    assert np.max(np.abs(cont.tau_tilde - ref.tau_tilde)) <= 1e-10
+    rep_c, rep_r = lower_bound_report(cont), lower_bound_report(ref)
+    assert [e.node for e in rep_c.entries] == [e.node for e in rep_r.entries]
+    assert all(abs(c.slack - r.slack) <= 1e-10 for c, r in zip(rep_c.entries, rep_r.entries))
+    assert plaquette_products(cont, chi) == plaquette_products(ref, chi)
+
+    # tight-threshold window next to a dipole core: continuation never ends in a
+    # higher basin, and at (-6, -2) it finds the regular one the multistart misses
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, params.lam, core1=(-6.195, 0.808), core2=(7.805, 0.808))
+    tight = low_energy_thresholds(0.01, params)
+    geom = GridGeometry(origin=(-6.0, -6.0), h=2.0, nx=4, ny=4)
+    cont = evaluate_grid(chi, geom, params, thresholds=tight)
+    ref = multistart_field(chi, geom, params, thresholds=tight)
+    assert np.all(cont.h_hat <= ref.h_hat + 1e-12)
+    ix, iy = 0, 2
+    assert np.array_equal(geom.node(ix, iy), [-6.0, -2.0])
+    fc, fr = cont.fits[iy][ix], ref.fits[iy][ix]
+    assert fc.regular and cont.valid[iy, ix]
+    assert fc.breakdown.total == pytest.approx(0.0390, abs=1e-4)
+    assert not fr.regular and not fr.report.j_ok and not ref.valid[iy, ix]
+    assert fr.breakdown.total == pytest.approx(0.0514, abs=1e-4)
+    others = np.ones_like(cont.valid)
+    others[iy, ix] = False
+    assert np.array_equal(cont.valid[others], ref.valid[others])
+
+    # window whose x = -4 column is reached from valid nodes: the steps there are
+    # refused, and each such node carries the multistart's fit bit for bit
+    geom = GridGeometry(origin=(-10.0, -4.0), h=2.0, nx=4, ny=4)
+    refused = []
+
+    def recording_fit_from(aff0, chi, x, params, thresholds=None):
+        out = fit_from(aff0, chi, x, params, thresholds)
+        if not (out.converged and out.regular):
+            refused.append(np.asarray(x))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "fit_from", recording_fit_from)
+        cont = evaluate_grid(chi, geom, params, thresholds=tight)
+    ref = multistart_field(chi, geom, params, thresholds=tight)
+    assert refused
+    assert np.all(cont.valid >= ref.valid)     # (-6, -2) is rescued here too
+    assert np.all(cont.h_hat <= ref.h_hat + 1e-12)
+    for x in refused:
+        ix, iy = np.round((x - geom.origin) / geom.h).astype(int)
+        fc, fr = cont.fits[iy][ix], ref.fits[iy][ix]
+        assert fc.breakdown.total == fr.breakdown.total
+        assert np.array_equal(fc.aff_hat.A, fr.aff_hat.A)
+        assert np.array_equal(fc.aff_hat.tau, fr.aff_hat.tau)

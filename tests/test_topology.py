@@ -143,6 +143,19 @@ class TestFindReparam:
         back = find_reparam(f2, f1, chi_noise, params)
         assert compose(fwd.reparam, back.reparam).is_identity
 
+    def test_fit_result_j_is_the_recomputed_j(self, params, chi_noise):
+        # a FitResult endpoint lends its breakdown's J; a (y, aff) pair recomputes it
+        f1 = fit_global(chi_noise, np.array([18.0, 18.0]), params)
+        f2 = fit_global(chi_noise, np.array([24.0, 21.0]), params)
+        for a, b in ((f1, f2), (f2, f1)):
+            reused = find_reparam(a, b, chi_noise, params)
+            recomputed = find_reparam((a.position, a.aff_hat), (b.position, b.aff_hat),
+                                      chi_noise, params)
+            assert reused.j1 == recomputed.j1 == a.breakdown.j_term
+            assert reused.j2 == recomputed.j2 == b.breakdown.j_term
+            assert reused.reparam == recomputed.reparam
+            assert (reused.bound_a, reused.bound_tau) == (recomputed.bound_a, recomputed.bound_tau)
+
     def test_quantitative_bounds_on_noise(self, params, chi_noise):
         rng = np.random.default_rng(5)
         for _ in range(10):
