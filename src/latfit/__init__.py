@@ -7,7 +7,6 @@ from .core_model import (
     EnergyBreakdown,
     ModelParams,
     RegularityThresholds,
-    hardcore_violations,
     is_regular_pair,
     j_lambda,
     local_density,
@@ -46,8 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinePair", "Box", "Configuration", "EnergyBreakdown", "ModelParams",
-    "RegularityThresholds", "hardcore_violations", "is_regular_pair",
-    "j_lambda", "local_density",
+    "RegularityThresholds", "is_regular_pair", "j_lambda", "local_density",
     "low_energy_thresholds", "nu_lambda", "pre_energy", "split_regular_atoms",
     "BranchPoint", "FitResult", "a_init_candidates", "fit_from", "fit_global",
     "minimize_j_local", "tau_init", "track_minimizer",

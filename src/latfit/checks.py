@@ -24,7 +24,6 @@ from .core_model import (
     dist_to_lattice,
     gather_weights,
     gradw_sum_diagnostic,
-    hardcore_violations,
     is_regular_pair,
     j_lambda,
     j_value_grad_hess,
@@ -51,6 +50,7 @@ from .topology import (
 
 
 PASS, SKIP, FAIL = "PASS", "SKIP", "FAIL"
+GRID_NODES = 5          # nodes per side of the lam/4 check grid; its inner 3x3 have full stencils
 
 
 def _verdict(ok: bool) -> str:
@@ -77,6 +77,13 @@ class CheckReport:
         return [f"[{r.status}] {r.name}: {r.detail}" for r in self.results]
 
 
+def _sampled(name: str, n_tested: int, ok: bool, detail: str, none_why: str) -> CheckResult:
+    """PASS or FAIL over the tested samples; SKIP, saying why, when none was tested."""
+    if n_tested == 0:
+        return CheckResult(name, SKIP, f"skipped ({none_why})")
+    return CheckResult(name, _verdict(ok), detail)
+
+
 def _lam_metric_mineig(hess: np.ndarray, lam: float, d: int) -> float:
     scale = np.concatenate([np.full(d * d, lam), np.ones(d)])
     hs = hess / scale[:, None] / scale[None, :]
@@ -84,18 +91,17 @@ def _lam_metric_mineig(hess: np.ndarray, lam: float, d: int) -> float:
 
 
 def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
-               eps_hat: float | None = None, n_samples: int = 6,
-               grid_nodes: int = 5, tol_slack: float = 1e-10) -> CheckReport:
+               n_samples: int = 6) -> CheckReport:
     rng = np.random.default_rng(seed)
     results = []
     d = chi.d
     lam = params.lam
     dc = params.constants
-    if eps_hat is None:
-        eps_hat = params.low_energy_cutoff()
+    eps_hat = params.low_energy_cutoff()
+    no_regular = "no regular sample fit"
 
     # 1. hardcore gate
-    pairs = hardcore_violations(chi, params.s0)
+    pairs = chi.hardcore_pairs(params.s0)
     results.append(CheckResult("hardcore", _verdict(len(pairs) == 0),
                                f"{len(pairs)} pair(s) closer than s0"))
 
@@ -123,8 +129,9 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             bad.append(f.position)
         if float(np.linalg.det(f.aff_hat.A)) > 1.5 * params.elastic.det_e + 1e-9:
             bad.append(f.position)
-    results.append(CheckResult("low_energy_regular", _verdict(not bad),
-                               f"{len(low)} low-energy fits, {len(bad)} regularity failures"))
+    results.append(_sampled("low_energy_regular", len(low), not bad,
+                            f"{len(low)} low-energy fits, {len(bad)} regularity failures",
+                            f"no sample fit below eps_hat = {eps_hat:.3g}"))
 
     regular = [f for f in good if f.regular]
 
@@ -152,8 +159,9 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             if j_rep > cap + 1e-12:
                 worst = max(worst, j_rep - cap)
             n_tested += 1
-    results.append(CheckResult("misfit_sandwich", _verdict(worst == 0.0),
-                               f"{n_tested} reparametrised misfits within bounds (worst excess {worst:.2e})"))
+    results.append(_sampled("misfit_sandwich", n_tested, worst == 0.0,
+                            f"{n_tested} reparametrised misfits within bounds (worst excess {worst:.2e})",
+                            no_regular))
 
     # 4. irregular-density bound rho_irr <= J / (C0_W beta^2)
     worst = -math.inf
@@ -164,14 +172,16 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             cap = f.breakdown.j_term / (dc.C0_W * beta**2)
             worst = max(worst, rho_irr - cap)
             n_tested += 1
-    results.append(CheckResult("irregular_density", _verdict(worst <= 1e-12),
-                               f"{n_tested} splits obey the J/(C0 beta^2) cap (worst excess {worst:.2e})"))
+    results.append(_sampled("irregular_density", n_tested, worst <= 1e-12,
+                            f"{n_tested} splits obey the J/(C0 beta^2) cap (worst excess {worst:.2e})",
+                            no_regular))
 
     # 5. jump bounds + triangle identity on nearby regular pairs
     jump_fail = 0
     tri_fail = 0
     anti_fail = 0
     n_steps = 0
+    n_pairs = 0             # regular pairs handed to find_reparam, refused ones too
     for f in regular[:4]:
         for _ in range(2):
             offset = rng.uniform(-1.0, 1.0, size=d)
@@ -185,6 +195,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                 continue
             if not f2.regular:
                 continue
+            n_pairs += 1
             try:
                 step = find_reparam(f, f2, chi, params)
                 back = find_reparam(f2, f, chi, params)
@@ -206,10 +217,13 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                         tri_fail += 1
             except (FitError, ReparamError):
                 pass
-    results.append(CheckResult("jump_bounds", _verdict(jump_fail == 0),
-                               f"{n_steps} steps within the jump bounds ({jump_fail} failures)"))
-    results.append(CheckResult("triangle_identity", _verdict(tri_fail == 0 and anti_fail == 0),
-                               f"{n_steps} triangles/inverses exact ({tri_fail}+{anti_fail} failures)"))
+    no_pair = "no regular pair of nearby sample fits"
+    results.append(_sampled("jump_bounds", n_pairs, jump_fail == 0,
+                            f"{n_steps} steps within the jump bounds ({jump_fail} failures)",
+                            no_pair))
+    results.append(_sampled("triangle_identity", n_steps, tri_fail == 0 and anti_fail == 0,
+                            f"{n_steps} triangles/inverses exact ({tri_fail}+{anti_fail} failures)",
+                            no_pair))
 
     # 6. local convexity at branch minimizers
     conv_fail = 0
@@ -235,8 +249,8 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                                                 * float(np.sum(np.linalg.inv(f.aff_hat.A) ** 2)) * rho))
         if aff_distance(bp.aff_tilde, f.aff_hat, lam) > bound + 1e-12:
             conv_fail += 1
-    results.append(CheckResult("local_convexity", _verdict(conv_fail == 0),
-                               f"{n_conv} branch Hessians above the convexity floor"))
+    results.append(_sampled("local_convexity", len(regular[:4]), conv_fail == 0,
+                            f"{n_conv} branch Hessians above the convexity floor", no_regular))
 
     # 7. gradient-sum diagnostic J >= alpha^{-1} sum |grad W|^2 phi ...
     diag_fail = 0
@@ -244,8 +258,8 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
         lhs, rhs = gradw_sum_diagnostic(f.aff_hat, chi, f.position, lam, dc)
         if lhs < rhs - 1e-12:
             diag_fail += 1
-    results.append(CheckResult("gradw_diagnostic", _verdict(diag_fail == 0),
-                               f"{min(len(regular), 4)} points with J >= gradient-sum bound"))
+    results.append(_sampled("gradw_diagnostic", len(regular[:4]), diag_fail == 0,
+                            f"{len(regular[:4])} points with J >= gradient-sum bound", no_regular))
 
     # 8. transfer to a shifted base point and shrunken scale
     tr_fail = 0
@@ -262,8 +276,8 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
             n_tr += 1
             if j_moved > cap + 1e-12:
                 tr_fail += 1
-    results.append(CheckResult("scale_transfer", _verdict(tr_fail == 0),
-                               f"{n_tr} shifted evaluations under the (lam/lam~)^d cap"))
+    results.append(_sampled("scale_transfer", n_tr, tr_fail == 0,
+                            f"{n_tr} shifted evaluations under the (lam/lam~)^d cap", no_regular))
 
     # 9. chain drift bound on a short chain through the samples
     status = SKIP
@@ -290,7 +304,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
     # 10. grid: plaquettes, lower bound, first-gradient bound
     extent = hi - lo
     h_grid = lam / 4.0
-    n_side = min(grid_nodes, int(np.floor(min(extent) / h_grid)) + 1)
+    n_side = min(GRID_NODES, int(np.floor(min(extent) / h_grid)) + 1)
     if n_side >= 3:
         center = 0.5 * (lo + hi)
         origin = center - 0.5 * (n_side - 1) * h_grid
@@ -303,7 +317,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
         results.append(CheckResult("plaquette_consistency", _verdict(plq_bad == 0),
                                    f"{len(plq)} computable plaquettes, {plq_bad} nontrivial"))
 
-        rep = lower_bound_report(field, grads, tol=tol_slack)
+        rep = lower_bound_report(field, grads)
         results.append(CheckResult("lower_bound_slack", _verdict(rep.ok),
                                    f"{len(rep.entries)} nodes, min slack {rep.min_slack:.3e}"))
 

@@ -276,18 +276,19 @@ def j_lambda(aff: AffinePair, chi: Configuration, x, lam: float) -> float:
 
 
 def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
-               want_grad: bool = True, want_hess: bool = True):
-    """J and its exact (A, tau)-derivatives from a precomputed gather.
+               want_grad: bool = True):
+    """J and its exact (A, tau)-gradient and Hessian from a precomputed gather.
 
     rel are atom positions relative to x, w their cutoff weights, and
     c = 1/(C_phi lam^d).  Flattened parameter order is row-major A then tau.
     The Hessian assembly uses the diagonal well Hessian; the |A^{-1}|_F^2
-    prefactor contributes through the product rule.
+    prefactor contributes through the product rule.  want_grad=False gives
+    (J, None, None).
     """
     d = aff.d
     n = d * d + d
     if rel.shape[0] == 0:
-        return 0.0, (np.zeros(n) if want_grad else None), (np.zeros((n, n)) if want_hess else None)
+        return (0.0, np.zeros(n), np.zeros((n, n))) if want_grad else (0.0, None, None)
     z = rel @ aff.A.T + aff.tau
     ainv = np.linalg.inv(aff.A)
     g = float(np.sum(ainv * ainv))
@@ -305,8 +306,6 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
     grad = np.empty(n)
     grad[: d * d] = c * (g1 * s_val + g * sg_a).ravel()
     grad[d * d:] = c * g * sg_tau
-    if not want_hess:
-        return value, grad, None
 
     hw = (2.0 * cos_z) * w[:, None]          # (m, d), diagonal well Hessian
     h_tt = np.diag(hw.sum(axis=0))
@@ -372,11 +371,6 @@ def pre_energy(aff: AffinePair, chi: Configuration, x, params: ModelParams) -> E
 # ---------------------------------------------------------------------------
 # hardcore and regularity
 # ---------------------------------------------------------------------------
-
-def hardcore_violations(chi: Configuration, s0: float) -> list[tuple[int, int]]:
-    """All atom index pairs closer than s0 (empty list = finite hardcore energy)."""
-    return [tuple(p) for p in chi.hardcore_pairs(s0)]
-
 
 def dist_to_lattice(aff: AffinePair, rel: np.ndarray) -> np.ndarray:
     """Distance of each relative position to the lattice A^{-1}(Z^d - tau).

@@ -325,6 +325,11 @@ def fd_gradients(field: FieldGrid) -> FieldGradients:
 
 _UNIMODULAR_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
 
+B_ENTRY_RANGE = 2       # f_c's B have entries in [-2, 2]; larger |B| cost lam^2 couplings
+TOP_B = 8               # most B that get f_c's inner (A1, A2) minimization
+REMARK_MARGIN = 1.0     # ... and only those whose remark value is this close to the best
+SLACK_TOL = 1e-10       # a lower-bound slack above -SLACK_TOL is roundoff, not a violation
+
 
 def unimodular_matrices(d: int, entry_range: int = 2) -> list[np.ndarray]:
     """All d x d integer matrices with entries in [-range, range] and det = 1."""
@@ -353,16 +358,15 @@ class FCResult:
 
 
 def f_c(grad_tau, params: ModelParams, constants: DerivedConstants, rho_ratio: float,
-        rho_lambda: float | None = None, entry_range: int = 2, top_b: int = 8,
-        margin: float = 1.0) -> FCResult:
+        rho_lambda: float | None = None) -> FCResult:
     """Relaxed elastic density: inf over (A1, B, A2) of the coupling functional.
 
     U = F(A2) + (1/3) C_con C_rep^{-1} |(B A2)^{-1}|^2 det(A) lam^2 |B A2 - A1|^2
       + (1/2) C~ (rho ratio) |A1^{-1}|^2 det(A) lam^2 |A - A1|^2.
 
-    B is enumerated with entries in [-entry_range, entry_range]; the inner
-    (A1, A2) minimization runs only for B whose remark value F(B^{-1} A) is
-    within `margin` of the best (a feasible point shows U_min(B) <= F(B^{-1}A),
+    B is enumerated with entries in [-B_ENTRY_RANGE, B_ENTRY_RANGE]; the inner
+    (A1, A2) minimization runs only for the TOP_B lowest remark values F(B^{-1} A)
+    within REMARK_MARGIN of the best (a feasible point shows U_min(B) <= F(B^{-1}A),
     and the lam^2 couplings push distant B far above the retained minimum).
     """
     a = np.asarray(grad_tau, dtype=float)
@@ -378,7 +382,7 @@ def f_c(grad_tau, params: ModelParams, constants: DerivedConstants, rho_ratio: f
     k2 = c_con_val / (3.0 * constants.C_rep) * det_a * lam2
     k3 = 0.5 * ctn * det_a * lam2
 
-    bs = unimodular_matrices(d, entry_range)
+    bs = unimodular_matrices(d, B_ENTRY_RANGE)
     remark = []
     for b in bs:
         try:
@@ -388,7 +392,7 @@ def f_c(grad_tau, params: ModelParams, constants: DerivedConstants, rho_ratio: f
     remark = np.array(remark)
     v_min = float(np.min(remark))
     order = np.argsort(remark, kind="stable")
-    cand = [i for i in order[: max(top_b, 1)] if remark[i] <= v_min + margin]
+    cand = [i for i in order[:TOP_B] if remark[i] <= v_min + REMARK_MARGIN]
     id_idx = next(i for i, b in enumerate(bs) if np.array_equal(b, np.eye(d, dtype=np.int64)))
     if id_idx not in cand:
         cand.append(id_idx)
@@ -469,21 +473,20 @@ class LowerBoundEntry:
 class LowerBoundReport:
     entries: tuple
     min_slack: float
-    tol: float = 1e-10
 
     @property
     def ok(self) -> bool:
-        return self.min_slack >= -self.tol
+        return self.min_slack >= -SLACK_TOL
 
 
-def theorem2_check(field: FieldGrid, node: tuple[int, int], grads: FieldGradients,
-                   constants: DerivedConstants | None = None) -> LowerBoundEntry:
+def theorem2_check(field: FieldGrid, node: tuple[int, int],
+                   grads: FieldGradients) -> LowerBoundEntry:
     """Lower-bound entry at one node: slack = h_hat - F_C - gradient term."""
     ix, iy = node
     if not grads.hess_ok[iy, ix]:
         raise ValueError(f"node {node} lacks the full second-difference stencil")
     params = field.params
-    dc = constants if constants is not None else params.constants
+    dc = params.constants
     gt = grads.grad_tau[iy, ix]
     det_gt = float(np.linalg.det(gt))
     x_ratio = float(field.rho_2l[iy, ix] / field.rho_l[iy, ix])
@@ -502,20 +505,18 @@ def theorem2_check(field: FieldGrid, node: tuple[int, int], grads: FieldGradient
                            rhs=rhs, slack=h_hat - rhs)
 
 
-def lower_bound_report(field: FieldGrid, grads: FieldGradients | None = None,
-                       tol: float = 1e-10) -> LowerBoundReport:
+def lower_bound_report(field: FieldGrid, grads: FieldGradients | None = None) -> LowerBoundReport:
     """Theorem-2 slack at every valid node with a full stencil."""
     if grads is None:
         grads = fd_gradients(field)
     entries = []
     ny, nx = field.shape
-    dc = field.params.constants
     for iy in range(ny):
         for ix in range(nx):
             if field.valid[iy, ix] and grads.hess_ok[iy, ix]:
-                entries.append(theorem2_check(field, (ix, iy), grads, dc))
+                entries.append(theorem2_check(field, (ix, iy), grads))
     min_slack = min((e.slack for e in entries), default=math.inf)
-    return LowerBoundReport(entries=tuple(entries), min_slack=min_slack, tol=tol)
+    return LowerBoundReport(entries=tuple(entries), min_slack=min_slack)
 
 
 def gradient_bound_check(field: FieldGrid, grads: FieldGradients | None = None):

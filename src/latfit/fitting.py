@@ -35,10 +35,13 @@ from .topology import Reparam
 TWO_PI = 2.0 * math.pi
 
 TOL_GRAD = 1e-10        # dual lambda-norm of the gradient at convergence
-MAX_ITER = 50
+MAX_ITER = 50           # Newton steps on J per branch point
 MAX_ITER_H = 60         # Newton steps on h per fit start
 DELTA_AFF = 0.2         # basin radius in lambda-norm units, validated by the PD check
+STEP_CAP = 1.0          # longest Newton step in the lambda-scaled metric: one period of the tau wells
 ARMIJO_C1 = 1e-4
+N_DIRECTIONS = 12       # difference-vector directions combined into A candidates
+MAX_CANDIDATES = 10     # A candidates kept; fit_global pre-converges them and keeps <= 4
 # eps_nu = factor * rho; 1e-5 keeps the smoothed-ridge curvature vartheta/eps_nu
 # low enough that det-A roundoff cannot push the gradient floor above TOL_GRAD
 NU_SMOOTH_FACTOR = 1e-5
@@ -177,12 +180,17 @@ def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 
 
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
-            require_pd: bool, step_cap: float = 1.0,
-            abort_above: float | None = None) -> _NewtonResult:
+            require_pd: bool, abort_above: float | None = None) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
-    abort_above lets a multistart stop runs stuck above an already-achieved
-    value (the descent is monotone, so such a run cannot win its basin).
+    It stops in one of five ways:
+    - converged: the scaled gradient norm is at most tol_grad;
+    - abort_above: from iteration 10 on, the value is still above abort_above
+      (a multistart's bar: the descent is monotone, so such a run cannot win);
+    - line-search failure: no step length down to 2^-40 decreases the value;
+    - max-iter: max_iter steps taken;
+    - BasinEscapeError: require_pd and the Hessian is not positive definite.
+    Raises FitError when theta0 has det A <= 0.
     """
     d = obj.d
     lam = obj.lam
@@ -192,9 +200,6 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     if not math.isfinite(f_cur):
         raise FitError("starting point has det A <= 0")
     grad_norm = math.inf
-    best_norm = math.inf
-    stall = 0
-    noise_steps = 0
     for it in range(max_iter):
         if abort_above is not None and it >= 10 and f_cur > abort_above:
             return _NewtonResult(theta, False, it, grad_norm)
@@ -203,15 +208,6 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         grad_norm = float(np.linalg.norm(gs))
         if grad_norm <= tol_grad:
             return _NewtonResult(theta, True, it, grad_norm)
-        # endgame stall guard: once nearly converged, stop if the gradient no
-        # longer halves (roundoff floor of the smoothed-nu ridge)
-        if grad_norm < 0.5 * best_norm:
-            best_norm = grad_norm
-            stall = 0
-        elif grad_norm <= 1e-6:
-            stall += 1
-            if stall >= 8:
-                return _NewtonResult(theta, False, it, grad_norm)
         hs = hess / scale[:, None] / scale[None, :]
         try:
             ps = _pd_solve(hs, gs)
@@ -223,22 +219,16 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             evals = np.maximum(evals, floor)
             ps = -evecs @ ((evecs.T @ gs) / evals)
         step_len = float(np.linalg.norm(ps))
-        if step_len > step_cap:
-            ps *= step_cap / step_len
+        if step_len > STEP_CAP:
+            ps *= STEP_CAP / step_len
         p = ps / scale
         slope = float(gs @ ps)
         # predicted decrease below value roundoff: take the full Newton step,
         # the line search cannot see improvements at that scale
         if -slope <= 1e-13 * (1.0 + abs(f_cur)):
-            noise_steps += 1
             theta = theta + p
             f_cur = obj.value(theta)
-            if noise_steps >= 6:
-                _, grad, _ = obj.value_grad_hess(theta)
-                grad_norm = float(np.linalg.norm(grad / scale))
-                return _NewtonResult(theta, grad_norm <= tol_grad, it + 1, grad_norm)
             continue
-        noise_steps = 0
         t = 1.0
         accepted = False
         while t >= 2.0**-40:
@@ -286,9 +276,8 @@ def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
     return diffs * signs[:, None]
 
 
-def a_init_candidates(chi: Configuration, x, k: int = 12, lam: float | None = None,
-                      max_candidates: int = 6) -> list[np.ndarray]:
-    """Candidate A matrices from the k shortest distinct difference vectors near x.
+def a_init_candidates(chi: Configuration, x, lam: float | None = None) -> list[np.ndarray]:
+    """Up to MAX_CANDIDATES A matrices from the N_DIRECTIONS shortest distinct differences near x.
 
     Difference vectors of atoms in B_lam(x) are sign-canonicalized and
     clustered into directions; each direction is refined as the mean of its
@@ -325,7 +314,7 @@ def a_init_candidates(chi: Configuration, x, k: int = 12, lam: float | None = No
                 continue
         reps.append(v)
         rep_norms.append(float(np.linalg.norm(v)))
-        if len(reps) >= k:
+        if len(reps) >= N_DIRECTIONS:
             break
     # refine each direction by averaging its sign-aligned cluster members
     refined = []
@@ -362,7 +351,7 @@ def a_init_candidates(chi: Configuration, x, k: int = 12, lam: float | None = No
             candidates.append(a)
             keys.append((basis_len, tuple(np.round(a, 9).ravel())))
     order = sorted(range(len(candidates)), key=lambda i: keys[i])
-    return [candidates[i] for i in order[:max_candidates]]
+    return [candidates[i] for i in order[:MAX_CANDIDATES]]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +387,6 @@ class FitResult:
 
 
 def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
-                     tol_grad: float = TOL_GRAD, max_iter: int = MAX_ITER,
                      check_regular: bool = True) -> BranchPoint:
     """Damped Newton on J inside the convexity basin around aff0.
 
@@ -411,7 +399,7 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
             warnings.warn(f"minimize_j_local started at an irregular pair near {np.asarray(x)}",
                           stacklevel=2)
     obj = _Objective(chi, x, params, j_only=True)
-    res = _newton(obj, pack(aff0), tol_grad, max_iter, require_pd=True)
+    res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER, require_pd=True)
     aff = unpack(res.theta, chi.d)
     return BranchPoint(position=np.array(x, dtype=float), aff_tilde=aff,
                        j_value=obj.value(res.theta), grad_norm=res.grad_norm,
@@ -419,8 +407,7 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
 
 
 def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
-               k: int = 12, tol_grad: float = TOL_GRAD, max_iter: int = MAX_ITER_H,
-               max_candidates: int = 10, thresholds=None) -> FitResult:
+               thresholds=None) -> FitResult:
     """Multistart damped Newton on h = J + F + smoothed nu; lowest total wins.
 
     The returned total is an upper bound on the true infimum by construction.
@@ -429,7 +416,7 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     x = np.asarray(x, dtype=float)
     starts: list[AffinePair] = []
     try:
-        raw = a_init_candidates(chi, x, k=k, lam=params.lam, max_candidates=max_candidates)
+        raw = a_init_candidates(chi, x, lam=params.lam)
     except FitError:
         raw = []
     if raw:
@@ -461,7 +448,7 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     for aff0 in starts:
         abort_above = 1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None
         try:
-            out = _run_start(obj, aff0, chi, x, params, tol_grad, max_iter, abort_above)
+            out = _run_start(obj, aff0, chi, x, params, abort_above)
         except FitError:
             continue
         best_seen = min(best_seen, out[1].total)
@@ -487,15 +474,16 @@ def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
     """
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False)
-    aff, breakdown, res = _run_start(obj, aff0, chi, x, params, TOL_GRAD, MAX_ITER_H)
+    aff, breakdown, res = _run_start(obj, aff0, chi, x, params)
     return _finish(x, aff, breakdown, res, chi, params, thresholds,
                    converged=res.converged, n_candidates=1)
 
 
 def _run_start(obj: _Objective, aff0: AffinePair, chi: Configuration, x, params: ModelParams,
-               tol_grad: float, max_iter: int, abort_above: float | None = None):
+               abort_above: float | None = None):
     """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy."""
-    res = _newton(obj, pack(aff0), tol_grad, max_iter, require_pd=False, abort_above=abort_above)
+    res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER_H, require_pd=False,
+                  abort_above=abort_above)
     aff = unpack(res.theta, chi.d).canonical_tau()
     return aff, pre_energy(aff, chi, x, params), res
 
@@ -510,14 +498,14 @@ def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, res: _NewtonResult,
                      grad_norm=res.grad_norm, n_candidates=n_candidates)
 
 
-def track_minimizer(branch: BranchPoint, path, chi: Configuration, params: ModelParams,
-                    delta_aff: float = DELTA_AFF, tol_grad: float = TOL_GRAD) -> list[BranchPoint]:
+def track_minimizer(branch: BranchPoint, path, chi: Configuration,
+                    params: ModelParams) -> list[BranchPoint]:
     """Continuation of a J-minimizer branch along a path of nearby points.
 
     Each step warm-starts Newton from the transported predictor
     (A_prev, tau_prev + A_prev dx); the branch is truncated (with a warning
     naming the reason) when regularity fails, the convexity basin is left,
-    or the new minimizer is farther than delta_aff from the predictor.
+    or the new minimizer is farther than DELTA_AFF from the predictor.
     """
     path = np.atleast_2d(np.asarray(path, dtype=float))
     if np.linalg.norm(path[0] - branch.position) > 1e-9:
@@ -537,13 +525,12 @@ def track_minimizer(branch: BranchPoint, path, chi: Configuration, params: Model
                           stacklevel=2)
             break
         try:
-            bp = minimize_j_local(pred, chi, x_new, params, tol_grad=tol_grad,
-                                  check_regular=False)
+            bp = minimize_j_local(pred, chi, x_new, params, check_regular=False)
         except BasinEscapeError:
             warnings.warn(f"track_minimizer truncated at step {i}: left convexity basin",
                           stacklevel=2)
             break
-        if aff_distance(bp.aff_tilde, pred, params.lam) >= delta_aff:
+        if aff_distance(bp.aff_tilde, pred, params.lam) >= DELTA_AFF:
             warnings.warn(f"track_minimizer truncated at step {i}: branch identity lost",
                           stacklevel=2)
             break

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core_model import Box, Configuration, hardcore_violations
+from .core_model import Box, Configuration
 
 KINDS = ("perfect", "noise", "vacancies", "edge_dislocation", "shear", "bend", "grain_boundary")
 
@@ -261,8 +261,8 @@ def generate(spec: GeneratorSpec) -> tuple[Configuration, GroundTruth]:
 
     # the analysis-time gate uses the model's s0; reject here only overlaps
     # that no sensible hardcore radius would accept
-    gross = hardcore_violations(chi, 0.25)
-    if gross:
+    gross = chi.hardcore_pairs(0.25)
+    if len(gross):
         i, j = gross[0]
         raise GenerationError(
             f"generated configuration violates the hardcore gate: atoms {i} and {j} at distance "

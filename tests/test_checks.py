@@ -29,6 +29,9 @@ def test_small_domain_skips_grid_and_chain_checks():
     got = statuses(report)
     assert got["grid_checks"] == SKIP
     assert got["chain_drift"] == SKIP
+    # no step between two regular sample fits is tested here: nothing passed
+    assert got["jump_bounds"] == SKIP
+    assert got["triangle_identity"] == SKIP
     assert FAIL not in got.values()
     assert report.ok
     assert "[SKIP] grid_checks: skipped (domain too small for a grid)" in report.lines()

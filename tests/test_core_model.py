@@ -11,7 +11,6 @@ from latfit.core_model import (
     default_beta,
     dist_to_lattice,
     gradw_sum_diagnostic,
-    hardcore_violations,
     is_regular_pair,
     j_lambda,
     j_value_grad_hess,
@@ -263,20 +262,20 @@ class TestPreEnergy:
 
 class TestHardcore:
     def test_perfect_lattice_clean(self, params, chi_perfect):
-        assert hardcore_violations(chi_perfect, params.s0) == []
+        assert len(chi_perfect.hardcore_pairs(params.s0)) == 0
 
     def test_close_pair_detected(self):
         box = Box(np.zeros(2), np.ones(2))
         pts = np.array([[0.3, 0.3], [0.3, 0.55]])
         chi = Configuration(pts, np.array([True, True]), box, 2.0)
-        assert hardcore_violations(chi, 0.5) == [(0, 1)]
+        assert chi.hardcore_pairs(0.5).tolist() == [[0, 1]]
 
     def test_duplicate_atom(self):
         box = Box(np.zeros(2), np.ones(2))
         pts = np.array([[0.3, 0.3], [0.3, 0.3], [0.9, 0.9]])
         chi = Configuration(pts, np.array([True, True, True]), box, 2.0)
-        pairs = hardcore_violations(chi, 0.5)
-        assert (0, 1) in pairs
+        pairs = chi.hardcore_pairs(0.5)
+        assert [0, 1] in pairs.tolist()
         d = np.linalg.norm(chi.positions[0] - chi.positions[1])
         assert d == 0.0
 

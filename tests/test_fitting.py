@@ -5,12 +5,17 @@ import pytest
 
 from latfit.core_model import AffinePair, Configuration, local_density
 from latfit.fitting import (
+    MAX_ITER_H,
+    TOL_GRAD,
     BasinEscapeError,
     FitError,
+    _newton,
+    _Objective,
     a_init_candidates,
     aff_distance,
     fit_global,
     minimize_j_local,
+    pack,
     tau_init,
     track_minimizer,
 )
@@ -125,7 +130,7 @@ class TestMinimizeJLocal:
         aff = AffinePair(1.7 * np.eye(2), np.zeros(2))
         with pytest.warns(UserWarning, match="irregular"):
             try:
-                minimize_j_local(aff, chi_noise, np.array([20.0, 20.0]), params, max_iter=3)
+                minimize_j_local(aff, chi_noise, np.array([20.0, 20.0]), params)
             except BasinEscapeError:
                 pass
 
@@ -144,6 +149,29 @@ class TestMinimizeJLocal:
             start = AffinePair(base.aff_tilde.A + scale * d_a, base.aff_tilde.tau + scale * d_t)
             bp = minimize_j_local(start, chi_noise, x, params, check_regular=False)
             assert aff_distance(bp.aff_tilde, base.aff_tilde, params.lam) < 1e-8
+
+
+def test_newton_exits(params, chi_noise):
+    # from A = 1.1 I, tau = 0 Newton on h needs 14 steps; h > 0 everywhere
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    theta0 = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    h0 = obj.value(theta0)
+    full = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
+    assert full.converged and full.iterations > 10
+
+    aborted = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=0.0)
+    assert not aborted.converged and aborted.iterations == 10
+    assert obj.value(full.theta) < obj.value(aborted.theta) < h0
+
+    capped = _newton(obj, theta0, TOL_GRAD, 3, require_pd=False)
+    assert not capped.converged and capped.iterations == 3
+    assert capped.grad_norm > TOL_GRAD
+    assert obj.value(capped.theta) < h0
+
+    flipped = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])    # A = diag(1, -1), tau = 0
+    with pytest.raises(FitError, match="det A <= 0"):
+        _newton(obj, flipped, TOL_GRAD, MAX_ITER_H, require_pd=False)
 
 
 class TestFitGlobal:

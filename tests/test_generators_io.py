@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latfit.core_model import Box, hardcore_violations
+from latfit.core_model import Box
 from latfit.fileio import (
     FileFormatError,
     atoms_to_csv,
@@ -79,7 +79,7 @@ class TestGenerators:
     def test_grain_boundary_seam_pruned(self):
         chi, truth = generate(GeneratorSpec(kind="grain_boundary", angle=0.15,
                                             domain_lo=(0, 0), domain_hi=(30, 30), lam=8.0))
-        assert hardcore_violations(chi, 0.5) == []
+        assert len(chi.hardcore_pairs(0.5)) == 0
         rot = truth.a_at([5.0, 15.0])
         assert np.linalg.det(rot) == pytest.approx(1.0, rel=1e-12)
         assert not np.allclose(rot, truth.a_at([25.0, 15.0]))
