@@ -75,7 +75,11 @@ def cmd_field(args) -> int:
     grads = fd_gradients(field)
     report = lower_bound_report(field, grads)
     fileio.write_field_csv(args.out, field, report.entries)
-    msg = f"{int(field.valid.sum())}/{field.valid.size} valid nodes, min slack {report.min_slack:.3e}"
+    msg = f"{int(field.valid.sum())}/{field.valid.size} valid nodes, "
+    if report.entries:
+        msg += f"min slack {report.min_slack:.3e}"
+    else:
+        msg += "no lower-bound node checked: none has a valid full 3x3 stencil"
     if args.svg:
         bands = _field_bands_from_grid(field, report)
         fileio.atomic_write_text(args.svg, heatmap_svg(bands, title="latfit field"))

@@ -15,16 +15,23 @@ field is a single-valued Lagrangian coordinate whose finite differences
 approximate grad tau and its second derivatives.  The certified lower bound
 at a node is F_C(grad tau) plus a second-gradient term; the companion
 first-gradient estimate is checked at every node.
+
+F_C is an infimum over (A1, B, A2) of a coupling functional.  `f_c` does not
+minimise it: it evaluates the functional at two explicit feasible points,
+B = I with A1 = A2 the point of E SO(d) nearest to grad tau, and the best
+relabeling (A1, A2) = (A, B^{-1} A), and returns the smaller value.  Any
+feasible value is an upper bound on the infimum, so h_hat >= value + grad
+term still certifies the theorem's inequality h_hat >= F_C + grad term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .core_model import AffinePair, Configuration, ModelParams, local_density
 from .fitting import (
@@ -35,7 +42,7 @@ from .fitting import (
     fit_global,
     minimize_j_local,
 )
-from .potentials import DerivedConstants, c_con, c_tilde_nabla
+from .potentials import c_con, c_tilde_nabla
 from .topology import (
     Reparam,
     ReparamError,
@@ -323,51 +330,49 @@ def fd_gradients(field: FieldGrid) -> FieldGradients:
 # the certified lower bound
 # ---------------------------------------------------------------------------
 
-_UNIMODULAR_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
-
 B_ENTRY_RANGE = 2       # f_c's B have entries in [-2, 2]; larger |B| cost lam^2 couplings
-TOP_B = 8               # most B that get f_c's inner (A1, A2) minimization
-REMARK_MARGIN = 1.0     # ... and only those whose remark value is this close to the best
 SLACK_TOL = 1e-10       # a lower-bound slack above -SLACK_TOL is roundoff, not a violation
 
 
+@cache
 def unimodular_matrices(d: int, entry_range: int = 2) -> list[np.ndarray]:
     """All d x d integer matrices with entries in [-range, range] and det = 1."""
-    key = (d, entry_range)
-    cached = _UNIMODULAR_CACHE.get(key)
-    if cached is not None:
-        return cached
     vals = range(-entry_range, entry_range + 1)
     out = []
     for flat in iter_product(vals, repeat=d * d):
         b = np.array(flat, dtype=np.int64).reshape(d, d)
         if round(float(np.linalg.det(b))) == 1:
             out.append(b)
-    _UNIMODULAR_CACHE[key] = out
     return out
 
 
 @dataclass(frozen=True)
 class FCResult:
-    """Certified relaxation F_C(A) and the coarse remark-level minimum."""
+    """Certified upper bound on the relaxation F_C(A) and the remark-level minimum."""
 
     value: float
-    remark_value: float     # min_B F(B A), the lambda -> inf limit
-    best_b: np.ndarray
-    fallback: bool          # inner minimization failed somewhere, value clamped
+    remark_value: float     # min_B F(B^{-1} A), the lambda -> inf limit
+    fallback: bool = False  # never set; perfbench/tracer.py reads it
 
 
-def f_c(grad_tau, params: ModelParams, constants: DerivedConstants, rho_ratio: float,
+def f_c(grad_tau, params: ModelParams, rho_ratio: float,
         rho_lambda: float | None = None) -> FCResult:
-    """Relaxed elastic density: inf over (A1, B, A2) of the coupling functional.
+    """Relaxed elastic density, evaluated at two explicit feasible points.
+
+    F_C(A) is the inf over (A1, B, A2) of the coupling functional
 
     U = F(A2) + (1/3) C_con C_rep^{-1} |(B A2)^{-1}|^2 det(A) lam^2 |B A2 - A1|^2
       + (1/2) C~ (rho ratio) |A1^{-1}|^2 det(A) lam^2 |A - A1|^2.
 
-    B is enumerated with entries in [-B_ENTRY_RANGE, B_ENTRY_RANGE]; the inner
-    (A1, A2) minimization runs only for the TOP_B lowest remark values F(B^{-1} A)
-    within REMARK_MARGIN of the best (a feasible point shows U_min(B) <= F(B^{-1}A),
-    and the lam^2 couplings push distant B far above the retained minimum).
+    The value returned is the smaller of U at two feasible points:
+    - B = I, A1 = A2 = E R, the point of E SO(d) nearest to A.  There
+      F(A2) = 0 and the B-coupling vanishes, so U = k3 |E^{-1}|^2 |A - E R|^2
+      with k3 the last term's weight (|(E R)^{-1}| = |E^{-1}| for a rotation R)
+      and R = P Q^T from the SVD E^T A = P S Q^T.
+    - (A1, A2) = (A, B^{-1} A) for the B with entries in [-B_ENTRY_RANGE,
+      B_ENTRY_RANGE] minimising F(B^{-1} A): U = F(B^{-1} A), the remark value.
+    Each is an upper bound on the infimum, so h_hat >= value + grad term
+    implies h_hat >= F_C + grad term: the lower-bound check stays sound.
     """
     a = np.asarray(grad_tau, dtype=float)
     d = a.shape[0]
@@ -375,87 +380,15 @@ def f_c(grad_tau, params: ModelParams, constants: DerivedConstants, rho_ratio: f
     if det_a <= 0:
         raise ValueError(f"f_c requires det(grad tau) > 0, got {det_a:g}")
     el = params.elastic
-    lam2 = params.lam**2
+    constants = params.constants
     rho_l = det_a if rho_lambda is None else rho_lambda
-    c_con_val = c_con(rho_l, det_a, d, constants)
-    ctn = c_tilde_nabla(rho_ratio, c_con_val, constants)
-    k2 = c_con_val / (3.0 * constants.C_rep) * det_a * lam2
-    k3 = 0.5 * ctn * det_a * lam2
-
-    bs = unimodular_matrices(d, B_ENTRY_RANGE)
-    remark = []
-    for b in bs:
-        try:
-            remark.append(el.f_el(np.linalg.inv(b) @ a))
-        except ValueError:
-            remark.append(math.inf)
-    remark = np.array(remark)
-    v_min = float(np.min(remark))
-    order = np.argsort(remark, kind="stable")
-    cand = [i for i in order[:TOP_B] if remark[i] <= v_min + REMARK_MARGIN]
-    id_idx = next(i for i, b in enumerate(bs) if np.array_equal(b, np.eye(d, dtype=np.int64)))
-    if id_idx not in cand:
-        cand.append(id_idx)
-
-    def u_value(b, a1, a2):
-        ba2 = b @ a2
-        return (el.f_el(a2)
-                + k2 * float(np.sum(np.linalg.inv(ba2) ** 2)) * float(np.sum((ba2 - a1) ** 2))
-                + k3 * float(np.sum(np.linalg.inv(a1) ** 2)) * float(np.sum((a - a1) ** 2)))
-
-    best = math.inf
-    best_b = np.eye(d, dtype=np.int64)
-    fallback = False
-    for i in cand:
-        b = bs[i].astype(float)
-        binv = np.linalg.inv(b)
-        a2 = binv @ a
-        a1 = a.copy()
-        u_prev = u_value(b, a1, a2)
-        converged = False
-        for _ in range(40):
-            # A1 step: weighted average with frozen norm weights
-            c2w = k2 * float(np.sum(np.linalg.inv(b @ a2) ** 2))
-            c3w = k3 * float(np.sum(np.linalg.inv(a1) ** 2))
-            a1 = (c2w * (b @ a2) + c3w * a) / (c2w + c3w) if (c2w + c3w) > 0 else a.copy()
-
-            # A2 step: smooth small minimization in Y = B A2
-            def g_obj(yflat, a1=a1):
-                y = yflat.reshape(d, d)
-                if np.linalg.det(y) <= 1e-8:
-                    return 1e6
-                yinv = np.linalg.inv(y)
-                return (el.f_el(binv @ y)
-                        + k2 * float(np.sum(yinv**2)) * float(np.sum((y - a1) ** 2)))
-
-            def g_grad(yflat, a1=a1):
-                y = yflat.reshape(d, d)
-                if np.linalg.det(y) <= 1e-8:
-                    return np.zeros(d * d)
-                yinv = np.linalg.inv(y)
-                n_inv = float(np.sum(yinv**2))
-                n_diff = float(np.sum((y - a1) ** 2))
-                g = binv.T @ el.f_el_grad(binv @ y)
-                g = g + k2 * (n_inv * 2.0 * (y - a1) - n_diff * 2.0 * yinv.T @ yinv @ yinv.T)
-                return g.ravel()
-
-            res = scipy_minimize(g_obj, (b @ a2).ravel(), jac=g_grad, method="L-BFGS-B",
-                                 options={"maxiter": 200, "gtol": 1e-12, "ftol": 1e-15})
-            a2 = binv @ res.x.reshape(d, d)
-            u_now = u_value(b, a1, a2)
-            if abs(u_prev - u_now) <= 1e-13 * (1.0 + abs(u_now)):
-                converged = True
-                break
-            u_prev = u_now
-        val = u_value(b, a1, a2)
-        if not (converged and math.isfinite(val)):
-            fallback = True
-            val = min(val, float(remark[i])) if math.isfinite(val) else float(remark[i])
-        if val < best:
-            best = val
-            best_b = bs[i]
-    best = min(best, v_min)  # (A1, A2) = (A, B^{-1}A) is always feasible
-    return FCResult(value=best, remark_value=v_min, best_b=best_b, fallback=fallback)
+    ctn = c_tilde_nabla(rho_ratio, c_con(rho_l, det_a, d, constants), constants)
+    k3 = 0.5 * ctn * det_a * params.lam**2
+    # |A - E R|^2 directly: dist2_rot's |A|^2 + |E|^2 - 2 sum sigma loses ~1e-13 relative
+    p, _, qt = np.linalg.svd(el.E.T @ a)
+    u_rot = k3 * float(np.sum(np.linalg.inv(el.E) ** 2)) * float(np.sum((a - el.E @ p @ qt) ** 2))
+    remark = min(el.f_el(np.linalg.inv(b) @ a) for b in unimodular_matrices(d, B_ENTRY_RANGE))
+    return FCResult(value=min(u_rot, remark), remark_value=remark)
 
 
 @dataclass(frozen=True)
@@ -490,7 +423,7 @@ def theorem2_check(field: FieldGrid, node: tuple[int, int],
     gt = grads.grad_tau[iy, ix]
     det_gt = float(np.linalg.det(gt))
     x_ratio = float(field.rho_2l[iy, ix] / field.rho_l[iy, ix])
-    fc = f_c(gt, params, dc, x_ratio, rho_lambda=float(field.rho_l[iy, ix]))
+    fc = f_c(gt, params, x_ratio, rho_lambda=float(field.rho_l[iy, ix]))
     c_con_val = c_con(float(field.rho_l[iy, ix]), det_gt, 2, dc)
     ctn = c_tilde_nabla(x_ratio, c_con_val, dc)
     hess_sq = float(np.sum(grads.hess_tau[iy, ix] ** 2))

@@ -1,15 +1,20 @@
 """The benchmark's tracer must find every function it names in latfit.
 
 perfbench/tracer.py wraps the functions listed in its TRACED table from
-outside the package, so a renamed or deleted one would otherwise only show
-when the benchmark runs.
+outside the package and keeps attributes of some results, so a renamed or
+deleted function or attribute would otherwise only show when the benchmark
+runs.
 """
 
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import latfit
+from latfit import fields
+from latfit.core_model import ModelParams
 
 TRACER_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +51,16 @@ def test_tracer_wraps_and_restores_every_traced_function():
     for key, orig in before.items():
         assert during[key] is not orig and during[key].__wrapped__ is orig, key
         assert after[key] is orig, key
+
+
+def test_tracer_metrics_read_the_results_it_keeps():
+    tracer_mod = load_tracer()
+    tracer = tracer_mod.Tracer(latfit)
+    tracer.install()
+    try:
+        fields.f_c(np.eye(2), ModelParams(d=2, lam=8.0, s0=0.5), 1.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(points=1, passes=1)
+    assert metrics["fields.f_c.calls"] == (1.0, "count")
+    assert metrics["fields.f_c.fallbacks"] == (0.0, "count")

@@ -84,6 +84,16 @@ class TestPipeline:
         assert doc["regular"] is True
         assert doc["breakdown"]["total"] >= 0.0
 
+    def test_field_without_stencil_says_nothing_checked(self, tmp_path):
+        # a 2x2 grid has no node with the full 3x3 stencil the lower bound needs
+        for name in ("golden_atoms.csv", "params.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        proc = run_cli("field", "--atoms", "golden_atoms.csv", "--params", "params.json",
+                       "--grid", "2,2,2,2,2", "--out", "field.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "no lower-bound node checked" in proc.stdout
+        assert "inf" not in proc.stdout
+
 
 def _edit_cell(column, edit):
     """field.csv perturbation: apply `edit` to the first `column` cell it accepts."""

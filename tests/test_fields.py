@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from cli_harness import DATA, FIELD_ATOL, FIELD_RTOL
+from scipy.linalg import polar
 
 from latfit import fields, fileio
 from latfit.core_model import AffinePair, Box, ModelParams, low_energy_thresholds
@@ -23,6 +24,7 @@ from latfit.fields import (
 from latfit.fitting import FitError, fit_from
 from latfit.generators import Box as GenBox  # same class, readability
 from latfit.generators import GeneratorSpec, edge_dipole, generate, lattice_from_map
+from latfit.potentials import c_con, c_tilde_nabla
 
 
 @pytest.fixture(scope="module")
@@ -164,37 +166,66 @@ class TestFC:
         assert any(np.array_equal(b, np.eye(2, dtype=np.int64)) for b in mats)
 
     def test_reference_value_near_zero(self, grid_params):
-        dc = grid_params.constants
-        res = f_c(np.eye(2), grid_params, dc, rho_ratio=1.0)
+        res = f_c(np.eye(2), grid_params, rho_ratio=1.0)
         assert isinstance(res, FCResult)
         assert 0.0 <= res.value <= 1e-10  # F(E) + O(lam^{-2}) couplings
         assert res.remark_value == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_invariance(self, grid_params):
-        dc = grid_params.constants
         th = 0.4
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        res = f_c(rot, grid_params, dc, rho_ratio=1.0)
-        ref = f_c(np.eye(2), grid_params, dc, rho_ratio=1.0)
+        res = f_c(rot, grid_params, rho_ratio=1.0)
+        ref = f_c(np.eye(2), grid_params, rho_ratio=1.0)
         assert res.value == pytest.approx(ref.value, abs=1e-10)
 
     def test_feasible_point_bound(self, grid_params):
-        dc = grid_params.constants
         rng = np.random.default_rng(3)
         for _ in range(5):
             a = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
             if np.linalg.det(a) <= 0.5:
                 continue
-            res = f_c(a, grid_params, dc, rho_ratio=1.0)
+            res = f_c(a, grid_params, rho_ratio=1.0)
             assert res.value <= grid_params.elastic.f_el(a) + 1e-12
             # remark value is the minimum of F over the relabeled orbit
             vals = [grid_params.elastic.f_el(np.linalg.inv(b) @ a)
                     for b in unimodular_matrices(2, 2)]
             assert res.remark_value == pytest.approx(min(vals), rel=1e-12)
 
+    def test_value_is_certified_by_a_feasible_point(self, grid_params):
+        """value is the coupling functional at (B = I, A1 = A2 = E R) or the remark value.
+
+        R is the polar factor of E^T A, so E R is the point of E SO(d) nearest
+        to A, found without ElasticDensity.dist2_rot's singular-value sum.
+        Each feasible value is an upper bound on the infimum F_C, so a value
+        above the smaller one is looser and a value below it is unsound.
+        """
+        el, dc, lam = grid_params.elastic, grid_params.constants, grid_params.lam
+        th = 0.4
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        rng = np.random.default_rng(3)   # the matrices of test_feasible_point_bound
+        near_identity = [np.eye(2) + 0.1 * rng.standard_normal((2, 2)) for _ in range(5)]
+        stretched = np.diag([1.2, 1.1])  # det A != det E
+        for a in [np.eye(2), rot, *near_identity, stretched]:
+            res = f_c(a, grid_params, rho_ratio=1.0)
+            det_a = float(np.linalg.det(a))
+            c_con_val = c_con(det_a, det_a, 2, dc)
+            k2 = c_con_val / (3.0 * dc.C_rep) * det_a * lam**2
+            k3 = 0.5 * c_tilde_nabla(1.0, c_con_val, dc) * det_a * lam**2
+            r, _ = polar(el.E.T @ a)
+            a1 = a2 = el.E @ r
+            b = np.eye(2)
+            # F(A2) = 0: A2 lies on E SO(d)
+            u = (k2 * float(np.sum(np.linalg.inv(b @ a2) ** 2)) * float(np.sum((b @ a2 - a1) ** 2))
+                 + k3 * float(np.sum(np.linalg.inv(a1) ** 2)) * float(np.sum((a - a1) ** 2)))
+            # roundoff in |A - E R|^2 scales with |A| |A - E R|, not with U: hence the k3 term
+            tol = 1e-15 * (u + k3)
+            assert 0.0 <= res.value <= res.remark_value
+            assert res.value <= u + tol
+            assert res.value >= min(u, res.remark_value) - tol
+
     def test_rejects_flipped_gradient(self, grid_params):
         with pytest.raises(ValueError, match="det"):
-            f_c(np.diag([1.0, -1.0]), grid_params, grid_params.constants, 1.0)
+            f_c(np.diag([1.0, -1.0]), grid_params, 1.0)
 
 
 class TestLowerBound:
