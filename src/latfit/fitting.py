@@ -8,6 +8,14 @@ full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
 `fit_from` runs one start alone, from a caller's predictor; both finish a
 start the same way (canonical tau, exact energy, regular-pair test).
+
+`fit_loop` fits the samples of a closed loop by continuation: the multistart
+runs at sample 0, and two sweeps, one each way round the loop, carry that
+fit from sample to sample with `fit_from`.  Samples 1.2 lam apart can still
+land in a higher neighbouring basin, so where the sweeps disagree the
+sample gets the multistart warm-started from both (the basin guard).  A
+sample the sweeps agree on keeps the forward fit, in sample 0's integer
+gauge.  `fit_between` applies the same guard to one point between two fits.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +39,9 @@ from .core_model import (
     is_regular_pair,
     pre_energy,
 )
-from .topology import Reparam
+
+if TYPE_CHECKING:
+    from .topology import Reparam
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,6 +56,7 @@ MAX_CANDIDATES = 10     # A candidates kept; fit_global pre-converges them and k
 # eps_nu = factor * rho; 1e-5 keeps the smoothed-ridge curvature vartheta/eps_nu
 # low enough that det-A roundoff cannot push the gradient floor above TOL_GRAD
 NU_SMOOTH_FACTOR = 1e-5
+GUARD_TOL = 1e-12       # two continuations of one loop sample agreeing to this share a basin
 
 
 class FitError(RuntimeError):
@@ -477,6 +489,61 @@ def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
     aff, breakdown, res = _run_start(obj, aff0, chi, x, params)
     return _finish(x, aff, breakdown, res, chi, params, thresholds,
                    converged=res.converged, n_candidates=1)
+
+
+def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -> list[FitResult]:
+    """Fits of the samples of a closed loop by two-way continuation with a basin guard.
+
+    `points` are the distinct samples in loop order (the closing point not
+    repeated).  Sample 0 gets the multistart `fit_global`.  A forward sweep
+    (1 -> n-1) and a backward sweep (n-1 -> 1) each fit a sample by one
+    continuation step from the previous fit of that sweep, transported as
+    (A, tau + A dx); a step that fails, does not converge or is not regular
+    under `thresholds` falls back to `fit_global`.  Where the two sweeps'
+    totals differ by more than GUARD_TOL, one sweep sits in a higher basin,
+    and the sample gets `fit_global` warm-started from both; elsewhere it
+    keeps the forward fit, which stays in sample 0's integer gauge.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    first = fit_global(chi, pts[0], params, thresholds=thresholds)
+    fwd = [first]
+    for x in pts[1:]:
+        fwd.append(_continue(fwd[-1].position, fwd[-1].aff_hat, chi, x, params, thresholds))
+    bwd = [first]
+    for x in pts[:0:-1]:
+        bwd.append(_continue(bwd[-1].position, bwd[-1].aff_hat, chi, x, params, thresholds))
+    bwd = [first] + bwd[:0:-1]
+    return [_guard(f, b, chi, params, thresholds) for f, b in zip(fwd, bwd)]
+
+
+def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=None) -> FitResult:
+    """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
+    x = np.asarray(x, dtype=float)
+    (y1, aff1), (y2, aff2) = ends
+    return _guard(_continue(y1, aff1, chi, x, params, thresholds),
+                  _continue(y2, aff2, chi, x, params, thresholds), chi, params, thresholds)
+
+
+def _continue(y, aff: AffinePair, chi: Configuration, x, params: ModelParams,
+              thresholds) -> FitResult:
+    """One continuation step from the pair (y, aff) to x; the multistart when it is refused."""
+    pred = AffinePair(aff.A, aff.tau + aff.A @ (x - np.asarray(y, dtype=float)))
+    try:
+        out = fit_from(pred, chi, x, params, thresholds)
+    except FitError:
+        out = None
+    if out is not None and out.converged and out.regular:
+        return out
+    return fit_global(chi, x, params, thresholds=thresholds)
+
+
+def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
+           thresholds) -> FitResult:
+    """a when two fits of one point agree in total to GUARD_TOL; else the multistart from both."""
+    if abs(a.breakdown.total - b.breakdown.total) <= GUARD_TOL:
+        return a
+    return fit_global(chi, a.position, params, warm_starts=(a.aff_hat, b.aff_hat),
+                      thresholds=thresholds)
 
 
 def _run_start(obj: _Objective, aff0: AffinePair, chi: Configuration, x, params: ModelParams,

@@ -5,6 +5,14 @@ det B = 1; rounding A1 A2^{-1} and the transported phase recovers it whenever
 both pairs are regular and close (|y1 - y2| <= 3 lam / 2).  Products of the
 step reparametrisations along closed chains are the generalized Burgers
 vectors; they are exact integers, so every chain identity is tested exactly.
+
+`burgers_loop` fits its samples with `fitting.fit_loop`: one multistart at
+sample 0, continuation both ways round the loop, and a multistart
+warm-started from both sweeps wherever they disagree.  A loop product
+depends only on the integer gauge of the base fit (sample 0, still the
+multistart's): the gauges of the other samples cancel step by step.  So
+continuation changes the integers of the individual steps (most become
+B = I) but not the product.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import AffinePair, Configuration, ModelParams, is_regular_pair, j_lambda
+from .fitting import fit_between, fit_loop
 
 
 class ReparamError(RuntimeError):
@@ -280,8 +289,18 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     """Fit every loop sample, connect consecutive fits, and fold the product.
 
     The loop must be closed (first point equals last) with steps <= 1.5*lam.
+    Without `fits`, the samples are fitted by `fit_loop`: the multistart at
+    sample 0, then a forward and a backward sweep of continuation steps,
+    each transported from the sweep's previous fit and kept when it
+    converges to a pair regular under `thresholds` (the multistart runs
+    otherwise).  Where the two sweeps' totals differ by more than 1e-12 one
+    of them sits in a higher basin, and the sample gets the multistart
+    warm-started from both fits; elsewhere it keeps the forward fit, so
+    most samples stay in sample 0's integer gauge and most steps have B = I.
     Any irregular sample refuses the loop, naming the sample, so the caller
-    can reroute around defect cores.
+    can reroute around defect cores.  With `verify_refinement`, the
+    midpoint of the longest step is fitted from both its neighbours the
+    same way and must leave the product unchanged.
     """
     pts = np.atleast_2d(np.asarray(loop, dtype=float))
     if pts.shape[0] < 3:
@@ -293,10 +312,7 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     if np.any(seps > 1.5 * params.lam + 1e-9):
         raise ValueError(f"loop step {float(np.max(seps)):g} exceeds 1.5*lam; densify first")
 
-    if fits is None:
-        from .fitting import fit_global
-        fits = [fit_global(chi, p, params) for p in core]
-    fits = list(fits)
+    fits = fit_loop(chi, core, params, thresholds) if fits is None else list(fits)
     pairs = [_as_point_aff(f) for f in fits]
 
     for i, (y, aff) in enumerate(pairs):
@@ -311,10 +327,10 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
 
     if verify_refinement:
         i_long = int(np.argmax(seps[: len(pairs)]))
-        midpoint = 0.5 * (pairs[i_long][0] + pairs[(i_long + 1) % len(pairs)][0])
-        from .fitting import fit_global
-        mid_fit = fit_global(chi, midpoint, params)
-        open_chain = pairs[i_long + 1:] + pairs[: i_long + 1] + [pairs[(i_long + 1) % len(pairs)]]
+        left, right = pairs[i_long], pairs[(i_long + 1) % len(pairs)]
+        midpoint = 0.5 * (left[0] + right[0])
+        mid_fit = fit_between(chi, midpoint, params, (left, right), thresholds)
+        open_chain = pairs[i_long + 1:] + pairs[: i_long + 1] + [right]
         if not chain_refinement_invariance(open_chain, len(open_chain) - 1,
                                            mid_fit, chi, params, thresholds):
             raise ReparamError("loop product changed under refinement")

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from cli_harness import DATA
 
+from latfit import fileio, fitting
 from latfit.core_model import AffinePair, Box, Configuration
 from latfit.fitting import fit_global, tau_init
 from latfit.generators import GeneratorSpec, edge_dipole, generate, half_plane_count_oracle
@@ -296,6 +300,38 @@ class TestBurgersLoop:
         loop = square_loop([20.0, 20.0], 5.0, 1.2 * params.lam)
         res = burgers_loop(chi_noise, loop, params, verify_refinement=True)
         assert res.product.is_identity
+
+
+def test_loop_continuation_matches_multistart():
+    # golden dislocation, the half-width 6 and 10 loops of the golden-loops
+    # benchmark: each continued sample is no higher than the multistart's, and
+    # at half-width 6 a forward sweep alone ends in a higher basin, so the
+    # guard must fire there
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    core = json.loads((DATA / "golden_truth.json").read_text())["core"]
+    guarded = []
+
+    def recording_fit_global(chi, x, params, warm_starts=(), thresholds=None):
+        if warm_starts:
+            guarded.append(half_width)
+        return fit_global(chi, x, params, warm_starts=warm_starts, thresholds=thresholds)
+
+    for half_width in (6.0, 10.0):
+        loop = square_loop(core, half_width, 1.2 * params.lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "fit_global", recording_fit_global)
+            res = burgers_loop(chi, loop, params)
+        ref = burgers_loop(chi, loop, params,
+                           fits=[fit_global(chi, p, params) for p in loop[:-1]])
+        assert len(res.fits) == len(ref.fits) == len(loop) - 1
+        for fc, fr in zip(res.fits, ref.fits):
+            assert fc.regular
+            assert fc.breakdown.total <= fr.breakdown.total + 1e-12
+        assert res.product == ref.product
+        assert res.classification == ref.classification == "translation-defect"
+    assert 6.0 in guarded
 
 
 class TestChainDrift:
