@@ -1,6 +1,9 @@
 """Command-line surface: generate, fit, field, loop, check, report.
 
 Exit codes: 0 ok, 1 invariant violation (check), 2 usage or file errors.
+Evaluation points (`fit --at`, loop vertices, `field` grid nodes) must be
+finite and inside the domain box: the params `domain`, or else the bounding
+box of the interior atoms.  Any other point exits 2 with the point named.
 All commands are deterministic given their input files and seeds.
 """
 
@@ -23,9 +26,23 @@ from .topology import IrregularSampleError, ReparamError, burgers_loop, densify_
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        x = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise FileFormatError(f"bad coordinate list {text!r}; expected x,y[,z]") from None
+    if not np.all(np.isfinite(x)):
+        raise FileFormatError(f"--at: coordinates must be finite, got {text!r}")
+    return x
+
+
+def _require_in_domain(chi, point, where: str) -> None:
+    """Reject an evaluation point outside the domain box, naming `where`, the point and the box."""
+    box = chi.domain
+    if not box.contains(point)[0]:
+        coords = ", ".join(f"{v:g}" for v in point)
+        lo = ", ".join(f"{v:g}" for v in box.lo)
+        hi = ", ".join(f"{v:g}" for v in box.hi)
+        raise FileFormatError(f"{where}: point ({coords}) lies outside the domain box "
+                              f"[{lo}] .. [{hi}]")
 
 
 def _load_configuration(args):
@@ -55,6 +72,7 @@ def cmd_fit(args) -> int:
     x = _parse_point(args.at)
     if x.shape != (params.d,):
         raise FileFormatError(f"--at needs {params.d} coordinates")
+    _require_in_domain(chi, x, "--at")
     fit = fit_global(chi, x, params)
     fileio.write_json(args.out, fileio.fit_to_dict(fit))
     print(f"h_hat = {fit.breakdown.total:.6g} (regular: {fit.regular}) -> {args.out}")
@@ -71,6 +89,11 @@ def cmd_field(args) -> int:
                             nx=int(parts[3]), ny=int(parts[4]))
     except ValueError as err:
         raise FileFormatError(f"bad --grid: {err}") from None
+    if not (np.all(np.isfinite(geom.origin)) and np.isfinite(geom.h)):
+        raise FileFormatError(f"bad --grid: ox, oy and h must be finite, got {args.grid!r}")
+    for iy in range(geom.ny):
+        for ix in range(geom.nx):
+            _require_in_domain(chi, geom.node(ix, iy), f"--grid node ({ix}, {iy})")
     field = evaluate_grid(chi, geom, params)
     grads = fd_gradients(field)
     report = lower_bound_report(field, grads)
@@ -115,9 +138,16 @@ def cmd_loop(args) -> int:
             if not line:
                 continue
             try:
-                pts.append([float(v) for v in line.split(",")])
+                point = np.array([float(v) for v in line.split(",")], dtype=float)
             except ValueError:
                 raise FileFormatError(f"{args.loop}:{lineno}: bad coordinates") from None
+            if point.shape != (params.d,):
+                raise FileFormatError(f"{args.loop}:{lineno}: expected {params.d} coordinates")
+            if not np.all(np.isfinite(point)):
+                raise FileFormatError(f"{args.loop}:{lineno}: coordinates must be finite, "
+                                      f"got {line!r}")
+            _require_in_domain(chi, point, f"{args.loop}:{lineno}")
+            pts.append(point)
     loop = densify_loop(np.array(pts, dtype=float), 1.2 * params.lam)
     result = burgers_loop(chi, loop, params)
     fileio.write_json(args.out, fileio.loop_to_dict(result))

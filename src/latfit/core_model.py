@@ -8,13 +8,23 @@ atoms near x through z_i = A (x_i - x) + tau into the periodic well and sums
 
 The analytic (A, tau)-gradient and Hessian of J exploit that the cosine well
 has a diagonal Hessian.  Flattened parameter order is row-major A then tau.
+
+`assemble_j` is the one J kernel.  It keeps the atoms on the last axis
+(z^T = A rel^T + tau), takes one cos pass for the value and one sin pass more
+for the derivatives, and gets every gradient and Hessian sum of the well from
+a single matmul of the distinct products of the feature rows (rel_i, 1)
+against the weighted sin and cos columns; fixed index maps (`_aug_index`)
+place those sums in the A-then-tau layout.  The |A^{-1}|_F^2 prefactor
+enters by the product rule with the closed-form Hessian `_g_hess`.  The
+pair's inverse comes from `aff.ainv`, so a Newton step that already holds
+A^{-1} does not invert A again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -88,6 +98,10 @@ class AffinePair:
     @property
     def d(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def ainv(self) -> np.ndarray:
+        return np.linalg.inv(self.A)
 
     def canonical_tau(self) -> "AffinePair":
         """Same lattice with tau wrapped to [0,1)^d."""
@@ -280,54 +294,93 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
     """J and its exact (A, tau)-gradient and Hessian from a precomputed gather.
 
     rel are atom positions relative to x, w their cutoff weights, and
-    c = 1/(C_phi lam^d).  Flattened parameter order is row-major A then tau.
-    The Hessian assembly uses the diagonal well Hessian; the |A^{-1}|_F^2
-    prefactor contributes through the product rule.  want_grad=False gives
-    (J, None, None).
+    c = 1/(C_phi lam^d); aff is any pair with A, tau and ainv = A^{-1} (a
+    Newton step passes the inverse it already has).  Flattened parameter
+    order is row-major A then tau.  want_grad=False gives (J, None, None).
+
+    J = c g S with g = |A^{-1}|_F^2 and S = sum_i W(z_i) w_i.  z_ik depends
+    only on row k of [A | tau], through the feature row f_i = (rel_i, 1).
+    The well's Hessian is diagonal, so the gradient of S in row k is
+    sum_i dW_k f_i w_i and its Hessian is block diagonal, block k being
+    sum_i d2W_k f_i f_i^T w_i.  One matmul of the distinct feature products
+    (rel_ij rel_ij', rel_ij, 1) against the weighted sin and cos columns
+    gives all of them; `_aug_index` scatters the result into the A-then-tau
+    layout.  g enters through the product rule with its closed-form gradient
+    and Hessian (`_g_hess`).  Atoms run along the last axis throughout.
     """
-    d = aff.d
+    A = aff.A
+    d = A.shape[0]
     n = d * d + d
-    if rel.shape[0] == 0:
+    m = rel.shape[0]
+    if m == 0:
         return (0.0, np.zeros(n), np.zeros((n, n))) if want_grad else (0.0, None, None)
-    z = rel @ aff.A.T + aff.tau
-    ainv = np.linalg.inv(aff.A)
+    ainv = aff.ainv
     g = float(np.sum(ainv * ainv))
+    rel_t = rel.T
     # share the trig work: W = sum (1 - cos)/2pi^2, grad W = sin/pi, hess = 2 cos
-    cos_z = np.cos(TWO_PI_CORE * z)
-    s_val = float(np.sum((1.0 - cos_z).sum(axis=1) * w)) / (2.0 * math.pi**2)
+    arg = TWO_PI_CORE * (A @ rel_t + aff.tau[:, None])     # (d, m)
+    cos_z = np.cos(arg)
+    well = 1.0 - cos_z[0]
+    for k in range(1, d):
+        well += 1.0 - cos_z[k]
+    s_val = float(np.sum(well * w)) / (2.0 * math.pi**2)
     value = c * g * s_val
     if not want_grad:
         return value, None, None
 
-    gw = (np.sin(TWO_PI_CORE * z) / math.pi) * w[:, None]    # (m, d)
-    sg_tau = gw.sum(axis=0)                  # (d,)
-    sg_a = gw.T @ rel                        # (d, d): entry (k, l) = sum dW_k rel_l w
-    g1 = -2.0 * ainv.T @ ainv @ ainv.T       # grad of |A^{-1}|_F^2
-    grad = np.empty(n)
-    grad[: d * d] = c * (g1 * s_val + g * sg_a).ravel()
-    grad[d * d:] = c * g * sg_tau
+    pairs, grad_src, rows, cols, hess_src = _aug_index(d)
+    feat = np.empty((len(pairs[0]) + d + 1, m))
+    np.multiply(rel_t[pairs[0]], rel_t[pairs[1]], out=feat[: len(pairs[0])])
+    feat[len(pairs[0]): -1] = rel_t
+    feat[-1] = 1.0
+    wells = np.empty((2 * d, m))
+    np.sin(arg, out=wells[:d])
+    wells[:d] *= w / math.pi                             # grad W, weighted
+    np.multiply(cos_z, 2.0 * w, out=wells[d:])            # diagonal of hess W, weighted
+    sums = (feat @ wells.T).ravel()
+    grad_s = sums[grad_src]
 
-    hw = (2.0 * cos_z) * w[:, None]          # (m, d), diagonal well Hessian
-    h_tt = np.diag(hw.sum(axis=0))
-    t_mat = hw.T @ rel                       # (d, d)
-    h_at = np.zeros((d * d, d))
-    for k in range(d):
-        h_at[k * d: (k + 1) * d, k] = t_mat[k]
-    h_aa = np.zeros((d * d, d * d))
-    for k in range(d):
-        q_k = rel.T @ (rel * hw[:, k: k + 1])
-        h_aa[k * d: (k + 1) * d, k * d: (k + 1) * d] = q_k
-
-    g1v = g1.ravel()
-    sgav = sg_a.ravel()
-    hess = np.zeros((n, n))
-    hess[: d * d, : d * d] = c * (_g_hess(ainv) * s_val + np.outer(g1v, sgav)
-                                  + np.outer(sgav, g1v) + g * h_aa)
-    hess[: d * d, d * d:] = c * (np.outer(g1v, sg_tau) + g * h_at)
-    hess[d * d:, : d * d] = hess[: d * d, d * d:].T
-    hess[d * d:, d * d:] = c * g * h_tt
-    hess = 0.5 * (hess + hess.T)
+    g1 = np.zeros(n)                                    # gradient of g, zero in tau
+    g1[: d * d] = (-2.0 * ainv.T @ ainv @ ainv.T).ravel()
+    grad = c * (g1 * s_val + g * grad_s)
+    cross = np.outer(g1, grad_s)
+    hess = cross + cross.T
+    hess[: d * d, : d * d] += _g_hess(ainv) * s_val
+    hess[rows, cols] += g * sums[hess_src]
+    hess *= c
     return value, grad, hess
+
+
+@cache
+def _aug_index(d: int):
+    """Index maps of `assemble_j` for dimension d.
+
+    Feature rows are the products rel_j rel_j' (j <= j' < d, in the order of
+    `pairs`), then rel_0 .. rel_{d-1}, then 1; `sums` is the raveled
+    (rows, 2d) matrix of their sums against the weighted sin columns (0..d-1)
+    and cos columns (d..2d-1).  grad_src picks the gradient of S in the
+    A-then-tau layout; (rows, cols) are the entries of S's block-diagonal
+    Hessian in that layout and hess_src their source in `sums`.
+    """
+    pairs = np.triu_indices(d)
+    n_rows = len(pairs[0]) + d + 1
+    feature = np.empty((d + 1, d + 1), dtype=np.intp)    # feature row of f_j f_j'
+    feature[pairs] = np.arange(len(pairs[0]))
+    feature[pairs[::-1]] = feature[pairs]
+    feature[:d, d] = feature[d, :d] = len(pairs[0]) + np.arange(d)
+    feature[d, d] = n_rows - 1
+    # position of A_kj (j < d) or tau_k (j = d) in the flat parameter vector
+    pos = np.empty((d, d + 1), dtype=np.intp)
+    pos[:, :d] = np.arange(d * d).reshape(d, d)
+    pos[:, d] = d * d + np.arange(d)
+    grad_src = np.empty(d * d + d, dtype=np.intp)
+    grad_src[pos] = feature[d][None, :] * (2 * d) + np.arange(d)[:, None]
+    k, j, jj = np.meshgrid(np.arange(d), np.arange(d + 1), np.arange(d + 1), indexing="ij")
+    rows, cols = pos[k, j].ravel(), pos[k, jj].ravel()
+    hess_src = (feature[j, jj] * (2 * d) + d + k).ravel()
+    for arr in (*pairs, grad_src, rows, cols, hess_src):
+        arr.setflags(write=False)          # cached: every call shares these arrays
+    return pairs, grad_src, rows, cols, hess_src
 
 
 def j_value_grad_hess(aff: AffinePair, chi: Configuration, x, lam: float):
@@ -337,16 +390,19 @@ def j_value_grad_hess(aff: AffinePair, chi: Configuration, x, lam: float):
 
 
 def _g_hess(ainv: np.ndarray) -> np.ndarray:
-    """Hessian of g(A) = |A^{-1}|_F^2 as a (d^2, d^2) matrix (row-major A)."""
+    """Hessian of g(A) = |A^{-1}|_F^2 as a (d^2, d^2) matrix (row-major A).
+
+    With K = A^{-1}, P = K^T K K^T, Q = K^T K and R = K K^T,
+    d^2 g / dA_ij dA_ab = 2 (K_bi P_aj + Q_ia R_bj + P_ib K_ja).
+    """
     d = ainv.shape[0]
     k = ainv
-    out = np.empty((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            m = np.zeros((d, d))
-            m[a, b] = 1.0
-            dg1 = 2.0 * (k.T @ m.T @ k.T @ k @ k.T + k.T @ k @ m @ k @ k.T + k.T @ k @ k.T @ m.T @ k.T)
-            out[:, a * d + b] = dg1.ravel()
+    q = k.T @ k
+    r = k @ k.T
+    p = q @ k.T
+    out = 2.0 * (k.T[:, None, None, :] * p.T[None, :, :, None]
+                 + q[:, None, :, None] * r.T[None, :, None, :]
+                 + p[:, None, None, :] * k[None, :, :, None]).reshape(d * d, d * d)
     return 0.5 * (out + out.T)
 
 

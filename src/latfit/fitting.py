@@ -9,6 +9,14 @@ the exact |.|).  The reported h_hat is an upper bound on the true infimum.
 `fit_from` runs one start alone, from a caller's predictor; both finish a
 start the same way (canonical tau, exact energy, regular-pair test).
 
+One Newton step costs one value, gradient and Hessian of h.  `_Objective`
+computes det A and A^{-1} once per evaluation (an `_Iterate`, not an
+AffinePair) and hands them to J (`assemble_j`), F (`ElasticDensity._value`,
+`_grad`, `_hess`) and the smoothed nu, whose Hessians share the closed form
+of the Hessian of det (`det_hessian`).  `_pd_solve` factors the equilibrated
+Hessian once (LAPACK potrf) and reuses the factor for the solve and both
+refinement passes.
+
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
 fit from sample to sample with `fit_from`.  Samples 1.2 lam apart can still
@@ -24,9 +32,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core_model import (
     AffinePair,
@@ -39,6 +48,7 @@ from .core_model import (
     is_regular_pair,
     pre_energy,
 )
+from .potentials import det_hessian
 
 if TYPE_CHECKING:
     from .topology import Reparam
@@ -88,13 +98,27 @@ def aff_distance(a1: AffinePair, a2: AffinePair, lam: float) -> float:
 # objectives
 # ---------------------------------------------------------------------------
 
+class _Iterate(NamedTuple):
+    """(A, tau) at one Newton iterate with det A and A^{-1}, computed once.
+
+    J (through `assemble_j`), F and nu all read the same det A and A^{-1};
+    it stands in for an AffinePair, which would copy and re-check det A.
+    """
+
+    A: np.ndarray
+    tau: np.ndarray
+    det_a: float
+    ainv: np.ndarray
+
+
 class _Objective:
     """h (or J alone) as a function of theta, with gradient and Hessian.
 
     The neighbor gather (relative positions and cutoff weights) is fixed per
     point and hoisted out of the iteration; rho is likewise constant during
-    the (A, tau) optimization.  det A <= 0 evaluates to +inf so line searches
-    stay orientation-preserving.
+    the (A, tau) optimization.  Each evaluation computes det A and A^{-1}
+    once (`_iterate`) and shares them between J, F and nu.  det A <= 0
+    evaluates to +inf so line searches stay orientation-preserving.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
@@ -109,55 +133,54 @@ class _Objective:
         self.rho = float(np.sum(self.w)) * self.c
         self.eps_nu = NU_SMOOTH_FACTOR * max(self.rho, 1e-30)
 
+    def _iterate(self, theta: np.ndarray, det_floor: float) -> _Iterate | None:
+        """The iterate at theta, or None when det A <= det_floor."""
+        d = self.d
+        a = theta[: d * d].reshape(d, d)
+        det_a = float(np.linalg.det(a))
+        if det_a <= det_floor:
+            return None
+        return _Iterate(a, theta[d * d:], det_a, np.linalg.inv(a))
+
     def _nu_smooth(self, det_a: float) -> float:
         e = self.eps_nu
         return self.params.vartheta * (math.hypot(det_a - self.rho, e) - e)
 
-    def _nu_smooth_grad(self, a: np.ndarray) -> np.ndarray:
-        det_a = float(np.linalg.det(a))
-        r = math.hypot(det_a - self.rho, self.eps_nu)
-        return self.params.vartheta * (det_a - self.rho) / r * det_a * np.linalg.inv(a).T
-
-    def _nu_smooth_hess(self, a: np.ndarray) -> np.ndarray:
-        # nu_s = vt (r - e), r = sqrt(u^2 + e^2), u = det A - rho:
-        # hess = vt [ (e^2 / r^3) C (x) C + (u / r) hess(det) ] with C = grad det
-        d = a.shape[0]
-        det_a = float(np.linalg.det(a))
-        u = det_a - self.rho
+    def _nu_smooth_grad_hess(self, it: _Iterate):
+        # nu_s = vt (r - e), r = sqrt(u^2 + e^2), u = det A - rho, C = grad det:
+        # grad = vt (u / r) C, hess = vt [ (e^2 / r^3) C (x) C + (u / r) hess(det) ]
+        u = it.det_a - self.rho
         r = math.hypot(u, self.eps_nu)
-        ainv = np.linalg.inv(a)
-        c_vec = (det_a * ainv.T).ravel()
-        # d^2 det / dA_ij dA_kl = det A [ Ainv_ji Ainv_lk - Ainv_jk Ainv_li ]
-        hdet = det_a * (np.einsum("ji,lk->ijkl", ainv, ainv)
-                        - np.einsum("jk,li->ijkl", ainv, ainv)).reshape(d * d, d * d)
         vt = self.params.vartheta
-        return vt * (self.eps_nu**2 / r**3 * np.outer(c_vec, c_vec) + (u / r) * hdet)
+        c_mat = it.det_a * it.ainv.T
+        grad = vt * u / r * c_mat
+        c_vec = c_mat.ravel()
+        hess = vt * (self.eps_nu**2 / r**3 * np.outer(c_vec, c_vec)
+                     + (u / r) * det_hessian(it.det_a, it.ainv))
+        return grad, hess
 
     def value(self, theta: np.ndarray) -> float:
-        d = self.d
-        a = theta[: d * d].reshape(d, d)
-        det_a = float(np.linalg.det(a))
-        if det_a <= 1e-12:
+        it = self._iterate(theta, 1e-12)
+        if it is None:
             return math.inf
-        aff = AffinePair(a, theta[d * d:])
-        val = assemble_j(self.rel, self.w, aff, self.c, want_grad=False)[0]
+        val = assemble_j(self.rel, self.w, it, self.c, want_grad=False)[0]
         if not self.j_only:
-            val += self.params.elastic.f_el(a) + self._nu_smooth(det_a)
+            val += self.params.elastic._value(it.A, it.det_a) + self._nu_smooth(it.det_a)
         return val
 
     def value_grad_hess(self, theta: np.ndarray):
-        d = self.d
-        aff = unpack(theta, d)
-        val, grad, hess = assemble_j(self.rel, self.w, aff, self.c)
+        it = self._iterate(theta, 0.0)
+        if it is None:
+            raise ValueError("value_grad_hess requires det A > 0")
+        val, grad, hess = assemble_j(self.rel, self.w, it, self.c)
         if self.j_only:
             return val, grad, hess
-        a = aff.A
+        d = self.d
         el = self.params.elastic
-        val = val + el.f_el(a) + self._nu_smooth(float(np.linalg.det(a)))
-        grad = grad.copy()
-        grad[: d * d] += (el.f_el_grad(a) + self._nu_smooth_grad(a)).ravel()
-        hess = hess.copy()
-        hess[: d * d, : d * d] += el.f_el_hess(a) + self._nu_smooth_hess(a)
+        val += el._value(it.A, it.det_a) + self._nu_smooth(it.det_a)
+        nu_grad, nu_hess = self._nu_smooth_grad_hess(it)
+        grad[: d * d] += (el._grad(it.A, it.det_a, it.ainv) + nu_grad).ravel()
+        hess[: d * d, : d * d] += el._hess(it.A, it.det_a, it.ainv) + nu_hess
         return val, grad, hess
 
 
@@ -173,16 +196,18 @@ def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """Newton direction -hs^{-1} gs via equilibrated Cholesky with refinement.
 
     The smoothed nu ridge makes hs conditioned like 1e10; Jacobi equilibration
-    plus two iterative-refinement passes recover full gradient accuracy.
-    Raises LinAlgError when hs is not positive definite.
+    plus two iterative-refinement passes recover full gradient accuracy.  One
+    Cholesky factor serves the solve and both passes.  Raises LinAlgError
+    when hs is not positive definite.
     """
     dj = np.sqrt(np.maximum(np.diag(hs), 1e-300))
     heq = hs / dj[:, None] / dj[None, :]
-    low = np.linalg.cholesky(heq)
+    low, info = dpotrf(heq, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Hessian is not positive definite")
 
     def solve(rhs):
-        y = np.linalg.solve(low, rhs / dj)
-        return np.linalg.solve(low.T, y) / dj
+        return dpotrs(low, rhs / dj, lower=1)[0] / dj
 
     ps = -solve(gs)
     for _ in range(2):

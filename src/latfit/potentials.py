@@ -16,7 +16,7 @@ all cutoff moments are computed by adaptive Gauss-Kronrod quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -117,54 +117,54 @@ class ElasticDensity:
 
     dist^2(A, E SO_d) = |A|_F^2 + |E|_F^2 - 2 sum_i sigma_i(E^T A), valid whenever
     det E > 0 and det A > 0 (the optimal orthogonal factor is then a rotation).
+    det E, |E|_F^2 and E E^T (x) I are computed once, like the frozen E.
+
+    The public f_el, f_el_grad and f_el_hess check det A > 0 and hand det A
+    and A^{-1} to the kernels _value, _grad and _hess, which a Newton step
+    calls directly with the det A and A^{-1} it already has.
     """
 
     E: np.ndarray
     C1_el: float = 1.0
     C2_el: float = 1.0
+    det_e: float = field(init=False, repr=False, compare=False)
+    e_norm2: float = field(init=False, repr=False, compare=False)     # |E|_F^2
+    ee_kron: np.ndarray = field(init=False, repr=False, compare=False)  # E E^T (x) I_d
 
     def __post_init__(self):
         E = np.array(self.E, dtype=float)
         if E.ndim != 2 or E.shape[0] != E.shape[1]:
             raise ValueError(f"E must be a square matrix, got shape {E.shape}")
-        if np.linalg.det(E) <= 0:
+        det_e = float(np.linalg.det(E))
+        if det_e <= 0:
             raise ValueError("E must have positive determinant")
         if self.C1_el <= 0 or self.C2_el <= 0:
             raise ValueError("elastic coefficients must be positive")
         E.setflags(write=False)
         object.__setattr__(self, "E", E)
+        object.__setattr__(self, "det_e", det_e)
+        object.__setattr__(self, "e_norm2", float(np.sum(E * E)))
+        ee_kron = np.kron(E @ E.T, np.eye(E.shape[0]))
+        ee_kron.setflags(write=False)
+        object.__setattr__(self, "ee_kron", ee_kron)
 
     @property
     def d(self) -> int:
         return self.E.shape[0]
 
-    @property
-    def det_e(self) -> float:
-        return float(np.linalg.det(self.E))
-
     def dist2_rot(self, A: np.ndarray) -> float:
         """Squared Frobenius distance from A to the rotated reference orbit E SO_d."""
         s = np.linalg.svd(self.E.T @ A, compute_uv=False)
-        val = float(np.sum(A * A) + np.sum(self.E * self.E) - 2.0 * np.sum(s))
+        val = float(np.sum(A * A) + self.e_norm2 - 2.0 * np.sum(s))
         return max(val, 0.0)
 
     def f_el(self, A) -> float:
         A = np.asarray(A, dtype=float)
-        det_a = float(np.linalg.det(A))
-        if det_a <= 0:
-            raise ValueError(f"f_el requires det A > 0, got det A = {det_a:g}")
-        return self.C1_el * (self.det_e - det_a) ** 2 + self.C2_el * self.dist2_rot(A)
+        return self._value(A, _positive_det(A, "f_el"))
 
     def f_el_grad(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=float)
-        det_a = float(np.linalg.det(A))
-        if det_a <= 0:
-            raise ValueError(f"f_el_grad requires det A > 0, got det A = {det_a:g}")
-        # d(det A)/dA = det A * A^{-T}; d(sum sigma_i(E^T A))/dA = E U V^T
-        u, _, vt = np.linalg.svd(self.E.T @ A)
-        g_det = 2.0 * self.C1_el * (det_a - self.det_e) * det_a * np.linalg.inv(A).T
-        g_dist = 2.0 * self.C2_el * (A - self.E @ u @ vt)
-        return g_det + g_dist
+        return self._grad(A, _positive_det(A, "f_el_grad"), np.linalg.inv(A))
 
     def f_el_hess(self, A) -> np.ndarray:
         """Hessian of F as a (d^2, d^2) matrix (row-major A flattening).
@@ -174,6 +174,29 @@ class ElasticDensity:
         differences of the analytic gradient.
         """
         A = np.asarray(A, dtype=float)
+        return self._hess(A, _positive_det(A, "f_el_hess"), np.linalg.inv(A))
+
+    def _value(self, A: np.ndarray, det_a: float) -> float:
+        return self.C1_el * (self.det_e - det_a) ** 2 + self.C2_el * self.dist2_rot(A)
+
+    def _grad(self, A: np.ndarray, det_a: float, ainv: np.ndarray) -> np.ndarray:
+        """Gradient of F at A, given det A > 0 and A^{-1}."""
+        # d(det A)/dA = det A * A^{-T}; d(sum sigma_i(E^T A))/dA = E U V^T
+        u, _, vt = np.linalg.svd(self.E.T @ A)
+        g_det = 2.0 * self.C1_el * (det_a - self.det_e) * det_a * ainv.T
+        g_dist = 2.0 * self.C2_el * (A - self.E @ u @ vt)
+        return g_det + g_dist
+
+    def _hess(self, A: np.ndarray, det_a: float, ainv: np.ndarray) -> np.ndarray:
+        """Hessian of F at A, given det A > 0 and A^{-1} (both unused for d = 3).
+
+        With K = A^{-1}, C = det A K^T (the gradient of det) and H_det the
+        Hessian of det (`det_hessian`), for d = 2:
+          det term   2 C1 [C (x) C + (det A - det E) H_det]
+          dist term  2 C2 [I - (E E^T (x) I + det E H_det - g_s (x) g_s) / s]
+        where s = sum sigma_i(G) and g_s = (E G + det G K^T) / s is its
+        gradient; G^{-T} = E^{-1} K^T, so det G E G^{-T} = det G K^T.
+        """
         d = A.shape[0]
         if d != 2:
             step = 1e-6 * (1.0 + float(np.linalg.norm(A)))
@@ -184,36 +207,36 @@ class ElasticDensity:
                 h[:, i] = (self.f_el_grad(A + da) - self.f_el_grad(A - da)).ravel() / (2.0 * step)
             return 0.5 * (h + h.T)
 
-        det_a = float(np.linalg.det(A))
-        if det_a <= 0:
-            raise ValueError(f"f_el_hess requires det A > 0, got det A = {det_a:g}")
         e = self.E
         g = e.T @ A
-        det_g = float(np.linalg.det(g))
+        det_g = self.det_e * det_a
         s = math.sqrt(float(np.sum(g * g)) + 2.0 * det_g)
-        ginv = np.linalg.inv(g)
-        grad_s = (e @ g + det_g * e @ ginv.T) / s
-        ainv = np.linalg.inv(A)
-        c_det = det_a * ainv.T
-        ee = e @ e.T
-
-        h = np.empty((4, 4))
-        for i in range(4):
-            m = np.zeros((2, 2))
-            m.flat[i] = 1.0
-            # det-term: 2 C1 [(C.M) C + (detA - detE)((C.M) A^{-T} - detA A^{-T} M^T A^{-T})]
-            cm = float(np.sum(c_det * m))
-            d_cdet = cm * ainv.T - det_a * ainv.T @ m.T @ ainv.T
-            h_det = 2.0 * self.C1_el * (cm * c_det + (det_a - self.det_e) * d_cdet)
-            # dist-term: 2 C2 (M - d grad_s), with
-            # d grad_s = [E E^T M + tr(G^{-1}E^T M) det_g E G^{-T}
-            #             - det_g E G^{-T} M^T E G^{-T}] / s - grad_s (grad_s . M)/s
-            trm = float(np.trace(ginv @ e.T @ m))
-            d_num = ee @ m + trm * det_g * e @ ginv.T - det_g * e @ ginv.T @ m.T @ e @ ginv.T
-            d_grad_s = d_num / s - grad_s * float(np.sum(grad_s * m)) / s
-            h_dist = 2.0 * self.C2_el * (m - d_grad_s)
-            h[:, i] = (h_det + h_dist).ravel()
+        kt = ainv.T
+        c_det = det_a * kt.ravel()
+        h_det = det_hessian(det_a, ainv)
+        grad_s = ((e @ g + det_g * kt) / s).ravel()
+        h = 2.0 * self.C1_el * (np.outer(c_det, c_det) + (det_a - self.det_e) * h_det)
+        h += 2.0 * self.C2_el * (np.eye(4) - (self.ee_kron + self.det_e * h_det
+                                             - np.outer(grad_s, grad_s)) / s)
         return 0.5 * (h + h.T)
+
+
+def det_hessian(det_a: float, ainv: np.ndarray) -> np.ndarray:
+    """Hessian of det at A as a (d^2, d^2) matrix (row-major A), from det A and K = A^{-1}.
+
+    d^2 det / dA_ij dA_ab = det A [K_ji K_ba - K_ja K_bi].
+    """
+    d = ainv.shape[0]
+    kt = ainv.T
+    return det_a * (np.outer(kt, kt)
+                    - (kt[:, None, None, :] * ainv[None, :, :, None]).reshape(d * d, d * d))
+
+
+def _positive_det(A: np.ndarray, name: str) -> float:
+    det_a = float(np.linalg.det(A))
+    if det_a <= 0:
+        raise ValueError(f"{name} requires det A > 0, got det A = {det_a:g}")
+    return det_a
 
 
 def default_elastic(d: int = 2) -> ElasticDensity:

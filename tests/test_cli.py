@@ -200,3 +200,40 @@ class TestErrorPaths:
                        "--loop", "open_loop.csv", "--out", "nope.json", cwd=pipeline)
         assert proc.returncode == 2
         assert "closed" in proc.stderr
+
+    def test_non_finite_at_is_named(self, tmp_path):
+        for name in ("golden_atoms.csv", "params.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        proc = run_cli("fit", "--atoms", "golden_atoms.csv", "--params", "params.json",
+                       "--at", "nan,1", "--out", "out.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--at" in proc.stderr and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_loop_row_reports_line(self, tmp_path):
+        for name in ("golden_atoms.csv", "params.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        (tmp_path / "loop.csv").write_text("x,y\n-8,-8\nnan,1\n8,8\n-8,-8\n")
+        proc = run_cli("loop", "--atoms", "golden_atoms.csv", "--params", "params.json",
+                       "--loop", "loop.csv", "--out", "loop.json", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "loop.csv:3:" in proc.stderr and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, where, point", [
+        (("fit", "--at", "20,20", "--out", "fit.json"), "--at", "(20, 20)"),
+        (("loop", "--loop", "square.csv", "--out", "loop.json"), "square.csv:2", "(20, 20)"),
+        (("field", "--grid", "12,12,2,3,3", "--out", "field.csv"), "--grid node (2, 0)",
+         "(16, 12)"),
+    ], ids=["fit", "loop", "field"])
+    def test_point_outside_domain_exit_2(self, tmp_path, command, where, point):
+        # golden_atoms.csv's domain is [-14, 14]^2
+        for name in ("golden_atoms.csv", "params.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        (tmp_path / "square.csv").write_text("x,y\n20,20\n30,20\n30,30\n20,30\n20,20\n")
+        proc = run_cli(command[0], "--atoms", "golden_atoms.csv", "--params", "params.json",
+                       *command[1:], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert f"{where}: point {point} lies outside the domain box [-14, -14] .. [14, 14]" \
+            in proc.stderr
+        assert not (tmp_path / command[-1]).exists()
