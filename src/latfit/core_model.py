@@ -9,15 +9,18 @@ atoms near x through z_i = A (x_i - x) + tau into the periodic well and sums
 The analytic (A, tau)-gradient and Hessian of J exploit that the cosine well
 has a diagonal Hessian.  Flattened parameter order is row-major A then tau.
 
-`assemble_j` is the one J kernel.  It keeps the atoms on the last axis
+`assemble_j` is the one J kernel.  It takes one pair or a stack of K pairs
+on a leading axis (the starts a lockstep Newton steps together) and computes
+every row exactly as that pair alone.  It keeps the atoms on the last axis
 (z^T = A rel^T + tau), takes one cos pass for the value and one sin pass more
 for the derivatives, and gets every gradient and Hessian sum of the well from
-a single matmul of the distinct products of the feature rows (rel_i, 1)
+one matmul per pair of the distinct products of the feature rows (rel_i, 1)
 against the weighted sin and cos columns; fixed index maps (`_aug_index`)
 place those sums in the A-then-tau layout.  The |A^{-1}|_F^2 prefactor
 enters by the product rule with the closed-form Hessian `_g_hess`.  The
 pair's inverse comes from `aff.ainv`, so a Newton step that already holds
-A^{-1} does not invert A again.
+A^{-1} does not invert A again.  `sample_energy` is `pre_energy` from a
+gather the caller already holds.
 """
 
 from __future__ import annotations
@@ -295,59 +298,70 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
 
     rel are atom positions relative to x, w their cutoff weights, and
     c = 1/(C_phi lam^d); aff is any pair with A, tau and ainv = A^{-1} (a
-    Newton step passes the inverse it already has).  Flattened parameter
-    order is row-major A then tau.  want_grad=False gives (J, None, None).
+    Newton step passes the inverse it already has).  A pair is one start:
+    (J, gradient, Hessian) come back as a float, (n,) and (n, n).  A stack of
+    K starts (A (K, d, d), tau (K, d), ainv (K, d, d)) gives (K,), (K, n) and
+    (K, n, n), every row computed exactly as that start alone.  Flattened
+    parameter order is row-major A then tau.  want_grad=False gives
+    (J, None, None).
 
     J = c g S with g = |A^{-1}|_F^2 and S = sum_i W(z_i) w_i.  z_ik depends
     only on row k of [A | tau], through the feature row f_i = (rel_i, 1).
     The well's Hessian is diagonal, so the gradient of S in row k is
     sum_i dW_k f_i w_i and its Hessian is block diagonal, block k being
-    sum_i d2W_k f_i f_i^T w_i.  One matmul of the distinct feature products
-    (rel_ij rel_ij', rel_ij, 1) against the weighted sin and cos columns
-    gives all of them; `_aug_index` scatters the result into the A-then-tau
-    layout.  g enters through the product rule with its closed-form gradient
-    and Hessian (`_g_hess`).  Atoms run along the last axis throughout.
+    sum_i d2W_k f_i f_i^T w_i.  One matmul per start of the distinct feature
+    products (rel_ij rel_ij', rel_ij, 1) against the weighted sin and cos
+    columns gives all of them; `_aug_index` scatters the result into the
+    A-then-tau layout.  g enters through the product rule with its
+    closed-form gradient and Hessian (`_g_hess`).  Atoms run along the last
+    axis throughout.
     """
-    A = aff.A
-    d = A.shape[0]
+    A, tau, ainv = aff.A, aff.tau, aff.ainv
+    single = A.ndim == 2
+    if single:
+        A, tau, ainv = A[None], tau[None], ainv[None]
+    k_rows, d = A.shape[:2]
     n = d * d + d
     m = rel.shape[0]
     if m == 0:
-        return (0.0, np.zeros(n), np.zeros((n, n))) if want_grad else (0.0, None, None)
-    ainv = aff.ainv
-    g = float(np.sum(ainv * ainv))
-    rel_t = rel.T
-    # share the trig work: W = sum (1 - cos)/2pi^2, grad W = sin/pi, hess = 2 cos
-    arg = TWO_PI_CORE * (A @ rel_t + aff.tau[:, None])     # (d, m)
-    cos_z = np.cos(arg)
-    well = 1.0 - cos_z[0]
-    for k in range(1, d):
-        well += 1.0 - cos_z[k]
-    s_val = float(np.sum(well * w)) / (2.0 * math.pi**2)
-    value = c * g * s_val
+        value, grad, hess = np.zeros(k_rows), np.zeros((k_rows, n)), np.zeros((k_rows, n, n))
+    else:
+        g = (ainv * ainv).sum(axis=(1, 2))
+        rel_t = rel.T
+        # share the trig work: W = sum (1 - cos)/2pi^2, grad W = sin/pi, hess = 2 cos
+        arg = TWO_PI_CORE * (A @ rel_t + tau[:, :, None])     # (K, d, m)
+        cos_z = np.cos(arg)
+        well = 1.0 - cos_z[:, 0]
+        for k in range(1, d):
+            well += 1.0 - cos_z[:, k]
+        s_val = (well * w).sum(axis=1) / (2.0 * math.pi**2)
+        value = c * g * s_val
     if not want_grad:
-        return value, None, None
+        return (float(value[0]) if single else value), None, None
+    if m:
+        pairs, grad_src, rows, cols, hess_src = _aug_index(d)
+        feat = np.empty((len(pairs[0]) + d + 1, m))
+        np.multiply(rel_t[pairs[0]], rel_t[pairs[1]], out=feat[: len(pairs[0])])
+        feat[len(pairs[0]): -1] = rel_t
+        feat[-1] = 1.0
+        wells = np.empty((k_rows, 2 * d, m))
+        np.sin(arg, out=wells[:, :d])
+        wells[:, :d] *= w / math.pi                         # grad W, weighted
+        np.multiply(cos_z, 2.0 * w, out=wells[:, d:])        # diagonal of hess W, weighted
+        sums = np.matmul(feat, wells.transpose(0, 2, 1)).reshape(k_rows, -1)
+        grad_s = sums[:, grad_src]
 
-    pairs, grad_src, rows, cols, hess_src = _aug_index(d)
-    feat = np.empty((len(pairs[0]) + d + 1, m))
-    np.multiply(rel_t[pairs[0]], rel_t[pairs[1]], out=feat[: len(pairs[0])])
-    feat[len(pairs[0]): -1] = rel_t
-    feat[-1] = 1.0
-    wells = np.empty((2 * d, m))
-    np.sin(arg, out=wells[:d])
-    wells[:d] *= w / math.pi                             # grad W, weighted
-    np.multiply(cos_z, 2.0 * w, out=wells[d:])            # diagonal of hess W, weighted
-    sums = (feat @ wells.T).ravel()
-    grad_s = sums[grad_src]
-
-    g1 = np.zeros(n)                                    # gradient of g, zero in tau
-    g1[: d * d] = (-2.0 * ainv.T @ ainv @ ainv.T).ravel()
-    grad = c * (g1 * s_val + g * grad_s)
-    cross = np.outer(g1, grad_s)
-    hess = cross + cross.T
-    hess[: d * d, : d * d] += _g_hess(ainv) * s_val
-    hess[rows, cols] += g * sums[hess_src]
-    hess *= c
+        g1 = np.zeros((k_rows, n))                          # gradient of g, zero in tau
+        kt = ainv.transpose(0, 2, 1)
+        g1[:, : d * d] = (-2.0 * kt @ ainv @ kt).reshape(k_rows, d * d)
+        grad = c * (g1 * s_val[:, None] + g[:, None] * grad_s)
+        cross = g1[:, :, None] * grad_s[:, None, :]
+        hess = cross + cross.transpose(0, 2, 1)
+        hess[:, : d * d, : d * d] += _g_hess(ainv) * s_val[:, None, None]
+        hess[:, rows, cols] += g[:, None] * sums[:, hess_src]
+        hess *= c
+    if single:
+        return float(value[0]), grad[0], hess[0]
     return value, grad, hess
 
 
@@ -390,20 +404,23 @@ def j_value_grad_hess(aff: AffinePair, chi: Configuration, x, lam: float):
 
 
 def _g_hess(ainv: np.ndarray) -> np.ndarray:
-    """Hessian of g(A) = |A^{-1}|_F^2 as a (d^2, d^2) matrix (row-major A).
+    """Hessian of g(A) = |A^{-1}|_F^2 as a (..., d^2, d^2) matrix (row-major A).
 
     With K = A^{-1}, P = K^T K K^T, Q = K^T K and R = K K^T,
     d^2 g / dA_ij dA_ab = 2 (K_bi P_aj + Q_ia R_bj + P_ib K_ja).
+    Stacked over the leading axes of K (..., d, d).
     """
-    d = ainv.shape[0]
+    d = ainv.shape[-1]
     k = ainv
-    q = k.T @ k
-    r = k @ k.T
-    p = q @ k.T
-    out = 2.0 * (k.T[:, None, None, :] * p.T[None, :, :, None]
-                 + q[:, None, :, None] * r.T[None, :, None, :]
-                 + p[:, None, None, :] * k[None, :, :, None]).reshape(d * d, d * d)
-    return 0.5 * (out + out.T)
+    kt = k.swapaxes(-1, -2)
+    q = kt @ k
+    r = k @ kt
+    p = q @ kt
+    out = 2.0 * (kt[..., :, None, None, :] * p.swapaxes(-1, -2)[..., None, :, :, None]
+                 + q[..., :, None, :, None] * r.swapaxes(-1, -2)[..., None, :, None, :]
+                 + p[..., :, None, None, :] * k[..., None, :, :, None]
+                 ).reshape(k.shape[:-2] + (d * d, d * d))
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def nu_lambda(A, chi: Configuration, x, lam: float, vartheta: float) -> float:
@@ -417,7 +434,15 @@ def nu_lambda(A, chi: Configuration, x, lam: float, vartheta: float) -> float:
 
 def pre_energy(aff: AffinePair, chi: Configuration, x, params: ModelParams) -> EnergyBreakdown:
     """h = F(A) + J(A, tau) + nu(A), parts reported separately."""
-    rho, j_term = _density_and_misfit(aff, chi, x, params.lam)
+    rel, w, c = gather_weights(chi, x, params.lam)
+    return sample_energy(aff, rel, w, c, params)
+
+
+def sample_energy(aff: AffinePair, rel: np.ndarray, w: np.ndarray, c: float,
+                  params: ModelParams) -> EnergyBreakdown:
+    """`pre_energy` from a gather at params.lam that the caller already holds."""
+    rho = float(np.sum(w)) * c
+    j_term = assemble_j(rel, w, aff, c, want_grad=False)[0]
     f_term = params.elastic.f_el(aff.A)
     nu_term = params.vartheta * abs(float(np.linalg.det(aff.A)) - rho)
     return EnergyBreakdown(f_term=f_term, j_term=j_term, nu_term=nu_term,

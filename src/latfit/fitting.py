@@ -7,15 +7,28 @@ vectors, tau from the phase of the weighted lattice sum, then Newton on the
 full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
 `fit_from` runs one start alone, from a caller's predictor; both finish a
-start the same way (canonical tau, exact energy, regular-pair test).
+start the same way (canonical tau, exact energy from the Newton's own gather,
+regular-pair test).
 
-One Newton step costs one value, gradient and Hessian of h.  `_Objective`
-computes det A and A^{-1} once per evaluation (an `_Iterate`, not an
-AffinePair) and hands them to J (`assemble_j`), F (`ElasticDensity._value`,
-`_grad`, `_hess`) and the smoothed nu, whose Hessians share the closed form
-of the Hessian of det (`det_hessian`).  `_pd_solve` factors the equilibrated
-Hessian once (LAPACK potrf) and reuses the factor for the solve and both
-refinement passes.
+`_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
+on a leading axis.  A stack is stepped in lockstep: one evaluation of the
+value, gradient and Hessian per step, and one value per line-search trial,
+serve every start still running, and each start keeps its own exit
+(converged, cap, line-search failure, abort bar, det A <= 0).  Every row is
+computed exactly as that start alone, so the lockstep run equals K single
+runs bit for bit.  The multistart pre-converges all its candidates on J at
+lam/2 this way, from one gather that also gives each candidate's tau; the
+starts on h stay sequential, because each one's abort bar is the best total
+before it.  Single-start callers (`fit_from`, the h starts,
+`minimize_j_local`) pass one row through the same code.
+
+One Newton step costs one value, gradient and Hessian per start.
+`_Objective` computes det A and A^{-1} once per evaluation (2 x 2 closed
+forms for d = 2, in an `_Iterate`, not an AffinePair) and hands them to J
+(`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
+for d = 2) and the smoothed nu; F and nu share one Hessian of det
+(`det_hessian`).  `_pd_solve` factors the equilibrated Hessian once (LAPACK
+potrf) and reuses the factor for the solve and both refinement passes.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
@@ -46,7 +59,7 @@ from .core_model import (
     assemble_j,
     gather_weights,
     is_regular_pair,
-    pre_energy,
+    sample_energy,
 )
 from .potentials import det_hessian
 
@@ -99,26 +112,47 @@ def aff_distance(a1: AffinePair, a2: AffinePair, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Iterate(NamedTuple):
-    """(A, tau) at one Newton iterate with det A and A^{-1}, computed once.
+    """K Newton iterates (A, tau) stacked on a leading axis, with det A and A^{-1} computed once.
 
     J (through `assemble_j`), F and nu all read the same det A and A^{-1};
-    it stands in for an AffinePair, which would copy and re-check det A.
+    it stands in for AffinePairs, which would copy and re-check det A.
     """
 
-    A: np.ndarray
-    tau: np.ndarray
-    det_a: float
-    ainv: np.ndarray
+    A: np.ndarray       # (K, d, d)
+    tau: np.ndarray     # (K, d)
+    det_a: np.ndarray   # (K,)
+    ainv: np.ndarray    # (K, d, d)
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """det of a stack of matrices (K, d, d); the 2 x 2 closed form for d = 2."""
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+
+
+def _inv(a: np.ndarray, det_a: np.ndarray) -> np.ndarray:
+    """Inverse of a stack of matrices with nonzero det_a; the adjugate over det_a for d = 2."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    return a[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGN / det_a[:, None, None]
+
+
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])    # adj A = _ADJ_SIGN * (A reversed, transposed)
 
 
 class _Objective:
     """h (or J alone) as a function of theta, with gradient and Hessian.
 
-    The neighbor gather (relative positions and cutoff weights) is fixed per
-    point and hoisted out of the iteration; rho is likewise constant during
-    the (A, tau) optimization.  Each evaluation computes det A and A^{-1}
-    once (`_iterate`) and shares them between J, F and nu.  det A <= 0
-    evaluates to +inf so line searches stay orientation-preserving.
+    theta is one start (n,) or a stack of K starts (K, n) on a leading axis;
+    the value, gradient and Hessian come back with the same leading axis, each
+    row computed exactly as that start alone, so a lockstep Newton over K
+    starts follows K single runs bit for bit.  The neighbor gather (relative
+    positions and cutoff weights) is fixed per point and hoisted out of the
+    iteration; rho is likewise constant during the (A, tau) optimization.
+    Each evaluation computes det A and A^{-1} once per row (`_iterate`, 2 x 2
+    closed forms for d = 2) and shares them between J, F and nu.  A row with
+    det A <= 0 evaluates to +inf so line searches stay orientation-preserving.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
@@ -133,63 +167,78 @@ class _Objective:
         self.rho = float(np.sum(self.w)) * self.c
         self.eps_nu = NU_SMOOTH_FACTOR * max(self.rho, 1e-30)
 
-    def _iterate(self, theta: np.ndarray, det_floor: float) -> _Iterate | None:
-        """The iterate at theta, or None when det A <= det_floor."""
+    def _iterate(self, theta: np.ndarray, det_floor: float):
+        """(the iterates of the rows of theta with det A > det_floor, the mask of those rows)."""
         d = self.d
-        a = theta[: d * d].reshape(d, d)
-        det_a = float(np.linalg.det(a))
-        if det_a <= det_floor:
-            return None
-        return _Iterate(a, theta[d * d:], det_a, np.linalg.inv(a))
+        a = theta[:, : d * d].reshape(-1, d, d)
+        det_a = _det(a)
+        ok = det_a > det_floor
+        if not ok.all():
+            theta, a, det_a = theta[ok], a[ok], det_a[ok]
+        ainv = _inv(a, det_a) if det_a.size else np.empty_like(a)
+        return _Iterate(a, theta[:, d * d:], det_a, ainv), ok
 
-    def _nu_smooth(self, det_a: float) -> float:
+    def _nu_smooth(self, det_a: np.ndarray) -> np.ndarray:
         e = self.eps_nu
-        return self.params.vartheta * (math.hypot(det_a - self.rho, e) - e)
+        return self.params.vartheta * (np.hypot(det_a - self.rho, e) - e)
 
-    def _nu_smooth_grad_hess(self, it: _Iterate):
-        # nu_s = vt (r - e), r = sqrt(u^2 + e^2), u = det A - rho, C = grad det:
-        # grad = vt (u / r) C, hess = vt [ (e^2 / r^3) C (x) C + (u / r) hess(det) ]
+    def _nu_smooth_grad_hess(self, it: _Iterate, h_det: np.ndarray):
+        # nu_s = vt (r - e), r = sqrt(u^2 + e^2), u = det A - rho, C = grad det,
+        # h_det = hess(det): grad = vt (u / r) C, hess = vt [ (e^2 / r^3) C (x) C + (u / r) h_det ]
         u = it.det_a - self.rho
-        r = math.hypot(u, self.eps_nu)
+        r = np.hypot(u, self.eps_nu)
         vt = self.params.vartheta
-        c_mat = it.det_a * it.ainv.T
-        grad = vt * u / r * c_mat
-        c_vec = c_mat.ravel()
-        hess = vt * (self.eps_nu**2 / r**3 * np.outer(c_vec, c_vec)
-                     + (u / r) * det_hessian(it.det_a, it.ainv))
+        c_mat = it.det_a[:, None, None] * it.ainv.transpose(0, 2, 1)
+        grad = (vt * u / r)[:, None, None] * c_mat
+        c_vec = c_mat.reshape(len(u), -1)
+        hess = vt * ((self.eps_nu**2 / r**3)[:, None, None] * (c_vec[:, :, None] * c_vec[:, None, :])
+                     + (u / r)[:, None, None] * h_det)
         return grad, hess
 
-    def value(self, theta: np.ndarray) -> float:
-        it = self._iterate(theta, 1e-12)
-        if it is None:
-            return math.inf
-        val = assemble_j(self.rel, self.w, it, self.c, want_grad=False)[0]
-        if not self.j_only:
-            val += self.params.elastic._value(it.A, it.det_a) + self._nu_smooth(it.det_a)
-        return val
+    def value(self, theta: np.ndarray):
+        """h (or J) at one start, a float, or at a stack of starts, a (K,) array."""
+        theta = np.asarray(theta, dtype=float)
+        it, ok = self._iterate(theta.reshape(-1, theta.shape[-1]), 1e-12)
+        if it.det_a.size:
+            val = assemble_j(self.rel, self.w, it, self.c, want_grad=False)[0]
+            if not self.j_only:
+                val = val + (self.params.elastic._value(it.A, it.det_a) + self._nu_smooth(it.det_a))
+        if not ok.all():
+            out = np.full(ok.shape, math.inf)
+            if it.det_a.size:
+                out[ok] = val
+            val = out
+        return float(val[0]) if theta.ndim == 1 else val
 
     def value_grad_hess(self, theta: np.ndarray):
-        it = self._iterate(theta, 0.0)
-        if it is None:
+        """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required."""
+        theta = np.asarray(theta, dtype=float)
+        it, ok = self._iterate(theta.reshape(-1, theta.shape[-1]), 0.0)
+        if not ok.all():
             raise ValueError("value_grad_hess requires det A > 0")
         val, grad, hess = assemble_j(self.rel, self.w, it, self.c)
-        if self.j_only:
-            return val, grad, hess
-        d = self.d
-        el = self.params.elastic
-        val += el._value(it.A, it.det_a) + self._nu_smooth(it.det_a)
-        nu_grad, nu_hess = self._nu_smooth_grad_hess(it)
-        grad[: d * d] += (el._grad(it.A, it.det_a, it.ainv) + nu_grad).ravel()
-        hess[: d * d, : d * d] += el._hess(it.A, it.det_a, it.ainv) + nu_hess
+        if not self.j_only:
+            d = self.d
+            el = self.params.elastic
+            val = val + (el._value(it.A, it.det_a) + self._nu_smooth(it.det_a))
+            h_det = det_hessian(it.det_a, it.ainv)
+            nu_grad, nu_hess = self._nu_smooth_grad_hess(it, h_det)
+            grad[:, : d * d] += (el._grad(it.A, it.det_a, it.ainv) + nu_grad).reshape(len(val), -1)
+            hess[:, : d * d, : d * d] += el._hess(it.A, it.det_a, it.ainv, h_det) + nu_hess
+        if theta.ndim == 1:
+            return float(val[0]), grad[0], hess[0]
         return val, grad, hess
 
 
 @dataclass
 class _NewtonResult:
+    """Where `_newton` stopped: per start, or (K,)-arrays for a stack of K starts."""
+
     theta: np.ndarray
     converged: bool
     iterations: int
     grad_norm: float
+    value: float
 
 
 def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -216,71 +265,122 @@ def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return ps
 
 
+def _newton_direction(hs: np.ndarray, gs: np.ndarray, require_pd: bool) -> np.ndarray:
+    """-hs^{-1} gs, or on an indefinite hs the eigenvalue-floored direction (BasinEscapeError under require_pd)."""
+    try:
+        return _pd_solve(hs, gs)
+    except np.linalg.LinAlgError:
+        if require_pd:
+            raise BasinEscapeError("left convexity basin: Hessian not positive definite")
+    evals, evecs = np.linalg.eigh(hs)
+    floor = max(1e-8 * float(np.max(np.abs(evals))), 1e-12)
+    evals = np.maximum(evals, floor)
+    return -evecs @ ((evecs.T @ gs) / evals)
+
+
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             require_pd: bool, abort_above: float | None = None) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
-    It stops in one of five ways:
+    theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
+    stacked evaluation of obj per step and per line-search trial serves every
+    row still running, and each row follows exactly the run it would make
+    alone.  A row stops in one of six ways:
     - converged: the scaled gradient norm is at most tol_grad;
     - abort_above: from iteration 10 on, the value is still above abort_above
       (a multistart's bar: the descent is monotone, so such a run cannot win);
     - line-search failure: no step length down to 2^-40 decreases the value;
     - max-iter: max_iter steps taken;
-    - BasinEscapeError: require_pd and the Hessian is not positive definite.
-    Raises FitError when theta0 has det A <= 0.
+    - det A <= 0 at the start: value +inf, 0 iterations;
+    - BasinEscapeError (raised, so meant for single starts): require_pd and
+      the Hessian is not positive definite.
+    Raises FitError when every start has det A <= 0.
     """
     d = obj.d
-    lam = obj.lam
-    scale = np.concatenate([np.full(d * d, lam), np.ones(d)])
+    scale = np.concatenate([np.full(d * d, obj.lam), np.ones(d)])
     theta = np.array(theta0, dtype=float)
+    single = theta.ndim == 1
+    theta = theta.reshape(-1, scale.size)
     f_cur = obj.value(theta)
-    if not math.isfinite(f_cur):
+    running = np.isfinite(f_cur)
+    if not running.any():
         raise FitError("starting point has det A <= 0")
-    grad_norm = math.inf
+    k_rows = theta.shape[0]
+    converged = np.zeros(k_rows, dtype=bool)
+    iterations = np.zeros(k_rows, dtype=int)
+    grad_norm = np.full(k_rows, math.inf)
     for it in range(max_iter):
-        if abort_above is not None and it >= 10 and f_cur > abort_above:
-            return _NewtonResult(theta, False, it, grad_norm)
-        _, grad, hess = obj.value_grad_hess(theta)
+        if abort_above is not None and it >= 10:
+            aborted = running & (f_cur > abort_above)
+            iterations[aborted] = it
+            running &= ~aborted
+        rows = running.nonzero()[0]
+        if rows.size == 0:
+            break
+        base = theta[rows]
+        _, grad, hess = obj.value_grad_hess(base)
         gs = grad / scale
-        grad_norm = float(np.linalg.norm(gs))
-        if grad_norm <= tol_grad:
-            return _NewtonResult(theta, True, it, grad_norm)
         hs = hess / scale[:, None] / scale[None, :]
-        try:
-            ps = _pd_solve(hs, gs)
-        except np.linalg.LinAlgError:
-            if require_pd:
-                raise BasinEscapeError("left convexity basin: Hessian not positive definite")
-            evals, evecs = np.linalg.eigh(hs)
-            floor = max(1e-8 * float(np.max(np.abs(evals))), 1e-12)
-            evals = np.maximum(evals, floor)
-            ps = -evecs @ ((evecs.T @ gs) / evals)
-        step_len = float(np.linalg.norm(ps))
-        if step_len > STEP_CAP:
-            ps *= STEP_CAP / step_len
-        p = ps / scale
-        slope = float(gs @ ps)
-        # predicted decrease below value roundoff: take the full Newton step,
-        # the line search cannot see improvements at that scale
-        if -slope <= 1e-13 * (1.0 + abs(f_cur)):
-            theta = theta + p
-            f_cur = obj.value(theta)
-            continue
-        t = 1.0
-        accepted = False
-        while t >= 2.0**-40:
-            f_new = obj.value(theta + t * p)
-            if f_new <= f_cur + ARMIJO_C1 * t * slope:
-                accepted = True
+        p = np.empty_like(gs)
+        slope = np.empty(rows.size)
+        blind = np.empty(rows.size, dtype=bool)
+        stepping = []
+        for i, r in enumerate(rows):
+            g = gs[i]
+            grad_norm[r] = gn = math.sqrt(g @ g)
+            if gn <= tol_grad:
+                converged[r] = True
+                iterations[r] = it
+                running[r] = False
+                continue
+            ps = _newton_direction(hs[i], g, require_pd)
+            step_len = math.sqrt(ps @ ps)
+            if step_len > STEP_CAP:
+                ps *= STEP_CAP / step_len
+            p[i] = ps / scale
+            slope[i] = g @ ps
+            # predicted decrease below value roundoff: take the full Newton step,
+            # the line search cannot see improvements at that scale
+            blind[i] = -slope[i] <= 1e-13 * (1.0 + abs(f_cur[r]))
+            stepping.append(i)
+        if len(stepping) < rows.size:
+            if not stepping:
                 break
+            rows, base, p, slope, blind = (v[stepping] for v in (rows, base, p, slope, blind))
+        f_rows = f_cur[rows]
+        # every row still searching has the same step length t
+        t = 1.0
+        trial = base + p
+        while True:
+            f_new = obj.value(trial)
+            ok = blind | (f_new <= f_rows + ARMIJO_C1 * t * slope)
+            if ok.all():
+                theta[rows] = trial
+                f_cur[rows] = f_new
+                break
+            if ok.any():
+                theta[rows[ok]] = trial[ok]
+                f_cur[rows[ok]] = f_new[ok]
+                rows, base, p = rows[~ok], base[~ok], p[~ok]
+                blind, f_rows, slope = blind[~ok], f_rows[~ok], slope[~ok]
             t *= 0.5
-        if not accepted:
-            return _NewtonResult(theta, grad_norm <= tol_grad, it, grad_norm)
-        theta = theta + t * p
-        f_cur = f_new
-    _, grad, _ = obj.value_grad_hess(theta)
-    grad_norm = float(np.linalg.norm(grad / scale))
-    return _NewtonResult(theta, grad_norm <= tol_grad, max_iter, grad_norm)
+            if t < 2.0**-40:
+                iterations[rows] = it
+                running[rows] = False
+                break
+            trial = base + t * p
+    else:
+        rows = running.nonzero()[0]
+        if rows.size:
+            _, grad, _ = obj.value_grad_hess(theta[rows])
+            for r, g in zip(rows, grad / scale):
+                grad_norm[r] = math.sqrt(g @ g)
+            converged[rows] = grad_norm[rows] <= tol_grad
+            iterations[rows] = max_iter
+    if single:
+        return _NewtonResult(theta[0], bool(converged[0]), int(iterations[0]),
+                             float(grad_norm[0]), float(f_cur[0]))
+    return _NewtonResult(theta, converged, iterations, grad_norm, f_cur)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +396,14 @@ def tau_init(A, chi: Configuration, x, lam: float) -> np.ndarray:
     rel, w, _ = gather_weights(chi, x, lam)
     if float(np.sum(w)) <= 0.0:
         raise FitError(f"no atoms in range of {np.asarray(x)}")
-    y = rel @ A.T
-    u = np.sum(w[:, None] * np.exp(1j * TWO_PI * y), axis=0)
-    tau = (-np.angle(u) / TWO_PI) % 1.0
-    return tau
+    return _tau_phase(A, rel, w)
+
+
+def _tau_phase(A: np.ndarray, rel: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`tau_init` from a gather the caller holds; A (d, d) gives (d,), a stack (K, d, d) gives (K, d)."""
+    y = rel @ np.swapaxes(A, -1, -2)
+    u = np.sum(w[:, None] * np.exp(1j * TWO_PI * y), axis=-2)
+    return (-np.angle(u) / TWO_PI) % 1.0
 
 
 def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
@@ -317,10 +421,13 @@ def a_init_candidates(chi: Configuration, x, lam: float | None = None) -> list[n
     """Up to MAX_CANDIDATES A matrices from the N_DIRECTIONS shortest distinct differences near x.
 
     Difference vectors of atoms in B_lam(x) are sign-canonicalized and
-    clustered into directions; each direction is refined as the mean of its
-    cluster (a single noisy pair would land outside the Newton basin).  The
-    directions are combined into orientation-fixed bases, deduplicated up to
-    the integer-unimodular action (same spanned lattice).
+    clustered into directions greedily in order of length: the shortest
+    difference no direction covers yet opens the next one, and one masking
+    pass over all differences marks its cluster.  Each direction is refined as
+    the mean of its cluster (a single noisy pair would land outside the
+    Newton basin).  The directions are combined into orientation-fixed bases,
+    deduplicated up to the integer-unimodular action (same spanned lattice)
+    by one stacked product against the kept candidates' inverses.
     """
     if lam is None:
         lam = chi.lam
@@ -341,54 +448,51 @@ def a_init_candidates(chi: Configuration, x, lam: float | None = None) -> list[n
     order = np.lexsort(tuple(diffs[:, c] for c in reversed(range(d))) + (lengths,))
 
     reps: list[np.ndarray] = []
-    rep_norms: list[float] = []
-    for v in diffs[order]:
-        if reps:
-            arr = np.asarray(reps)
-            near = np.minimum(np.linalg.norm(arr - v, axis=1),
-                              np.linalg.norm(arr + v, axis=1))
-            if np.any(near <= 0.25 * np.asarray(rep_norms)):
-                continue
-        reps.append(v)
-        rep_norms.append(float(np.linalg.norm(v)))
-        if len(reps) >= N_DIRECTIONS:
+    free = np.ones(diffs.shape[0], dtype=bool)      # not yet covered by a direction
+    while len(reps) < N_DIRECTIONS:
+        pending = order[free[order]]
+        if pending.size == 0:
             break
-    # refine each direction by averaging its sign-aligned cluster members
-    refined = []
-    for r in reps:
+        r = diffs[pending[0]]
+        tol = 0.25 * np.linalg.norm(r)
         dist_p = np.linalg.norm(diffs - r, axis=1)
         dist_m = np.linalg.norm(diffs + r, axis=1)
-        tol = 0.25 * np.linalg.norm(r)
+        near = np.minimum(dist_p, dist_m)
+        free &= near > tol
+        # refine the direction by averaging its sign-aligned cluster members
         aligned = np.where((dist_p < tol)[:, None], diffs, -diffs)
-        members = aligned[np.minimum(dist_p, dist_m) < tol]
-        refined.append(members.mean(axis=0) if members.shape[0] else r)
-    reps = refined
+        members = aligned[near < tol]
+        reps.append(members.mean(axis=0) if members.shape[0] else r)
 
-    candidates: list[np.ndarray] = []
+    combos = list(combinations(range(len(reps)), d))
+    if not combos:
+        return []
+    norms = [float(np.linalg.norm(r)) for r in reps]
+    binv = np.stack([np.column_stack([reps[c] for c in combo]) for combo in combos])
+    det = np.linalg.det(binv)
+    vol = np.array([np.prod([norms[c] for c in combo]) for combo in combos])
+    usable = np.abs(det) >= 0.15 * vol
+    binv[usable & (det < 0), :, -1] *= -1.0
+    index = np.flatnonzero(usable)
+    if index.size == 0:
+        return []
+    a_all = np.linalg.inv(binv[index])
+    a_all_inv = np.linalg.inv(a_all)
+
+    kept: list[int] = []
     keys: list[tuple] = []
-    for combo in combinations(range(len(reps)), d):
-        binv = np.column_stack([reps[c] for c in combo])
-        det = float(np.linalg.det(binv))
-        vol = float(np.prod([np.linalg.norm(reps[c]) for c in combo]))
-        if abs(det) < 0.15 * vol:
-            continue
-        if det < 0:
-            binv = binv.copy()
-            binv[:, -1] *= -1.0
-        a = np.linalg.inv(binv)
-        duplicate = False
-        for kept in candidates:
-            r = a @ np.linalg.inv(kept)
+    for i, combo_i in enumerate(index):
+        if kept:
+            r = a_all[i] @ a_all_inv[kept]
             rr = np.round(r)
-            if np.max(np.abs(r - rr)) <= 0.1 and abs(round(float(np.linalg.det(rr)))) == 1:
-                duplicate = True
-                break
-        if not duplicate:
-            basis_len = sum(float(np.linalg.norm(reps[c])) for c in combo)
-            candidates.append(a)
-            keys.append((basis_len, tuple(np.round(a, 9).ravel())))
-    order = sorted(range(len(candidates)), key=lambda i: keys[i])
-    return [candidates[i] for i in order[:MAX_CANDIDATES]]
+            if np.any((np.max(np.abs(r - rr), axis=(1, 2)) <= 0.1)
+                      & (np.abs(np.round(np.linalg.det(rr))) == 1)):
+                continue
+        kept.append(i)
+        basis_len = sum(norms[c] for c in combos[combo_i])
+        keys.append((basis_len, tuple(np.round(a_all[i], 9).ravel())))
+    ranked = sorted(range(len(kept)), key=lambda j: keys[j])
+    return [a_all[kept[j]] for j in ranked[:MAX_CANDIDATES]]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +543,7 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
     res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER, require_pd=True)
     aff = unpack(res.theta, chi.d)
     return BranchPoint(position=np.array(x, dtype=float), aff_tilde=aff,
-                       j_value=obj.value(res.theta), grad_norm=res.grad_norm,
+                       j_value=res.value, grad_norm=res.grad_norm,
                        iterations=res.iterations, converged=res.converged)
 
 
@@ -457,24 +561,7 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     except FitError:
         raw = []
     if raw:
-        # pre-converge each candidate on J at lam/2: the convexity basin is
-        # twice as wide there, which tolerates the noise of the init vectors
-        lam_half = params.lam / 2.0
-        obj_half = _Objective(chi, x, params, j_only=True, lam=lam_half)
-        staged = []
-        for a in raw:
-            try:
-                aff0 = AffinePair(a, tau_init(a, chi, x, lam_half))
-                res0 = _newton(obj_half, pack(aff0), 1e-8, 15, require_pd=False)
-                staged.append((obj_half.value(res0.theta), unpack(res0.theta, chi.d)))
-            except FitError:
-                continue
-        if staged:
-            # drop candidates stuck on the incoherent plateau; finer
-            # sublattices also fit J well and are left for nu to reject
-            j_best = min(s[0] for s in staged)
-            staged = [s for s in staged if s[0] <= max(25.0 * j_best, 1e-9)][:4]
-            starts.extend(aff for _, aff in staged)
+        starts.extend(_pre_converge(raw, chi, x, params))
     starts.extend(warm_starts)
     if not starts:
         raise FitError(f"no fit candidates at {x}")
@@ -485,7 +572,7 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     for aff0 in starts:
         abort_above = 1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None
         try:
-            out = _run_start(obj, aff0, chi, x, params, abort_above)
+            out = _run_start(obj, aff0, params, abort_above)
         except FitError:
             continue
         best_seen = min(best_seen, out[1].total)
@@ -501,6 +588,33 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
                    converged=any(o[2].converged for o in tied), n_candidates=len(starts))
 
 
+def _pre_converge(raw: list[np.ndarray], chi: Configuration, x, params: ModelParams
+                  ) -> list[AffinePair]:
+    """The A candidates pre-converged on J at lam/2, at most 4 of them kept.
+
+    The convexity basin is twice as wide at lam/2, which tolerates the noise
+    of the init vectors.  One gather gives every candidate's tau and one
+    lockstep Newton steps them all.
+    """
+    obj = _Objective(chi, x, params, j_only=True, lam=params.lam / 2.0)
+    if obj.rho <= 0.0:
+        return []
+    a = np.asarray(raw)
+    theta0 = np.concatenate([a.reshape(len(raw), -1), _tau_phase(a, obj.rel, obj.w)], axis=1)
+    try:
+        res = _newton(obj, theta0, 1e-8, 15, require_pd=False)
+    except FitError:
+        return []
+    finite = np.isfinite(res.value)
+    j_half, theta_half = res.value[finite], res.theta[finite]
+    if j_half.size == 0:
+        return []
+    # drop candidates stuck on the incoherent plateau; finer sublattices also
+    # fit J well and are left for nu to reject
+    bar = max(25.0 * float(np.min(j_half)), 1e-9)
+    return [unpack(th, chi.d) for th in theta_half[j_half <= bar][:4]]
+
+
 def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
              thresholds=None) -> FitResult:
     """One damped Newton on h from aff0, finished exactly as a multistart start is.
@@ -511,7 +625,7 @@ def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
     """
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False)
-    aff, breakdown, res = _run_start(obj, aff0, chi, x, params)
+    aff, breakdown, res = _run_start(obj, aff0, params)
     return _finish(x, aff, breakdown, res, chi, params, thresholds,
                    converged=res.converged, n_candidates=1)
 
@@ -571,13 +685,13 @@ def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
                       thresholds=thresholds)
 
 
-def _run_start(obj: _Objective, aff0: AffinePair, chi: Configuration, x, params: ModelParams,
+def _run_start(obj: _Objective, aff0: AffinePair, params: ModelParams,
                abort_above: float | None = None):
-    """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy."""
+    """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy from obj's gather."""
     res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER_H, require_pd=False,
                   abort_above=abort_above)
-    aff = unpack(res.theta, chi.d).canonical_tau()
-    return aff, pre_energy(aff, chi, x, params), res
+    aff = unpack(res.theta, obj.d).canonical_tau()
+    return aff, sample_energy(aff, obj.rel, obj.w, obj.c, params), res
 
 
 def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, res: _NewtonResult,

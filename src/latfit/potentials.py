@@ -119,9 +119,14 @@ class ElasticDensity:
     det E > 0 and det A > 0 (the optimal orthogonal factor is then a rotation).
     det E, |E|_F^2 and E E^T (x) I are computed once, like the frozen E.
 
+    For d = 2 the singular-value sum has the closed form
+    sum_i sigma_i(G) = sqrt(|G|_F^2 + 2 det G) with G = E^T A, and its gradient
+    E U V^T is (E G + det G A^{-T}) / sum_i sigma_i(G); d = 3 takes the SVD.
+
     The public f_el, f_el_grad and f_el_hess check det A > 0 and hand det A
     and A^{-1} to the kernels _value, _grad and _hess, which a Newton step
-    calls directly with the det A and A^{-1} it already has.
+    calls directly, on its stack of starts, with the det A and A^{-1} it
+    already has.
     """
 
     E: np.ndarray
@@ -153,18 +158,23 @@ class ElasticDensity:
         return self.E.shape[0]
 
     def dist2_rot(self, A: np.ndarray) -> float:
-        """Squared Frobenius distance from A to the rotated reference orbit E SO_d."""
+        """Squared Frobenius distance from A to the orbit E O_d (E SO_d when det A > 0).
+
+        The general form for any d and any sign of det A, by singular values;
+        the F kernels use the closed form of `_sigma_sum` instead.
+        """
         s = np.linalg.svd(self.E.T @ A, compute_uv=False)
         val = float(np.sum(A * A) + self.e_norm2 - 2.0 * np.sum(s))
         return max(val, 0.0)
 
     def f_el(self, A) -> float:
         A = np.asarray(A, dtype=float)
-        return self._value(A, _positive_det(A, "f_el"))
+        return float(self._value(A[None], np.array([_positive_det(A, "f_el")]))[0])
 
     def f_el_grad(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=float)
-        return self._grad(A, _positive_det(A, "f_el_grad"), np.linalg.inv(A))
+        det_a = np.array([_positive_det(A, "f_el_grad")])
+        return self._grad(A[None], det_a, np.linalg.inv(A)[None])[0]
 
     def f_el_hess(self, A) -> np.ndarray:
         """Hessian of F as a (d^2, d^2) matrix (row-major A flattening).
@@ -174,21 +184,44 @@ class ElasticDensity:
         differences of the analytic gradient.
         """
         A = np.asarray(A, dtype=float)
-        return self._hess(A, _positive_det(A, "f_el_hess"), np.linalg.inv(A))
+        det_a = np.array([_positive_det(A, "f_el_hess")])
+        return self._hess(A[None], det_a, np.linalg.inv(A)[None])[0]
 
-    def _value(self, A: np.ndarray, det_a: float) -> float:
-        return self.C1_el * (self.det_e - det_a) ** 2 + self.C2_el * self.dist2_rot(A)
+    # The kernels take a stack of K matrices A (K, d, d) with det A (K,) > 0
+    # and A^{-1} (K, d, d); each row is computed as that matrix alone.
 
-    def _grad(self, A: np.ndarray, det_a: float, ainv: np.ndarray) -> np.ndarray:
-        """Gradient of F at A, given det A > 0 and A^{-1}."""
-        # d(det A)/dA = det A * A^{-T}; d(sum sigma_i(E^T A))/dA = E U V^T
-        u, _, vt = np.linalg.svd(self.E.T @ A)
-        g_det = 2.0 * self.C1_el * (det_a - self.det_e) * det_a * ainv.T
-        g_dist = 2.0 * self.C2_el * (A - self.E @ u @ vt)
-        return g_det + g_dist
+    def _sigma_sum(self, g: np.ndarray, det_a: np.ndarray) -> np.ndarray:
+        """sum_i sigma_i(G) for G = E^T A: sqrt(|G|^2 + 2 det E det A) for d = 2, else by SVD."""
+        if self.d == 2:
+            return np.sqrt((g * g).sum(axis=(1, 2)) + 2.0 * (self.det_e * det_a))
+        return np.linalg.svd(g, compute_uv=False).sum(axis=1)
 
-    def _hess(self, A: np.ndarray, det_a: float, ainv: np.ndarray) -> np.ndarray:
-        """Hessian of F at A, given det A > 0 and A^{-1} (both unused for d = 3).
+    def _value(self, A: np.ndarray, det_a: np.ndarray) -> np.ndarray:
+        dist2 = (A * A).sum(axis=(1, 2)) + self.e_norm2 - 2.0 * self._sigma_sum(self.E.T @ A, det_a)
+        return self.C1_el * (self.det_e - det_a) ** 2 + self.C2_el * np.maximum(dist2, 0.0)
+
+    def _grad(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray) -> np.ndarray:
+        """Gradient of F at A.
+
+        d(det A)/dA = det A K^T with K = A^{-1}, and d(sum sigma_i(E^T A))/dA
+        = E U V^T for the SVD E^T A = U S V^T.  For d = 2 that is
+        (E G + det G K^T) / s with G = E^T A and s = sum sigma_i(G).
+        """
+        kt = ainv.transpose(0, 2, 1)
+        g = self.E.T @ A
+        if self.d == 2:
+            det_g = (self.det_e * det_a)[:, None, None]
+            e_polar = (self.E @ g + det_g * kt) / self._sigma_sum(g, det_a)[:, None, None]
+        else:
+            u, _, vt = np.linalg.svd(g)
+            e_polar = self.E @ u @ vt
+        det_a = det_a[:, None, None]
+        g_det = 2.0 * self.C1_el * (det_a - self.det_e) * det_a * kt
+        return g_det + 2.0 * self.C2_el * (A - e_polar)
+
+    def _hess(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray,
+              h_det: np.ndarray | None = None) -> np.ndarray:
+        """Hessian of F at A as (K, d^2, d^2); h_det is `det_hessian(det_a, ainv)` when the caller has it.
 
         With K = A^{-1}, C = det A K^T (the gradient of det) and H_det the
         Hessian of det (`det_hessian`), for d = 2:
@@ -196,40 +229,50 @@ class ElasticDensity:
           dist term  2 C2 [I - (E E^T (x) I + det E H_det - g_s (x) g_s) / s]
         where s = sum sigma_i(G) and g_s = (E G + det G K^T) / s is its
         gradient; G^{-T} = E^{-1} K^T, so det G E G^{-T} = det G K^T.
+        d = 3 takes central differences of `_grad`.
         """
-        d = A.shape[0]
+        k_rows, d = A.shape[:2]
         if d != 2:
-            step = 1e-6 * (1.0 + float(np.linalg.norm(A)))
-            h = np.empty((d * d, d * d))
+            step = 1e-6 * (1.0 + np.sqrt((A * A).sum(axis=(1, 2))))
+            h = np.empty((k_rows, d * d, d * d))
             for i in range(d * d):
-                da = np.zeros_like(A)
-                da.flat[i] = step
-                h[:, i] = (self.f_el_grad(A + da) - self.f_el_grad(A - da)).ravel() / (2.0 * step)
-            return 0.5 * (h + h.T)
+                da = np.zeros((k_rows, d * d))
+                da[:, i] = step
+                da = da.reshape(k_rows, d, d)
+                diff = _grad_at(self, A + da) - _grad_at(self, A - da)
+                h[:, :, i] = diff.reshape(k_rows, d * d) / (2.0 * step[:, None])
+            return 0.5 * (h + h.transpose(0, 2, 1))
 
         e = self.E
         g = e.T @ A
-        det_g = self.det_e * det_a
-        s = math.sqrt(float(np.sum(g * g)) + 2.0 * det_g)
-        kt = ainv.T
-        c_det = det_a * kt.ravel()
-        h_det = det_hessian(det_a, ainv)
-        grad_s = ((e @ g + det_g * kt) / s).ravel()
-        h = 2.0 * self.C1_el * (np.outer(c_det, c_det) + (det_a - self.det_e) * h_det)
+        s = self._sigma_sum(g, det_a)[:, None, None]
+        kt = ainv.transpose(0, 2, 1)
+        c_det = (det_a[:, None, None] * kt).reshape(k_rows, 4)
+        if h_det is None:
+            h_det = det_hessian(det_a, ainv)
+        grad_s = ((e @ g + (self.det_e * det_a)[:, None, None] * kt) / s).reshape(k_rows, 4)
+        h = 2.0 * self.C1_el * (c_det[:, :, None] * c_det[:, None, :]
+                                + (det_a - self.det_e)[:, None, None] * h_det)
         h += 2.0 * self.C2_el * (np.eye(4) - (self.ee_kron + self.det_e * h_det
-                                             - np.outer(grad_s, grad_s)) / s)
-        return 0.5 * (h + h.T)
+                                             - grad_s[:, :, None] * grad_s[:, None, :]) / s)
+        return 0.5 * (h + h.transpose(0, 2, 1))
 
 
-def det_hessian(det_a: float, ainv: np.ndarray) -> np.ndarray:
-    """Hessian of det at A as a (d^2, d^2) matrix (row-major A), from det A and K = A^{-1}.
+def _grad_at(el: ElasticDensity, A: np.ndarray) -> np.ndarray:
+    return el._grad(A, np.linalg.det(A), np.linalg.inv(A))
+
+
+def det_hessian(det_a: np.ndarray, ainv: np.ndarray) -> np.ndarray:
+    """Hessian of det at a stack of A as (K, d^2, d^2) (row-major A), from det A (K,) and K = A^{-1}.
 
     d^2 det / dA_ij dA_ab = det A [K_ji K_ba - K_ja K_bi].
     """
-    d = ainv.shape[0]
-    kt = ainv.T
-    return det_a * (np.outer(kt, kt)
-                    - (kt[:, None, None, :] * ainv[None, :, :, None]).reshape(d * d, d * d))
+    k_rows, d = ainv.shape[:2]
+    kt = ainv.transpose(0, 2, 1)
+    kt_flat = kt.reshape(k_rows, d * d)
+    return det_a[:, None, None] * (
+        kt_flat[:, :, None] * kt_flat[:, None, :]
+        - (kt[:, :, None, None, :] * ainv[:, None, :, :, None]).reshape(k_rows, d * d, d * d))
 
 
 def _positive_det(A: np.ndarray, name: str) -> float:

@@ -5,13 +5,18 @@ These are the straightforward per-entry assemblies that `core_model.assemble_j`,
 replace with closed tensor forms: the J Hessian built block by block from the
 diagonal well Hessian, the Hessian of |A^{-1}|_F^2 and of F column by column
 over the basis matrices E_ab, and every det A and A^{-1} recomputed where it is
-used.  They are slow and obviously correct; the kernel tests compare against
-them.
+used.  F's value and gradient take the singular values and vectors of E^T A
+where the kernels use the d = 2 closed form, and `a_init_candidates` clusters
+the difference vectors one at a time where the fit code masks them.  They are
+slow and obviously correct; the kernel tests compare against them.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
+
+from latfit.fitting import MAX_CANDIDATES, N_DIRECTIONS, FitError, _canonical_signs
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,3 +139,91 @@ def objective_terms(obj, theta):
     grad[: d * d] += (el.f_el_grad(A) + nu_grad).ravel()
     hess[: d * d, : d * d] += f_el_hess(el, A) + nu_hess
     return val + el.f_el(A) + nu_val, grad, hess
+
+
+def f_el_value(el, A):
+    """F(A) with sum sigma_i(E^T A) from the singular values."""
+    s = np.linalg.svd(el.E.T @ A, compute_uv=False)
+    dist2 = max(float(np.sum(A * A) + np.sum(el.E * el.E) - 2.0 * np.sum(s)), 0.0)
+    return el.C1_el * (float(np.linalg.det(el.E)) - float(np.linalg.det(A))) ** 2 + el.C2_el * dist2
+
+
+def f_el_grad(el, A):
+    """Gradient of F with d sum sigma_i(E^T A) / dA = E U V^T from the full SVD."""
+    det_a = float(np.linalg.det(A))
+    u, _, vt = np.linalg.svd(el.E.T @ A)
+    g_det = 2.0 * el.C1_el * (det_a - float(np.linalg.det(el.E))) * det_a * np.linalg.inv(A).T
+    return g_det + 2.0 * el.C2_el * (A - el.E @ u @ vt)
+
+
+def a_init_candidates(chi, x, lam):
+    """The A candidates of `fitting.a_init_candidates`, clustering one difference at a time.
+
+    Each difference, in order of length, is tested against every direction
+    kept so far, and each basis against every kept candidate's freshly
+    computed inverse.
+    """
+    d = chi.d
+    _, rel, dist = chi.local_atoms(x, lam)
+    if rel.shape[0] < d + 1:
+        raise FitError(f"too few atoms near {np.asarray(x)}: {rel.shape[0]} < {d + 1}")
+    order = np.argsort(dist, kind="stable")
+    sel = rel[order[: min(rel.shape[0], 48)]]
+
+    m = sel.shape[0]
+    ii, jj = np.triu_indices(m, 1)
+    diffs = sel[jj] - sel[ii]
+    lengths = np.linalg.norm(diffs, axis=1)
+    keep = lengths > 1e-9
+    diffs, lengths = diffs[keep], lengths[keep]
+    diffs = _canonical_signs(diffs)
+    order = np.lexsort(tuple(diffs[:, c] for c in reversed(range(d))) + (lengths,))
+
+    reps = []
+    rep_norms = []
+    for v in diffs[order]:
+        if reps:
+            arr = np.asarray(reps)
+            near = np.minimum(np.linalg.norm(arr - v, axis=1),
+                              np.linalg.norm(arr + v, axis=1))
+            if np.any(near <= 0.25 * np.asarray(rep_norms)):
+                continue
+        reps.append(v)
+        rep_norms.append(float(np.linalg.norm(v)))
+        if len(reps) >= N_DIRECTIONS:
+            break
+    refined = []
+    for r in reps:
+        dist_p = np.linalg.norm(diffs - r, axis=1)
+        dist_m = np.linalg.norm(diffs + r, axis=1)
+        tol = 0.25 * np.linalg.norm(r)
+        aligned = np.where((dist_p < tol)[:, None], diffs, -diffs)
+        members = aligned[np.minimum(dist_p, dist_m) < tol]
+        refined.append(members.mean(axis=0) if members.shape[0] else r)
+    reps = refined
+
+    candidates = []
+    keys = []
+    for combo in combinations(range(len(reps)), d):
+        binv = np.column_stack([reps[c] for c in combo])
+        det = float(np.linalg.det(binv))
+        vol = float(np.prod([np.linalg.norm(reps[c]) for c in combo]))
+        if abs(det) < 0.15 * vol:
+            continue
+        if det < 0:
+            binv = binv.copy()
+            binv[:, -1] *= -1.0
+        a = np.linalg.inv(binv)
+        duplicate = False
+        for kept in candidates:
+            r = a @ np.linalg.inv(kept)
+            rr = np.round(r)
+            if np.max(np.abs(r - rr)) <= 0.1 and abs(round(float(np.linalg.det(rr)))) == 1:
+                duplicate = True
+                break
+        if not duplicate:
+            basis_len = sum(float(np.linalg.norm(reps[c])) for c in combo)
+            candidates.append(a)
+            keys.append((basis_len, tuple(np.round(a, 9).ravel())))
+    order = sorted(range(len(candidates)), key=lambda i: keys[i])
+    return [candidates[i] for i in order[:MAX_CANDIDATES]]

@@ -2,16 +2,41 @@
 
 `assemble_j`, `_g_hess`, `ElasticDensity.f_el_hess` and `_Objective` compute
 the same quantities as the per-entry assemblies in `kernel_oracles`, in a
-different floating-point order; they must agree to 1e-12 relative.
+different floating-point order; they must agree to 1e-12 relative.  F's
+closed-form d = 2 value and gradient must agree with the singular-value forms
+to the same tolerance.  A stack of K starts must give, row for row, exactly
+the bits of K single calls, in the kernels and through `_newton`'s exits,
+and the masking `a_init_candidates` exactly the loop form's candidates.
 """
+
+import math
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kernel_oracles as oracle
-from latfit.core_model import AffinePair, _g_hess, assemble_j, gather_weights
-from latfit.fitting import _Objective, _pd_solve, fit_global, pack
+from conftest import exact_lattice
+from latfit import fileio
+from latfit.core_model import AffinePair, _g_hess, assemble_j, gather_weights, pre_energy
+from latfit.fitting import (
+    MAX_ITER_H,
+    TOL_GRAD,
+    FitError,
+    _newton,
+    _Objective,
+    _pd_solve,
+    _run_start,
+    a_init_candidates,
+    fit_global,
+    pack,
+    unpack,
+)
 from latfit.potentials import ElasticDensity, default_elastic
+
+DATA = Path(__file__).parent / "data"
 
 RTOL = 1e-12
 
@@ -127,3 +152,150 @@ def test_pd_solve_matches_exact_solution_and_refuses_indefinite():
     assert rel_err(_pd_solve(hs, gs), exact) <= 1e-12
     with pytest.raises(np.linalg.LinAlgError):
         _pd_solve(np.diag([1.0, 1.0, -1e-3, 1.0, 1.0, 1.0]), gs)
+
+
+@pytest.mark.parametrize("el", [default_elastic(2),
+                                ElasticDensity(E=np.array([[1.1, 0.2], [0.0, 0.9]]),
+                                               C1_el=1.3, C2_el=0.7)],
+                         ids=["identity_E", "general_E"])
+def test_f_el_closed_form_matches_svd(el):
+    rng = np.random.default_rng(6)
+    checked = 0
+    while checked < 30:
+        a = el.E + 0.3 * rng.standard_normal((2, 2))
+        if np.linalg.det(a) < 0.1:
+            continue
+        ref = oracle.f_el_value(el, a)
+        assert abs(el.f_el(a) - ref) <= RTOL * abs(ref)
+        assert rel_err(el.f_el_grad(a), oracle.f_el_grad(el, a)) <= RTOL
+        checked += 1
+
+
+def test_f_el_in_3d_matches_svd():
+    rng = np.random.default_rng(7)
+    el = ElasticDensity(E=np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
+    checked = 0
+    while checked < 10:
+        a = el.E + 0.2 * rng.standard_normal((3, 3))
+        if np.linalg.det(a) < 0.1:
+            continue
+        ref = oracle.f_el_value(el, a)
+        assert abs(el.f_el(a) - ref) <= RTOL * abs(ref)
+        assert rel_err(el.f_el_grad(a), oracle.f_el_grad(el, a)) <= RTOL
+        hess = el.f_el_hess(a)
+        assert np.array_equal(hess, hess.T)
+        fd = np.empty((9, 9))
+        for i in range(9):
+            da = np.zeros(9)
+            da[i] = 1e-6
+            da = da.reshape(3, 3)
+            fd[:, i] = (oracle.f_el_grad(el, a + da) - oracle.f_el_grad(el, a - da)).ravel() / 2e-6
+        assert rel_err(hess, fd) <= 1e-6
+        checked += 1
+
+
+def stacked_pair(affs):
+    """A stack of K pairs on a leading axis, with each pair's own inverse."""
+    return SimpleNamespace(A=np.stack([a.A for a in affs]), tau=np.stack([a.tau for a in affs]),
+                           ainv=np.stack([a.ainv for a in affs]))
+
+
+def test_stacked_assemble_j_matches_single_rows(params, chi_noise, regular_thetas):
+    x = regular_thetas[0][0]
+    affs = [unpack(theta, 2) for _, theta in regular_thetas[:3]]
+    for lam in (params.lam, params.lam / 2.0):
+        rel, w, c = gather_weights(chi_noise, x, lam)
+        val, grad, hess = assemble_j(rel, w, stacked_pair(affs), c)
+        only = assemble_j(rel, w, stacked_pair(affs), c, want_grad=False)[0]
+        for k, aff in enumerate(affs):
+            one_val, one_grad, one_hess = assemble_j(rel, w, aff, c)
+            assert val[k] == one_val and only[k] == one_val
+            assert np.array_equal(grad[k], one_grad) and np.array_equal(hess[k], one_hess)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["lam", "lam_half"])
+@pytest.mark.parametrize("j_only", [True, False], ids=["j_only", "full_h"])
+def test_stacked_objective_matches_single_rows(params, chi_noise, regular_thetas, half, j_only):
+    lam = params.lam / 2.0 if half else params.lam
+    obj = _Objective(chi_noise, regular_thetas[0][0], params, j_only=j_only, lam=lam)
+    thetas = np.stack([theta for _, theta in regular_thetas[:3]])
+    vals = obj.value(thetas)
+    val, grad, hess = obj.value_grad_hess(thetas)
+    for k, theta in enumerate(thetas):
+        one_val, one_grad, one_hess = obj.value_grad_hess(theta)
+        assert vals[k] == obj.value(theta) == one_val == val[k]
+        assert np.array_equal(grad[k], one_grad) and np.array_equal(hess[k], one_hess)
+
+
+class _Wall(_Objective):
+    """h plus 1 where A_00 > wall: a start on the wall whose Newton step crosses it cannot descend."""
+
+    wall = math.inf
+
+    def value(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return super().value(theta) + np.where(theta[..., 0] > self.wall, 1.0, 0.0)
+
+
+def assert_row_is_single_run(res, k, single):
+    assert np.array_equal(res.theta[k], single.theta)
+    assert (res.converged[k], res.iterations[k]) == (single.converged, single.iterations)
+    assert res.grad_norm[k] == single.grad_norm and res.value[k] == single.value
+
+
+def test_stacked_newton_rows_match_single_runs(params, chi_noise):
+    x = np.array([20.0, 20.0])
+    obj = _Wall(chi_noise, x, params, j_only=False)
+    start = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    conv = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False).theta
+    on_wall = conv.copy()
+    on_wall[0] -= 0.02
+    obj.wall = on_wall[0]
+    flipped = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+    thetas = np.stack([conv, start, on_wall, flipped])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _newton(obj, thetas, TOL_GRAD, 3, require_pd=False)
+        singles = [_newton(obj, th, TOL_GRAD, 3, require_pd=False) for th in thetas[:3]]
+        with pytest.raises(FitError, match="det A <= 0"):
+            _newton(obj, flipped, TOL_GRAD, 3, require_pd=False)
+    for k, single in enumerate(singles):
+        assert_row_is_single_run(res, k, single)
+    # converged at once, capped, line-search failure, det A <= 0 start
+    assert res.converged.tolist() == [True, False, False, False]
+    assert res.iterations.tolist() == [0, 3, 0, 0]
+    assert np.array_equal(res.theta[2], on_wall) and res.grad_norm[2] > TOL_GRAD
+    assert np.array_equal(res.theta[3], flipped) and res.value[3] == math.inf
+
+    aborted = _newton(obj, thetas[:2], TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=0.0)
+    for k in range(2):
+        single = _newton(obj, thetas[k], TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=0.0)
+        assert_row_is_single_run(aborted, k, single)
+    assert aborted.iterations.tolist() == [0, 10] and aborted.converged.tolist() == [True, False]
+
+
+def test_run_start_energy_is_pre_energy(params, chi_noise):
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = rng.uniform(10.0, 30.0, size=2)
+        obj = _Objective(chi_noise, x, params, j_only=False)
+        aff, breakdown, _ = _run_start(obj, AffinePair(np.eye(2), x % 1.0), params)
+        assert breakdown == pre_energy(aff, chi_noise, x, params)
+
+
+def test_a_init_candidates_matches_loop_form(params, chi_noise):
+    rng = np.random.default_rng(10)
+    cases = [(chi_noise, x, params.lam) for x in rng.uniform(8.0, 32.0, size=(25, 2))]
+    for a_true in (np.array([[1.0, 0.15], [-0.1, 0.9]]),
+                   np.linalg.inv(np.column_stack([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]))):
+        chi = exact_lattice(a_true, np.array([0.2, 0.6]), params.lam)
+        cases += [(chi, x, params.lam) for x in rng.uniform(1.0, 5.0, size=(5, 2))]
+    golden, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, golden, domain)
+    cases += [(chi, x, golden.lam) for x in 0.5 + rng.uniform(-6.0, 6.0, size=(25, 2))]
+    for chi, x, lam in cases:
+        got = a_init_candidates(chi, x, lam)
+        want = oracle.a_init_candidates(chi, x, lam)
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
