@@ -10,17 +10,21 @@ The analytic (A, tau)-gradient and Hessian of J exploit that the cosine well
 has a diagonal Hessian.  Flattened parameter order is row-major A then tau.
 
 `assemble_j` is the one J kernel.  It takes one pair or a stack of K pairs
-on a leading axis (the starts a lockstep Newton steps together) and computes
+on a leading axis (the starts a lockstep Newton steps together), on one
+gather or on one gather per row zero-padded to the longest, and computes
 every row exactly as that pair alone.  It keeps the atoms on the last axis
-(z^T = A rel^T + tau), takes one cos pass for the value and one sin pass more
-for the derivatives, and gets every gradient and Hessian sum of the well from
-one matmul per pair of the distinct products of the feature rows (rel_i, 1)
-against the weighted sin and cos columns; fixed index maps (`_aug_index`)
-place those sums in the A-then-tau layout.  The |A^{-1}|_F^2 prefactor
-enters by the product rule with the closed-form Hessian `_g_hess`.  The
-pair's inverse comes from `aff.ainv`, so a Newton step that already holds
-A^{-1} does not invert A again.  `sample_energy` is `pre_energy` from a
-gather the caller already holds.
+(z^T = A rel^T + tau), takes one cos pass for the value (which a caller may
+hand back in) and one sin pass more for the derivatives, and gets every sum
+over atoms from a matrix product: the value from the well columns against
+the weights, every gradient and Hessian sum of the well from the distinct
+products of the feature rows (rel_i, 1) against the weighted sin and cos
+columns.  Such a product adds the atoms one by one, so padding zeros leave
+it unchanged.  Fixed index maps (`_aug_index`) place those sums in the
+A-then-tau layout.  The |A^{-1}|_F^2 prefactor enters by the product rule
+with the closed-form Hessian `_g_hess`.  The pair's inverse comes from
+`aff.ainv`, so a Newton step that already holds A^{-1} does not invert A
+again.  `sample_energy` is `pre_energy` from a gather the caller already
+holds.
 """
 
 from __future__ import annotations
@@ -292,8 +296,18 @@ def j_lambda(aff: AffinePair, chi: Configuration, x, lam: float) -> float:
     return assemble_j(rel, w, aff, c, want_grad=False)[0]
 
 
-def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
-               want_grad: bool = True):
+def j_phases(rel: np.ndarray, A: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The well's phases 2 pi (A rel_i + tau) at a stack of pairs, (K, d, m).
+
+    rel is one gather (m, d) or one per row (K, m, d); A is (K, d, d) and tau
+    (K, d).  Their cos is the cos pass of `assemble_j`, which a caller that
+    has just evaluated J at a pair can hand back in as `cos_z`.
+    """
+    return TWO_PI_CORE * (A @ np.swapaxes(rel, -1, -2) + tau[:, :, None])
+
+
+def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bool = True,
+               cos_z: np.ndarray | None = None):
     """J and its exact (A, tau)-gradient and Hessian from a precomputed gather.
 
     rel are atom positions relative to x, w their cutoff weights, and
@@ -301,9 +315,12 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
     Newton step passes the inverse it already has).  A pair is one start:
     (J, gradient, Hessian) come back as a float, (n,) and (n, n).  A stack of
     K starts (A (K, d, d), tau (K, d), ainv (K, d, d)) gives (K,), (K, n) and
-    (K, n, n), every row computed exactly as that start alone.  Flattened
-    parameter order is row-major A then tau.  want_grad=False gives
-    (J, None, None).
+    (K, n, n), every row computed exactly as that start alone.  The stack
+    shares one gather (rel (m, d), w (m,), c a float) or has one per row
+    (rel (K, m, d), w (K, m), c (K,)), zero-padded to the longest row: a
+    padded atom has w = 0.  Flattened parameter order is row-major A then
+    tau.  want_grad=False gives (J, None, None).  cos_z is the cos of
+    `j_phases` at this stack when the caller holds it.
 
     J = c g S with g = |A^{-1}|_F^2 and S = sum_i W(z_i) w_i.  z_ik depends
     only on row k of [A | tau], through the feature row f_i = (rel_i, 1).
@@ -314,7 +331,10 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
     columns gives all of them; `_aug_index` scatters the result into the
     A-then-tau layout.  g enters through the product rule with its
     closed-form gradient and Hessian (`_g_hess`).  Atoms run along the last
-    axis throughout.
+    axis throughout, and every sum over them is a matrix product with at
+    least two rows and two columns.  Such a product accumulates each entry
+    atom by atom, so zero padding leaves it unchanged to the bit, and a row
+    of a padded stack equals that row alone.
     """
     A, tau, ainv = aff.A, aff.tau, aff.ainv
     single = A.ndim == 2
@@ -322,44 +342,52 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c: float,
         A, tau, ainv = A[None], tau[None], ainv[None]
     k_rows, d = A.shape[:2]
     n = d * d + d
-    m = rel.shape[0]
+    m = rel.shape[-2]
+    c = np.asarray(c, dtype=float)
     if m == 0:
         value, grad, hess = np.zeros(k_rows), np.zeros((k_rows, n)), np.zeros((k_rows, n, n))
     else:
         g = (ainv * ainv).sum(axis=(1, 2))
-        rel_t = rel.T
-        # share the trig work: W = sum (1 - cos)/2pi^2, grad W = sin/pi, hess = 2 cos
-        arg = TWO_PI_CORE * (A @ rel_t + tau[:, :, None])     # (K, d, m)
-        cos_z = np.cos(arg)
-        well = 1.0 - cos_z[:, 0]
+        arg = j_phases(rel, A, tau) if want_grad or cos_z is None else None
+        if cos_z is None:
+            cos_z = np.cos(arg)
+        # W = sum (1 - cos)/2pi^2; the weights twice keep the product a gemm
+        w_pair = np.empty(w.shape[:-1] + (2, m))
+        w_pair[..., 0, :] = w
+        w_pair[..., 1, :] = w
+        per_axis = np.matmul(1.0 - cos_z, w_pair.swapaxes(-1, -2))          # (K, d, 2)
+        s_val = per_axis[:, 0, 0]
         for k in range(1, d):
-            well += 1.0 - cos_z[:, k]
-        s_val = (well * w).sum(axis=1) / (2.0 * math.pi**2)
+            s_val = s_val + per_axis[:, k, 0]
+        s_val = s_val / (2.0 * math.pi**2)
         value = c * g * s_val
     if not want_grad:
         return (float(value[0]) if single else value), None, None
     if m:
         pairs, grad_src, rows, cols, hess_src = _aug_index(d)
-        feat = np.empty((len(pairs[0]) + d + 1, m))
-        np.multiply(rel_t[pairs[0]], rel_t[pairs[1]], out=feat[: len(pairs[0])])
-        feat[len(pairs[0]): -1] = rel_t
-        feat[-1] = 1.0
+        rel_t = np.swapaxes(rel, -1, -2)
+        n_pairs = len(pairs[0])
+        feat = np.empty(rel_t.shape[:-2] + (n_pairs + d + 1, m))
+        np.multiply(rel_t[..., pairs[0], :], rel_t[..., pairs[1], :], out=feat[..., :n_pairs, :])
+        feat[..., n_pairs: -1, :] = rel_t
+        feat[..., -1, :] = 1.0
+        w_row = w[..., None, :]
         wells = np.empty((k_rows, 2 * d, m))
         np.sin(arg, out=wells[:, :d])
-        wells[:, :d] *= w / math.pi                         # grad W, weighted
-        np.multiply(cos_z, 2.0 * w, out=wells[:, d:])        # diagonal of hess W, weighted
+        wells[:, :d] *= w_row / math.pi                      # grad W, weighted
+        np.multiply(cos_z, 2.0 * w_row, out=wells[:, d:])     # diagonal of hess W, weighted
         sums = np.matmul(feat, wells.transpose(0, 2, 1)).reshape(k_rows, -1)
         grad_s = sums[:, grad_src]
 
         g1 = np.zeros((k_rows, n))                          # gradient of g, zero in tau
         kt = ainv.transpose(0, 2, 1)
         g1[:, : d * d] = (-2.0 * kt @ ainv @ kt).reshape(k_rows, d * d)
-        grad = c * (g1 * s_val[:, None] + g[:, None] * grad_s)
+        grad = c.reshape(-1, 1) * (g1 * s_val[:, None] + g[:, None] * grad_s)
         cross = g1[:, :, None] * grad_s[:, None, :]
         hess = cross + cross.transpose(0, 2, 1)
         hess[:, : d * d, : d * d] += _g_hess(ainv) * s_val[:, None, None]
         hess[:, rows, cols] += g[:, None] * sums[:, hess_src]
-        hess *= c
+        hess *= c.reshape(-1, 1, 1)
     if single:
         return float(value[0]), grad[0], hess[0]
     return value, grad, hess
@@ -521,10 +549,15 @@ class RegularityReport:
 def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams,
                     thresholds: RegularityThresholds | None = None):
     """Regular-pair test; returns (bool, RegularityReport with per-condition margins)."""
+    rho, j_val = _density_and_misfit(aff, chi, x, params.lam)
+    return _regularity(x, aff, rho, j_val, chi, params, thresholds)
+
+
+def _regularity(x, aff: AffinePair, rho: float, j_val: float, chi: Configuration,
+                params: ModelParams, thresholds: RegularityThresholds | None):
+    """`is_regular_pair` given rho_lam(x) and J(aff; x), as a fit's own gather gives them."""
     thr = thresholds if thresholds is not None else params.thresholds
-    lam = params.lam
     norm_ainv = float(np.linalg.norm(np.linalg.inv(aff.A)))
-    rho, j_val = _density_and_misfit(aff, chi, x, lam)
     det_a = float(np.linalg.det(aff.A))
 
     hardcore_ok = True
@@ -532,7 +565,7 @@ def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams,
     if pairs.size:
         x = np.asarray(x, dtype=float)
         mids = 0.5 * (chi.positions[pairs[:, 0]] + chi.positions[pairs[:, 1]])
-        near = np.linalg.norm(mids - x, axis=1) <= 2.0 * lam + params.s0
+        near = np.linalg.norm(mids - x, axis=1) <= 2.0 * params.lam + params.s0
         hardcore_ok = not bool(np.any(near))
 
     report = RegularityReport(

@@ -7,7 +7,12 @@ and keeps it when it converges to a regular pair; the first node, and any
 node whose step fails, gets the full multistart fit.  Fitted parameters of
 nearby low-energy points differ little, which is what makes the transported
 fit a good start.  A continued fit inherits its neighbour's integer
-parametrisation, so most nodes share the seed's gauge.
+parametrisation, so most nodes share the seed's gauge.  The nodes fall into
+rounds (wavefronts): a node's round follows those of all its neighbours
+earlier in seed order, so it continues from the neighbour it would pick one
+node at a time, and the continuation steps of one round run as one lockstep
+Newton over the round's per-node gathers.  The branch minimizers run
+stacked by the same rounds.
 
 Fits at the grid nodes are glued onto one parametrization branch by a
 spanning tree of integer reparametrisations from a seed node, so the tau
@@ -27,7 +32,7 @@ term still certifies the theorem's inequality h_hat >= F_C + grad term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product as iter_product
 
@@ -35,12 +40,10 @@ import numpy as np
 
 from .core_model import AffinePair, Configuration, ModelParams, local_density
 from .fitting import (
-    BasinEscapeError,
-    BranchPoint,
     FitError,
-    fit_from,
+    fit_from_stack,
     fit_global,
-    minimize_j_local,
+    minimize_j_stack,
 )
 from .potentials import c_con, c_tilde_nabla
 from .topology import (
@@ -104,28 +107,64 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
                   thresholds=None) -> FieldGrid:
     """Fit every node, mask irregular ones, and align fits on one branch.
 
-    Nodes are fitted in seed order: distance from the grid center, then iy,
-    then ix.  A node with an already-fitted valid 4-neighbour (the earliest
-    in that order) is fitted by one damped Newton on h from the neighbour's
-    transported fit (A_n, tau_n + A_n dx), and the result is kept when it
-    converged and is a regular pair under `thresholds`.  Otherwise, at the
-    first node and on any FitError, the full multistart `fit_global` runs.
-    A continued node's raw fit therefore stays in its neighbour's integer
-    parametrisation, so `align` is mostly the identity.
-
-    Alignment propagates by breadth-first search from a seed (the valid node
-    first in seed order); disconnected valid regions get their own seeds,
-    recorded in `component`.
+    Three stages, each its own function: fit (`_fit_nodes`), align
+    (`_align_nodes`) and branch minimizers (`_branch_points`).  Seed order
+    is distance from the grid center, then iy, then ix; `grid_rounds` groups
+    the nodes into rounds by it, and both the fit and the branch stage run
+    one stacked Newton per round, so no stack is larger than a round.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
     if chi.d != 2:
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
+    order, rounds = grid_rounds(geom)
+    fits, valid, reasons, h_hat, rho_l, rho_2l = _fit_nodes(chi, geom, params, thresholds,
+                                                            order, rounds)
+    align, aligned_aff, component = _align_nodes(chi, geom, params, order, fits, valid)
+    branch, a_tilde, tau_tilde = _branch_points(chi, geom, params, rounds, align, aligned_aff,
+                                                valid, component, reasons)
+    return FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
+                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
+                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+
+
+def grid_rounds(geom: GridGeometry):
+    """(the nodes (ix, iy) in seed order, the same nodes grouped into rounds).
+
+    A node's round is one more than the latest round among its 4-neighbours
+    earlier in seed order (0 when it has none).  So every neighbour a node
+    could continue from is finished before its round starts, and the nodes
+    of one round do not depend on each other.  Each round keeps seed order.
+    """
+    nx, ny = geom.nx, geom.ny
+    center = ((nx - 1) / 2.0, (ny - 1) / 2.0)
+    order = sorted(((ix, iy) for iy in range(ny) for ix in range(nx)),
+                   key=lambda n: (float(np.hypot(n[0] - center[0], n[1] - center[1])),
+                                  n[1], n[0]))
+    depth = {}
+    for ix, iy in order:
+        earlier = [depth[n] for n in ((ix + dx, iy + dy) for dx, dy in _STEPS) if n in depth]
+        depth[(ix, iy)] = 1 + max(earlier) if earlier else 0
+    rounds = [[] for _ in range(max(depth.values()) + 1)]
+    for n in order:
+        rounds[depth[n]].append(n)
+    return order, rounds
+
+
+def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thresholds,
+               order: list, rounds: list):
+    """Fit stage: natural-parameter continuation, one stacked `fit_from_stack` per round.
+
+    A node with a valid 4-neighbour earlier in seed order (the earliest such)
+    starts one damped Newton on h from the neighbour's transported fit
+    (A_n, tau_n + A_n dx); the result is kept when it converged and is a
+    regular pair under `thresholds`.  Otherwise, at the first node and where
+    a step is refused, the full multistart `fit_global` runs, in seed order.
+    A continued node's raw fit stays in its neighbour's integer
+    parametrisation, so `align` is mostly the identity.  Returns (fits, valid,
+    reasons, h_hat, rho_l, rho_2l).
+    """
     ny, nx = geom.ny, geom.nx
-    nodes = [(ix, iy) for iy in range(ny) for ix in range(nx)]
-    center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0])
-    order = sorted(nodes, key=lambda n: (float(np.hypot(n[0] - center[0], n[1] - center[1])),
-                                         n[1], n[0]))
     rank = {n: i for i, n in enumerate(order)}
     fits = [[None] * nx for _ in range(ny)]
     reasons = [[None] * nx for _ in range(ny)]
@@ -133,37 +172,52 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     h_hat = np.full((ny, nx), np.nan)
     rho_l = np.full((ny, nx), np.nan)
     rho_2l = np.full((ny, nx), np.nan)
-    for ix, iy in order:
-        x = geom.node(ix, iy)
-        parents = [(ix + dx, iy + dy) for dx, dy in _STEPS
-                   if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
-        out = None
-        if parents:
-            px, py = min(parents, key=rank.__getitem__)
-            aff = fits[py][px].aff_hat
-            pred = AffinePair(aff.A, aff.tau + aff.A @ (x - geom.node(px, py)))
-            try:
-                out = fit_from(pred, chi, x, params, thresholds)
-            except FitError:
-                pass
-        if out is None or not (out.converged and out.regular):
-            try:
-                out = fit_global(chi, x, params, thresholds=thresholds)
-            except FitError as err:
-                reasons[iy][ix] = f"fit failed: {err}"
-                continue
-        fits[iy][ix] = out
-        h_hat[iy, ix] = out.breakdown.total
-        rho_l[iy, ix] = out.breakdown.rho
-        rho_2l[iy, ix] = local_density(chi, x, 2.0 * params.lam)
-        if not out.converged:
-            reasons[iy][ix] = "fit did not converge"
-        elif not out.regular:
-            reasons[iy][ix] = "fit not a regular pair"
-        else:
-            valid[iy, ix] = True
+    for wave in rounds:
+        steps = {}
+        for ix, iy in wave:
+            parents = [(ix + dx, iy + dy) for dx, dy in _STEPS
+                       if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
+            if parents:
+                px, py = min(parents, key=rank.__getitem__)
+                aff = fits[py][px].aff_hat
+                dx = geom.node(ix, iy) - geom.node(px, py)
+                steps[(ix, iy)] = AffinePair(aff.A, aff.tau + aff.A @ dx)
+        outs = {}
+        if steps:
+            outs = dict(zip(steps, fit_from_stack(list(steps.values()), chi,
+                                                  [geom.node(*n) for n in steps],
+                                                  params, thresholds)))
+        for ix, iy in wave:
+            x = geom.node(ix, iy)
+            out = outs.get((ix, iy))
+            if out is None or not (out.converged and out.regular):
+                try:
+                    out = fit_global(chi, x, params, thresholds=thresholds)
+                except FitError as err:
+                    reasons[iy][ix] = f"fit failed: {err}"
+                    continue
+            fits[iy][ix] = out
+            h_hat[iy, ix] = out.breakdown.total
+            rho_l[iy, ix] = out.breakdown.rho
+            rho_2l[iy, ix] = local_density(chi, x, 2.0 * params.lam)
+            if not out.converged:
+                reasons[iy][ix] = "fit did not converge"
+            elif not out.regular:
+                reasons[iy][ix] = "fit not a regular pair"
+            else:
+                valid[iy, ix] = True
+    return fits, valid, reasons, h_hat, rho_l, rho_2l
 
-    # spanning-tree alignment from per-component seeds
+
+def _align_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, order: list,
+                 fits: list, valid: np.ndarray):
+    """Align stage: (align, aligned pairs, component) by a spanning tree of reparametrisations.
+
+    Alignment propagates by breadth-first search from a seed (the valid node
+    first in seed order); disconnected valid regions get their own seeds,
+    recorded in `component`.
+    """
+    ny, nx = geom.ny, geom.nx
     align = [[None] * nx for _ in range(ny)]
     aligned_aff = [[None] * nx for _ in range(ny)]
     component = np.full((ny, nx), -1, dtype=int)
@@ -194,32 +248,38 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
                 aligned_aff[ny_][nx_] = step.reparam.apply(fits[ny_][nx_].aff_hat)
                 queue.append((nx_, ny_))
         comp += 1
+    return align, aligned_aff, component
 
-    # branch points: local J-minimizers seeded at the aligned fits
+
+def _branch_points(chi: Configuration, geom: GridGeometry, params: ModelParams, rounds: list,
+                   align: list, aligned_aff: list, valid: np.ndarray, component: np.ndarray,
+                   reasons: list):
+    """Branch stage: local J-minimizers from the aligned fits, one `minimize_j_stack` per round.
+
+    A node whose minimizer leaves the convexity basin is marked invalid in
+    valid, component and reasons.  Returns (branch, a_tilde, tau_tilde).
+    """
+    ny, nx = geom.ny, geom.nx
     branch = [[None] * nx for _ in range(ny)]
     a_tilde = np.full((ny, nx, 2, 2), np.nan)
     tau_tilde = np.full((ny, nx, 2), np.nan)
-    for ix, iy in nodes:
-        if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
+    for wave in rounds:
+        # invalid nodes have no component: every valid node is reached or seeds
+        todo = [(ix, iy) for ix, iy in wave if component[iy, ix] >= 0]
+        if not todo:
             continue
-        try:
-            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params,
-                                  check_regular=False)
-        except BasinEscapeError:
-            valid[iy, ix] = False
-            component[iy, ix] = -1
-            reasons[iy][ix] = "branch minimizer left convexity basin"
-            continue
-        bp = BranchPoint(position=bp.position, aff_tilde=bp.aff_tilde, j_value=bp.j_value,
-                         grad_norm=bp.grad_norm, iterations=bp.iterations,
-                         converged=bp.converged, provenance=align[iy][ix])
-        branch[iy][ix] = bp
-        a_tilde[iy, ix] = bp.aff_tilde.A
-        tau_tilde[iy, ix] = bp.aff_tilde.tau
-
-    return FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
-                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
-                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+        points = minimize_j_stack([aligned_aff[iy][ix] for ix, iy in todo], chi,
+                                  [geom.node(ix, iy) for ix, iy in todo], params)
+        for (ix, iy), bp in zip(todo, points):
+            if bp is None:
+                valid[iy, ix] = False
+                component[iy, ix] = -1
+                reasons[iy][ix] = "branch minimizer left convexity basin"
+                continue
+            branch[iy][ix] = bp = replace(bp, provenance=align[iy][ix])
+            a_tilde[iy, ix] = bp.aff_tilde.A
+            tau_tilde[iy, ix] = bp.aff_tilde.tau
+    return branch, a_tilde, tau_tilde
 
 
 def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, int], Reparam]:
@@ -261,67 +321,58 @@ def fd_gradients(field: FieldGrid) -> FieldGradients:
     Central differences where both axis neighbors are valid and on the same
     component; one-sided stencils at component boundaries are flagged
     lower-order.  Second differences (incl. mixed) need the full 3x3 ring.
+    Every stencil is an array slice of the grid padded by one invalid node;
+    `np.where` keeps the stencil each node is entitled to.
     """
     ny, nx = field.shape
     h = field.geometry.h
-    tau = field.tau_tilde
-    a = field.a_tilde
     comp = field.component
+    pad_c = np.pad(comp, 1, constant_values=-1)
+    pad_tau = np.pad(field.tau_tilde, ((1, 1), (1, 1), (0, 0)), constant_values=np.nan)
+    pad_a = np.pad(field.a_tilde, ((1, 1), (1, 1), (0, 0), (0, 0)), constant_values=np.nan)
+    valid = comp >= 0
 
-    grad_tau = np.full((ny, nx, 2, 2), np.nan)
-    grad_a = np.full((ny, nx, 2, 2, 2), np.nan)
+    def at(arr, dx, dy):
+        """arr at every node's neighbour (ix + dx, iy + dy)."""
+        return arr[1 + dy: 1 + dy + ny, 1 + dx: 1 + dx + nx]
+
+    def same(dx, dy):
+        return valid & (at(pad_c, dx, dy) == comp)
+
+    def diff(pad, dx, dy, has_p, has_m):
+        """Central, forward or backward difference along (dx, dy); trailing axes kept."""
+        p, c, m = at(pad, dx, dy), at(pad, 0, 0), at(pad, -dx, -dy)
+        shape = has_p.shape + (1,) * (pad.ndim - 2)
+        has_p, has_m = has_p.reshape(shape), has_m.reshape(shape)
+        return np.where(has_p & has_m, (p - m) / (2 * h), np.where(has_p, (p - c) / h, (c - m) / h))
+
+    grad_tau = np.empty((ny, nx, 2, 2))
+    grad_a = np.empty((ny, nx, 2, 2, 2))
+    ok = valid.copy()
+    central = valid.copy()
+    for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
+        has_p, has_m = same(dx, dy), same(-dx, -dy)
+        ok &= has_p | has_m
+        central &= has_p & has_m
+        grad_tau[..., axis] = diff(pad_tau, dx, dy, has_p, has_m)
+        grad_a[..., axis] = diff(pad_a, dx, dy, has_p, has_m)
+    grad_tau[~ok] = np.nan
+    grad_a[~ok] = np.nan
+    order = np.where(ok, np.where(central, 2, 1), 0)
+
+    hess_ok = ok.copy()
+    for dx, dy in iter_product((-1, 0, 1), repeat=2):
+        hess_ok &= same(dx, dy)
     hess_tau = np.full((ny, nx, 2, 2, 2), np.nan)
-    order = np.zeros((ny, nx), dtype=int)
-    hess_ok = np.zeros((ny, nx), dtype=bool)
 
-    def same(iy, ix, jy, jx):
-        return (0 <= jx < nx and 0 <= jy < ny and comp[jy, jx] >= 0
-                and comp[jy, jx] == comp[iy, ix])
+    def tau(dx, dy):
+        return at(pad_tau, dx, dy)[hess_ok]
 
-    for iy in range(ny):
-        for ix in range(nx):
-            if comp[iy, ix] < 0:
-                continue
-            node_order = 2
-            gt = np.empty((2, 2))
-            ga = np.empty((2, 2, 2))
-            ok = True
-            for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
-                has_p = same(iy, ix, iy + dy, ix + dx)
-                has_m = same(iy, ix, iy - dy, ix - dx)
-                if has_p and has_m:
-                    gt[:, axis] = (tau[iy + dy, ix + dx] - tau[iy - dy, ix - dx]) / (2 * h)
-                    ga[:, :, axis] = (a[iy + dy, ix + dx] - a[iy - dy, ix - dx]) / (2 * h)
-                elif has_p:
-                    gt[:, axis] = (tau[iy + dy, ix + dx] - tau[iy, ix]) / h
-                    ga[:, :, axis] = (a[iy + dy, ix + dx] - a[iy, ix]) / h
-                    node_order = 1
-                elif has_m:
-                    gt[:, axis] = (tau[iy, ix] - tau[iy - dy, ix - dx]) / h
-                    ga[:, :, axis] = (a[iy, ix] - a[iy - dy, ix - dx]) / h
-                    node_order = 1
-                else:
-                    ok = False
-            if not ok:
-                continue
-            grad_tau[iy, ix] = gt
-            grad_a[iy, ix] = ga
-            order[iy, ix] = node_order
-
-            ring = all(same(iy, ix, iy + dy, ix + dx)
-                       for dx, dy in iter_product((-1, 0, 1), repeat=2))
-            if not ring:
-                continue
-            ht = np.empty((2, 2, 2))
-            ht[:, 0, 0] = (tau[iy, ix + 1] - 2 * tau[iy, ix] + tau[iy, ix - 1]) / h**2
-            ht[:, 1, 1] = (tau[iy + 1, ix] - 2 * tau[iy, ix] + tau[iy - 1, ix]) / h**2
-            mixed = (tau[iy + 1, ix + 1] - tau[iy + 1, ix - 1]
-                     - tau[iy - 1, ix + 1] + tau[iy - 1, ix - 1]) / (4 * h**2)
-            ht[:, 0, 1] = mixed
-            ht[:, 1, 0] = mixed
-            hess_tau[iy, ix] = ht
-            hess_ok[iy, ix] = True
-
+    hess_tau[hess_ok, :, 0, 0] = (tau(1, 0) - 2 * tau(0, 0) + tau(-1, 0)) / h**2
+    hess_tau[hess_ok, :, 1, 1] = (tau(0, 1) - 2 * tau(0, 0) + tau(0, -1)) / h**2
+    mixed = (tau(1, 1) - tau(-1, 1) - tau(1, -1) + tau(-1, -1)) / (4 * h**2)
+    hess_tau[hess_ok, :, 0, 1] = mixed
+    hess_tau[hess_ok, :, 1, 0] = mixed
     return FieldGradients(grad_tau=grad_tau, grad_a=grad_a, hess_tau=hess_tau,
                           order=order, hess_ok=hess_ok)
 

@@ -8,26 +8,33 @@ full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
 `fit_from` runs one start alone, from a caller's predictor; both finish a
 start the same way (canonical tau, exact energy from the Newton's own gather,
-regular-pair test).
+regular-pair test on that energy's rho and J, with no second gather).
 
 `_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
 on a leading axis.  A stack is stepped in lockstep: one evaluation of the
 value, gradient and Hessian per step, and one value per line-search trial,
 serve every start still running, and each start keeps its own exit
-(converged, cap, line-search failure, abort bar, det A <= 0).  Every row is
-computed exactly as that start alone, so the lockstep run equals K single
+(converged, cap, line-search failure, abort bar, det A <= 0, and under
+require_pd leaving the convexity basin).  The starts share one point's
+gather, or each has its own point: one gather per row, zero-padded to the
+longest, so the continuation steps of a grid round (`fit_from_stack`) and
+its branch minimizers (`minimize_j_stack`) each run as one stack.  Every row
+is computed exactly as that start alone, so the lockstep run equals K single
 runs bit for bit.  The multistart pre-converges all its candidates on J at
 lam/2 this way, from one gather that also gives each candidate's tau; the
 starts on h stay sequential, because each one's abort bar is the best total
 before it.  Single-start callers (`fit_from`, the h starts,
-`minimize_j_local`) pass one row through the same code.
+`minimize_j_local`) pass one row through the same code; `minimize_j_local`
+alone raises BasinEscapeError for a row that left the basin.
 
 One Newton step costs one value, gradient and Hessian per start.
 `_Objective` computes det A and A^{-1} once per evaluation (2 x 2 closed
 forms for d = 2, in an `_Iterate`, not an AffinePair) and hands them to J
 (`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
 for d = 2) and the smoothed nu; F and nu share one Hessian of det
-(`det_hessian`).  `_pd_solve` factors the equilibrated Hessian once (LAPACK
+(`det_hessian`).  `value` keeps each row's cos pass, and the next
+`value_grad_hess` at the accepted iterate takes it from there instead of
+redoing it.  `_pd_solve` factors the equilibrated Hessian once (LAPACK
 potrf) and reuses the factor for the solve and both refinement passes.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
@@ -56,9 +63,11 @@ from .core_model import (
     EnergyBreakdown,
     ModelParams,
     RegularityReport,
+    _regularity,
     assemble_j,
     gather_weights,
     is_regular_pair,
+    j_phases,
     sample_energy,
 )
 from .potentials import det_hessian
@@ -144,28 +153,57 @@ _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])    # adj A = _ADJ_SIGN * (A rev
 class _Objective:
     """h (or J alone) as a function of theta, with gradient and Hessian.
 
-    theta is one start (n,) or a stack of K starts (K, n) on a leading axis;
-    the value, gradient and Hessian come back with the same leading axis, each
-    row computed exactly as that start alone, so a lockstep Newton over K
-    starts follows K single runs bit for bit.  The neighbor gather (relative
-    positions and cutoff weights) is fixed per point and hoisted out of the
-    iteration; rho is likewise constant during the (A, tau) optimization.
-    Each evaluation computes det A and A^{-1} once per row (`_iterate`, 2 x 2
-    closed forms for d = 2) and shares them between J, F and nu.  A row with
-    det A <= 0 evaluates to +inf so line searches stay orientation-preserving.
+    x is one point (d,) or G points (G, d).  Each point's neighbor gather
+    (relative positions and cutoff weights) is fixed and hoisted out of the
+    iteration, zero-padded to the longest; rho and the nu smoothing are
+    likewise constant per point during the (A, tau) optimization.  theta is
+    one start (n,) or a stack of K starts (K, n) on a leading axis; `rows`
+    names each start's row of the run (default 0..K-1), which is its point
+    when there are G = K points, while G = 1 point serves every row.  The
+    value, gradient and Hessian come back with theta's leading axis, each row
+    computed exactly as that start alone, so a lockstep Newton over K starts
+    follows K single runs bit for bit.  Each evaluation computes det A and
+    A^{-1} once per row (`_iterate`, 2 x 2 closed forms for d = 2) and shares
+    them between J, F and nu.  A row with det A <= 0 evaluates to +inf so line
+    searches stay orientation-preserving.  `value` keeps each row's cos pass;
+    `value_grad_hess` at the same theta reuses it instead of redoing it.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
                  lam: float | None = None):
-        self.chi = chi
-        self.x = np.asarray(x, dtype=float)
         self.params = params
         self.j_only = j_only
-        self.d = chi.d
+        self.d = d = chi.d
         self.lam = params.lam if lam is None else lam
-        self.rel, self.w, self.c = gather_weights(chi, self.x, self.lam)
-        self.rho = float(np.sum(self.w)) * self.c
-        self.eps_nu = NU_SMOOTH_FACTOR * max(self.rho, 1e-30)
+        gathers = [gather_weights(chi, p, self.lam) for p in np.reshape(x, (-1, d))]
+        self.sizes = [w.size for _, w, _ in gathers]
+        if len(gathers) == 1:           # nothing to pad: a single start copies no gather
+            self.rel, self.w = gathers[0][0][None], gathers[0][1][None]
+        else:
+            m = max(self.sizes)
+            self.rel = np.zeros((len(gathers), m, d))
+            self.w = np.zeros((len(gathers), m))
+            for i, (rel, w, _) in enumerate(gathers):
+                self.rel[i, : w.size] = rel
+                self.w[i, : w.size] = w
+        self.c = np.array([c for _, _, c in gathers])
+        self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
+        self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
+        self._kept = {}         # row -> (theta, cos pass) of the last `value` at that row
+
+    def gather(self, i: int = 0):
+        """(rel, w, c) of point i, unpadded."""
+        m = self.sizes[i]
+        return self.rel[i, :m], self.w[i, :m], float(self.c[i])
+
+    def _rows(self, rows, k_rows: int) -> np.ndarray:
+        return np.arange(k_rows) if rows is None else np.asarray(rows)
+
+    def _points(self, rows: np.ndarray):
+        """(rel, w, c, rho, eps_nu) of the rows' points; one point broadcasts over every row."""
+        if self.w.shape[0] == 1 or np.array_equal(rows, np.arange(self.w.shape[0])):
+            return self.rel, self.w, self.c, self.rho, self.eps_nu
+        return self.rel[rows], self.w[rows], self.c[rows], self.rho[rows], self.eps_nu[rows]
 
     def _iterate(self, theta: np.ndarray, det_floor: float):
         """(the iterates of the rows of theta with det A > det_floor, the mask of those rows)."""
@@ -178,51 +216,80 @@ class _Objective:
         ainv = _inv(a, det_a) if det_a.size else np.empty_like(a)
         return _Iterate(a, theta[:, d * d:], det_a, ainv), ok
 
-    def _nu_smooth(self, det_a: np.ndarray) -> np.ndarray:
-        e = self.eps_nu
-        return self.params.vartheta * (np.hypot(det_a - self.rho, e) - e)
+    def _keep(self, rows: np.ndarray, theta: np.ndarray, cos_z: np.ndarray):
+        """Remember each row's cos pass (a view, no copy) at a private copy of its theta."""
+        theta = theta.copy()
+        for i, r in enumerate(rows.tolist()):
+            self._kept[r] = (theta[i: i + 1], cos_z[i: i + 1])
 
-    def _nu_smooth_grad_hess(self, it: _Iterate, h_det: np.ndarray):
+    def _kept_cos(self, rows: np.ndarray, theta: np.ndarray):
+        """The kept cos pass of the rows, taken out, when every row was kept at exactly theta."""
+        kept = [self._kept.pop(r, None) for r in rows.tolist()]
+        if None in kept:
+            return None
+        if len(kept) == 1:
+            return kept[0][1] if np.array_equal(kept[0][0], theta) else None
+        if not np.array_equal(np.concatenate([k[0] for k in kept]), theta):
+            return None
+        return np.concatenate([k[1] for k in kept])
+
+    def _nu_smooth(self, det_a: np.ndarray, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        return self.params.vartheta * (np.hypot(det_a - rho, eps) - eps)
+
+    def _nu_smooth_grad_hess(self, it: _Iterate, h_det: np.ndarray, rho: np.ndarray,
+                             eps: np.ndarray):
         # nu_s = vt (r - e), r = sqrt(u^2 + e^2), u = det A - rho, C = grad det,
         # h_det = hess(det): grad = vt (u / r) C, hess = vt [ (e^2 / r^3) C (x) C + (u / r) h_det ]
-        u = it.det_a - self.rho
-        r = np.hypot(u, self.eps_nu)
+        u = it.det_a - rho
+        r = np.hypot(u, eps)
         vt = self.params.vartheta
         c_mat = it.det_a[:, None, None] * it.ainv.transpose(0, 2, 1)
         grad = (vt * u / r)[:, None, None] * c_mat
         c_vec = c_mat.reshape(len(u), -1)
-        hess = vt * ((self.eps_nu**2 / r**3)[:, None, None] * (c_vec[:, :, None] * c_vec[:, None, :])
+        hess = vt * ((eps**2 / r**3)[:, None, None] * (c_vec[:, :, None] * c_vec[:, None, :])
                      + (u / r)[:, None, None] * h_det)
         return grad, hess
 
-    def value(self, theta: np.ndarray):
+    def value(self, theta: np.ndarray, rows=None):
         """h (or J) at one start, a float, or at a stack of starts, a (K,) array."""
         theta = np.asarray(theta, dtype=float)
-        it, ok = self._iterate(theta.reshape(-1, theta.shape[-1]), 1e-12)
+        flat = theta.reshape(-1, theta.shape[-1])
+        rows = self._rows(rows, flat.shape[0])
+        it, ok = self._iterate(flat, 1e-12)
+        all_ok = bool(ok.all())
+        if not all_ok:
+            rows, flat = rows[ok], flat[ok]
         if it.det_a.size:
-            val = assemble_j(self.rel, self.w, it, self.c, want_grad=False)[0]
+            rel, w, c, rho, eps = self._points(rows)
+            cos_z = np.cos(j_phases(rel, it.A, it.tau))
+            self._keep(rows, flat, cos_z)
+            val = assemble_j(rel, w, it, c, want_grad=False, cos_z=cos_z)[0]
             if not self.j_only:
-                val = val + (self.params.elastic._value(it.A, it.det_a) + self._nu_smooth(it.det_a))
-        if not ok.all():
+                val = val + (self.params.elastic._value(it.A, it.det_a)
+                             + self._nu_smooth(it.det_a, rho, eps))
+        if not all_ok:
             out = np.full(ok.shape, math.inf)
             if it.det_a.size:
                 out[ok] = val
             val = out
         return float(val[0]) if theta.ndim == 1 else val
 
-    def value_grad_hess(self, theta: np.ndarray):
+    def value_grad_hess(self, theta: np.ndarray, rows=None):
         """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required."""
         theta = np.asarray(theta, dtype=float)
-        it, ok = self._iterate(theta.reshape(-1, theta.shape[-1]), 0.0)
+        flat = theta.reshape(-1, theta.shape[-1])
+        rows = self._rows(rows, flat.shape[0])
+        it, ok = self._iterate(flat, 0.0)
         if not ok.all():
             raise ValueError("value_grad_hess requires det A > 0")
-        val, grad, hess = assemble_j(self.rel, self.w, it, self.c)
+        rel, w, c, rho, eps = self._points(rows)
+        val, grad, hess = assemble_j(rel, w, it, c, cos_z=self._kept_cos(rows, flat))
         if not self.j_only:
             d = self.d
             el = self.params.elastic
-            val = val + (el._value(it.A, it.det_a) + self._nu_smooth(it.det_a))
+            val = val + (el._value(it.A, it.det_a) + self._nu_smooth(it.det_a, rho, eps))
             h_det = det_hessian(it.det_a, it.ainv)
-            nu_grad, nu_hess = self._nu_smooth_grad_hess(it, h_det)
+            nu_grad, nu_hess = self._nu_smooth_grad_hess(it, h_det, rho, eps)
             grad[:, : d * d] += (el._grad(it.A, it.det_a, it.ainv) + nu_grad).reshape(len(val), -1)
             hess[:, : d * d, : d * d] += el._hess(it.A, it.det_a, it.ainv, h_det) + nu_hess
         if theta.ndim == 1:
@@ -239,6 +306,7 @@ class _NewtonResult:
     iterations: int
     grad_norm: float
     value: float
+    escaped: bool       # left the convexity basin (require_pd only)
 
 
 def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -265,13 +333,13 @@ def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return ps
 
 
-def _newton_direction(hs: np.ndarray, gs: np.ndarray, require_pd: bool) -> np.ndarray:
-    """-hs^{-1} gs, or on an indefinite hs the eigenvalue-floored direction (BasinEscapeError under require_pd)."""
+def _newton_direction(hs: np.ndarray, gs: np.ndarray, require_pd: bool) -> np.ndarray | None:
+    """-hs^{-1} gs; on an indefinite hs the eigenvalue-floored direction, or None under require_pd."""
     try:
         return _pd_solve(hs, gs)
     except np.linalg.LinAlgError:
         if require_pd:
-            raise BasinEscapeError("left convexity basin: Hessian not positive definite")
+            return None
     evals, evecs = np.linalg.eigh(hs)
     floor = max(1e-8 * float(np.max(np.abs(evals))), 1e-12)
     evals = np.maximum(evals, floor)
@@ -292,8 +360,8 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     - line-search failure: no step length down to 2^-40 decreases the value;
     - max-iter: max_iter steps taken;
     - det A <= 0 at the start: value +inf, 0 iterations;
-    - BasinEscapeError (raised, so meant for single starts): require_pd and
-      the Hessian is not positive definite.
+    - left the basin (`escaped`): require_pd and the Hessian is not positive
+      definite.
     Raises FitError when every start has det A <= 0.
     """
     d = obj.d
@@ -301,12 +369,13 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     theta = np.array(theta0, dtype=float)
     single = theta.ndim == 1
     theta = theta.reshape(-1, scale.size)
-    f_cur = obj.value(theta)
+    k_rows = theta.shape[0]
+    f_cur = obj.value(theta, np.arange(k_rows))
     running = np.isfinite(f_cur)
     if not running.any():
         raise FitError("starting point has det A <= 0")
-    k_rows = theta.shape[0]
     converged = np.zeros(k_rows, dtype=bool)
+    escaped = np.zeros(k_rows, dtype=bool)
     iterations = np.zeros(k_rows, dtype=int)
     grad_norm = np.full(k_rows, math.inf)
     for it in range(max_iter):
@@ -318,7 +387,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         if rows.size == 0:
             break
         base = theta[rows]
-        _, grad, hess = obj.value_grad_hess(base)
+        _, grad, hess = obj.value_grad_hess(base, rows)
         gs = grad / scale
         hs = hess / scale[:, None] / scale[None, :]
         p = np.empty_like(gs)
@@ -330,10 +399,13 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             grad_norm[r] = gn = math.sqrt(g @ g)
             if gn <= tol_grad:
                 converged[r] = True
+            else:
+                ps = _newton_direction(hs[i], g, require_pd)
+                escaped[r] = ps is None
+            if converged[r] or escaped[r]:
                 iterations[r] = it
                 running[r] = False
                 continue
-            ps = _newton_direction(hs[i], g, require_pd)
             step_len = math.sqrt(ps @ ps)
             if step_len > STEP_CAP:
                 ps *= STEP_CAP / step_len
@@ -352,7 +424,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         t = 1.0
         trial = base + p
         while True:
-            f_new = obj.value(trial)
+            f_new = obj.value(trial, rows)
             ok = blind | (f_new <= f_rows + ARMIJO_C1 * t * slope)
             if ok.all():
                 theta[rows] = trial
@@ -372,15 +444,15 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     else:
         rows = running.nonzero()[0]
         if rows.size:
-            _, grad, _ = obj.value_grad_hess(theta[rows])
+            _, grad, _ = obj.value_grad_hess(theta[rows], rows)
             for r, g in zip(rows, grad / scale):
                 grad_norm[r] = math.sqrt(g @ g)
             converged[rows] = grad_norm[rows] <= tol_grad
             iterations[rows] = max_iter
     if single:
         return _NewtonResult(theta[0], bool(converged[0]), int(iterations[0]),
-                             float(grad_norm[0]), float(f_cur[0]))
-    return _NewtonResult(theta, converged, iterations, grad_norm, f_cur)
+                             float(grad_norm[0]), float(f_cur[0]), bool(escaped[0]))
+    return _NewtonResult(theta, converged, iterations, grad_norm, f_cur, escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +604,37 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
     """Damped Newton on J inside the convexity basin around aff0.
 
     Raises BasinEscapeError when the Hessian stops being positive definite;
-    a start at an exact minimizer returns unchanged with 0 iterations.
+    a start at an exact minimizer returns unchanged with 0 iterations.  One
+    row of `minimize_j_stack`.
     """
     if check_regular:
         ok, _ = is_regular_pair(x, aff0, chi, params)
         if not ok:
             warnings.warn(f"minimize_j_local started at an irregular pair near {np.asarray(x)}",
                           stacklevel=2)
-    obj = _Objective(chi, x, params, j_only=True)
-    res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER, require_pd=True)
-    aff = unpack(res.theta, chi.d)
-    return BranchPoint(position=np.array(x, dtype=float), aff_tilde=aff,
-                       j_value=res.value, grad_norm=res.grad_norm,
-                       iterations=res.iterations, converged=res.converged)
+    out = minimize_j_stack([aff0], chi, [x], params)[0]
+    if out is None:
+        raise BasinEscapeError("left convexity basin: Hessian not positive definite")
+    return out
+
+
+def minimize_j_stack(affs, chi: Configuration, xs, params: ModelParams) -> list:
+    """`minimize_j_local` (without the regularity warning) at K points in one lockstep Newton.
+
+    Row k starts from affs[k] at xs[k] on that point's own gather.  Each row is
+    the run `minimize_j_local` makes alone, bit for bit; a row that leaves the
+    convexity basin comes back as None.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(len(affs), chi.d)
+    obj = _Objective(chi, xs, params, j_only=True)
+    res = _newton(obj, np.stack([pack(a) for a in affs]), TOL_GRAD, MAX_ITER, require_pd=True)
+    if not np.all(np.isfinite(res.value)):
+        raise FitError("starting point has det A <= 0")
+    return [None if res.escaped[k] else
+            BranchPoint(position=xs[k].copy(), aff_tilde=unpack(res.theta[k], chi.d),
+                        j_value=float(res.value[k]), grad_norm=float(res.grad_norm[k]),
+                        iterations=int(res.iterations[k]), converged=bool(res.converged[k]))
+            for k in range(len(affs))]
 
 
 def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
@@ -584,7 +674,7 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     tied = [o for o in outcomes if o[1].total <= best_total + 1e-12]
     tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
     aff, breakdown, res = tied[0]
-    return _finish(x, aff, breakdown, res, chi, params, thresholds,
+    return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params, thresholds,
                    converged=any(o[2].converged for o in tied), n_candidates=len(starts))
 
 
@@ -597,10 +687,11 @@ def _pre_converge(raw: list[np.ndarray], chi: Configuration, x, params: ModelPar
     lockstep Newton steps them all.
     """
     obj = _Objective(chi, x, params, j_only=True, lam=params.lam / 2.0)
-    if obj.rho <= 0.0:
+    if obj.rho[0] <= 0.0:
         return []
     a = np.asarray(raw)
-    theta0 = np.concatenate([a.reshape(len(raw), -1), _tau_phase(a, obj.rel, obj.w)], axis=1)
+    rel, w, _ = obj.gather()
+    theta0 = np.concatenate([a.reshape(len(raw), -1), _tau_phase(a, rel, w)], axis=1)
     try:
         res = _newton(obj, theta0, 1e-8, 15, require_pd=False)
     except FitError:
@@ -619,15 +710,42 @@ def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
              thresholds=None) -> FitResult:
     """One damped Newton on h from aff0, finished exactly as a multistart start is.
 
-    The continuation step of a grid fit: aff0 is a neighbour's fit transported
-    to x, and the result keeps aff0's integer parametrisation (tau wrapped to
-    [0, 1)).  Raises FitError when aff0 has det A <= 0.
+    The continuation step of a loop or grid fit: aff0 is a neighbour's fit
+    transported to x, and the result keeps aff0's integer parametrisation
+    (tau wrapped to [0, 1)).  Raises FitError when aff0 has det A <= 0.  One
+    row of `fit_from_stack`.
     """
-    x = np.asarray(x, dtype=float)
-    obj = _Objective(chi, x, params, j_only=False)
-    aff, breakdown, res = _run_start(obj, aff0, params)
-    return _finish(x, aff, breakdown, res, chi, params, thresholds,
-                   converged=res.converged, n_candidates=1)
+    out = fit_from_stack([aff0], chi, [x], params, thresholds)[0]
+    if out is None:
+        raise FitError("starting point has det A <= 0")
+    return out
+
+
+def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
+                   thresholds=None) -> list:
+    """`fit_from` at K points in one lockstep Newton: the continuation steps of a grid round.
+
+    Row k starts from affs[k] at xs[k] on that point's own gather, and is the
+    run `fit_from` makes alone, bit for bit.  A row whose start has
+    det A <= 0 comes back as None.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(len(affs), chi.d)
+    obj = _Objective(chi, xs, params, j_only=False)
+    try:
+        res = _newton(obj, np.stack([pack(a) for a in affs]), TOL_GRAD, MAX_ITER_H,
+                      require_pd=False)
+    except FitError:
+        return [None] * len(affs)
+    out = []
+    for k in range(len(affs)):
+        if not math.isfinite(res.value[k]):
+            out.append(None)
+            continue
+        aff, breakdown = _exact(obj, res.theta[k], params, k)
+        out.append(_finish(xs[k].copy(), aff, breakdown, int(res.iterations[k]),
+                           float(res.grad_norm[k]), chi, params, thresholds,
+                           converged=bool(res.converged[k]), n_candidates=1))
+    return out
 
 
 def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -> list[FitResult]:
@@ -690,18 +808,25 @@ def _run_start(obj: _Objective, aff0: AffinePair, params: ModelParams,
     """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy from obj's gather."""
     res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER_H, require_pd=False,
                   abort_above=abort_above)
-    aff = unpack(res.theta, obj.d).canonical_tau()
-    return aff, sample_energy(aff, obj.rel, obj.w, obj.c, params), res
+    return (*_exact(obj, res.theta, params), res)
 
 
-def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, res: _NewtonResult,
+def _exact(obj: _Objective, theta: np.ndarray, params: ModelParams, row: int = 0):
+    """(the pair of theta with tau wrapped to [0, 1), its exact energy from the row's gather)."""
+    aff = unpack(theta, obj.d).canonical_tau()
+    rel, w, c = obj.gather(row)
+    return aff, sample_energy(aff, rel, w, c, params)
+
+
+def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, iterations: int, grad_norm: float,
             chi: Configuration, params: ModelParams, thresholds, converged: bool,
             n_candidates: int) -> FitResult:
-    """The regular-pair test of the chosen fit, packed into a FitResult."""
-    regular, report = is_regular_pair(x, aff, chi, params, thresholds)
+    """The regular-pair test of the chosen fit on its energy's rho and J, packed into a FitResult."""
+    regular, report = _regularity(x, aff, breakdown.rho, breakdown.j_term, chi, params,
+                                  thresholds)
     return FitResult(position=x, aff_hat=aff, breakdown=breakdown, regular=regular,
-                     report=report, iterations=res.iterations, converged=converged,
-                     grad_norm=res.grad_norm, n_candidates=n_candidates)
+                     report=report, iterations=iterations, converged=converged,
+                     grad_norm=grad_norm, n_candidates=n_candidates)
 
 
 def track_minimizer(branch: BranchPoint, path, chi: Configuration,

@@ -7,16 +7,34 @@ diagonal well Hessian, the Hessian of |A^{-1}|_F^2 and of F column by column
 over the basis matrices E_ab, and every det A and A^{-1} recomputed where it is
 used.  F's value and gradient take the singular values and vectors of E^T A
 where the kernels use the d = 2 closed form, and `a_init_candidates` clusters
-the difference vectors one at a time where the fit code masks them.  They are
-slow and obviously correct; the kernel tests compare against them.
+the difference vectors one at a time where the fit code masks them.
+`evaluate_grid` fits, aligns and minimizes node by node with the single-start
+`fit_from` and `minimize_j_local` where the grid runs one stacked Newton per
+round, and `fd_gradients` differences node by node where the grid code
+slices arrays.  They are slow and obviously correct; the kernel tests compare
+against them.
 """
 
 import math
 from itertools import combinations
+from itertools import product as iter_product
 
 import numpy as np
 
-from latfit.fitting import MAX_CANDIDATES, N_DIRECTIONS, FitError, _canonical_signs
+from latfit import fields
+from latfit.core_model import AffinePair, local_density
+from latfit.fitting import (
+    MAX_CANDIDATES,
+    N_DIRECTIONS,
+    BasinEscapeError,
+    BranchPoint,
+    FitError,
+    _canonical_signs,
+    fit_from,
+    fit_global,
+    minimize_j_local,
+)
+from latfit.topology import Reparam, ReparamError, find_reparam
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,12 +145,13 @@ def objective_terms(obj, theta):
     """
     d = obj.d
     A = theta[: d * d].reshape(d, d)
-    val, grad, hess = assemble_j(obj.rel, obj.w, A, theta[d * d:], obj.c)
+    rel, w, c = obj.gather()
+    val, grad, hess = assemble_j(rel, w, A, theta[d * d:], c)
     if obj.j_only:
         return val, grad, hess
     el = obj.params.elastic
     det_a = float(np.linalg.det(A))
-    nu_val, nu_grad, nu_hess = nu_smooth_terms(det_a, np.linalg.inv(A), obj.rho, obj.eps_nu,
+    nu_val, nu_grad, nu_hess = nu_smooth_terms(det_a, np.linalg.inv(A), obj.rho[0], obj.eps_nu[0],
                                                obj.params.vartheta)
     grad = grad.copy()
     hess = hess.copy()
@@ -227,3 +246,195 @@ def a_init_candidates(chi, x, lam):
             keys.append((basis_len, tuple(np.round(a, 9).ravel())))
     order = sorted(range(len(candidates)), key=lambda i: keys[i])
     return [candidates[i] for i in order[:MAX_CANDIDATES]]
+
+
+def evaluate_grid(chi, geom, params, thresholds=None):
+    """`fields.evaluate_grid` one node at a time: fit, align, then one branch minimizer per node.
+
+    Nodes are fitted in seed order: distance from the grid center, then iy,
+    then ix.  A node with an already-fitted valid 4-neighbour (the earliest
+    in that order) is fitted by one damped Newton on h from the neighbour's
+    transported fit (A_n, tau_n + A_n dx), and the result is kept when it
+    converged and is a regular pair under `thresholds`.  Otherwise, at the
+    first node and on any FitError, the full multistart `fit_global` runs.
+    A continued node's raw fit therefore stays in its neighbour's integer
+    parametrisation, so `align` is mostly the identity.
+
+    Alignment propagates by breadth-first search from a seed (the valid node
+    first in seed order); disconnected valid regions get their own seeds,
+    recorded in `component`.
+    """
+    if geom.h > params.lam / 4.0 + 1e-9:
+        raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
+    if chi.d != 2:
+        raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
+    ny, nx = geom.ny, geom.nx
+    nodes = [(ix, iy) for iy in range(ny) for ix in range(nx)]
+    center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0])
+    order = sorted(nodes, key=lambda n: (float(np.hypot(n[0] - center[0], n[1] - center[1])),
+                                         n[1], n[0]))
+    rank = {n: i for i, n in enumerate(order)}
+    fits = [[None] * nx for _ in range(ny)]
+    reasons = [[None] * nx for _ in range(ny)]
+    valid = np.zeros((ny, nx), dtype=bool)
+    h_hat = np.full((ny, nx), np.nan)
+    rho_l = np.full((ny, nx), np.nan)
+    rho_2l = np.full((ny, nx), np.nan)
+    for ix, iy in order:
+        x = geom.node(ix, iy)
+        parents = [(ix + dx, iy + dy) for dx, dy in fields._STEPS
+                   if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
+        out = None
+        if parents:
+            px, py = min(parents, key=rank.__getitem__)
+            aff = fits[py][px].aff_hat
+            pred = AffinePair(aff.A, aff.tau + aff.A @ (x - geom.node(px, py)))
+            try:
+                out = fit_from(pred, chi, x, params, thresholds)
+            except FitError:
+                pass
+        if out is None or not (out.converged and out.regular):
+            try:
+                out = fit_global(chi, x, params, thresholds=thresholds)
+            except FitError as err:
+                reasons[iy][ix] = f"fit failed: {err}"
+                continue
+        fits[iy][ix] = out
+        h_hat[iy, ix] = out.breakdown.total
+        rho_l[iy, ix] = out.breakdown.rho
+        rho_2l[iy, ix] = local_density(chi, x, 2.0 * params.lam)
+        if not out.converged:
+            reasons[iy][ix] = "fit did not converge"
+        elif not out.regular:
+            reasons[iy][ix] = "fit not a regular pair"
+        else:
+            valid[iy, ix] = True
+
+    # spanning-tree alignment from per-component seeds
+    align = [[None] * nx for _ in range(ny)]
+    aligned_aff = [[None] * nx for _ in range(ny)]
+    component = np.full((ny, nx), -1, dtype=int)
+    comp = 0
+    for seed in order:
+        sx, sy = seed
+        if not valid[sy, sx] or component[sy, sx] >= 0:
+            continue
+        component[sy, sx] = comp
+        align[sy][sx] = Reparam.identity(2)
+        aligned_aff[sy][sx] = fits[sy][sx].aff_hat
+        queue = [seed]
+        while queue:
+            cx, cy = queue.pop(0)
+            for dx, dy in fields._STEPS:
+                nx_, ny_ = cx + dx, cy + dy
+                if not (0 <= nx_ < nx and 0 <= ny_ < ny):
+                    continue
+                if not valid[ny_, nx_] or component[ny_, nx_] >= 0:
+                    continue
+                try:
+                    step = find_reparam((geom.node(cx, cy), aligned_aff[cy][cx]),
+                                        fits[ny_][nx_], chi, params)
+                except ReparamError:
+                    continue
+                component[ny_, nx_] = comp
+                align[ny_][nx_] = step.reparam
+                aligned_aff[ny_][nx_] = step.reparam.apply(fits[ny_][nx_].aff_hat)
+                queue.append((nx_, ny_))
+        comp += 1
+
+    # branch points: local J-minimizers seeded at the aligned fits
+    branch = [[None] * nx for _ in range(ny)]
+    a_tilde = np.full((ny, nx, 2, 2), np.nan)
+    tau_tilde = np.full((ny, nx, 2), np.nan)
+    for ix, iy in nodes:
+        if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
+            continue
+        try:
+            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params,
+                                  check_regular=False)
+        except BasinEscapeError:
+            valid[iy, ix] = False
+            component[iy, ix] = -1
+            reasons[iy][ix] = "branch minimizer left convexity basin"
+            continue
+        bp = BranchPoint(position=bp.position, aff_tilde=bp.aff_tilde, j_value=bp.j_value,
+                         grad_norm=bp.grad_norm, iterations=bp.iterations,
+                         converged=bp.converged, provenance=align[iy][ix])
+        branch[iy][ix] = bp
+        a_tilde[iy, ix] = bp.aff_tilde.A
+        tau_tilde[iy, ix] = bp.aff_tilde.tau
+
+    return fields.FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
+                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
+                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+
+
+def fd_gradients(field):
+    """`fields.fd_gradients` node by node: finite differences of tau~ and A~ on the aligned branch.
+
+    Central differences where both axis neighbors are valid and on the same
+    component; one-sided stencils at component boundaries are flagged
+    lower-order.  Second differences (incl. mixed) need the full 3x3 ring.
+    """
+    ny, nx = field.shape
+    h = field.geometry.h
+    tau = field.tau_tilde
+    a = field.a_tilde
+    comp = field.component
+
+    grad_tau = np.full((ny, nx, 2, 2), np.nan)
+    grad_a = np.full((ny, nx, 2, 2, 2), np.nan)
+    hess_tau = np.full((ny, nx, 2, 2, 2), np.nan)
+    order = np.zeros((ny, nx), dtype=int)
+    hess_ok = np.zeros((ny, nx), dtype=bool)
+
+    def same(iy, ix, jy, jx):
+        return (0 <= jx < nx and 0 <= jy < ny and comp[jy, jx] >= 0
+                and comp[jy, jx] == comp[iy, ix])
+
+    for iy in range(ny):
+        for ix in range(nx):
+            if comp[iy, ix] < 0:
+                continue
+            node_order = 2
+            gt = np.empty((2, 2))
+            ga = np.empty((2, 2, 2))
+            ok = True
+            for axis, (dx, dy) in enumerate(((1, 0), (0, 1))):
+                has_p = same(iy, ix, iy + dy, ix + dx)
+                has_m = same(iy, ix, iy - dy, ix - dx)
+                if has_p and has_m:
+                    gt[:, axis] = (tau[iy + dy, ix + dx] - tau[iy - dy, ix - dx]) / (2 * h)
+                    ga[:, :, axis] = (a[iy + dy, ix + dx] - a[iy - dy, ix - dx]) / (2 * h)
+                elif has_p:
+                    gt[:, axis] = (tau[iy + dy, ix + dx] - tau[iy, ix]) / h
+                    ga[:, :, axis] = (a[iy + dy, ix + dx] - a[iy, ix]) / h
+                    node_order = 1
+                elif has_m:
+                    gt[:, axis] = (tau[iy, ix] - tau[iy - dy, ix - dx]) / h
+                    ga[:, :, axis] = (a[iy, ix] - a[iy - dy, ix - dx]) / h
+                    node_order = 1
+                else:
+                    ok = False
+            if not ok:
+                continue
+            grad_tau[iy, ix] = gt
+            grad_a[iy, ix] = ga
+            order[iy, ix] = node_order
+
+            ring = all(same(iy, ix, iy + dy, ix + dx)
+                       for dx, dy in iter_product((-1, 0, 1), repeat=2))
+            if not ring:
+                continue
+            ht = np.empty((2, 2, 2))
+            ht[:, 0, 0] = (tau[iy, ix + 1] - 2 * tau[iy, ix] + tau[iy, ix - 1]) / h**2
+            ht[:, 1, 1] = (tau[iy + 1, ix] - 2 * tau[iy, ix] + tau[iy - 1, ix]) / h**2
+            mixed = (tau[iy + 1, ix + 1] - tau[iy + 1, ix - 1]
+                     - tau[iy - 1, ix + 1] + tau[iy - 1, ix - 1]) / (4 * h**2)
+            ht[:, 0, 1] = mixed
+            ht[:, 1, 0] = mixed
+            hess_tau[iy, ix] = ht
+            hess_ok[iy, ix] = True
+
+    return fields.FieldGradients(grad_tau=grad_tau, grad_a=grad_a, hess_tau=hess_tau,
+                                 order=order, hess_ok=hess_ok)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import kernel_oracles as oracle
 import numpy as np
 import pytest
 from cli_harness import DATA, FIELD_ATOL, FIELD_RTOL
@@ -21,7 +22,7 @@ from latfit.fields import (
     theorem2_check,
     unimodular_matrices,
 )
-from latfit.fitting import FitError, fit_from
+from latfit.fitting import fit_from_stack, fit_global
 from latfit.generators import Box as GenBox  # same class, readability
 from latfit.generators import GeneratorSpec, edge_dipole, generate, lattice_from_map
 from latfit.potentials import c_con, c_tilde_nabla
@@ -348,11 +349,11 @@ def multistart_field(chi, geom, params, thresholds=None):
     Refusing every continuation step sends each node to the unchanged
     `fit_global` fallback; alignment and branch stages are evaluate_grid's own.
     """
-    def refuse(*args, **kwargs):
-        raise FitError("continuation refused for the multistart reference")
+    def refuse(affs, *args, **kwargs):
+        return [None] * len(affs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_from", refuse)
+        mp.setattr(fields, "fit_from_stack", refuse)
         return evaluate_grid(chi, geom, params, thresholds=thresholds)
 
 
@@ -419,14 +420,14 @@ def test_continuation_matches_multistart():
     geom = GridGeometry(origin=(-10.0, -4.0), h=2.0, nx=4, ny=4)
     refused = []
 
-    def recording_fit_from(aff0, chi, x, params, thresholds=None):
-        out = fit_from(aff0, chi, x, params, thresholds)
-        if not (out.converged and out.regular):
-            refused.append(np.asarray(x))
-        return out
+    def recording_fit_from_stack(affs, chi, xs, params, thresholds=None):
+        outs = fit_from_stack(affs, chi, xs, params, thresholds)
+        refused.extend(np.asarray(x) for x, out in zip(xs, outs)
+                       if out is None or not (out.converged and out.regular))
+        return outs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_from", recording_fit_from)
+        mp.setattr(fields, "fit_from_stack", recording_fit_from_stack)
         cont = evaluate_grid(chi, geom, params, thresholds=tight)
     ref = multistart_field(chi, geom, params, thresholds=tight)
     assert refused
@@ -438,3 +439,73 @@ def test_continuation_matches_multistart():
         assert fc.breakdown.total == fr.breakdown.total
         assert np.array_equal(fc.aff_hat.A, fr.aff_hat.A)
         assert np.array_equal(fc.aff_hat.tau, fr.aff_hat.tau)
+
+
+def assert_same_field(new, ref):
+    """Round-based grid against the per-node oracle: same masks, reasons, gauge; floats to 1e-12."""
+    assert np.array_equal(new.valid, ref.valid)
+    assert np.array_equal(new.component, ref.component)
+    assert new.invalid_reason == ref.invalid_reason
+    for row_new, row_ref in zip(new.align, ref.align):
+        for a, b in zip(row_new, row_ref):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a.B, b.B) and np.array_equal(a.t, b.t)
+    for row_new, row_ref in zip(new.fits, ref.fits):
+        for a, b in zip(row_new, row_ref):
+            # the same Newton run: same parent (or multistart), same step count
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.iterations, a.n_candidates) == (b.iterations, b.n_candidates)
+    fitted = ~np.isnan(ref.h_hat)
+    assert np.array_equal(fitted, ~np.isnan(new.h_hat))
+    assert np.max(np.abs(new.h_hat[fitted] - ref.h_hat[fitted]), initial=0.0) <= 1e-12
+    branch = ~np.isnan(ref.tau_tilde[..., 0])
+    assert np.array_equal(branch, ~np.isnan(new.tau_tilde[..., 0]))
+    assert np.max(np.abs(new.a_tilde[branch] - ref.a_tilde[branch]), initial=0.0) <= 1e-12
+    assert np.max(np.abs(new.tau_tilde[branch] - ref.tau_tilde[branch]), initial=0.0) <= 1e-12
+
+
+def test_round_grid_matches_per_node_oracle(grid_params):
+    # golden 6x6 grid: rounds of widths 1, 4, 8, 10, 8, 4, 1
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
+    assert [len(r) for r in fields.grid_rounds(geom)[1]] == [1, 4, 8, 10, 8, 4, 1]
+    assert_same_field(evaluate_grid(chi, geom, params), oracle.evaluate_grid(chi, geom, params))
+
+    # tight-threshold window across the dipole's left core: refused steps and invalid nodes
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-12.0, -4.0), h=2.0, nx=6, ny=5)
+    multistarts = []
+
+    def counting_fit_global(chi, x, *args, **kwargs):
+        multistarts.append(x)
+        return fit_global(chi, x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "fit_global", counting_fit_global)
+        new = evaluate_grid(chi, geom, grid_params, thresholds=tight)
+    assert len(multistarts) > 1 and not new.valid.all()
+    assert_same_field(new, oracle.evaluate_grid(chi, geom, grid_params, thresholds=tight))
+
+
+def test_fd_gradients_match_loop_form(grid_params, perfect_field):
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    golden = evaluate_grid(chi, GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6), params)
+    # the benchmark's dipole-defects grid: invalid clusters cut the stencils one-sided
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-16.0, -10.0), h=2.0, nx=17, ny=11)
+    dipole = evaluate_grid(chi, geom, grid_params, thresholds=tight)
+    for field in (golden, dipole, perfect_field[1]):
+        got, want = fd_gradients(field), oracle.fd_gradients(field)
+        for name in ("grad_tau", "grad_a", "hess_tau", "order", "hess_ok"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert np.any(fd_gradients(dipole).order == 1)

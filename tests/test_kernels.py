@@ -6,7 +6,8 @@ different floating-point order; they must agree to 1e-12 relative.  F's
 closed-form d = 2 value and gradient must agree with the singular-value forms
 to the same tolerance.  A stack of K starts must give, row for row, exactly
 the bits of K single calls, in the kernels and through `_newton`'s exits,
-and the masking `a_init_candidates` exactly the loop form's candidates.
+also when each row has its own gather of its own length, and the masking
+`a_init_candidates` exactly the loop form's candidates.
 """
 
 import math
@@ -20,17 +21,29 @@ import pytest
 import kernel_oracles as oracle
 from conftest import exact_lattice
 from latfit import fileio
-from latfit.core_model import AffinePair, _g_hess, assemble_j, gather_weights, pre_energy
+from latfit.core_model import (
+    AffinePair,
+    _g_hess,
+    assemble_j,
+    gather_weights,
+    is_regular_pair,
+    pre_energy,
+)
 from latfit.fitting import (
     MAX_ITER_H,
     TOL_GRAD,
+    BasinEscapeError,
     FitError,
     _newton,
     _Objective,
     _pd_solve,
     _run_start,
     a_init_candidates,
+    fit_from,
+    fit_from_stack,
     fit_global,
+    minimize_j_local,
+    minimize_j_stack,
     pack,
     unpack,
 )
@@ -232,9 +245,9 @@ class _Wall(_Objective):
 
     wall = math.inf
 
-    def value(self, theta):
+    def value(self, theta, rows=None):
         theta = np.asarray(theta, dtype=float)
-        return super().value(theta) + np.where(theta[..., 0] > self.wall, 1.0, 0.0)
+        return super().value(theta, rows) + np.where(theta[..., 0] > self.wall, 1.0, 0.0)
 
 
 def assert_row_is_single_run(res, k, single):
@@ -299,3 +312,87 @@ def test_a_init_candidates_matches_loop_form(params, chi_noise):
         want = oracle.a_init_candidates(chi, x, lam)
         assert len(got) == len(want) > 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def ragged_stack(params, chi_vacancies):
+    """Four points with different atom counts, each with the centre's fit moved there, perturbed."""
+    x0 = np.array([20.0, 20.0])
+    fit = fit_global(chi_vacancies, x0, params)
+    assert fit.regular
+    xs = np.array([[20.0, 20.0], [14.0, 22.0], [26.0, 17.0], [21.0, 25.0]])
+    rng = np.random.default_rng(5)
+    scale = np.concatenate([np.full(4, 1.0 / params.lam), np.ones(2)])
+    affs = []
+    for x in xs:
+        aff = fit.aff_hat
+        theta = pack(AffinePair(aff.A, aff.tau + aff.A @ (x - x0)))
+        affs.append(unpack(theta + 0.02 * scale * rng.standard_normal(6), 2))
+    return xs, affs
+
+
+@pytest.mark.parametrize("j_only", [True, False], ids=["j_only", "full_h"])
+def test_ragged_stack_matches_single_rows(params, chi_vacancies, ragged_stack, j_only):
+    xs, affs = ragged_stack
+    stack = _Objective(chi_vacancies, xs, params, j_only=j_only)
+    assert len(set(stack.sizes)) == len(xs)          # every row padded by a different amount
+    thetas = np.stack([pack(a) for a in affs])
+    vals = stack.value(thetas)
+    val, grad, hess = stack.value_grad_hess(thetas)
+    sub = np.array([3, 1])
+    sub_vals = stack.value(thetas[sub], sub)
+    for k, (x, theta) in enumerate(zip(xs, thetas)):
+        one = _Objective(chi_vacancies, x, params, j_only=j_only)
+        one_val, one_grad, one_hess = one.value_grad_hess(theta)
+        assert vals[k] == one.value(theta) == one_val == val[k]
+        assert np.array_equal(grad[k], one_grad) and np.array_equal(hess[k], one_hess)
+    assert sub_vals.tolist() == [vals[3], vals[1]]
+
+
+def test_ragged_fit_and_branch_stacks_match_single_calls(params, chi_vacancies, ragged_stack):
+    xs, affs = ragged_stack
+    for k, out in enumerate(fit_from_stack(affs, chi_vacancies, xs, params)):
+        one = fit_from(affs[k], chi_vacancies, xs[k], params)
+        assert out.breakdown == one.breakdown and out.report == one.report
+        # the test on the fit's own rho and J is the one a fresh gather gives
+        assert out.report == is_regular_pair(xs[k], out.aff_hat, chi_vacancies, params)[1]
+        assert np.array_equal(out.aff_hat.A, one.aff_hat.A)
+        assert np.array_equal(out.aff_hat.tau, one.aff_hat.tau)
+        assert (out.iterations, out.grad_norm, out.converged) == \
+            (one.iterations, one.grad_norm, one.converged)
+    for k, bp in enumerate(minimize_j_stack(affs, chi_vacancies, xs, params)):
+        one = minimize_j_local(affs[k], chi_vacancies, xs[k], params, check_regular=False)
+        assert np.array_equal(bp.aff_tilde.A, one.aff_tilde.A)
+        assert np.array_equal(bp.aff_tilde.tau, one.aff_tilde.tau)
+        assert (bp.j_value, bp.grad_norm, bp.iterations, bp.converged) == \
+            (one.j_value, one.grad_norm, one.iterations, one.converged)
+
+
+def test_stacked_row_leaving_the_basin_is_the_single_escape(params, chi_noise):
+    x = np.array([20.0, 20.0])
+    fit = fit_global(chi_noise, x, params)
+    outside = AffinePair(1.5 * np.eye(2), np.zeros(2))
+    with pytest.raises(BasinEscapeError):
+        minimize_j_local(outside, chi_noise, x, params, check_regular=False)
+    inside = minimize_j_local(fit.aff_hat, chi_noise, x, params, check_regular=False)
+    escaped, kept = minimize_j_stack([outside, fit.aff_hat], chi_noise, [x, x], params)
+    assert escaped is None
+    assert np.array_equal(kept.aff_tilde.A, inside.aff_tilde.A)
+    assert np.array_equal(kept.aff_tilde.tau, inside.aff_tilde.tau)
+    assert (kept.j_value, kept.iterations) == (inside.j_value, inside.iterations)
+
+
+def test_value_grad_hess_reuses_the_kept_cos_pass_bit_for_bit(params, chi_noise, regular_thetas):
+    x = regular_thetas[0][0]
+    thetas = np.stack([theta for _, theta in regular_thetas[:3]])
+    warm = _Objective(chi_noise, x, params, j_only=False)
+    cold = _Objective(chi_noise, x, params, j_only=False)
+    warm.value(thetas)
+    assert sorted(warm._kept) == [0, 1, 2]
+    for got, want in zip(warm.value_grad_hess(thetas), cold.value_grad_hess(thetas)):
+        assert np.array_equal(got, want)
+    assert not warm._kept                   # taken by value_grad_hess
+    moved = thetas.copy()
+    moved[1, 4] += 1e-9
+    warm.value(thetas)
+    assert warm._kept_cos(np.arange(3), moved) is None
