@@ -2,9 +2,10 @@
 
 Grid nodes are fitted by natural-parameter continuation: in seed order
 (distance from the grid center, then iy, then ix) each node starts one
-Newton on h from a valid neighbour's fit transported by the node spacing,
-and keeps it when it converges to a regular pair; the first node, and any
-node whose step fails, gets the full multistart fit.  Fitted parameters of
+Newton on h from a valid neighbour's fit transported by the node spacing
+and scaled onto the node's det A = rho ridge, and keeps it when it
+converges to a regular pair; the first node, and any node whose step
+fails, gets the full multistart fit.  Fitted parameters of
 nearby low-energy points differ little, which is what makes the transported
 fit a good start.  A continued fit inherits its neighbour's integer
 parametrisation, so most nodes share the seed's gauge.  The nodes fall into
@@ -38,12 +39,13 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .core_model import AffinePair, Configuration, ModelParams, local_density
+from .core_model import Configuration, ModelParams, local_density
 from .fitting import (
     FitError,
     fit_from_stack,
     fit_global,
     minimize_j_stack,
+    transport,
 )
 from .potentials import c_con, c_tilde_nabla
 from .topology import (
@@ -157,7 +159,8 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
 
     A node with a valid 4-neighbour earlier in seed order (the earliest such)
     starts one damped Newton on h from the neighbour's transported fit
-    (A_n, tau_n + A_n dx); the result is kept when it converged and is a
+    (A_n, tau_n + A_n dx), its A scaled by `fit_from_stack` so that
+    det A = rho at the node; the result is kept when it converged and is a
     regular pair under `thresholds`.  Otherwise, at the first node and where
     a step is refused, the full multistart `fit_global` runs, in seed order.
     A continued node's raw fit stays in its neighbour's integer
@@ -179,9 +182,8 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
                        if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
             if parents:
                 px, py = min(parents, key=rank.__getitem__)
-                aff = fits[py][px].aff_hat
-                dx = geom.node(ix, iy) - geom.node(px, py)
-                steps[(ix, iy)] = AffinePair(aff.A, aff.tau + aff.A @ dx)
+                steps[(ix, iy)] = transport(geom.node(px, py), fits[py][px].aff_hat,
+                                            geom.node(ix, iy))
         outs = {}
         if steps:
             outs = dict(zip(steps, fit_from_stack(list(steps.values()), chi,

@@ -6,8 +6,11 @@ global fit is a deterministic multistart: candidate A's from short difference
 vectors, tau from the phase of the weighted lattice sum, then Newton on the
 full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
-`fit_from` runs one start alone, from a caller's predictor; both finish a
-start the same way (canonical tau, exact energy from the Newton's own gather,
+`fit_from` runs one start alone, from a caller's predictor (a neighbour's fit
+carried over by `transport`) with its A scaled onto the det A = rho(x) ridge
+of nu, the kink Newton would otherwise cross back and forth for its first
+steps; the multistart's starts are never scaled.  Both finish a start the
+same way (canonical tau, exact energy from the Newton's own gather,
 regular-pair test on that energy's rho and J, with no second gather).
 
 `_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
@@ -39,11 +42,13 @@ potrf) and reuses the factor for the solve and both refinement passes.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
-fit from sample to sample with `fit_from`.  Samples 1.2 lam apart can still
+fit from sample to sample.  The sweeps are independent chains, so each step
+of both runs as one 2-row `fit_from_stack`.  Samples 1.2 lam apart can still
 land in a higher neighbouring basin, so where the sweeps disagree the
 sample gets the multistart warm-started from both (the basin guard).  A
 sample the sweeps agree on keeps the forward fit, in sample 0's integer
-gauge.  `fit_between` applies the same guard to one point between two fits.
+gauge.  `fit_between` applies the same guard to one point between two fits,
+its two continuation steps one 2-row stack as well.
 """
 
 from __future__ import annotations
@@ -708,12 +713,13 @@ def _pre_converge(raw: list[np.ndarray], chi: Configuration, x, params: ModelPar
 
 def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
              thresholds=None) -> FitResult:
-    """One damped Newton on h from aff0, finished exactly as a multistart start is.
+    """One damped Newton on h from aff0 put on the nu ridge, finished as a multistart start is.
 
     The continuation step of a loop or grid fit: aff0 is a neighbour's fit
-    transported to x, and the result keeps aff0's integer parametrisation
-    (tau wrapped to [0, 1)).  Raises FitError when aff0 has det A <= 0.  One
-    row of `fit_from_stack`.
+    transported to x (`transport`).  Its A is scaled so that det A = rho(x)
+    before Newton starts (`_on_ridge`), and the result keeps aff0's integer
+    parametrisation (tau wrapped to [0, 1)).  Raises FitError when aff0 has
+    det A <= 0.  One row of `fit_from_stack`.
     """
     out = fit_from_stack([aff0], chi, [x], params, thresholds)[0]
     if out is None:
@@ -725,15 +731,15 @@ def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
                    thresholds=None) -> list:
     """`fit_from` at K points in one lockstep Newton: the continuation steps of a grid round.
 
-    Row k starts from affs[k] at xs[k] on that point's own gather, and is the
-    run `fit_from` makes alone, bit for bit.  A row whose start has
-    det A <= 0 comes back as None.
+    Row k starts from affs[k] at xs[k] on that point's own gather, with A
+    scaled onto the row's det A = rho ridge, and is the run `fit_from` makes
+    alone, bit for bit.  A row whose start has det A <= 0 comes back as None.
     """
     xs = np.asarray(xs, dtype=float).reshape(len(affs), chi.d)
     obj = _Objective(chi, xs, params, j_only=False)
+    theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho, chi.d)
     try:
-        res = _newton(obj, np.stack([pack(a) for a in affs]), TOL_GRAD, MAX_ITER_H,
-                      require_pd=False)
+        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
     except FitError:
         return [None] * len(affs)
     out = []
@@ -748,27 +754,50 @@ def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
     return out
 
 
+def transport(y, aff: AffinePair, x) -> AffinePair:
+    """The continuation predictor: the fit aff at y carried to x as (A, tau + A (x - y))."""
+    return AffinePair(aff.A, aff.tau + aff.A @ np.subtract(x, y, dtype=float))
+
+
+def _on_ridge(theta: np.ndarray, rho: np.ndarray, d: int) -> np.ndarray:
+    """Starts (K, n) with each row's A scaled by (rho_k / det A_k)^(1/d); tau unchanged.
+
+    A transported predictor keeps its neighbour's det A, off the kink of
+    nu = vartheta |det A - rho| at the new point, and Newton would spend its
+    first steps crossing the smoothed ridge back and forth.  The scaled start
+    has det A = rho_k.  Rows with det A <= 0 or rho_k <= 0 are left as they are.
+    """
+    det_a = _det(theta[:, : d * d].reshape(-1, d, d))
+    ok = (det_a > 0.0) & (rho > 0.0)
+    scale = np.ones_like(det_a)
+    scale[ok] = (rho[ok] / det_a[ok]) ** (1.0 / d)
+    return np.concatenate([theta[:, : d * d] * scale[:, None], theta[:, d * d:]], axis=1)
+
+
 def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -> list[FitResult]:
     """Fits of the samples of a closed loop by two-way continuation with a basin guard.
 
     `points` are the distinct samples in loop order (the closing point not
     repeated).  Sample 0 gets the multistart `fit_global`.  A forward sweep
     (1 -> n-1) and a backward sweep (n-1 -> 1) each fit a sample by one
-    continuation step from the previous fit of that sweep, transported as
-    (A, tau + A dx); a step that fails, does not converge or is not regular
-    under `thresholds` falls back to `fit_global`.  Where the two sweeps'
-    totals differ by more than GUARD_TOL, one sweep sits in a higher basin,
-    and the sample gets `fit_global` warm-started from both; elsewhere it
-    keeps the forward fit, which stays in sample 0's integer gauge.
+    continuation step from the previous fit of that sweep (`_continue`); the
+    two sweeps are independent chains, so step i of both, to samples i and
+    n-i, runs as one 2-row `fit_from_stack`.  A step that fails, does not
+    converge or is not regular under `thresholds` falls back to `fit_global`.
+    Where the two sweeps' totals differ by more than GUARD_TOL, one sweep
+    sits in a higher basin, and the sample gets `fit_global` warm-started
+    from both; elsewhere it keeps the forward fit, which stays in sample 0's
+    integer gauge.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
     first = fit_global(chi, pts[0], params, thresholds=thresholds)
-    fwd = [first]
-    for x in pts[1:]:
-        fwd.append(_continue(fwd[-1].position, fwd[-1].aff_hat, chi, x, params, thresholds))
-    bwd = [first]
-    for x in pts[:0:-1]:
-        bwd.append(_continue(bwd[-1].position, bwd[-1].aff_hat, chi, x, params, thresholds))
+    fwd, bwd = [first], [first]
+    for i in range(1, n):
+        ends = [(fwd[-1].position, fwd[-1].aff_hat), (bwd[-1].position, bwd[-1].aff_hat)]
+        f, b = _continue(ends, chi, [pts[i], pts[n - i]], params, thresholds)
+        fwd.append(f)
+        bwd.append(b)
     bwd = [first] + bwd[:0:-1]
     return [_guard(f, b, chi, params, thresholds) for f, b in zip(fwd, bwd)]
 
@@ -776,22 +805,18 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
 def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=None) -> FitResult:
     """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
     x = np.asarray(x, dtype=float)
-    (y1, aff1), (y2, aff2) = ends
-    return _guard(_continue(y1, aff1, chi, x, params, thresholds),
-                  _continue(y2, aff2, chi, x, params, thresholds), chi, params, thresholds)
+    return _guard(*_continue(ends, chi, [x, x], params, thresholds), chi, params, thresholds)
 
 
-def _continue(y, aff: AffinePair, chi: Configuration, x, params: ModelParams,
-              thresholds) -> FitResult:
-    """One continuation step from the pair (y, aff) to x; the multistart when it is refused."""
-    pred = AffinePair(aff.A, aff.tau + aff.A @ (x - np.asarray(y, dtype=float)))
-    try:
-        out = fit_from(pred, chi, x, params, thresholds)
-    except FitError:
-        out = None
-    if out is not None and out.converged and out.regular:
-        return out
-    return fit_global(chi, x, params, thresholds=thresholds)
+def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds) -> list[FitResult]:
+    """One continuation step from each pair (y_k, aff_k) to xs[k] in one `fit_from_stack`.
+
+    A row that fails, does not converge or is not regular gets the multistart.
+    """
+    outs = fit_from_stack([transport(y, aff, x) for (y, aff), x in zip(ends, xs)], chi, xs,
+                          params, thresholds)
+    return [out if out is not None and out.converged and out.regular
+            else fit_global(chi, x, params, thresholds=thresholds) for out, x in zip(outs, xs)]
 
 
 def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
@@ -848,8 +873,7 @@ def track_minimizer(branch: BranchPoint, path, chi: Configuration,
     out = [branch]
     cur = branch
     for i, x_new in enumerate(path[1:], start=1):
-        dx = x_new - cur.position
-        pred = AffinePair(cur.aff_tilde.A, cur.aff_tilde.tau + cur.aff_tilde.A @ dx)
+        pred = transport(cur.position, cur.aff_tilde, x_new)
         ok, _ = is_regular_pair(x_new, pred, chi, params)
         if not ok:
             warnings.warn(f"track_minimizer truncated at step {i}: predictor not regular",

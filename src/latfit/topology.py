@@ -7,12 +7,12 @@ step reparametrisations along closed chains are the generalized Burgers
 vectors; they are exact integers, so every chain identity is tested exactly.
 
 `burgers_loop` fits its samples with `fitting.fit_loop`: one multistart at
-sample 0, continuation both ways round the loop, and a multistart
-warm-started from both sweeps wherever they disagree.  A loop product
-depends only on the integer gauge of the base fit (sample 0, still the
-multistart's): the gauges of the other samples cancel step by step.  So
-continuation changes the integers of the individual steps (most become
-B = I) but not the product.
+sample 0, continuation both ways round the loop with both sweeps stepped
+together as one 2-row stack, and a multistart warm-started from both
+sweeps wherever they disagree.  A loop product depends only on the integer
+gauge of the base fit (sample 0, still the multistart's): the gauges of the
+other samples cancel step by step.  So continuation changes the integers
+of the individual steps (most become B = I) but not the product.
 """
 
 from __future__ import annotations
@@ -291,12 +291,13 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     The loop must be closed (first point equals last) with steps <= 1.5*lam.
     Without `fits`, the samples are fitted by `fit_loop`: the multistart at
     sample 0, then a forward and a backward sweep of continuation steps,
-    each transported from the sweep's previous fit and kept when it
-    converges to a pair regular under `thresholds` (the multistart runs
-    otherwise).  Where the two sweeps' totals differ by more than 1e-12 one
-    of them sits in a higher basin, and the sample gets the multistart
-    warm-started from both fits; elsewhere it keeps the forward fit, so
-    most samples stay in sample 0's integer gauge and most steps have B = I.
+    stepped together, each transported from the sweep's previous fit, put
+    on the det A = rho ridge and kept when it converges to a pair regular
+    under `thresholds` (the multistart runs otherwise).  Where the two
+    sweeps' totals differ by more than 1e-12 one of them sits in a higher
+    basin, and the sample gets the multistart warm-started from both fits;
+    elsewhere it keeps the forward fit, so most samples stay in sample 0's
+    integer gauge and most steps have B = I.
     Any irregular sample refuses the loop, naming the sample, so the caller
     can reroute around defect cores.  With `verify_refinement`, the
     midpoint of the longest step is fitted from both its neighbours the

@@ -11,8 +11,10 @@ the difference vectors one at a time where the fit code masks them.
 `evaluate_grid` fits, aligns and minimizes node by node with the single-start
 `fit_from` and `minimize_j_local` where the grid runs one stacked Newton per
 round, and `fd_gradients` differences node by node where the grid code
-slices arrays.  They are slow and obviously correct; the kernel tests compare
-against them.
+slices arrays.  `fit_loop` runs its two sweeps one after the other and
+`fit_between` its two continuations one call each, one single-row `fit_from`
+per step, where the fit code steps both as one 2-row stack.  They are slow
+and obviously correct; the kernel tests compare against them.
 """
 
 import math
@@ -30,6 +32,7 @@ from latfit.fitting import (
     BranchPoint,
     FitError,
     _canonical_signs,
+    _guard,
     fit_from,
     fit_global,
     minimize_j_local,
@@ -438,3 +441,37 @@ def fd_gradients(field):
 
     return fields.FieldGradients(grad_tau=grad_tau, grad_a=grad_a, hess_tau=hess_tau,
                                  order=order, hess_ok=hess_ok)
+
+
+def continue_step(y, aff, chi, x, params, thresholds):
+    """One continuation step from the pair (y, aff) to x; the multistart when it is refused."""
+    pred = AffinePair(aff.A, aff.tau + aff.A @ (x - np.asarray(y, dtype=float)))
+    try:
+        out = fit_from(pred, chi, x, params, thresholds)
+    except FitError:
+        out = None
+    if out is not None and out.converged and out.regular:
+        return out
+    return fit_global(chi, x, params, thresholds=thresholds)
+
+
+def fit_loop(chi, points, params, thresholds=None):
+    """`fitting.fit_loop` with the forward sweep run to the end before the backward one starts."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    first = fit_global(chi, pts[0], params, thresholds=thresholds)
+    fwd = [first]
+    for x in pts[1:]:
+        fwd.append(continue_step(fwd[-1].position, fwd[-1].aff_hat, chi, x, params, thresholds))
+    bwd = [first]
+    for x in pts[:0:-1]:
+        bwd.append(continue_step(bwd[-1].position, bwd[-1].aff_hat, chi, x, params, thresholds))
+    bwd = [first] + bwd[:0:-1]
+    return [_guard(f, b, chi, params, thresholds) for f, b in zip(fwd, bwd)]
+
+
+def fit_between(chi, x, params, ends, thresholds=None):
+    """`fitting.fit_between` with one continuation call per end."""
+    x = np.asarray(x, dtype=float)
+    (y1, aff1), (y2, aff2) = ends
+    return _guard(continue_step(y1, aff1, chi, x, params, thresholds),
+                  continue_step(y2, aff2, chi, x, params, thresholds), chi, params, thresholds)

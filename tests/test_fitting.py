@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from latfit import fitting
 from latfit.core_model import AffinePair, Configuration, local_density
+from latfit.fields import GridGeometry, evaluate_grid
 from latfit.fitting import (
     MAX_ITER_H,
     TOL_GRAD,
@@ -13,14 +16,18 @@ from latfit.fitting import (
     _Objective,
     a_init_candidates,
     aff_distance,
+    fit_from,
+    fit_from_stack,
     fit_global,
+    fit_loop,
     minimize_j_local,
     pack,
     tau_init,
     track_minimizer,
+    transport,
 )
 from latfit.potentials import c_con
-from latfit.topology import find_reparam
+from latfit.topology import densify_loop, find_reparam
 from latfit.generators import GeneratorSpec, generate
 
 from conftest import exact_lattice
@@ -300,3 +307,96 @@ class TestTrackMinimizer:
             rhs = (mid.j_value * dc.alpha_nabla * 2.0**2 * dc.norm_grad_sqrt_phi**2 * rho2
                    / (ccv**2 * nai * rho**2 * lam**2))
             assert lhs <= rhs
+
+
+class TestContinuationStartsOnTheRidge:
+    """Continuation steps start Newton at det A = rho(x); multistart starts arrive as given."""
+
+    @staticmethod
+    def record_newton(mp):
+        calls = []
+
+        def recording_newton(obj, theta0, *args, **kwargs):
+            calls.append((obj, np.array(theta0, dtype=float)))
+            return _newton(obj, theta0, *args, **kwargs)
+
+        mp.setattr(fitting, "_newton", recording_newton)
+        return calls
+
+    @staticmethod
+    def continuation_rows(calls):
+        """(det A, rho) of every start row of the stacked Newtons on h (`fit_from_stack`)."""
+        rows = []
+        for obj, theta0 in calls:
+            if theta0.ndim == 2 and not obj.j_only:
+                a = theta0[:, : obj.d * obj.d].reshape(-1, obj.d, obj.d)
+                rows.extend(zip(np.linalg.det(a), obj.rho))
+        return rows
+
+    @pytest.fixture(scope="class")
+    def base_fit(self, params, chi_noise):
+        return fit_global(chi_noise, np.array([20.0, 20.0]), params)
+
+    def test_fit_from_stack_loop_and_grid_start_on_the_ridge(self, params, chi_noise, base_fit):
+        y = base_fit.position
+        xs = [y + [2.5, 0.0], y + [0.0, -2.5], y + [1.5, 1.5]]
+        affs = [transport(y, AffinePair(f * base_fit.aff_hat.A, base_fit.aff_hat.tau), x)
+                for f, x in zip((1.0, 1.04, 0.97), xs)]
+        corners = y + 4.0 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
+                                      [-1.0, -1.0]])
+        loop = densify_loop(corners, 3.0)[:-1]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.record_newton(mp)
+            fit_from_stack(affs, chi_noise, xs, params)
+            n_stack = len(self.continuation_rows(calls))
+            fit_loop(chi_noise, loop, params)
+            n_loop = len(self.continuation_rows(calls))
+            evaluate_grid(chi_noise, GridGeometry(origin=(17.0, 17.0), h=3.0, nx=3, ny=3), params)
+        rows = self.continuation_rows(calls)
+        # 3 stacked rows, 2 per loop step (both sweeps), one per grid node after the first
+        assert (n_stack, n_loop - n_stack, len(rows) - n_loop) == (3, 2 * (len(loop) - 1), 8)
+        for det_a, rho in rows:
+            assert abs(det_a - rho) <= 1e-12 * rho
+
+    def test_multistart_and_guard_starts_are_not_projected(self, params, chi_noise, base_fit):
+        x = base_fit.position
+        warm = (AffinePair(1.05 * base_fit.aff_hat.A, base_fit.aff_hat.tau),
+                AffinePair(0.96 * base_fit.aff_hat.A, base_fit.aff_hat.tau + 0.1))
+        other = replace(base_fit, aff_hat=warm[1],
+                        breakdown=replace(base_fit.breakdown, total=base_fit.breakdown.total + 1.0))
+        pre = []
+        pre_converge = fitting._pre_converge
+
+        def recording_pre_converge(*args):
+            out = pre_converge(*args)
+            pre.extend(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.record_newton(mp)
+            mp.setattr(fitting, "_pre_converge", recording_pre_converge)
+            fit_global(chi_noise, x, params, warm_starts=warm)
+            h_starts = [theta0 for obj, theta0 in calls if theta0.ndim == 1]
+            assert len(pre) > 0
+            expected = [pack(a) for a in pre + list(warm)]
+            assert len(h_starts) == len(expected)
+            assert all(np.array_equal(h, e) for h, e in zip(h_starts, expected))
+            # a guard that fires hands both fits to the multistart unscaled
+            n_before = len(calls)
+            fitting._guard(replace(base_fit, aff_hat=warm[0]), other, chi_noise, params, None)
+            guard_starts = [theta0 for obj, theta0 in calls[n_before:] if theta0.ndim == 1]
+        assert np.array_equal(guard_starts[-2], pack(warm[0]))
+        assert np.array_equal(guard_starts[-1], pack(warm[1]))
+        assert not self.continuation_rows(calls)
+
+    def test_fit_from_ignores_the_predictor_scale(self, params, chi_noise, base_fit):
+        y = base_fit.position
+        x = y + [2.0, -1.0]
+        pred = transport(y, base_fit.aff_hat, x)
+        ref = fit_from(pred, chi_noise, x, params)
+        assert ref.converged and ref.regular
+        for factor in (0.9, 1.07):
+            out = fit_from(AffinePair(factor * pred.A, pred.tau), chi_noise, x, params)
+            assert np.max(np.abs(out.aff_hat.A - ref.aff_hat.A)) <= 1e-12
+            assert np.max(np.abs(out.aff_hat.tau - ref.aff_hat.tau)) <= 1e-12
+            assert abs(out.breakdown.total - ref.breakdown.total) <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from cli_harness import DATA
 
+import kernel_oracles as oracle
 from latfit import fileio, fitting
 from latfit.core_model import AffinePair, Box, Configuration
 from latfit.fitting import fit_global, tau_init
@@ -332,6 +333,35 @@ def test_loop_continuation_matches_multistart():
         assert res.product == ref.product
         assert res.classification == ref.classification == "translation-defect"
     assert 6.0 in guarded
+
+
+def assert_same_fit(new, ref):
+    assert np.array_equal(new.aff_hat.A, ref.aff_hat.A)
+    assert np.array_equal(new.aff_hat.tau, ref.aff_hat.tau)
+    assert new.breakdown == ref.breakdown and new.report == ref.report
+    assert (new.iterations, new.n_candidates, new.converged, new.grad_norm) == \
+        (ref.iterations, ref.n_candidates, ref.converged, ref.grad_norm)
+
+
+def test_stacked_sweeps_match_sequential_oracle():
+    # the golden loops of half-widths 6 (where the guard fires, see above) and 10:
+    # both sweeps stepped as one 2-row stack, and `fit_between`'s two continuations
+    # as one, are the one-step-at-a-time runs bit for bit
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    core = json.loads((DATA / "golden_truth.json").read_text())["core"]
+    for half_width in (6.0, 10.0):
+        pts = square_loop(core, half_width, 1.2 * params.lam)[:-1]
+        fits = fitting.fit_loop(chi, pts, params)
+        ref = oracle.fit_loop(chi, pts, params)
+        assert len(fits) == len(ref) == len(pts)
+        for new, old in zip(fits, ref):
+            assert_same_fit(new, old)
+        ends = ((pts[0], fits[0].aff_hat), (pts[1], fits[1].aff_hat))
+        mid = 0.5 * (pts[0] + pts[1])
+        assert_same_fit(fitting.fit_between(chi, mid, params, ends),
+                        oracle.fit_between(chi, mid, params, ends))
 
 
 class TestChainDrift:
