@@ -12,8 +12,9 @@ parametrisation, so most nodes share the seed's gauge.  The nodes fall into
 rounds (wavefronts): a node's round follows those of all its neighbours
 earlier in seed order, so it continues from the neighbour it would pick one
 node at a time, and the continuation steps of one round run as one lockstep
-Newton over the round's per-node gathers.  The branch minimizers run
-stacked by the same rounds.
+Newton over the round's per-node gathers.  The nodes whose step is refused
+get the multistart, all of a round's in one `fit_global_stack`.  The branch
+minimizers run stacked by the same rounds.
 
 Fits at the grid nodes are glued onto one parametrization branch by a
 spanning tree of integer reparametrisations from a seed node, so the tau
@@ -43,7 +44,7 @@ from .core_model import Configuration, ModelParams, local_density
 from .fitting import (
     FitError,
     fit_from_stack,
-    fit_global,
+    fit_global_stack,
     minimize_j_stack,
     transport,
 )
@@ -155,17 +156,19 @@ def grid_rounds(geom: GridGeometry):
 
 def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thresholds,
                order: list, rounds: list):
-    """Fit stage: natural-parameter continuation, one stacked `fit_from_stack` per round.
+    """Fit stage: natural-parameter continuation, one `fit_from_stack` and one
+    `fit_global_stack` per round.
 
     A node with a valid 4-neighbour earlier in seed order (the earliest such)
     starts one damped Newton on h from the neighbour's transported fit
     (A_n, tau_n + A_n dx), its A scaled by `fit_from_stack` so that
     det A = rho at the node; the result is kept when it converged and is a
     regular pair under `thresholds`.  Otherwise, at the first node and where
-    a step is refused, the full multistart `fit_global` runs, in seed order.
-    A continued node's raw fit stays in its neighbour's integer
-    parametrisation, so `align` is mostly the identity.  Returns (fits, valid,
-    reasons, h_hat, rho_l, rho_2l).
+    a step is refused, the full multistart runs: one `fit_global_stack` over
+    the round's refused nodes in seed order, each row the `fit_global` run of
+    its node, bit for bit.  A continued node's raw fit stays in its
+    neighbour's integer parametrisation, so `align` is mostly the identity.
+    Returns (fits, valid, reasons, h_hat, rho_l, rho_2l).
     """
     ny, nx = geom.ny, geom.nx
     rank = {n: i for i, n in enumerate(order)}
@@ -189,15 +192,16 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
             outs = dict(zip(steps, fit_from_stack(list(steps.values()), chi,
                                                   [geom.node(*n) for n in steps],
                                                   params, thresholds)))
+        refused = [n for n in wave if outs.get(n) is None
+                   or not (outs[n].converged and outs[n].regular)]
+        outs.update(zip(refused, fit_global_stack(chi, [geom.node(*n) for n in refused],
+                                                  params, thresholds)))
         for ix, iy in wave:
             x = geom.node(ix, iy)
-            out = outs.get((ix, iy))
-            if out is None or not (out.converged and out.regular):
-                try:
-                    out = fit_global(chi, x, params, thresholds=thresholds)
-                except FitError as err:
-                    reasons[iy][ix] = f"fit failed: {err}"
-                    continue
+            out = outs[(ix, iy)]
+            if isinstance(out, FitError):
+                reasons[iy][ix] = f"fit failed: {out}"
+                continue
             fits[iy][ix] = out
             h_hat[iy, ix] = out.breakdown.total
             rho_l[iy, ix] = out.breakdown.rho

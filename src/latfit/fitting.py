@@ -23,12 +23,15 @@ gather, or each has its own point: one gather per row, zero-padded to the
 longest, so the continuation steps of a grid round (`fit_from_stack`) and
 its branch minimizers (`minimize_j_stack`) each run as one stack.  Every row
 is computed exactly as that start alone, so the lockstep run equals K single
-runs bit for bit.  The multistart pre-converges all its candidates on J at
-lam/2 this way, from one gather that also gives each candidate's tau; the
-starts on h stay sequential, because each one's abort bar is the best total
-before it.  Single-start callers (`fit_from`, the h starts,
-`minimize_j_local`) pass one row through the same code; `minimize_j_local`
-alone raises BasinEscapeError for a row that left the basin.
+runs bit for bit.  The multistart (`fit_global_stack`) serves the points of
+a grid round together: it pre-converges every candidate of every point on
+J at lam/2 as one stack, each point's gather also giving its candidates'
+tau, and then runs start k of every point as one stack on h, k = 0, 1, ...
+Each start's abort bar is the best total of its own point's starts before
+it, a per-row bar.  Single-start callers (`fit_from`, `fit_global`,
+`minimize_j_local`) pass one row or one point through the same code;
+`minimize_j_local` alone raises BasinEscapeError for a row that left the
+basin.
 
 One Newton step costs one value, gradient and Hessian per start.
 `_Objective` computes det A and A^{-1} once per evaluation (2 x 2 closed
@@ -53,6 +56,7 @@ its two continuation steps one 2-row stack as well.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,7 +168,9 @@ class _Objective:
     likewise constant per point during the (A, tau) optimization.  theta is
     one start (n,) or a stack of K starts (K, n) on a leading axis; `rows`
     names each start's row of the run (default 0..K-1), which is its point
-    when there are G = K points, while G = 1 point serves every row.  The
+    when there are G = K points, while G = 1 point serves every row.  A view
+    from `on_points` maps the rows of its run to points instead, so the
+    starts of several points share the points' gathers.  The
     value, gradient and Hessian come back with theta's leading axis, each row
     computed exactly as that start alone, so a lockstep Newton over K starts
     follows K single runs bit for bit.  Each evaluation computes det A and
@@ -194,7 +200,15 @@ class _Objective:
         self.c = np.array([c for _, _, c in gathers])
         self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
         self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
+        self.point = None       # row -> point of a run (`on_points`); None: row k is point k
         self._kept = {}         # row -> (theta, cos pass) of the last `value` at that row
+
+    def on_points(self, points) -> _Objective:
+        """This objective for a run whose row k sits at point points[k]; the gathers are shared."""
+        out = copy.copy(self)
+        out.point = np.asarray(points)
+        out._kept = {}
+        return out
 
     def gather(self, i: int = 0):
         """(rel, w, c) of point i, unpadded."""
@@ -206,6 +220,8 @@ class _Objective:
 
     def _points(self, rows: np.ndarray):
         """(rel, w, c, rho, eps_nu) of the rows' points; one point broadcasts over every row."""
+        if self.point is not None:
+            rows = self.point[rows]
         if self.w.shape[0] == 1 or np.array_equal(rows, np.arange(self.w.shape[0])):
             return self.rel, self.w, self.c, self.rho, self.eps_nu
         return self.rel[rows], self.w[rows], self.c[rows], self.rho[rows], self.eps_nu[rows]
@@ -352,7 +368,7 @@ def _newton_direction(hs: np.ndarray, gs: np.ndarray, require_pd: bool) -> np.nd
 
 
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
-            require_pd: bool, abort_above: float | None = None) -> _NewtonResult:
+            require_pd: bool, abort_above: float | np.ndarray | None = None) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
     theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
@@ -360,8 +376,10 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     row still running, and each row follows exactly the run it would make
     alone.  A row stops in one of six ways:
     - converged: the scaled gradient norm is at most tol_grad;
-    - abort_above: from iteration 10 on, the value is still above abort_above
-      (a multistart's bar: the descent is monotone, so such a run cannot win);
+    - abort_above: from iteration 10 on, the value is still above the row's
+      bar (a multistart's bar: the descent is monotone, so such a run cannot
+      win).  abort_above is one bar for every row or a (K,) array of bars,
+      one per row, where inf is no bar;
     - line-search failure: no step length down to 2^-40 decreases the value;
     - max-iter: max_iter steps taken;
     - det A <= 0 at the start: value +inf, 0 iterations;
@@ -647,68 +665,117 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     """Multistart damped Newton on h = J + F + smoothed nu; lowest total wins.
 
     The returned total is an upper bound on the true infimum by construction.
-    Ties within 1e-12 break to the lexicographically smallest (tau, A).
+    Ties within 1e-12 break to the lexicographically smallest (tau, A).  The
+    warm starts run after the pre-converged candidates.  One row of
+    `fit_global_stack`; raises its row's FitError.
     """
-    x = np.asarray(x, dtype=float)
-    starts: list[AffinePair] = []
-    try:
-        raw = a_init_candidates(chi, x, lam=params.lam)
-    except FitError:
-        raw = []
-    if raw:
-        starts.extend(_pre_converge(raw, chi, x, params))
-    starts.extend(warm_starts)
-    if not starts:
-        raise FitError(f"no fit candidates at {x}")
+    out = fit_global_stack(chi, [x], params, thresholds, warm_starts=[warm_starts])[0]
+    if isinstance(out, FitError):
+        raise out
+    return out
 
-    obj = _Objective(chi, x, params, j_only=False)
-    outcomes = []
-    best_seen = math.inf
-    for aff0 in starts:
-        abort_above = 1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None
+
+def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=None,
+                     warm_starts=None) -> list:
+    """`fit_global` at G points in lockstep: the multistart fallbacks of a grid round.
+
+    Row g is the run `fit_global` makes alone at xs[g] (with warm_starts[g]),
+    bit for bit: its FitResult, or in its place the FitError it would raise.
+    The A candidates come from `a_init_candidates` point by point.  Their
+    lam/2 stage (`_half_stage`) is one lockstep Newton on J over every
+    candidate of every point.  Then start k of every point that has one runs
+    as one stack on h, for k = 0, 1, ...; each row's abort bar is its own
+    point's 1.05 best + 1e-6 over its starts before k, so no bar is shared.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
+    if warm_starts is None:
+        warm_starts = [()] * len(xs)
+    starts = _half_stage(chi, xs, params)
+    for g, warm in enumerate(warm_starts):
+        starts[g].extend(pack(a) for a in warm)
+    live = [g for g in range(len(xs)) if starts[g]]
+    outcomes = [[] for _ in xs]
+    best = np.full(len(xs), math.inf)
+    if live:
+        obj = _Objective(chi, xs[live], params, j_only=False)
+    for k in range(max((len(starts[g]) for g in live), default=0)):
+        rows = [i for i, g in enumerate(live) if len(starts[g]) > k]
+        nodes = [live[i] for i in rows]
         try:
-            out = _run_start(obj, aff0, params, abort_above)
+            res = _newton(obj.on_points(rows), np.stack([starts[g][k] for g in nodes]),
+                          TOL_GRAD, MAX_ITER_H, require_pd=False,
+                          abort_above=1.05 * best[nodes] + 1e-6)    # inf: no bar yet
         except FitError:
             continue
-        best_seen = min(best_seen, out[1].total)
-        outcomes.append(out)
-    if not outcomes:
-        raise FitError(f"all fit candidates failed at {x}")
+        for r, (i, g) in enumerate(zip(rows, nodes)):
+            if math.isfinite(res.value[r]):
+                aff, breakdown = _exact(obj, res.theta[r], params, i)
+                best[g] = min(best[g], breakdown.total)
+                outcomes[g].append((aff, breakdown, int(res.iterations[r]),
+                                    float(res.grad_norm[r]), bool(res.converged[r])))
 
-    best_total = min(o[1].total for o in outcomes)
-    tied = [o for o in outcomes if o[1].total <= best_total + 1e-12]
-    tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
-    aff, breakdown, res = tied[0]
-    return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params, thresholds,
-                   converged=any(o[2].converged for o in tied), n_candidates=len(starts))
+    out = []
+    for g, x in enumerate(xs):
+        if not starts[g]:
+            out.append(FitError(f"no fit candidates at {x}"))
+            continue
+        if not outcomes[g]:
+            out.append(FitError(f"all fit candidates failed at {x}"))
+            continue
+        tied = [o for o in outcomes[g] if o[1].total <= best[g] + 1e-12]
+        tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
+        aff, breakdown, iterations, grad_norm, _ = tied[0]
+        out.append(_finish(x.copy(), aff, breakdown, iterations, grad_norm, chi, params,
+                           thresholds, converged=any(o[4] for o in tied),
+                           n_candidates=len(starts[g])))
+    return out
 
 
-def _pre_converge(raw: list[np.ndarray], chi: Configuration, x, params: ModelParams
-                  ) -> list[AffinePair]:
-    """The A candidates pre-converged on J at lam/2, at most 4 of them kept.
+def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list:
+    """Per point, its A candidates pre-converged on J at lam/2 as starts (n,), at most 4 kept.
 
     The convexity basin is twice as wide at lam/2, which tolerates the noise
-    of the init vectors.  One gather gives every candidate's tau and one
-    lockstep Newton steps them all.
+    of the init vectors.  Each point's lam/2 gather gives its candidates'
+    tau, and one lockstep Newton steps the candidates of every point.  A
+    point whose candidates all stay on the incoherent plateau, or that has
+    none, keeps no start.
     """
-    obj = _Objective(chi, x, params, j_only=True, lam=params.lam / 2.0)
-    if obj.rho[0] <= 0.0:
-        return []
-    a = np.asarray(raw)
-    rel, w, _ = obj.gather()
-    theta0 = np.concatenate([a.reshape(len(raw), -1), _tau_phase(a, rel, w)], axis=1)
+    raw = []
+    for x in xs:
+        try:
+            raw.append(a_init_candidates(chi, x, lam=params.lam))
+        except FitError:
+            raw.append([])
+    kept = [[] for _ in xs]
+    todo = [g for g in range(len(xs)) if raw[g]]
+    if not todo:
+        return kept
+    obj = _Objective(chi, xs[todo], params, j_only=True, lam=params.lam / 2.0)
+    point, theta0 = [], []
+    for i, g in enumerate(todo):
+        if obj.rho[i] <= 0.0:
+            continue
+        a = np.asarray(raw[g])
+        rel, w, _ = obj.gather(i)
+        theta0.append(np.concatenate([a.reshape(len(a), -1), _tau_phase(a, rel, w)], axis=1))
+        point.extend([i] * len(a))
+    if not theta0:
+        return kept
     try:
-        res = _newton(obj, theta0, 1e-8, 15, require_pd=False)
+        res = _newton(obj.on_points(point), np.concatenate(theta0), 1e-8, 15, require_pd=False)
     except FitError:
-        return []
-    finite = np.isfinite(res.value)
-    j_half, theta_half = res.value[finite], res.theta[finite]
-    if j_half.size == 0:
-        return []
-    # drop candidates stuck on the incoherent plateau; finer sublattices also
-    # fit J well and are left for nu to reject
-    bar = max(25.0 * float(np.min(j_half)), 1e-9)
-    return [unpack(th, chi.d) for th in theta_half[j_half <= bar][:4]]
+        return kept
+    point = np.asarray(point)
+    for i, g in enumerate(todo):
+        mine = (point == i) & np.isfinite(res.value)
+        j_half, theta_half = res.value[mine], res.theta[mine]
+        if j_half.size == 0:
+            continue
+        # drop candidates stuck on the incoherent plateau; finer sublattices also
+        # fit J well and are left for nu to reject
+        bar = max(25.0 * float(np.min(j_half)), 1e-9)
+        kept[g] = list(theta_half[j_half <= bar][:4])
+    return kept
 
 
 def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
@@ -811,12 +878,19 @@ def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=Non
 def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds) -> list[FitResult]:
     """One continuation step from each pair (y_k, aff_k) to xs[k] in one `fit_from_stack`.
 
-    A row that fails, does not converge or is not regular gets the multistart.
+    The rows that fail, do not converge or are not regular get the multistart,
+    all of them in one `fit_global_stack`.
     """
     outs = fit_from_stack([transport(y, aff, x) for (y, aff), x in zip(ends, xs)], chi, xs,
                           params, thresholds)
-    return [out if out is not None and out.converged and out.regular
-            else fit_global(chi, x, params, thresholds=thresholds) for out, x in zip(outs, xs)]
+    refused = [k for k, out in enumerate(outs)
+               if out is None or not (out.converged and out.regular)]
+    for k, out in zip(refused, fit_global_stack(chi, [xs[k] for k in refused], params,
+                                                thresholds)):
+        if isinstance(out, FitError):
+            raise out
+        outs[k] = out
+    return outs
 
 
 def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
@@ -828,18 +902,10 @@ def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
                       thresholds=thresholds)
 
 
-def _run_start(obj: _Objective, aff0: AffinePair, params: ModelParams,
-               abort_above: float | None = None):
-    """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy from obj's gather."""
-    res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER_H, require_pd=False,
-                  abort_above=abort_above)
-    return (*_exact(obj, res.theta, params), res)
-
-
-def _exact(obj: _Objective, theta: np.ndarray, params: ModelParams, row: int = 0):
-    """(the pair of theta with tau wrapped to [0, 1), its exact energy from the row's gather)."""
+def _exact(obj: _Objective, theta: np.ndarray, params: ModelParams, point: int = 0):
+    """(the pair of theta with tau wrapped to [0, 1), its exact energy from the point's gather)."""
     aff = unpack(theta, obj.d).canonical_tau()
-    rel, w, c = obj.gather(row)
+    rel, w, c = obj.gather(point)
     return aff, sample_energy(aff, rel, w, c, params)
 
 

@@ -299,7 +299,9 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     elsewhere it keeps the forward fit, so most samples stay in sample 0's
     integer gauge and most steps have B = I.
     Any irregular sample refuses the loop, naming the sample, so the caller
-    can reroute around defect cores.  With `verify_refinement`, the
+    can reroute around defect cores.  A fit from `fit_loop` carries its
+    regular-pair test under `thresholds`; caller-supplied `fits` are tested
+    here.  With `verify_refinement`, the
     midpoint of the longest step is fitted from both its neighbours the
     same way and must leave the product unchanged.
     """
@@ -313,11 +315,12 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     if np.any(seps > 1.5 * params.lam + 1e-9):
         raise ValueError(f"loop step {float(np.max(seps)):g} exceeds 1.5*lam; densify first")
 
-    fits = fit_loop(chi, core, params, thresholds) if fits is None else list(fits)
+    tested = fits is None       # fit_loop's fits carry their regular-pair test
+    fits = fit_loop(chi, core, params, thresholds) if tested else list(fits)
     pairs = [_as_point_aff(f) for f in fits]
 
-    for i, (y, aff) in enumerate(pairs):
-        ok, _ = is_regular_pair(y, aff, chi, params, thresholds)
+    for i, (f, (y, aff)) in enumerate(zip(fits, pairs)):
+        ok = f.regular if tested else is_regular_pair(y, aff, chi, params, thresholds)[0]
         if not ok:
             raise IrregularSampleError(
                 f"loop sample {i} at {np.array2string(y, precision=3)} is not a regular pair")

@@ -13,8 +13,11 @@ the difference vectors one at a time where the fit code masks them.
 round, and `fd_gradients` differences node by node where the grid code
 slices arrays.  `fit_loop` runs its two sweeps one after the other and
 `fit_between` its two continuations one call each, one single-row `fit_from`
-per step, where the fit code steps both as one 2-row stack.  They are slow
-and obviously correct; the kernel tests compare against them.
+per step, where the fit code steps both as one 2-row stack.  `fit_global` is
+the multistart one point at a time, its starts on h one after the other,
+where the fit code runs the multistarts of a grid round as one stack per
+start.  They are slow and obviously correct; the kernel tests compare
+against them.
 """
 
 import math
@@ -23,19 +26,27 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from latfit import fields
+from latfit import fields, fitting
 from latfit.core_model import AffinePair, local_density
 from latfit.fitting import (
     MAX_CANDIDATES,
+    MAX_ITER_H,
     N_DIRECTIONS,
+    TOL_GRAD,
     BasinEscapeError,
     BranchPoint,
     FitError,
     _canonical_signs,
+    _exact,
+    _finish,
     _guard,
+    _newton,
+    _Objective,
+    _tau_phase,
     fit_from,
-    fit_global,
     minimize_j_local,
+    pack,
+    unpack,
 )
 from latfit.topology import Reparam, ReparamError, find_reparam
 
@@ -249,6 +260,72 @@ def a_init_candidates(chi, x, lam):
             keys.append((basis_len, tuple(np.round(a, 9).ravel())))
     order = sorted(range(len(candidates)), key=lambda i: keys[i])
     return [candidates[i] for i in order[:MAX_CANDIDATES]]
+
+
+def fit_global(chi, x, params, warm_starts=(), thresholds=None):
+    """`fitting.fit_global` one point at a time, its starts on h run one after the other.
+
+    Each start's abort bar is 1.05 times the best total before it, plus 1e-6.
+    """
+    x = np.asarray(x, dtype=float)
+    starts = []
+    try:
+        raw = fitting.a_init_candidates(chi, x, lam=params.lam)
+    except FitError:
+        raw = []
+    if raw:
+        starts.extend(pre_converge(raw, chi, x, params))
+    starts.extend(warm_starts)
+    if not starts:
+        raise FitError(f"no fit candidates at {x}")
+
+    obj = _Objective(chi, x, params, j_only=False)
+    outcomes = []
+    best_seen = math.inf
+    for aff0 in starts:
+        abort_above = 1.05 * best_seen + 1e-6 if math.isfinite(best_seen) else None
+        try:
+            out = run_start(obj, aff0, params, abort_above)
+        except FitError:
+            continue
+        best_seen = min(best_seen, out[1].total)
+        outcomes.append(out)
+    if not outcomes:
+        raise FitError(f"all fit candidates failed at {x}")
+
+    best_total = min(o[1].total for o in outcomes)
+    tied = [o for o in outcomes if o[1].total <= best_total + 1e-12]
+    tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
+    aff, breakdown, res = tied[0]
+    return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params, thresholds,
+                   converged=any(o[2].converged for o in tied), n_candidates=len(starts))
+
+
+def pre_converge(raw, chi, x, params):
+    """The A candidates of one point pre-converged on J at lam/2, at most 4 of them kept."""
+    obj = _Objective(chi, x, params, j_only=True, lam=params.lam / 2.0)
+    if obj.rho[0] <= 0.0:
+        return []
+    a = np.asarray(raw)
+    rel, w, _ = obj.gather()
+    theta0 = np.concatenate([a.reshape(len(raw), -1), _tau_phase(a, rel, w)], axis=1)
+    try:
+        res = _newton(obj, theta0, 1e-8, 15, require_pd=False)
+    except FitError:
+        return []
+    finite = np.isfinite(res.value)
+    j_half, theta_half = res.value[finite], res.theta[finite]
+    if j_half.size == 0:
+        return []
+    bar = max(25.0 * float(np.min(j_half)), 1e-9)
+    return [unpack(th, chi.d) for th in theta_half[j_half <= bar][:4]]
+
+
+def run_start(obj, aff0, params, abort_above=None):
+    """Newton on h from one start, then tau wrapped to [0, 1) and the exact energy from obj's gather."""
+    res = _newton(obj, pack(aff0), TOL_GRAD, MAX_ITER_H, require_pd=False,
+                  abort_above=abort_above)
+    return (*_exact(obj, res.theta, params), res)
 
 
 def evaluate_grid(chi, geom, params, thresholds=None):

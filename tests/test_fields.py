@@ -22,7 +22,7 @@ from latfit.fields import (
     theorem2_check,
     unimodular_matrices,
 )
-from latfit.fitting import fit_from_stack, fit_global
+from latfit.fitting import FitError, fit_from_stack, fit_global, fit_global_stack
 from latfit.generators import Box as GenBox  # same class, readability
 from latfit.generators import GeneratorSpec, edge_dipole, generate, lattice_from_map
 from latfit.potentials import c_con, c_tilde_nabla
@@ -482,15 +482,55 @@ def test_round_grid_matches_per_node_oracle(grid_params):
     geom = GridGeometry(origin=(-12.0, -4.0), h=2.0, nx=6, ny=5)
     multistarts = []
 
-    def counting_fit_global(chi, x, *args, **kwargs):
-        multistarts.append(x)
-        return fit_global(chi, x, *args, **kwargs)
+    def counting_fit_global_stack(chi, xs, *args, **kwargs):
+        multistarts.append(len(xs))
+        return fit_global_stack(chi, xs, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_global", counting_fit_global)
+        mp.setattr(fields, "fit_global_stack", counting_fit_global_stack)
         new = evaluate_grid(chi, geom, grid_params, thresholds=tight)
-    assert len(multistarts) > 1 and not new.valid.all()
+    assert sum(multistarts) > 1 and not new.valid.all()
+    assert max(multistarts) >= 2        # one stack holds the fallback nodes of a round
     assert_same_field(new, oracle.evaluate_grid(chi, geom, grid_params, thresholds=tight))
+
+
+def assert_same_fit(out, ref):
+    """Two FitResults equal bit for bit."""
+    assert np.array_equal(out.position, ref.position)
+    assert np.array_equal(out.aff_hat.A, ref.aff_hat.A)
+    assert np.array_equal(out.aff_hat.tau, ref.aff_hat.tau)
+    assert out.breakdown == ref.breakdown and out.report == ref.report
+    assert (out.regular, out.converged, out.iterations, out.n_candidates, out.grad_norm) \
+        == (ref.regular, ref.converged, ref.iterations, ref.n_candidates, ref.grad_norm)
+
+
+def test_fit_global_stack_matches_per_node_oracle(grid_params):
+    # round 4 of the benchmark's dipole-defects grid: 16 nodes, none with a valid
+    # earlier neighbour, so the grid hands all of them to one multistart stack;
+    # a point far outside the atoms has too few of them and fails on its own
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-16.0, -10.0), h=2.0, nx=17, ny=11)
+    xs = [geom.node(ix, iy) for ix, iy in fields.grid_rounds(geom)[1][4]]
+    xs.insert(5, np.array([200.0, 200.0]))
+    assert len(xs) == 17
+    outs = fit_global_stack(chi, xs, grid_params, tight)
+    assert len(outs) == len(xs)
+    for x, out in zip(xs, outs):
+        try:
+            ref = oracle.fit_global(chi, x, grid_params, thresholds=tight)
+        except FitError as err:
+            assert isinstance(out, FitError) and str(out) == str(err)
+            continue
+        assert_same_fit(out, ref)
+    assert str(outs[5]) == "no fit candidates at [200. 200.]"
+    regular = [o.regular for o in outs if not isinstance(o, FitError)]
+    assert any(regular) and not all(regular)
+    # a one-row stack is fit_global, and raises its row's error
+    assert_same_fit(fit_global(chi, xs[0], grid_params, thresholds=tight), outs[0])
+    with pytest.raises(FitError, match=r"no fit candidates at \[200\. 200\.\]"):
+        fit_global(chi, xs[5], grid_params, thresholds=tight)
 
 
 def test_fd_gradients_match_loop_form(grid_params, perfect_field):

@@ -324,11 +324,17 @@ class TestContinuationStartsOnTheRidge:
         return calls
 
     @staticmethod
+    def h_starts(calls):
+        """The start rows of the multistarts' Newtons on h, whose objectives map rows to points."""
+        return [row for obj, theta0 in calls if obj.point is not None and not obj.j_only
+                for row in theta0]
+
+    @staticmethod
     def continuation_rows(calls):
         """(det A, rho) of every start row of the stacked Newtons on h (`fit_from_stack`)."""
         rows = []
         for obj, theta0 in calls:
-            if theta0.ndim == 2 and not obj.j_only:
+            if theta0.ndim == 2 and not obj.j_only and obj.point is None:
                 a = theta0[:, : obj.d * obj.d].reshape(-1, obj.d, obj.d)
                 rows.extend(zip(np.linalg.det(a), obj.rho))
         return rows
@@ -365,26 +371,26 @@ class TestContinuationStartsOnTheRidge:
         other = replace(base_fit, aff_hat=warm[1],
                         breakdown=replace(base_fit.breakdown, total=base_fit.breakdown.total + 1.0))
         pre = []
-        pre_converge = fitting._pre_converge
+        half_stage = fitting._half_stage
 
-        def recording_pre_converge(*args):
-            out = pre_converge(*args)
-            pre.extend(out)
+        def recording_half_stage(*args):
+            out = half_stage(*args)
+            pre.extend(out[0])
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             calls = self.record_newton(mp)
-            mp.setattr(fitting, "_pre_converge", recording_pre_converge)
+            mp.setattr(fitting, "_half_stage", recording_half_stage)
             fit_global(chi_noise, x, params, warm_starts=warm)
-            h_starts = [theta0 for obj, theta0 in calls if theta0.ndim == 1]
+            h_starts = self.h_starts(calls)
             assert len(pre) > 0
-            expected = [pack(a) for a in pre + list(warm)]
+            expected = pre + [pack(a) for a in warm]
             assert len(h_starts) == len(expected)
             assert all(np.array_equal(h, e) for h, e in zip(h_starts, expected))
             # a guard that fires hands both fits to the multistart unscaled
             n_before = len(calls)
             fitting._guard(replace(base_fit, aff_hat=warm[0]), other, chi_noise, params, None)
-            guard_starts = [theta0 for obj, theta0 in calls[n_before:] if theta0.ndim == 1]
+            guard_starts = self.h_starts(calls[n_before:])
         assert np.array_equal(guard_starts[-2], pack(warm[0]))
         assert np.array_equal(guard_starts[-1], pack(warm[1]))
         assert not self.continuation_rows(calls)

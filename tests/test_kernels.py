@@ -34,10 +34,10 @@ from latfit.fitting import (
     TOL_GRAD,
     BasinEscapeError,
     FitError,
+    _exact,
     _newton,
     _Objective,
     _pd_solve,
-    _run_start,
     a_init_candidates,
     fit_from,
     fit_from_stack,
@@ -287,12 +287,40 @@ def test_stacked_newton_rows_match_single_runs(params, chi_noise):
     assert aborted.iterations.tolist() == [0, 10] and aborted.converged.tolist() == [True, False]
 
 
+def test_stacked_newton_rows_keep_their_own_abort_bars(params, chi_noise):
+    # a multistart's h stage: each row carries its own point's bar, inf where none is set yet
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    start = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    other = pack(AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6])))
+    full = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False)
+    assert full.converged and full.iterations > 10
+    thetas = np.stack([start, start, other, other])
+    bars = np.array([0.0, math.inf, full.value, 1e9])
+    res = _newton(obj, thetas, TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=bars)
+    for k, (theta, bar) in enumerate(zip(thetas, bars)):
+        single = _newton(obj, theta, TOL_GRAD, MAX_ITER_H, require_pd=False,
+                         abort_above=bar if math.isfinite(bar) else None)
+        assert_row_is_single_run(res, k, single)
+        assert res.escaped[k] == single.escaped
+    # the same start stops at iteration 10 under its bar and runs on to convergence
+    # without one; a start in a higher basin stops under the first start's total
+    # and converges under a loose bar
+    assert (res.converged[0], res.iterations[0]) == (False, 10)
+    assert (res.converged[1], res.iterations[1]) == (True, full.iterations)
+    assert res.value[1] == full.value
+    assert (res.converged[2], res.iterations[2]) == (False, 10)
+    assert res.converged[3] and res.iterations[3] > 10 and res.value[3] > full.value
+
+
 def test_run_start_energy_is_pre_energy(params, chi_noise):
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.uniform(10.0, 30.0, size=2)
         obj = _Objective(chi_noise, x, params, j_only=False)
-        aff, breakdown, _ = _run_start(obj, AffinePair(np.eye(2), x % 1.0), params)
+        res = _newton(obj, pack(AffinePair(np.eye(2), x % 1.0)), TOL_GRAD, MAX_ITER_H,
+                      require_pd=False)
+        aff, breakdown = _exact(obj, res.theta, params)
         assert breakdown == pre_energy(aff, chi_noise, x, params)
 
 

@@ -6,7 +6,7 @@ from cli_harness import DATA
 
 import kernel_oracles as oracle
 from latfit import fileio, fitting
-from latfit.core_model import AffinePair, Box, Configuration
+from latfit.core_model import AffinePair, Box, Configuration, is_regular_pair
 from latfit.fitting import fit_global, tau_init
 from latfit.generators import GeneratorSpec, edge_dipole, generate, half_plane_count_oracle
 from latfit.topology import (
@@ -362,6 +362,18 @@ def test_stacked_sweeps_match_sequential_oracle():
         mid = 0.5 * (pts[0] + pts[1])
         assert_same_fit(fitting.fit_between(chi, mid, params, ends),
                         oracle.fit_between(chi, mid, params, ends))
+
+
+def test_fit_loop_samples_carry_their_regularity_test():
+    # burgers_loop reads f.regular of fit_loop's samples instead of testing them again
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    core = json.loads((DATA / "golden_truth.json").read_text())["core"]
+    for half_width in (6.0, 10.0):
+        pts = square_loop(core, half_width, 1.2 * params.lam)[:-1]
+        for f in fitting.fit_loop(chi, pts, params):
+            assert f.regular == is_regular_pair(f.position, f.aff_hat, chi, params, None)[0]
 
 
 class TestChainDrift:
