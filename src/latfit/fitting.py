@@ -40,18 +40,20 @@ forms for d = 2, in an `_Iterate`, not an AffinePair) and hands them to J
 for d = 2) and the smoothed nu; F and nu share one Hessian of det
 (`det_hessian`).  `value` keeps each row's cos pass, and the next
 `value_grad_hess` at the accepted iterate takes it from there instead of
-redoing it.  `_pd_solve` factors the equilibrated Hessian once (LAPACK
-potrf) and reuses the factor for the solve and both refinement passes.
+redoing it.  `_newton_steps` gives every row its step in one batched pass,
+with no solve per row.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
 fit from sample to sample.  The sweeps are independent chains, so each step
-of both runs as one 2-row `fit_from_stack`.  Samples 1.2 lam apart can still
-land in a higher neighbouring basin, so where the sweeps disagree the
+of both runs as one 2-row stack (`_fit_from_rows`, the body of
+`fit_from_stack`) on a view of one objective over the loop's samples: each
+sample is gathered once, not once per sweep.  Samples 1.2 lam apart can
+still land in a higher neighbouring basin, so where the sweeps disagree the
 sample gets the multistart warm-started from both (the basin guard).  A
 sample the sweeps agree on keeps the forward fit, in sample 0's integer
 gauge.  `fit_between` applies the same guard to one point between two fits,
-its two continuation steps one 2-row stack as well.
+its two continuation steps one 2-row stack on one gather as well.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core_model import (
     AffinePair,
@@ -330,41 +331,44 @@ class _NewtonResult:
     escaped: bool       # left the convexity basin (require_pd only)
 
 
-def _pd_solve(hs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """Newton direction -hs^{-1} gs via equilibrated Cholesky with refinement.
+def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: float,
+                  require_pd: bool):
+    """(grad_norm, converged, escaped, step, slope, blind) of every row of a lockstep stack.
 
-    The smoothed nu ridge makes hs conditioned like 1e10; Jacobi equilibration
-    plus two iterative-refinement passes recover full gradient accuracy.  One
-    Cholesky factor serves the solve and both passes.  Raises LinAlgError
-    when hs is not positive definite.
+    gs (K, n) and hs (K, n, n) are lambda-scaled.  One batched eigh of the
+    Jacobi-equilibrated hs, which has hs's inertia (Sylvester), tests each row:
+    positive definite when its smallest eigenvalue exceeds n eps times its
+    largest.  There it gives hs^{-1} for the solve and two refinement passes;
+    elsewhere the step is the eigenvalue-floored one of hs (Nocedal & Wright,
+    sec. 3.4), or under require_pd the row escapes the basin.  Steps are
+    capped at STEP_CAP.  Each row is bit for bit that row alone.
     """
-    dj = np.sqrt(np.maximum(np.diag(hs), 1e-300))
-    heq = hs / dj[:, None] / dj[None, :]
-    low, info = dpotrf(heq, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Hessian is not positive definite")
-
-    def solve(rhs):
-        return dpotrs(low, rhs / dj, lower=1)[0] / dj
-
-    ps = -solve(gs)
+    k_rows, n = gs.shape
+    grad_norm = np.sqrt((gs * gs).sum(axis=1))
+    converged = grad_norm <= tol_grad
+    dj = np.sqrt(np.maximum(hs.reshape(k_rows, -1)[:, :: n + 1], 1e-300))    # sqrt diag hs
+    evals, evecs = np.linalg.eigh(hs / dj[:, :, None] / dj[:, None, :])
+    pd = evals[:, 0] > n * np.finfo(float).eps * evals[:, -1]
+    u = evecs / dj[:, :, None]
+    # the other rows divide by inf: their inverse, and so their solve, is 0
+    hinv = (u / np.where(pd[:, None, None], evals[:, None, :], np.inf)) @ u.transpose(0, 2, 1)
+    g_col = gs[:, :, None]
+    step = -(hinv @ g_col)
     for _ in range(2):
-        resid = hs @ ps + gs
-        ps -= solve(resid)
-    return ps
-
-
-def _newton_direction(hs: np.ndarray, gs: np.ndarray, require_pd: bool) -> np.ndarray | None:
-    """-hs^{-1} gs; on an indefinite hs the eigenvalue-floored direction, or None under require_pd."""
-    try:
-        return _pd_solve(hs, gs)
-    except np.linalg.LinAlgError:
-        if require_pd:
-            return None
-    evals, evecs = np.linalg.eigh(hs)
-    floor = max(1e-8 * float(np.max(np.abs(evals))), 1e-12)
-    evals = np.maximum(evals, floor)
-    return -evecs @ ((evecs.T @ gs) / evals)
+        step -= hinv @ (hs @ step + g_col)
+    step = step[:, :, 0]
+    indefinite = ~(pd | converged)
+    escaped = indefinite & require_pd
+    if not require_pd and indefinite.any():
+        w, v = np.linalg.eigh(hs[indefinite])
+        w = np.maximum(w, np.maximum(1e-8 * np.abs(w).max(axis=1), 1e-12)[:, None])
+        coef = (v.transpose(0, 2, 1) @ g_col[indefinite]) / w[:, :, None]
+        step[indefinite] = -(v @ coef)[:, :, 0]
+    step *= (STEP_CAP / np.maximum(np.sqrt((step * step).sum(axis=1)), STEP_CAP))[:, None]
+    slope = (gs * step).sum(axis=1)
+    # predicted decrease below value roundoff: the line search takes the full step
+    blind = slope >= -1e-13 * (1.0 + np.abs(f_rows))
+    return grad_norm, converged, escaped, step, slope, blind
 
 
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
@@ -373,8 +377,9 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
 
     theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
     stacked evaluation of obj per step and per line-search trial serves every
-    row still running, and each row follows exactly the run it would make
-    alone.  A row stops in one of six ways:
+    row still running, one `_newton_steps` call gives all of them their
+    steps, and each row follows exactly the run it would make alone.  A row
+    stops in one of six ways:
     - converged: the scaled gradient norm is at most tol_grad;
     - abort_above: from iteration 10 on, the value is still above the row's
       bar (a multistart's bar: the descent is monotone, so such a run cannot
@@ -397,8 +402,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     running = np.isfinite(f_cur)
     if not running.any():
         raise FitError("starting point has det A <= 0")
-    converged = np.zeros(k_rows, dtype=bool)
-    escaped = np.zeros(k_rows, dtype=bool)
+    converged, escaped = np.zeros((2, k_rows), dtype=bool)
     iterations = np.zeros(k_rows, dtype=int)
     grad_norm = np.full(k_rows, math.inf)
     for it in range(max_iter):
@@ -411,37 +415,19 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             break
         base = theta[rows]
         _, grad, hess = obj.value_grad_hess(base, rows)
-        gs = grad / scale
-        hs = hess / scale[:, None] / scale[None, :]
-        p = np.empty_like(gs)
-        slope = np.empty(rows.size)
-        blind = np.empty(rows.size, dtype=bool)
-        stepping = []
-        for i, r in enumerate(rows):
-            g = gs[i]
-            grad_norm[r] = gn = math.sqrt(g @ g)
-            if gn <= tol_grad:
-                converged[r] = True
-            else:
-                ps = _newton_direction(hs[i], g, require_pd)
-                escaped[r] = ps is None
-            if converged[r] or escaped[r]:
-                iterations[r] = it
-                running[r] = False
-                continue
-            step_len = math.sqrt(ps @ ps)
-            if step_len > STEP_CAP:
-                ps *= STEP_CAP / step_len
-            p[i] = ps / scale
-            slope[i] = g @ ps
-            # predicted decrease below value roundoff: take the full Newton step,
-            # the line search cannot see improvements at that scale
-            blind[i] = -slope[i] <= 1e-13 * (1.0 + abs(f_cur[r]))
-            stepping.append(i)
-        if len(stepping) < rows.size:
-            if not stepping:
+        grad_norm[rows], done, esc, step, slope, blind = _newton_steps(
+            grad / scale, hess / scale[:, None] / scale[None, :], f_cur[rows], tol_grad,
+            require_pd)
+        stop = done | esc
+        converged[rows], escaped[rows] = done, esc
+        if stop.any():
+            iterations[rows[stop]] = it
+            running[rows[stop]] = False
+            if stop.all():
                 break
-            rows, base, p, slope, blind = (v[stepping] for v in (rows, base, p, slope, blind))
+            go = ~stop
+            rows, base, step, slope, blind = rows[go], base[go], step[go], slope[go], blind[go]
+        p = step / scale
         f_rows = f_cur[rows]
         # every row still searching has the same step length t
         t = 1.0
@@ -467,9 +453,8 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     else:
         rows = running.nonzero()[0]
         if rows.size:
-            _, grad, _ = obj.value_grad_hess(theta[rows], rows)
-            for r, g in zip(rows, grad / scale):
-                grad_norm[r] = math.sqrt(g @ g)
+            gs = obj.value_grad_hess(theta[rows], rows)[1] / scale
+            grad_norm[rows] = np.sqrt((gs * gs).sum(axis=1))
             converged[rows] = grad_norm[rows] <= tol_grad
             iterations[rows] = max_iter
     if single:
@@ -804,7 +789,14 @@ def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
     """
     xs = np.asarray(xs, dtype=float).reshape(len(affs), chi.d)
     obj = _Objective(chi, xs, params, j_only=False)
-    theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho, chi.d)
+    return _fit_from_rows(obj, affs, xs, chi, params, thresholds)
+
+
+def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelParams,
+                   thresholds) -> list:
+    """`fit_from_stack` on obj, holding the gathers: row k at point k, or at point[k] of a view."""
+    points = np.arange(len(affs)) if obj.point is None else obj.point
+    theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho[points], chi.d)
     try:
         res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
     except FitError:
@@ -814,7 +806,7 @@ def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
         if not math.isfinite(res.value[k]):
             out.append(None)
             continue
-        aff, breakdown = _exact(obj, res.theta[k], params, k)
+        aff, breakdown = _exact(obj, res.theta[k], params, points[k])
         out.append(_finish(xs[k].copy(), aff, breakdown, int(res.iterations[k]),
                            float(res.grad_norm[k]), chi, params, thresholds,
                            converged=bool(res.converged[k]), n_candidates=1))
@@ -849,7 +841,8 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     (1 -> n-1) and a backward sweep (n-1 -> 1) each fit a sample by one
     continuation step from the previous fit of that sweep (`_continue`); the
     two sweeps are independent chains, so step i of both, to samples i and
-    n-i, runs as one 2-row `fit_from_stack`.  A step that fails, does not
+    n-i, runs as one 2-row stack, on a view of one objective over samples
+    1..n-1, so each sample is gathered once.  A step that fails, does not
     converge or is not regular under `thresholds` falls back to `fit_global`.
     Where the two sweeps' totals differ by more than GUARD_TOL, one sweep
     sits in a higher basin, and the sample gets `fit_global` warm-started
@@ -860,9 +853,11 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     n = pts.shape[0]
     first = fit_global(chi, pts[0], params, thresholds=thresholds)
     fwd, bwd = [first], [first]
+    obj = _Objective(chi, pts[1:], params, j_only=False) if n > 1 else None
     for i in range(1, n):
         ends = [(fwd[-1].position, fwd[-1].aff_hat), (bwd[-1].position, bwd[-1].aff_hat)]
-        f, b = _continue(ends, chi, [pts[i], pts[n - i]], params, thresholds)
+        f, b = _continue(ends, obj.on_points([i - 1, n - i - 1]), chi, [pts[i], pts[n - i]],
+                         params, thresholds)
         fwd.append(f)
         bwd.append(b)
     bwd = [first] + bwd[:0:-1]
@@ -872,16 +867,19 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
 def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=None) -> FitResult:
     """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
     x = np.asarray(x, dtype=float)
-    return _guard(*_continue(ends, chi, [x, x], params, thresholds), chi, params, thresholds)
+    obj = _Objective(chi, x, params, j_only=False).on_points([0, 0])
+    return _guard(*_continue(ends, obj, chi, [x, x], params, thresholds), chi, params,
+                  thresholds)
 
 
-def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds) -> list[FitResult]:
-    """One continuation step from each pair (y_k, aff_k) to xs[k] in one `fit_from_stack`.
+def _continue(ends, obj: _Objective, chi: Configuration, xs, params: ModelParams,
+              thresholds) -> list[FitResult]:
+    """One continuation step from each pair (y_k, aff_k) to xs[k]: one `_fit_from_rows` on obj.
 
     The rows that fail, do not converge or are not regular get the multistart,
     all of them in one `fit_global_stack`.
     """
-    outs = fit_from_stack([transport(y, aff, x) for (y, aff), x in zip(ends, xs)], chi, xs,
+    outs = _fit_from_rows(obj, [transport(y, aff, x) for (y, aff), x in zip(ends, xs)], xs, chi,
                           params, thresholds)
     refused = [k for k, out in enumerate(outs)
                if out is None or not (out.converged and out.regular)]

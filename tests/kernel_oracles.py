@@ -16,8 +16,11 @@ slices arrays.  `fit_loop` runs its two sweeps one after the other and
 per step, where the fit code steps both as one 2-row stack.  `fit_global` is
 the multistart one point at a time, its starts on h one after the other,
 where the fit code runs the multistarts of a grid round as one stack per
-start.  They are slow and obviously correct; the kernel tests compare
-against them.
+start.  `newton_step` is one row of `fitting._newton_steps` as the per-row
+loop computed it: `pd_solve` factors the equilibrated Hessian with LAPACK
+potrf and solves with potrs, where the kernel takes one eigendecomposition of
+the whole stack.  They are slow and obviously correct; the kernel tests
+compare against them.
 """
 
 import math
@@ -25,6 +28,7 @@ from itertools import combinations
 from itertools import product as iter_product
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from latfit import fields, fitting
 from latfit.core_model import AffinePair, local_density
@@ -32,6 +36,7 @@ from latfit.fitting import (
     MAX_CANDIDATES,
     MAX_ITER_H,
     N_DIRECTIONS,
+    STEP_CAP,
     TOL_GRAD,
     BasinEscapeError,
     BranchPoint,
@@ -260,6 +265,60 @@ def a_init_candidates(chi, x, lam):
             keys.append((basis_len, tuple(np.round(a, 9).ravel())))
     order = sorted(range(len(candidates)), key=lambda i: keys[i])
     return [candidates[i] for i in order[:MAX_CANDIDATES]]
+
+
+def pd_solve(hs, gs):
+    """Newton direction -hs^{-1} gs via equilibrated Cholesky with refinement.
+
+    Jacobi equilibration plus two iterative-refinement passes; one Cholesky
+    factor serves the solve and both passes.  Raises LinAlgError when hs is
+    not positive definite.
+    """
+    dj = np.sqrt(np.maximum(np.diag(hs), 1e-300))
+    heq = hs / dj[:, None] / dj[None, :]
+    low, info = dpotrf(heq, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Hessian is not positive definite")
+
+    def solve(rhs):
+        return dpotrs(low, rhs / dj, lower=1)[0] / dj
+
+    ps = -solve(gs)
+    for _ in range(2):
+        resid = hs @ ps + gs
+        ps -= solve(resid)
+    return ps
+
+
+def newton_direction(hs, gs, require_pd):
+    """-hs^{-1} gs; on an indefinite hs the eigenvalue-floored direction, or None under require_pd."""
+    try:
+        return pd_solve(hs, gs)
+    except np.linalg.LinAlgError:
+        if require_pd:
+            return None
+    evals, evecs = np.linalg.eigh(hs)
+    floor = max(1e-8 * float(np.max(np.abs(evals))), 1e-12)
+    evals = np.maximum(evals, floor)
+    return -evecs @ ((evecs.T @ gs) / evals)
+
+
+def newton_step(g, hs, f, tol_grad, require_pd):
+    """One row of `fitting._newton_steps`: (grad_norm, converged, escaped, step, slope, blind).
+
+    A row that stops (converged or escaped) has no step, slope or blind flag.
+    """
+    gn = math.sqrt(g @ g)
+    if gn <= tol_grad:
+        return gn, True, False, None, None, None
+    ps = newton_direction(hs, g, require_pd)
+    if ps is None:
+        return gn, False, True, None, None, None
+    step_len = math.sqrt(ps @ ps)
+    if step_len > STEP_CAP:
+        ps *= STEP_CAP / step_len
+    slope = g @ ps
+    return gn, False, False, ps, slope, -slope <= 1e-13 * (1.0 + abs(f))
 
 
 def fit_global(chi, x, params, warm_starts=(), thresholds=None):

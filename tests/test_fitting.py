@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latfit import fitting
+from latfit import fields, fitting
 from latfit.core_model import AffinePair, Configuration, local_density
 from latfit.fields import GridGeometry, evaluate_grid
 from latfit.fitting import (
@@ -314,29 +314,42 @@ class TestContinuationStartsOnTheRidge:
 
     @staticmethod
     def record_newton(mp):
+        """(objective, starts, made by a multistart) of every `_newton` call."""
         calls = []
+        inside = [0]                # open `fit_global_stack` calls
+        stack = fitting.fit_global_stack
+
+        def recording_fit_global_stack(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return stack(*args, **kwargs)
+            finally:
+                inside[0] -= 1
 
         def recording_newton(obj, theta0, *args, **kwargs):
-            calls.append((obj, np.array(theta0, dtype=float)))
+            calls.append((obj, np.array(theta0, dtype=float), inside[0] > 0))
             return _newton(obj, theta0, *args, **kwargs)
 
         mp.setattr(fitting, "_newton", recording_newton)
+        mp.setattr(fitting, "fit_global_stack", recording_fit_global_stack)
+        mp.setattr(fields, "fit_global_stack", recording_fit_global_stack)
         return calls
 
     @staticmethod
     def h_starts(calls):
-        """The start rows of the multistarts' Newtons on h, whose objectives map rows to points."""
-        return [row for obj, theta0 in calls if obj.point is not None and not obj.j_only
+        """The start rows of the multistarts' Newtons on h."""
+        return [row for obj, theta0, multistart in calls if multistart and not obj.j_only
                 for row in theta0]
 
     @staticmethod
     def continuation_rows(calls):
         """(det A, rho) of every start row of the stacked Newtons on h (`fit_from_stack`)."""
         rows = []
-        for obj, theta0 in calls:
-            if theta0.ndim == 2 and not obj.j_only and obj.point is None:
+        for obj, theta0, multistart in calls:
+            if theta0.ndim == 2 and not obj.j_only and not multistart:
                 a = theta0[:, : obj.d * obj.d].reshape(-1, obj.d, obj.d)
-                rows.extend(zip(np.linalg.det(a), obj.rho))
+                rho = obj.rho if obj.point is None else obj.rho[obj.point]
+                rows.extend(zip(np.linalg.det(a), rho))
         return rows
 
     @pytest.fixture(scope="class")

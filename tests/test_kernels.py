@@ -7,7 +7,10 @@ closed-form d = 2 value and gradient must agree with the singular-value forms
 to the same tolerance.  A stack of K starts must give, row for row, exactly
 the bits of K single calls, in the kernels and through `_newton`'s exits,
 also when each row has its own gather of its own length, and the masking
-`a_init_candidates` exactly the loop form's candidates.
+`a_init_candidates` exactly the loop form's candidates.  The batched Newton
+step `_newton_steps` must make the per-row loop's positive-definite and
+escape decisions and give its steps to 1e-12 relative, on synthetic stacks
+and on stacks recorded from a dipole grid window.
 """
 
 import math
@@ -20,15 +23,17 @@ import pytest
 
 import kernel_oracles as oracle
 from conftest import exact_lattice
-from latfit import fileio
+from latfit import fileio, fitting
 from latfit.core_model import (
     AffinePair,
     _g_hess,
     assemble_j,
     gather_weights,
     is_regular_pair,
+    low_energy_thresholds,
     pre_energy,
 )
+from latfit.fields import GridGeometry, evaluate_grid
 from latfit.fitting import (
     MAX_ITER_H,
     TOL_GRAD,
@@ -36,8 +41,8 @@ from latfit.fitting import (
     FitError,
     _exact,
     _newton,
+    _newton_steps,
     _Objective,
-    _pd_solve,
     a_init_candidates,
     fit_from,
     fit_from_stack,
@@ -47,6 +52,8 @@ from latfit.fitting import (
     pack,
     unpack,
 )
+from latfit.generators import Box as GenBox
+from latfit.generators import edge_dipole
 from latfit.potentials import ElasticDensity, default_elastic
 
 DATA = Path(__file__).parent / "data"
@@ -151,7 +158,13 @@ def test_assemble_j_matches_loop_form_in_3d():
         assert rel_err(hess, ref_hess) <= RTOL
 
 
-def test_pd_solve_matches_exact_solution_and_refuses_indefinite():
+def kernel_row(hs, gs, require_pd, f=0.0, tol_grad=TOL_GRAD):
+    """`_newton_steps` on one row, as a one-row stack; the outputs for that row."""
+    out = _newton_steps(gs[None], hs[None], np.array([f]), tol_grad, require_pd)
+    return tuple(v[0] for v in out)
+
+
+def test_newton_steps_match_exact_solution_and_refuse_indefinite():
     # a Newton Hessian's ill-conditioning is mostly scale (lam^2 between A and tau, the
     # nu ridge), which the Jacobi equilibration removes: hs = D M D with M mild
     rng = np.random.default_rng(11)
@@ -162,9 +175,120 @@ def test_pd_solve_matches_exact_solution_and_refuses_indefinite():
     hs = d[:, None] * (0.5 * (m + m.T)) * d[None, :]
     gs = rng.standard_normal(6)
     exact = -(q @ ((q.T @ (gs / d)) / s)) / d
-    assert rel_err(_pd_solve(hs, gs), exact) <= 1e-12
-    with pytest.raises(np.linalg.LinAlgError):
-        _pd_solve(np.diag([1.0, 1.0, -1e-3, 1.0, 1.0, 1.0]), gs)
+    # scaled so that the exact step is shorter than STEP_CAP and comes back uncapped
+    shrink = 0.5 / np.linalg.norm(exact)
+    step = kernel_row(hs, shrink * gs, require_pd=True, tol_grad=0.0)[3]
+    assert rel_err(step, shrink * exact) <= 1e-12
+    _, converged, escaped, *_ = kernel_row(np.diag([1.0, 1.0, -1e-3, 1.0, 1.0, 1.0]), gs,
+                                           require_pd=True)
+    assert escaped and not converged
+
+
+def assert_rows_match_oracle(gs, hs, f_rows, tol_grad, require_pd):
+    """Each row of `_newton_steps` against the per-row oracle, and bit for bit as a one-row stack."""
+    out = _newton_steps(gs, hs, f_rows, tol_grad, require_pd)
+    for k in range(len(gs)):
+        gn, converged, escaped, step, slope, blind = (v[k] for v in out)
+        alone = kernel_row(hs[k], gs[k], require_pd, f_rows[k], tol_grad)
+        assert all(np.array_equal(a, b) for a, b in zip((v[k] for v in out), alone))
+        ref = oracle.newton_step(gs[k], hs[k], f_rows[k], tol_grad, require_pd)
+        assert abs(gn - ref[0]) <= 1e-15 * ref[0]
+        assert (converged, escaped) == ref[1:3]
+        if ref[3] is not None:
+            assert rel_err(step, ref[3]) <= RTOL
+            assert abs(slope - ref[4]) <= RTOL * abs(ref[4])
+            assert blind == ref[5]
+    return out
+
+
+def mixed_stack(rng):
+    """Rows that are positive definite, indefinite, singular, converged, and beyond the step cap."""
+    def spd(cond, scale):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        m = q @ np.diag(np.logspace(-np.log10(cond), 0, 6)) @ q.T
+        return scale[:, None] * (0.5 * (m + m.T)) * scale[None, :]
+
+    wide = np.logspace(-5, 0, 6)
+    indefinite = spd(10.0, wide)
+    indefinite[2, 2] = -indefinite[2, 2]
+    ones_block = np.eye(6)
+    ones_block[:2, :2] = 1.0
+    hs = np.stack([spd(100.0, wide), spd(10.0, np.ones(6)), indefinite,
+                   -spd(10.0, np.ones(6)), np.diag([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]), ones_block,
+                   spd(100.0, wide), np.zeros((6, 6)), spd(10.0, np.ones(6))])
+    gs = 1e-3 * rng.standard_normal((len(hs), 6))
+    gs[1] *= 1e4                    # a step beyond the cap
+    gs[6] = 0.0                     # converged at a positive definite Hessian
+    gs[7] = 0.0                     # converged at a zero Hessian
+    gs[8] = 1e-12                   # converged: below tol_grad
+    return gs, hs, rng.uniform(0.0, 1.0, len(hs))
+
+
+@pytest.mark.parametrize("require_pd", [False, True], ids=["floored", "require_pd"])
+def test_newton_steps_match_per_row_oracle_on_mixed_stacks(require_pd):
+    gs, hs, f_rows = mixed_stack(np.random.default_rng(12))
+    _, converged, escaped, step, _, _ = assert_rows_match_oracle(gs, hs, f_rows, TOL_GRAD,
+                                                                 require_pd)
+    assert converged.tolist() == [False] * 6 + [True] * 3
+    assert escaped.tolist() == [False, False] + [require_pd] * 4 + [False] * 3
+    assert np.linalg.norm(step[1]) == pytest.approx(1.0, abs=1e-15)     # capped
+
+
+@pytest.mark.parametrize("require_pd", [False, True], ids=["floored", "require_pd"])
+def test_newton_steps_raise_no_warning_on_singular_and_converged_rows(require_pd):
+    gs, hs, f_rows = mixed_stack(np.random.default_rng(13))
+    basis = np.random.default_rng(17).standard_normal((6, 5))
+    hs[0] = basis @ basis.T         # rank 5: its smallest eigenvalue is roundoff (+6e-16 here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _newton_steps(gs, hs, f_rows, TOL_GRAD, require_pd)
+    assert all(np.all(np.isfinite(v)) for v in out)
+    assert out[2][0] == require_pd      # not positive definite to roundoff: escapes
+
+
+@pytest.fixture(scope="module")
+def recorded_stacks(params8):
+    """Every stack `_newton` hands the kernel on a tight-threshold grid window at a dipole core.
+
+    The window has continuation rounds, branch minimizers (require_pd) and
+    multistart fallbacks; the stacks of their lam/2 stages come back apart.
+    """
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, params8.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, params8)
+    stacks, half = [], []
+    half_stage = fitting._half_stage
+
+    def recording_steps(gs, hs, f_rows, tol_grad, require_pd):
+        stacks.append((gs, hs, f_rows, tol_grad, require_pd))
+        return _newton_steps(gs, hs, f_rows, tol_grad, require_pd)
+
+    def recording_half_stage(*args):
+        first = len(stacks)
+        out = half_stage(*args)
+        half.extend(range(first, len(stacks)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_newton_steps", recording_steps)
+        mp.setattr(fitting, "_half_stage", recording_half_stage)
+        evaluate_grid(chi, GridGeometry(origin=(-10.0, -4.0), h=2.0, nx=4, ny=3), params8,
+                      thresholds=tight)
+    return stacks, half
+
+
+def test_newton_steps_match_per_row_oracle_on_recorded_stacks(recorded_stacks):
+    stacks, half = recorded_stacks
+    grid = [k for k in range(len(stacks)) if k not in half]
+    assert half and grid
+    assert any(stacks[k][4] for k in grid)            # branch minimizers
+    assert max(len(stacks[k][0]) for k in grid) >= 2  # a round's continuation steps
+    n_indefinite = 0
+    for gs, hs, f_rows, tol_grad, require_pd in stacks:
+        _, converged, escaped, *_ = assert_rows_match_oracle(gs, hs, f_rows, tol_grad,
+                                                             require_pd)
+        n_indefinite += int(np.sum(~converged & ~escaped & (np.linalg.eigvalsh(hs)[:, 0] < 0)))
+    assert n_indefinite > 0
 
 
 @pytest.mark.parametrize("el", [default_elastic(2),
