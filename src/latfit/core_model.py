@@ -35,7 +35,6 @@ from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TWO_PI_CORE = 2.0 * math.pi
 
@@ -115,12 +114,104 @@ class AffinePair:
         return AffinePair(self.A, self.tau - np.floor(self.tau))
 
 
-class Configuration:
-    """Atom positions with interior/boundary tags, a domain box, and a k-d tree.
+class CellGrid:
+    """Points binned on a uniform grid of cubic cells, stored in CSR form.
 
-    One scipy cKDTree over all positions answers every radius query
-    (`local_atoms`, indices ascending so gathers sum in a fixed order) and
-    the hardcore pair search.  Immutable after construction.
+    The point p lies in cell c = floor((p - lo) / edge) + 1 of a grid padded
+    by one empty cell on every side, so each cell's 3^d neighbours exist.
+    Its row-major key is c . strides, and the cells of one row along the last
+    axis have consecutive keys.  `order` lists the point indices sorted by
+    key (stably, so ascending within a cell), `points` and `keys` follow that
+    order, and start[key] : start[key + 1] is one cell's slice of them.  The
+    cells that meet a box thus form one contiguous slice per row (the
+    linked-cell method).  The edge is widened when the points' extent would
+    need more than max(4 N, 4096) cells, so a sparse cloud cannot blow up
+    the grid.
+    """
+
+    def __init__(self, positions: np.ndarray, edge: float):
+        n, d = positions.shape
+        lo = positions.min(axis=0) if n else np.zeros(d)
+        span = positions.max(axis=0) - lo if n else np.zeros(d)
+        edge = max(edge, float(np.prod(span + edge) / max(4 * n, 4096)) ** (1.0 / d))
+        self.edge = edge if edge > 0.0 else 1.0
+        self.lo = lo.tolist()
+        self.shape = (np.floor(span / self.edge).astype(np.intp) + 3).tolist()
+        self.strides = np.cumprod([1] + self.shape[:0:-1])[::-1]
+        keys = (np.floor((positions - lo) / self.edge).astype(np.intp) + 1) @ self.strides
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.points = positions[self.order]
+        self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=self.start.size - 1), out=self.start[1:])
+        self._begins = self.start[:-1].reshape(self.shape)
+        self._ends = self.start[1:].reshape(self.shape)
+
+    def near(self, x: np.ndarray, r: float) -> np.ndarray:
+        """Grid-order positions of the points in every cell that meets |p - x|_inf <= r."""
+        # an atom on a cell boundary just past fl(x + r) can still have fl(p - x) = r
+        reach = r * (1.0 + 1e-9)
+        box = []
+        for xk, lo, n in zip(x.tolist(), self.lo, self.shape):
+            c0 = max(math.floor((xk - reach - lo) / self.edge) + 1, 1)
+            c1 = min(math.floor((xk + reach - lo) / self.edge) + 1, n - 2)
+            if c0 > c1:
+                return np.empty(0, dtype=np.intp)
+            box.append((c0, c1))
+        rows = tuple(slice(c0, c1 + 1) for c0, c1 in box[:-1])
+        return _slices(self._begins[rows + (box[-1][0],)].ravel(),
+                       self._ends[rows + (box[-1][1],)].ravel())
+
+
+def _slices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The concatenated ranges a[k] : b[k]."""
+    lens = b - a
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if lens.size else 0) + np.repeat(a - ends + lens, lens)
+
+
+def _squared_norms(diff: np.ndarray) -> np.ndarray:
+    """Row sums of squares added left to right, dx*dx + dy*dy (+ dz*dz).
+
+    In this order a radius test keeps bit for bit the atoms a k-d tree keeps.
+    """
+    out = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        out += diff[:, k] * diff[:, k]
+    return out
+
+
+def close_pairs(points: np.ndarray, r: float) -> np.ndarray:
+    """All index pairs (i < j) with |p_i - p_j|^2 <= r^2, sorted lexicographically.
+
+    On a grid of edge >= r every such pair sits in one cell or in two
+    neighbouring cells.  Each point meets the later points of its own cell
+    and the points of the half of its 3^d - 1 neighbours with a larger key.
+    """
+    grid = CellGrid(points, r)
+    n = points.shape[0]
+    steps = np.array(list(product((-1, 0, 1), repeat=points.shape[1]))) @ grid.strides
+    firsts, seconds = [], []
+    for step in [0] + steps[steps > 0].tolist():
+        a = np.arange(1, n + 1) if step == 0 else grid.start[grid.keys + step]
+        b = grid.start[grid.keys + step + 1]
+        firsts.append(np.repeat(np.arange(n), b - a))
+        seconds.append(_slices(a, b))
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    near = _squared_norms(grid.points[first] - grid.points[second]) <= r * r
+    first, second = grid.order[first[near]], grid.order[second[near]]
+    pairs = np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+class Configuration:
+    """Atom positions with interior/boundary tags, a domain box, and a cell index.
+
+    One `CellGrid` of edge lam/2 over all positions answers every radius
+    query: `local_atoms` scans the cells that meet the query box and keeps
+    the atoms with |x_i - x|^2 <= r^2, indices ascending so gathers sum in a
+    fixed order.  The hardcore pair search runs `close_pairs`.  Immutable
+    after construction.
     """
 
     def __init__(self, positions, interior, domain: Box, lam: float, validate: bool = True):
@@ -149,7 +240,7 @@ class Configuration:
         self.interior = interior
         self.domain = domain
         self.lam = float(lam)
-        self._tree = cKDTree(positions)
+        self._grid = CellGrid(positions, 0.5 * self.lam)
         self._hardcore_cache: dict[float, np.ndarray] = {}
 
     @property
@@ -163,7 +254,9 @@ class Configuration:
     def local_atoms(self, x, r: float):
         """(indices, relative positions, distances) of atoms with |x_i - x| <= r."""
         x = np.asarray(x, dtype=float)
-        idx = np.asarray(self._tree.query_ball_point(x, r, return_sorted=True), dtype=np.intp)
+        near = self._grid.near(x, r)
+        inside = _squared_norms(self._grid.points[near] - x) <= r * r
+        idx = np.sort(self._grid.order[near[inside]])
         rel = self.positions[idx] - x
         return idx, rel, np.linalg.norm(rel, axis=1)
 
@@ -172,11 +265,9 @@ class Configuration:
         cached = self._hardcore_cache.get(s0)
         if cached is not None:
             return cached
-        pairs = self._tree.query_pairs(s0, output_type="ndarray")
-        if pairs.size:
-            diff = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
-            pairs = pairs[np.linalg.norm(diff, axis=1) < s0]
-            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = close_pairs(self.positions, s0)
+        diff = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
+        pairs = pairs[np.linalg.norm(diff, axis=1) < s0]
         pairs.setflags(write=False)
         self._hardcore_cache[s0] = pairs
         return pairs

@@ -98,6 +98,7 @@ MAX_CANDIDATES = 10     # A candidates kept; fit_global pre-converges them and k
 # eps_nu = factor * rho; 1e-5 keeps the smoothed-ridge curvature vartheta/eps_nu
 # low enough that det-A roundoff cannot push the gradient floor above TOL_GRAD
 NU_SMOOTH_FACTOR = 1e-5
+COPY_TOL = 1e-9         # tied multistart outcomes this close in (tau, A) are one minimizer
 GUARD_TOL = 1e-12       # two continuations of one loop sample agreeing to this share a basin
 
 
@@ -650,7 +651,9 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     """Multistart damped Newton on h = J + F + smoothed nu; lowest total wins.
 
     The returned total is an upper bound on the true infimum by construction.
-    Ties within 1e-12 break to the lexicographically smallest (tau, A).  The
+    Ties within 1e-12 break to the lexicographically smallest (tau, A); of
+    the copies of that minimizer, (tau, A) within 1e-9 of it, the one from
+    the earliest start is reported, so roundoff cannot pick the copy.  The
     warm starts run after the pre-converged candidates.  One row of
     `fit_global_stack`; raises its row's FitError.
     """
@@ -708,8 +711,10 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
             out.append(FitError(f"all fit candidates failed at {x}"))
             continue
         tied = [o for o in outcomes[g] if o[1].total <= best[g] + 1e-12]
-        tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
-        aff, breakdown, iterations, grad_norm, _ = tied[0]
+        lead = pack(min(tied, key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))[0])
+        # copies of one minimizer differ by roundoff: the earliest start reports it
+        aff, breakdown, iterations, grad_norm, _ = next(
+            o for o in tied if np.max(np.abs(pack(o[0]) - lead)) <= COPY_TOL)
         out.append(_finish(x.copy(), aff, breakdown, iterations, grad_norm, chi, params,
                            thresholds, converged=any(o[4] for o in tied),
                            n_candidates=len(starts[g])))

@@ -12,11 +12,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core_model import Box, Configuration
+from .core_model import Box, Configuration, close_pairs
 
 KINDS = ("perfect", "noise", "vacancies", "edge_dislocation", "shear", "bend", "grain_boundary")
+
+
+SEAM_GAP = 0.75     # a grain boundary keeps no two atoms this close
+
+
+def prune_close(pts: np.ndarray, r: float) -> np.ndarray:
+    """pts less the later atom of each pair within r, pairs taken in lexicographic order."""
+    drop = np.zeros(pts.shape[0], dtype=bool)
+    for i, j in close_pairs(pts, r):
+        if not drop[i] and not drop[j]:
+            drop[j] = True
+    return pts[~drop]
 
 
 class GenerationError(RuntimeError):
@@ -228,14 +239,7 @@ def generate(spec: GeneratorSpec) -> tuple[Configuration, GroundTruth]:
         pts_l = center + (z_pts - center) @ rot_l.T
         pts_r = center + (z_pts - center) @ rot_r.T
         pts = np.concatenate([pts_l[pts_l[:, 0] < center[0]], pts_r[pts_r[:, 0] >= center[0]]])
-        # prune seam collisions deterministically: drop the later atom of each close pair
-        tree = cKDTree(pts)
-        close = tree.query_pairs(0.75, output_type="ndarray")
-        drop = np.zeros(pts.shape[0], dtype=bool)
-        for i, j in close[np.lexsort((close[:, 1], close[:, 0]))]:
-            if not drop[i] and not drop[j]:
-                drop[max(i, j)] = True
-        pts = pts[~drop]
+        pts = prune_close(pts, SEAM_GAP)
 
         def a_field(x, _center=center, _l=rot_l, _r=rot_r, _a=a_ref.copy()):
             rot = _l if np.asarray(x, dtype=float)[0] < _center[0] else _r

@@ -10,17 +10,17 @@ W gives every well constant analytically (quadratic sandwich 4/pi^2 .. 1,
 convexity window Theta = 1/6 with Hessian eigenvalues in [1, 2]).  The
 smoothstep transition is C^3 with quartic touchdown at r = 2, so the square
 and fourth roots of the profile keep bounded first and second derivatives;
-all cutoff moments are computed by adaptive Gauss-Kronrod quadrature.
+its radial moments are rational numbers, computed exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +71,9 @@ def norm_gradw_inf(d: int) -> float:
 # ---------------------------------------------------------------------------
 # cutoff phi
 # ---------------------------------------------------------------------------
+
+SMOOTHSTEP7_COEFFS = (35, -84, 70, -20)     # of u^4 .. u^7
+
 
 def _smoothstep7(u):
     """Order-7 smoothstep on [0,1]: 35u^4 - 84u^5 + 70u^6 - 20u^7 (C^3 at both ends)."""
@@ -328,10 +331,19 @@ class DerivedConstants:
 
 
 def _phi_radial_moment(power: int) -> float:
-    """integral_0^2 phi(r) r^power dr to ~1e-11 relative accuracy."""
-    val, _ = quad(lambda r: float(phi_eval(r)) * r**power, 0.0, 2.0,
-                  points=[1.0], epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    """integral_0^2 phi(r) r^power dr, the float nearest its exact rational value.
+
+    phi = 1 on [0, 1] contributes 1/(power + 1).  On [1, 2], with u = r - 1,
+    the integrand is (1 - S(u)) (1 + u)^power; expanding (1 + u)^power, each
+    u^k integrates over [0, 1] to 1/(k + 1) - sum_m s_m / (k + m + 1) for the
+    smoothstep coefficients s_m of u^m.  For example power 1 gives 41/36.
+    """
+    total = Fraction(1, power + 1)
+    for k in range(power + 1):
+        tail = Fraction(1, k + 1) - sum(Fraction(s, k + m + 1)
+                                        for m, s in enumerate(SMOOTHSTEP7_COEFFS, start=4))
+        total += math.comb(power, k) * tail
+    return float(total)
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +376,7 @@ def _phi_root_norms(d: int) -> tuple[float, float, float]:
 
 
 def derive_constants(d: int, s0: float, elastic: ElasticDensity, c_a: float | None = None) -> DerivedConstants:
-    """Assemble DerivedConstants; quadratures adaptive to <= 1e-8 relative error."""
+    """Assemble DerivedConstants: exact cutoff moments, root norms from a fine sample."""
     if d not in (2, 3):
         raise ValueError(f"d must be 2 or 3, got {d}")
     if s0 <= 0:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from latfit.core_model import (
     AffinePair,
     Box,
     Configuration,
+    close_pairs,
     ModelParams,
     default_beta,
     dist_to_lattice,
@@ -25,6 +27,7 @@ from latfit.potentials import phi_eval, w_eval
 from conftest import exact_lattice, random_a
 
 RNG = np.random.default_rng(11)
+DATA = Path(__file__).parent / "data"
 
 # frozen empirical regression bound for |rho - det A| on exact lattices:
 # measured worst c = err * lam^2 ~ 1e-4 over the acceptance A-ensemble
@@ -39,6 +42,28 @@ def brute_force_j(aff, chi, x, lam):
     g = float(np.sum(np.linalg.inv(aff.A) ** 2))
     from latfit.potentials import cphi
     return g * float(np.sum(w_eval(z) * w)) / (cphi(2) * lam**2)
+
+
+def assert_gather_exact(chi, x, r):
+    """local_atoms(x, r) against an O(N) scan with the k-d tree's test dx*dx + dy*dy <= r*r."""
+    diff = chi.positions - x
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        d2 = d2 + diff[:, k] * diff[:, k]
+    oracle = np.flatnonzero(d2 <= r * r)
+    idx, rel, dist = chi.local_atoms(x, r)
+    assert np.array_equal(idx, oracle)       # ascending, as the gathers sum them
+    assert np.array_equal(rel, chi.positions[oracle] - x)
+    assert np.array_equal(dist, np.linalg.norm(rel, axis=1))
+    return idx
+
+
+def brute_pairs(points, r):
+    """O(N^2) oracle of the index pairs (i < j) with |p_i - p_j|^2 <= r^2, lexsorted."""
+    i, j = np.triu_indices(len(points), k=1)
+    diff = points[i] - points[j]
+    near = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= r * r
+    return np.stack([i[near], j[near]], axis=1)
 
 
 def noisy_lattice(sigma, lam, seed, box_size=6.0):
@@ -74,9 +99,55 @@ class TestConfiguration:
         for _ in range(60):
             x = rng.uniform(-1.0, 11.0, size=2)
             r = rng.uniform(0.1, 2.0 * lam)
-            found = np.sort(chi.local_atoms(x, r)[0])
-            oracle = np.sort(np.flatnonzero(np.linalg.norm(chi.positions - x, axis=1) <= r))
-            assert np.array_equal(found, oracle)
+            assert_gather_exact(chi, x, r)
+        # the pipeline's radii, from points inside and far outside the atoms' box
+        outside = [(-30.0, 5.0), (5.0, 40.0), (45.0, -45.0), (-12.5, -12.5)]
+        for x in list(rng.uniform(-1.0, 11.0, size=(10, 2))) + outside:
+            for r in (lam, 2.0 * lam, 4.0 * lam):
+                assert_gather_exact(chi, np.asarray(x), r)
+        # integer lattice: many atoms at exactly distance r (3-4-5, 5-12-13 triangles)
+        g = np.arange(-20.0, 21.0)
+        lattice = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        chi_z = Configuration(lattice, np.zeros(len(lattice), dtype=bool), box, 4.0, validate=False)
+        for x, r in [((0.0, 0.0), 5.0), ((3.0, -2.0), 5.0), ((1.0, 1.0), 13.0), ((0.0, 0.0), 1.0),
+                     ((2.0, 7.0), 4.0), ((-20.0, 20.0), 10.0)]:
+            idx = assert_gather_exact(chi_z, np.asarray(x), r)
+            on_circle = np.sum(np.sum((lattice[idx] - x) ** 2, axis=1) == r * r)
+            assert on_circle >= 4
+        # |fl(p - x)| = r for an atom p on a cell boundary beyond fl(x + r): the cell
+        # range must reach past the rounded query box (edge lam/2 = 1, lo = 0)
+        pair = np.array([[0.0, 0.0], [3.0, 0.0]])
+        chi_edge = Configuration(pair, np.zeros(2, dtype=bool), box, 2.0, validate=False)
+        x = np.array([-2.697867137638703, 0.0])
+        idx = assert_gather_exact(chi_edge, x, 5.697867137638703)
+        assert idx.tolist() == [0, 1]
+        # empty configuration
+        empty = Configuration(np.empty((0, 2)), np.empty(0, dtype=bool), box, lam)
+        idx, rel, dist = empty.local_atoms(np.array([5.0, 5.0]), 2.0 * lam)
+        assert idx.shape == (0,) and rel.shape == (0, 2) and dist.shape == (0,)
+        assert len(empty.hardcore_pairs(0.5)) == 0
+        # d = 3
+        box3 = Box(np.zeros(3), np.full(3, 6.0))
+        pts3 = rng.uniform(-4.0, 10.0, size=(3000, 3))
+        chi3 = Configuration(pts3, box3.contains(pts3), box3, 1.0, validate=False)
+        for x in rng.uniform(-6.0, 12.0, size=(30, 3)):
+            for r in (0.5, 1.0, 2.0, 4.0, rng.uniform(0.1, 5.0)):
+                assert_gather_exact(chi3, x, r)
+
+    def test_cell_index_matches_kdtree_on_golden_atoms(self):
+        from scipy.spatial import cKDTree
+
+        from latfit import fileio
+        params, domain = fileio.load_params(DATA / "params.json")
+        positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+        chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+        tree = cKDTree(chi.positions)
+        rng = np.random.default_rng(4)
+        lo, hi = domain.lo - 2.0 * params.lam, domain.hi + 2.0 * params.lam
+        for x in rng.uniform(lo, hi, size=(40, 2)):
+            for r in (params.lam / 2.0, params.lam, 2.0 * params.lam, 4.0 * params.lam):
+                oracle = np.asarray(tree.query_ball_point(x, r, return_sorted=True), dtype=np.intp)
+                assert np.array_equal(chi.local_atoms(x, r)[0], oracle)
 
     def test_queries_beyond_cell_edge(self):
         chi = exact_lattice(np.eye(2), np.zeros(2), 4.0)
@@ -269,6 +340,21 @@ class TestHardcore:
         pts = np.array([[0.3, 0.3], [0.3, 0.55]])
         chi = Configuration(pts, np.array([True, True]), box, 2.0)
         assert chi.hardcore_pairs(0.5).tolist() == [[0, 1]]
+
+    def test_matches_quadratic_oracle_at_exact_distances(self):
+        # unit-spaced rows 0.5 apart (pairs at exactly s0 = 0.5, excluded), plus
+        # jittered atoms so that pairs fall just inside and just outside s0
+        rng = np.random.default_rng(9)
+        g = np.arange(0.0, 12.0, 0.5)
+        grid = np.stack(np.meshgrid(g, g[::2], indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([grid, rng.uniform(0.0, 12.0, size=(400, 2))])
+        box = Box(np.zeros(2), np.full(2, 12.0))
+        chi = Configuration(pts, box.contains(pts), box, 5.0, validate=False)
+        oracle = brute_pairs(pts, 0.5)
+        gaps = np.linalg.norm(pts[oracle[:, 0]] - pts[oracle[:, 1]], axis=1)
+        assert np.sum(gaps == 0.5) >= 100
+        assert np.array_equal(chi.hardcore_pairs(0.5), oracle[gaps < 0.5])
+        assert close_pairs(pts, 0.5).tolist() == oracle.tolist()      # <= r, as query_pairs
 
     def test_duplicate_atom(self):
         box = Box(np.zeros(2), np.ones(2))

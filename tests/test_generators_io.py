@@ -17,10 +17,12 @@ from latfit.fileio import (
     write_atoms_csv,
 )
 from latfit.generators import (
+    SEAM_GAP,
     GenerationError,
     GeneratorSpec,
     generate,
     half_plane_count_oracle,
+    prune_close,
 )
 from latfit.svg import heatmap_svg
 
@@ -83,6 +85,21 @@ class TestGenerators:
         rot = truth.a_at([5.0, 15.0])
         assert np.linalg.det(rot) == pytest.approx(1.0, rel=1e-12)
         assert not np.allclose(rot, truth.a_at([25.0, 15.0]))
+
+    def test_seam_pruning_matches_quadratic_oracle(self):
+        # a 0.75-spaced row puts pairs at exactly the seam gap; jitter adds near misses
+        rng = np.random.default_rng(2)
+        row = np.stack([np.arange(0.0, 9.0, 0.75), np.full(12, 4.0)], axis=1)
+        pts = np.concatenate([row, rng.uniform(0.0, 9.0, size=(300, 2))])
+        i, j = np.triu_indices(len(pts), k=1)
+        diff = pts[i] - pts[j]
+        near = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] <= SEAM_GAP * SEAM_GAP
+        assert np.sum(np.linalg.norm(diff[near], axis=1) == SEAM_GAP) >= 11
+        drop = np.zeros(len(pts), dtype=bool)
+        for a, b in zip(i[near], j[near]):      # triu order is lexicographic
+            if not drop[a] and not drop[b]:
+                drop[b] = True
+        assert np.array_equal(prune_close(pts, SEAM_GAP), pts[~drop])
 
     def test_hardcore_gate_raises(self):
         with pytest.raises(GenerationError, match="hardcore"):

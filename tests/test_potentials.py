@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latfit import potentials as pot
+
+from cli_harness import cli_env
 
 RNG = np.random.default_rng(20240901)
 
@@ -190,6 +195,21 @@ class TestDerivedConstants:
         mc = 16.0 * np.mean(pot.phi_eval(np.linalg.norm(pts, axis=1)))
         assert dc.C_phi == pytest.approx(mc, rel=5e-3)
 
+    def test_cutoff_moments_exact(self):
+        from scipy.integrate import quad
+
+        # integral_0^2 phi(r) r^p dr as rationals, from expanding 1 - S(r - 1) in powers of r
+        exact = {0: Fraction(3, 2), 1: Fraction(41, 36), 2: Fraction(7, 6),
+                 3: Fraction(359, 264), 4: Fraction(94, 55)}
+        for power, value in exact.items():
+            moment = pot._phi_radial_moment(power)
+            assert moment == float(value)
+            oracle, _ = quad(lambda r: float(pot.phi_eval(r)) * r**power, 0.0, 2.0,
+                             points=[1.0], epsabs=1e-13, epsrel=1e-11, limit=200)
+            assert moment == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        for d in (2, 3):
+            assert pot.cphi(d) == d * pot.unit_ball_volume(d) * float(exact[d - 1])
+
     def test_well_constants(self, dc):
         assert dc.C0_W == pytest.approx(4.0 / math.pi**2, rel=1e-14)
         assert dc.C1_W == 1.0
@@ -227,3 +247,12 @@ class TestDerivedConstants:
         assert 0 < ccv <= dc.c_theta0 / 12.0
         assert pot.c_nabla2(1.0, ccv, dc) > 0
         assert pot.c_tilde_nabla(1.0, ccv, dc) > 0
+
+
+def test_import_loads_no_scipy():
+    """latfit needs numpy only: importing it (and its CLI) must not pull in scipy."""
+    probe = ("import sys, latfit, latfit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=cli_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
