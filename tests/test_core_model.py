@@ -8,8 +8,8 @@ from latfit.core_model import (
     AffinePair,
     Box,
     Configuration,
-    close_pairs,
     ModelParams,
+    close_pairs,
     default_beta,
     dist_to_lattice,
     gradw_sum_diagnostic,
@@ -342,8 +342,8 @@ class TestHardcore:
         assert chi.hardcore_pairs(0.5).tolist() == [[0, 1]]
 
     def test_matches_quadratic_oracle_at_exact_distances(self):
-        # unit-spaced rows 0.5 apart (pairs at exactly s0 = 0.5, excluded), plus
-        # jittered atoms so that pairs fall just inside and just outside s0
+        # rows of atoms 0.5 apart (pairs at exactly s0 = 0.5, excluded), plus random
+        # atoms so that pairs fall just inside and just outside s0
         rng = np.random.default_rng(9)
         g = np.arange(0.0, 12.0, 0.5)
         grid = np.stack(np.meshgrid(g, g[::2], indexing="ij"), axis=-1).reshape(-1, 2)
