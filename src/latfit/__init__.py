@@ -11,7 +11,6 @@ from .core_model import (
     j_lambda,
     local_density,
     low_energy_thresholds,
-    nu_lambda,
     pre_energy,
     split_regular_atoms,
 )
@@ -19,11 +18,9 @@ from .fitting import (
     BranchPoint,
     FitResult,
     a_init_candidates,
-    fit_from,
     fit_global,
     minimize_j_local,
     tau_init,
-    track_minimizer,
 )
 from .generators import GeneratorSpec, GroundTruth, generate
 from .potentials import DerivedConstants, ElasticDensity, derive_constants
@@ -38,7 +35,6 @@ from .topology import (
     compose,
     densify_loop,
     find_reparam,
-    triangle_check,
 )
 
 __version__ = "0.1.0"
@@ -46,12 +42,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinePair", "Box", "Configuration", "EnergyBreakdown", "ModelParams",
     "RegularityThresholds", "is_regular_pair", "j_lambda", "local_density",
-    "low_energy_thresholds", "nu_lambda", "pre_energy", "split_regular_atoms",
-    "BranchPoint", "FitResult", "a_init_candidates", "fit_from", "fit_global",
-    "minimize_j_local", "tau_init", "track_minimizer",
+    "low_energy_thresholds", "pre_energy", "split_regular_atoms",
+    "BranchPoint", "FitResult", "a_init_candidates", "fit_global", "minimize_j_local",
+    "tau_init",
     "GeneratorSpec", "GroundTruth", "generate",
     "DerivedConstants", "ElasticDensity", "derive_constants",
     "ChainStep", "LoopResult", "Reparam", "burgers_loop", "chain_drift_bound",
     "chain_product", "chain_refinement_invariance", "compose", "densify_loop",
-    "find_reparam", "triangle_check",
+    "find_reparam",
 ]

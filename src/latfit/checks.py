@@ -231,7 +231,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
     branches = []
     for f in regular[:4]:
         try:
-            bp = minimize_j_local(f.aff_hat, chi, f.position, params, check_regular=False)
+            bp = minimize_j_local(f.aff_hat, chi, f.position, params)
         except BasinEscapeError:
             conv_fail += 1
             continue

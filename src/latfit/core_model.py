@@ -542,15 +542,6 @@ def _g_hess(ainv: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def nu_lambda(A, chi: Configuration, x, lam: float, vartheta: float) -> float:
-    """Vacancy cost vartheta |det A - rho_lam(x)|."""
-    A = np.asarray(A, dtype=float)
-    det_a = float(np.linalg.det(A))
-    if det_a <= 0:
-        raise ValueError(f"nu_lambda requires det A > 0, got {det_a:g}")
-    return vartheta * abs(det_a - local_density(chi, x, lam))
-
-
 def pre_energy(aff: AffinePair, chi: Configuration, x, params: ModelParams) -> EnergyBreakdown:
     """h = F(A) + J(A, tau) + nu(A), parts reported separately."""
     rel, w, c = gather_weights(chi, x, params.lam)

@@ -11,9 +11,10 @@ fit a good start.  A continued fit inherits its neighbour's integer
 parametrisation, so most nodes share the seed's gauge.  The nodes fall into
 rounds (wavefronts): a node's round follows those of all its neighbours
 earlier in seed order, so it continues from the neighbour it would pick one
-node at a time, and the continuation steps of one round run as one lockstep
-Newton over the round's per-node gathers.  The nodes whose step is refused
-get the multistart, all of a round's in one `fit_global_stack`.  The branch
+node at a time.  Each round is one `fitting._continue`, the policy loops
+use too: its continuation steps run as one lockstep Newton over the round's
+per-node gathers, and its nodes whose step is refused, or that have no valid
+earlier neighbour, get the multistart, all in one stack.  The branch
 minimizers run stacked by the same rounds.
 
 Fits at the grid nodes are glued onto one parametrization branch by a
@@ -41,13 +42,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .core_model import Configuration, ModelParams, local_density
-from .fitting import (
-    FitError,
-    fit_from_stack,
-    fit_global_stack,
-    minimize_j_stack,
-    transport,
-)
+from .fitting import FitError, _continue, minimize_j_stack
 from .potentials import c_con, c_tilde_nabla
 from .topology import (
     Reparam,
@@ -156,19 +151,16 @@ def grid_rounds(geom: GridGeometry):
 
 def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thresholds,
                order: list, rounds: list):
-    """Fit stage: natural-parameter continuation, one `fit_from_stack` and one
-    `fit_global_stack` per round.
+    """Fit stage: natural-parameter continuation, one `fitting._continue` per round.
 
-    A node with a valid 4-neighbour earlier in seed order (the earliest such)
-    starts one damped Newton on h from the neighbour's transported fit
-    (A_n, tau_n + A_n dx), its A scaled by `fit_from_stack` so that
-    det A = rho at the node; the result is kept when it converged and is a
-    regular pair under `thresholds`.  Otherwise, at the first node and where
-    a step is refused, the full multistart runs: one `fit_global_stack` over
-    the round's refused nodes in seed order, each row the `fit_global` run of
-    its node, bit for bit.  A continued node's raw fit stays in its
-    neighbour's integer parametrisation, so `align` is mostly the identity.
-    Returns (fits, valid, reasons, h_hat, rho_l, rho_2l).
+    A node's end is its valid 4-neighbour earliest in seed order, with that
+    neighbour's fit, or None where it has none (the first node, for one).
+    `_continue` keeps the continuation step from the end when it converged
+    to a regular pair under `thresholds`; every other node of the round gets
+    the multistart, each the `fit_global` run of its node, bit for bit.  A
+    continued node's raw fit stays in its neighbour's integer
+    parametrisation, so `align` is mostly the identity.  Returns (fits,
+    valid, reasons, h_hat, rho_l, rho_2l).
     """
     ny, nx = geom.ny, geom.nx
     rank = {n: i for i, n in enumerate(order)}
@@ -179,26 +171,17 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
     rho_l = np.full((ny, nx), np.nan)
     rho_2l = np.full((ny, nx), np.nan)
     for wave in rounds:
-        steps = {}
+        ends = []
         for ix, iy in wave:
             parents = [(ix + dx, iy + dy) for dx, dy in _STEPS
                        if 0 <= ix + dx < nx and 0 <= iy + dy < ny and valid[iy + dy, ix + dx]]
+            end = None
             if parents:
                 px, py = min(parents, key=rank.__getitem__)
-                steps[(ix, iy)] = transport(geom.node(px, py), fits[py][px].aff_hat,
-                                            geom.node(ix, iy))
-        outs = {}
-        if steps:
-            outs = dict(zip(steps, fit_from_stack(list(steps.values()), chi,
-                                                  [geom.node(*n) for n in steps],
-                                                  params, thresholds)))
-        refused = [n for n in wave if outs.get(n) is None
-                   or not (outs[n].converged and outs[n].regular)]
-        outs.update(zip(refused, fit_global_stack(chi, [geom.node(*n) for n in refused],
-                                                  params, thresholds)))
-        for ix, iy in wave:
-            x = geom.node(ix, iy)
-            out = outs[(ix, iy)]
+                end = (geom.node(px, py), fits[py][px].aff_hat)
+            ends.append(end)
+        xs = [geom.node(ix, iy) for ix, iy in wave]
+        for (ix, iy), x, out in zip(wave, xs, _continue(ends, chi, xs, params, thresholds)):
             if isinstance(out, FitError):
                 reasons[iy][ix] = f"fit failed: {out}"
                 continue
@@ -441,7 +424,7 @@ def f_c(grad_tau, params: ModelParams, rho_ratio: float,
     rho_l = det_a if rho_lambda is None else rho_lambda
     ctn = c_tilde_nabla(rho_ratio, c_con(rho_l, det_a, d, constants), constants)
     k3 = 0.5 * ctn * det_a * params.lam**2
-    # |A - E R|^2 directly: dist2_rot's |A|^2 + |E|^2 - 2 sum sigma loses ~1e-13 relative
+    # |A - E R|^2 directly: |A|^2 + |E|^2 - 2 sum sigma loses ~1e-13 relative
     p, _, qt = np.linalg.svd(el.E.T @ a)
     u_rot = k3 * float(np.sum(np.linalg.inv(el.E) ** 2)) * float(np.sum((a - el.E @ p @ qt) ** 2))
     remark = min(el.f_el(np.linalg.inv(b) @ a) for b in unimodular_matrices(d, B_ENTRY_RANGE))

@@ -6,12 +6,16 @@ global fit is a deterministic multistart: candidate A's from short difference
 vectors, tau from the phase of the weighted lattice sum, then Newton on the
 full h = J + F + nu (nu smoothed so it is C^2; reported energies always use
 the exact |.|).  The reported h_hat is an upper bound on the true infimum.
-`fit_from` runs one start alone, from a caller's predictor (a neighbour's fit
-carried over by `transport`) with its A scaled onto the det A = rho(x) ridge
-of nu, the kink Newton would otherwise cross back and forth for its first
-steps; the multistart's starts are never scaled.  Both finish a start the
-same way (canonical tau, exact energy from the Newton's own gather,
-regular-pair test on that energy's rho and J, with no second gather).
+A continuation step (`_continue`, the one policy for grids, loops and
+`fit_between`) runs one start alone from a caller's predictor, a
+neighbour's fit carried over by `transport`, with its A scaled onto the
+det A = rho(x) ridge of nu, the kink Newton would otherwise cross back and
+forth for its first steps.  A step that fails, does not converge or is not
+regular, and a point with no predictor, get the multistart, whose starts
+are never scaled (Allgower & Georg, *Introduction to Numerical Continuation
+Methods*, ch. 2).  Both finish a start the same way (canonical tau, exact
+energy from the Newton's own gather, regular-pair test on that energy's rho
+and J, with no second gather).
 
 `_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
 on a leading axis.  A stack is stepped in lockstep: one evaluation of the
@@ -20,7 +24,7 @@ serve every start still running, and each start keeps its own exit
 (converged, cap, line-search failure, abort bar, det A <= 0, and under
 require_pd leaving the convexity basin).  The starts share one point's
 gather, or each has its own point: one gather per row, zero-padded to the
-longest, so the continuation steps of a grid round (`fit_from_stack`) and
+longest, so the continuation steps of a grid round (`_fit_from_rows`) and
 its branch minimizers (`minimize_j_stack`) each run as one stack.  Every row
 is computed exactly as that start alone, so the lockstep run equals K single
 runs bit for bit.  The multistart (`fit_global_stack`) serves the points of
@@ -28,10 +32,9 @@ a grid round together: it pre-converges every candidate of every point on
 J at lam/2 as one stack, each point's gather also giving its candidates'
 tau, and then runs start k of every point as one stack on h, k = 0, 1, ...
 Each start's abort bar is the best total of its own point's starts before
-it, a per-row bar.  Single-start callers (`fit_from`, `fit_global`,
-`minimize_j_local`) pass one row or one point through the same code;
-`minimize_j_local` alone raises BasinEscapeError for a row that left the
-basin.
+it, a per-row bar.  `fit_global` and `minimize_j_local` pass one point
+through the same code; `minimize_j_local` alone raises BasinEscapeError for
+a row that left the basin.
 
 One Newton step costs one value, gradient and Hessian per start.
 `_Objective` computes det A and A^{-1} once per evaluation (2 x 2 closed
@@ -46,21 +49,20 @@ with no solve per row.
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
 fit from sample to sample.  The sweeps are independent chains, so each step
-of both runs as one 2-row stack (`_fit_from_rows`, the body of
-`fit_from_stack`) on a view of one objective over the loop's samples: each
-sample is gathered once, not once per sweep.  Samples 1.2 lam apart can
-still land in a higher neighbouring basin, so where the sweeps disagree the
-sample gets the multistart warm-started from both (the basin guard).  A
-sample the sweeps agree on keeps the forward fit, in sample 0's integer
-gauge.  `fit_between` applies the same guard to one point between two fits,
-its two continuation steps one 2-row stack on one gather as well.
+of both runs as one 2-row `_continue` on a view of one objective over the
+loop's samples: each sample is gathered once, not once per sweep.  Samples
+1.2 lam apart can still land in a higher neighbouring basin, so where the
+sweeps disagree the sample gets the multistart warm-started from both (the
+basin guard).  A sample the sweeps agree on keeps the forward fit, in sample
+0's integer gauge.  `fit_between` applies the same guard to one point
+between two fits, its two continuation steps one 2-row stack on one gather
+as well.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
@@ -76,7 +78,6 @@ from .core_model import (
     _regularity,
     assemble_j,
     gather_weights,
-    is_regular_pair,
     j_phases,
     sample_energy,
 )
@@ -90,7 +91,6 @@ TWO_PI = 2.0 * math.pi
 TOL_GRAD = 1e-10        # dual lambda-norm of the gradient at convergence
 MAX_ITER = 50           # Newton steps on J per branch point
 MAX_ITER_H = 60         # Newton steps on h per fit start
-DELTA_AFF = 0.2         # basin radius in lambda-norm units, validated by the PD check
 STEP_CAP = 1.0          # longest Newton step in the lambda-scaled metric: one period of the tau wells
 ARMIJO_C1 = 1e-4
 N_DIRECTIONS = 12       # difference-vector directions combined into A candidates
@@ -608,19 +608,13 @@ class FitResult:
     n_candidates: int
 
 
-def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
-                     check_regular: bool = True) -> BranchPoint:
+def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParams) -> BranchPoint:
     """Damped Newton on J inside the convexity basin around aff0.
 
     Raises BasinEscapeError when the Hessian stops being positive definite;
     a start at an exact minimizer returns unchanged with 0 iterations.  One
     row of `minimize_j_stack`.
     """
-    if check_regular:
-        ok, _ = is_regular_pair(x, aff0, chi, params)
-        if not ok:
-            warnings.warn(f"minimize_j_local started at an irregular pair near {np.asarray(x)}",
-                          stacklevel=2)
     out = minimize_j_stack([aff0], chi, [x], params)[0]
     if out is None:
         raise BasinEscapeError("left convexity basin: Hessian not positive definite")
@@ -628,7 +622,7 @@ def minimize_j_local(aff0: AffinePair, chi: Configuration, x, params: ModelParam
 
 
 def minimize_j_stack(affs, chi: Configuration, xs, params: ModelParams) -> list:
-    """`minimize_j_local` (without the regularity warning) at K points in one lockstep Newton.
+    """`minimize_j_local` at K points in one lockstep Newton.
 
     Row k starts from affs[k] at xs[k] on that point's own gather.  Each row is
     the run `minimize_j_local` makes alone, bit for bit; a row that leaves the
@@ -657,10 +651,8 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     warm starts run after the pre-converged candidates.  One row of
     `fit_global_stack`; raises its row's FitError.
     """
-    out = fit_global_stack(chi, [x], params, thresholds, warm_starts=[warm_starts])[0]
-    if isinstance(out, FitError):
-        raise out
-    return out
+    return _raise_errors(fit_global_stack(chi, [x], params, thresholds,
+                                          warm_starts=[warm_starts]))[0]
 
 
 def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=None,
@@ -768,38 +760,16 @@ def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list
     return kept
 
 
-def fit_from(aff0: AffinePair, chi: Configuration, x, params: ModelParams,
-             thresholds=None) -> FitResult:
-    """One damped Newton on h from aff0 put on the nu ridge, finished as a multistart start is.
-
-    The continuation step of a loop or grid fit: aff0 is a neighbour's fit
-    transported to x (`transport`).  Its A is scaled so that det A = rho(x)
-    before Newton starts (`_on_ridge`), and the result keeps aff0's integer
-    parametrisation (tau wrapped to [0, 1)).  Raises FitError when aff0 has
-    det A <= 0.  One row of `fit_from_stack`.
-    """
-    out = fit_from_stack([aff0], chi, [x], params, thresholds)[0]
-    if out is None:
-        raise FitError("starting point has det A <= 0")
-    return out
-
-
-def fit_from_stack(affs, chi: Configuration, xs, params: ModelParams,
-                   thresholds=None) -> list:
-    """`fit_from` at K points in one lockstep Newton: the continuation steps of a grid round.
-
-    Row k starts from affs[k] at xs[k] on that point's own gather, with A
-    scaled onto the row's det A = rho ridge, and is the run `fit_from` makes
-    alone, bit for bit.  A row whose start has det A <= 0 comes back as None.
-    """
-    xs = np.asarray(xs, dtype=float).reshape(len(affs), chi.d)
-    obj = _Objective(chi, xs, params, j_only=False)
-    return _fit_from_rows(obj, affs, xs, chi, params, thresholds)
-
-
 def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelParams,
                    thresholds) -> list:
-    """`fit_from_stack` on obj, holding the gathers: row k at point k, or at point[k] of a view."""
+    """One continuation Newton on h per row, all rows one lockstep stack on obj's gathers.
+
+    Row k starts from affs[k] at xs[k], on obj's point k, or point[k] of a
+    view, with A scaled onto that point's det A = rho ridge (`_on_ridge`).
+    Each row is the run it makes alone, bit for bit, and keeps affs[k]'s
+    integer parametrisation (tau wrapped to [0, 1)).  A row whose start has
+    det A <= 0 comes back as None.
+    """
     points = np.arange(len(affs)) if obj.point is None else obj.point
     theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho[points], chi.d)
     try:
@@ -848,7 +818,7 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     two sweeps are independent chains, so step i of both, to samples i and
     n-i, runs as one 2-row stack, on a view of one objective over samples
     1..n-1, so each sample is gathered once.  A step that fails, does not
-    converge or is not regular under `thresholds` falls back to `fit_global`.
+    converge or is not regular under `thresholds` gets the multistart.
     Where the two sweeps' totals differ by more than GUARD_TOL, one sweep
     sits in a higher basin, and the sample gets `fit_global` warm-started
     from both; elsewhere it keeps the forward fit, which stays in sample 0's
@@ -861,8 +831,8 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     obj = _Objective(chi, pts[1:], params, j_only=False) if n > 1 else None
     for i in range(1, n):
         ends = [(fwd[-1].position, fwd[-1].aff_hat), (bwd[-1].position, bwd[-1].aff_hat)]
-        f, b = _continue(ends, obj.on_points([i - 1, n - i - 1]), chi, [pts[i], pts[n - i]],
-                         params, thresholds)
+        f, b = _raise_errors(_continue(ends, chi, [pts[i], pts[n - i]], params, thresholds,
+                                       obj.on_points([i - 1, n - i - 1])))
         fwd.append(f)
         bwd.append(b)
     bwd = [first] + bwd[:0:-1]
@@ -873,26 +843,44 @@ def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=Non
     """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False).on_points([0, 0])
-    return _guard(*_continue(ends, obj, chi, [x, x], params, thresholds), chi, params,
-                  thresholds)
+    return _guard(*_raise_errors(_continue(ends, chi, [x, x], params, thresholds, obj)), chi,
+                  params, thresholds)
 
 
-def _continue(ends, obj: _Objective, chi: Configuration, xs, params: ModelParams,
-              thresholds) -> list[FitResult]:
-    """One continuation step from each pair (y_k, aff_k) to xs[k]: one `_fit_from_rows` on obj.
+def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
+              obj: _Objective | None = None) -> list:
+    """Row k: one continuation step to xs[k] from ends[k] = (y_k, aff_k), or the multistart.
 
-    The rows that fail, do not converge or are not regular get the multistart,
-    all of them in one `fit_global_stack`.
+    The rows with an end start from it transported to xs[k] (`transport`),
+    all as one `_fit_from_rows` on obj, whose rows are those rows in order;
+    without obj, one is built over their points, so a row with no end is
+    not gathered here.  A row whose end is None, or whose step fails, does
+    not converge or is not regular under `thresholds`, is refused: every
+    refused row gets the multistart, all of them in one `fit_global_stack`.
+    Row k is its FitResult, or in its place the FitError its multistart gave.
     """
-    outs = _fit_from_rows(obj, [transport(y, aff, x) for (y, aff), x in zip(ends, xs)], xs, chi,
-                          params, thresholds)
+    xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
+    outs = [None] * len(xs)
+    go = [k for k, end in enumerate(ends) if end is not None]
+    if go:
+        if obj is None:
+            obj = _Objective(chi, xs[go], params, j_only=False)
+        steps = _fit_from_rows(obj, [transport(*ends[k], xs[k]) for k in go], xs[go], chi,
+                               params, thresholds)
+        for k, out in zip(go, steps):
+            outs[k] = out
     refused = [k for k, out in enumerate(outs)
                if out is None or not (out.converged and out.regular)]
-    for k, out in zip(refused, fit_global_stack(chi, [xs[k] for k in refused], params,
-                                                thresholds)):
+    for k, out in zip(refused, fit_global_stack(chi, xs[refused], params, thresholds)):
+        outs[k] = out
+    return outs
+
+
+def _raise_errors(outs: list) -> list:
+    """outs, unless one of them is a FitError: the first such is raised."""
+    for out in outs:
         if isinstance(out, FitError):
             raise out
-        outs[k] = out
     return outs
 
 
@@ -921,46 +909,3 @@ def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, iterations: int, gra
     return FitResult(position=x, aff_hat=aff, breakdown=breakdown, regular=regular,
                      report=report, iterations=iterations, converged=converged,
                      grad_norm=grad_norm, n_candidates=n_candidates)
-
-
-def track_minimizer(branch: BranchPoint, path, chi: Configuration,
-                    params: ModelParams) -> list[BranchPoint]:
-    """Continuation of a J-minimizer branch along a path of nearby points.
-
-    Each step warm-starts Newton from the transported predictor
-    (A_prev, tau_prev + A_prev dx); the branch is truncated (with a warning
-    naming the reason) when regularity fails, the convexity basin is left,
-    or the new minimizer is farther than DELTA_AFF from the predictor.
-    """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    if np.linalg.norm(path[0] - branch.position) > 1e-9:
-        raise ValueError("path must start at the branch position")
-    steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    if np.any(steps > params.lam / 4.0 + 1e-9):
-        raise ValueError(f"path step {float(np.max(steps)):g} exceeds lam/4 = {params.lam / 4.0:g}")
-
-    out = [branch]
-    cur = branch
-    for i, x_new in enumerate(path[1:], start=1):
-        pred = transport(cur.position, cur.aff_tilde, x_new)
-        ok, _ = is_regular_pair(x_new, pred, chi, params)
-        if not ok:
-            warnings.warn(f"track_minimizer truncated at step {i}: predictor not regular",
-                          stacklevel=2)
-            break
-        try:
-            bp = minimize_j_local(pred, chi, x_new, params, check_regular=False)
-        except BasinEscapeError:
-            warnings.warn(f"track_minimizer truncated at step {i}: left convexity basin",
-                          stacklevel=2)
-            break
-        if aff_distance(bp.aff_tilde, pred, params.lam) >= DELTA_AFF:
-            warnings.warn(f"track_minimizer truncated at step {i}: branch identity lost",
-                          stacklevel=2)
-            break
-        bp = BranchPoint(position=bp.position, aff_tilde=bp.aff_tilde, j_value=bp.j_value,
-                         grad_norm=bp.grad_norm, iterations=bp.iterations,
-                         converged=bp.converged, provenance=cur.provenance)
-        out.append(bp)
-        cur = bp
-    return out

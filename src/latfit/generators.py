@@ -97,44 +97,6 @@ def _lattice_points(a_matrix: np.ndarray, tau: np.ndarray, lo: np.ndarray, hi: n
     return pts[inside]
 
 
-def lattice_from_map(phi_map, grad_map, domain: Box, lam: float,
-                     a_matrix: np.ndarray | None = None, tau: np.ndarray | None = None,
-                     pad: float = 2.0, exclude=None):
-    """Deform a reference lattice by a smooth map z -> phi_map(z).
-
-    Returns (Configuration, a_field): a_field(x) = A_ref (grad phi)^{-1} at the
-    reference preimage of x, recovered by fixed-point iteration, so the map
-    must be a small perturbation of the identity (padding `pad` covers it).
-    """
-    d = domain.d
-    a_matrix = np.eye(d) if a_matrix is None else np.asarray(a_matrix, dtype=float)
-    tau = np.zeros(d) if tau is None else np.asarray(tau, dtype=float)
-    band = 4.0 * lam
-    z_pts = _lattice_points(a_matrix, tau, domain.lo - band - pad, domain.hi + band + pad)
-    pts = phi_map(z_pts) if phi_map is not None else z_pts
-    keep = domain.contains(pts, pad=band)
-    if exclude is not None:
-        keep &= ~exclude(z_pts)
-    pts = pts[keep]
-    interior = domain.contains(pts)
-    chi = Configuration(pts, interior, domain, lam)
-
-    a_field = None
-    if grad_map is not None:
-        def a_field(x, _a=a_matrix.copy()):
-            x = np.asarray(x, dtype=float)
-            z = x.copy()
-            for _ in range(60):
-                z_new = z - (phi_map(z[None, :])[0] - x)
-                if np.linalg.norm(z_new - z) < 1e-14:
-                    z = z_new
-                    break
-                z = z_new
-            return _a @ np.linalg.inv(grad_map(z))
-
-    return chi, a_field
-
-
 def _edge_displacement(rel: np.ndarray, b_vec: np.ndarray, poisson: float) -> np.ndarray:
     """Isotropic edge-dislocation displacement for Burgers vector b along +x.
 
@@ -304,29 +266,3 @@ def edge_dipole(domain: Box, lam: float, core1, core2, burgers=(1, 0),
                         meta={"cores": [c1.tolist(), c2.tolist()],
                               "burgers_each": [int(v) for v in np.round(b)]})
     return chi, truth
-
-
-def half_plane_count_oracle(chi: Configuration, core: np.ndarray, axis_dir: np.ndarray,
-                            width: float, offsets=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)) -> int:
-    """Net extra atom columns above vs below the core, counted combinatorially.
-
-    Counts atoms in thin strips parallel to the Burgers direction at +-offset
-    from the core, spanning `width` to each side.  An inserted half-plane adds
-    one column to every strip on its side; averaging the above-minus-below
-    count over several strip offsets washes out the +-1 jitter of columns
-    sitting on the window edge.  Independent of the fitting machinery.
-    """
-    core = np.asarray(core, dtype=float)
-    e1 = np.asarray(axis_dir, dtype=float)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.array([-e1[1], e1[0]])
-    rel = chi.positions - core
-    s = rel @ e1
-    t = rel @ e2
-
-    def strip_count(t0):
-        band = (np.abs(t - t0) < 0.5) & (np.abs(s) <= width)
-        return int(np.count_nonzero(band))
-
-    diffs = [strip_count(o) - strip_count(-o) for o in offsets]
-    return int(round(float(np.mean(diffs))))

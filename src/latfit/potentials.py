@@ -36,31 +36,10 @@ C_THETA1 = 2.0                 # largest Hessian eigenvalue anywhere
 # periodic well W
 # ---------------------------------------------------------------------------
 
-def w_eval(z):
-    """W(z) = sum_k (1 - cos 2 pi z_k) / (2 pi^2), vectorized over leading axes."""
-    z = np.asarray(z, dtype=float)
-    return np.sum((1.0 - np.cos(TWO_PI * z)) / (2.0 * math.pi**2), axis=-1)
-
-
 def w_grad(z):
     """Gradient of W: component k is sin(2 pi z_k) / pi."""
     z = np.asarray(z, dtype=float)
     return np.sin(TWO_PI * z) / math.pi
-
-
-def w_hess_diag(z):
-    """Diagonal of the (diagonal) Hessian of W: 2 cos(2 pi z_k)."""
-    z = np.asarray(z, dtype=float)
-    return 2.0 * np.cos(TWO_PI * z)
-
-
-def w_hess(z):
-    """Full d x d Hessian of W (diagonal for the separable cosine well)."""
-    diag = w_hess_diag(z)
-    out = np.zeros(diag.shape + (diag.shape[-1],))
-    idx = np.arange(diag.shape[-1])
-    out[..., idx, idx] = diag
-    return out
 
 
 def norm_gradw_inf(d: int) -> float:
@@ -94,20 +73,6 @@ def phi_eval(r):
     u = np.clip(r - 1.0, 0.0, 1.0)
     # clip kills the -1e-16 roundoff of the polynomial near the outer knot
     return np.clip(1.0 - _smoothstep7(u), 0.0, 1.0)
-
-
-def phi_grad(r):
-    """d phi / d r; identically 0 outside (1, 2) and <= 0 everywhere."""
-    r = np.asarray(r, dtype=float)
-    u = np.clip(r - 1.0, 0.0, 1.0)
-    return -_smoothstep7_d1(u)
-
-
-def phi_hess(r):
-    """d^2 phi / d r^2 (continuous; the profile is C^3)."""
-    r = np.asarray(r, dtype=float)
-    u = np.clip(r - 1.0, 0.0, 1.0)
-    return -_smoothstep7_d2(u)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +124,6 @@ class ElasticDensity:
     @property
     def d(self) -> int:
         return self.E.shape[0]
-
-    def dist2_rot(self, A: np.ndarray) -> float:
-        """Squared Frobenius distance from A to the orbit E O_d (E SO_d when det A > 0).
-
-        The general form for any d and any sign of det A, by singular values;
-        the F kernels use the closed form of `_sigma_sum` instead.
-        """
-        s = np.linalg.svd(self.E.T @ A, compute_uv=False)
-        val = float(np.sum(A * A) + self.e_norm2 - 2.0 * np.sum(s))
-        return max(val, 0.0)
 
     def f_el(self, A) -> float:
         A = np.asarray(A, dtype=float)

@@ -202,14 +202,6 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
                      j1=j1, j2=j2, gap=max(gap_b, gap_t))
 
 
-def triangle_check(fit1, fit2, fit3, chi: Configuration, params: ModelParams) -> bool:
-    """B13 = B12 B23 and t13 = B12 t23 + t12, exact integer identities."""
-    s12 = find_reparam(fit1, fit2, chi, params)
-    s23 = find_reparam(fit2, fit3, chi, params)
-    s13 = find_reparam(fit1, fit3, chi, params)
-    return compose(s12.reparam, s23.reparam) == s13.reparam
-
-
 def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configuration,
                                 params: ModelParams, thresholds=None) -> bool:
     """Product invariance when a regular point is inserted at insert_index."""
@@ -246,23 +238,6 @@ class LoopResult:
     max_delta_a: float
     max_delta_tau: float
     fits: tuple
-
-
-def express_in_frame(product: Reparam, base_aff: AffinePair, reference_a) -> Reparam:
-    """Rewrite a loop product in the label frame of a reference lattice matrix.
-
-    The raw product lives in the label frame of the loop's base fit; if that
-    fit is an integer relabeling B0 of the reference frame (B0 = rounding of
-    A_base A_ref^{-1}), the frame-independent content is (B0^{-1} B B0,
-    B0^{-1} t).
-    """
-    r = base_aff.A @ np.linalg.inv(np.asarray(reference_a, dtype=float))
-    b0 = np.round(r)
-    if float(np.max(np.abs(r - b0))) > 0.25:
-        raise AmbiguousReparamError("base fit is not an integer relabeling of the reference frame")
-    b0 = Reparam(b0.astype(np.int64), np.zeros(product.d, dtype=np.int64))
-    b0_inv = b0.inverse()
-    return Reparam(b0_inv.B @ product.B @ b0.B, b0_inv.B @ product.t)
 
 
 def classify_product(product: Reparam) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latfit.core_model import Box, Configuration, ModelParams
-from latfit.generators import GeneratorSpec, generate
+from latfit.generators import GeneratorSpec, _lattice_points, generate
 
 
 def random_rotation(rng):
@@ -31,6 +31,31 @@ def exact_lattice(a, tau, lam, box_size=6.0):
     pts = (z - tau) @ np.linalg.inv(a).T
     pts = pts[box.contains(pts, pad=4.0 * lam)]
     return Configuration(pts, box.contains(pts), box, lam)
+
+
+def lattice_from_map(phi_map, domain, lam, pad=2.0):
+    """Configuration of the lattice Z^d deformed by a smooth map z -> phi_map(z).
+
+    The map must be a small perturbation of the identity: the reference
+    lattice fills the domain, its 4 lam band and `pad` beyond.
+    """
+    d = domain.d
+    band = 4.0 * lam
+    z_pts = _lattice_points(np.eye(d), np.zeros(d), domain.lo - band - pad,
+                            domain.hi + band + pad)
+    pts = phi_map(z_pts)
+    pts = pts[domain.contains(pts, pad=band)]
+    return Configuration(pts, domain.contains(pts), domain, lam)
+
+
+def assert_same_fit(out, ref):
+    """Two FitResults equal bit for bit."""
+    assert np.array_equal(out.position, ref.position)
+    assert np.array_equal(out.aff_hat.A, ref.aff_hat.A)
+    assert np.array_equal(out.aff_hat.tau, ref.aff_hat.tau)
+    assert out.breakdown == ref.breakdown and out.report == ref.report
+    assert (out.regular, out.converged, out.iterations, out.n_candidates, out.grad_norm) \
+        == (ref.regular, ref.converged, ref.iterations, ref.n_candidates, ref.grad_norm)
 
 
 @pytest.fixture(scope="session")

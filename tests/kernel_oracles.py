@@ -1,4 +1,4 @@
-"""Loop-form reference versions of the fit kernels, kept as test oracles.
+"""Loop-form reference versions of the fit kernels, and the references tests check against.
 
 These are the straightforward per-entry assemblies that `core_model.assemble_j`,
 `core_model._g_hess`, `ElasticDensity.f_el_hess` and `fitting._Objective`
@@ -8,19 +8,25 @@ over the basis matrices E_ab, and every det A and A^{-1} recomputed where it is
 used.  F's value and gradient take the singular values and vectors of E^T A
 where the kernels use the d = 2 closed form, and `a_init_candidates` clusters
 the difference vectors one at a time where the fit code masks them.
-`evaluate_grid` fits, aligns and minimizes node by node with the single-start
-`fit_from` and `minimize_j_local` where the grid runs one stacked Newton per
+`evaluate_grid` fits, aligns and minimizes node by node, one continuation
+step per node with `fit_from` (one row of `fitting._fit_from_rows`) and one
+`minimize_j_local` per node, where the grid runs one stacked Newton per
 round, and `fd_gradients` differences node by node where the grid code
 slices arrays.  `fit_loop` runs its two sweeps one after the other and
 `fit_between` its two continuations one call each, one single-row `fit_from`
-per step, where the fit code steps both as one 2-row stack.  `fit_global` is
-the multistart one point at a time, its starts on h one after the other,
-where the fit code runs the multistarts of a grid round as one stack per
-start.  `newton_step` is one row of `fitting._newton_steps` as the per-row
-loop computed it: `pd_solve` factors the equilibrated Hessian with LAPACK
-potrf and solves with potrs, where the kernel takes one eigendecomposition of
-the whole stack.  They are slow and obviously correct; the kernel tests
-compare against them.
+per step, where the fit code steps both as one 2-row `fitting._continue`.
+`fit_global` is the multistart one point at a time, its starts on h one
+after the other, where the fit code runs the multistarts of a grid round as
+one stack per start.  `newton_step` is one row of `fitting._newton_steps` as
+the per-row loop computed it: `pd_solve` factors the equilibrated Hessian
+with LAPACK potrf and solves with potrs, where the kernel takes one
+eigendecomposition of the whole stack.  They are slow and obviously correct;
+the kernel tests compare against them.
+
+The well W with its Hessian, the cutoff's derivatives, the half-plane atom
+count of an edge dislocation and the frame change of a loop product are
+closed forms the tests check the package's constants and results against;
+no pipeline uses them.
 """
 
 import math
@@ -44,16 +50,17 @@ from latfit.fitting import (
     _canonical_signs,
     _exact,
     _finish,
+    _fit_from_rows,
     _guard,
     _newton,
     _Objective,
     _tau_phase,
-    fit_from,
     minimize_j_local,
     pack,
     unpack,
 )
-from latfit.topology import Reparam, ReparamError, find_reparam
+from latfit.potentials import _smoothstep7_d1, _smoothstep7_d2
+from latfit.topology import AmbiguousReparamError, Reparam, ReparamError, find_reparam
 
 TWO_PI = 2.0 * math.pi
 
@@ -489,8 +496,7 @@ def evaluate_grid(chi, geom, params, thresholds=None):
         if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
             continue
         try:
-            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params,
-                                  check_regular=False)
+            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params)
         except BasinEscapeError:
             valid[iy, ix] = False
             component[iy, ix] = -1
@@ -579,6 +585,19 @@ def fd_gradients(field):
                                  order=order, hess_ok=hess_ok)
 
 
+def fit_from(aff0, chi, x, params, thresholds=None):
+    """One continuation Newton on h from aff0 at x: `fitting._fit_from_rows` on one row.
+
+    Raises FitError when aff0 has det A <= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    obj = _Objective(chi, x, params, j_only=False)
+    out = _fit_from_rows(obj, [aff0], x[None], chi, params, thresholds)[0]
+    if out is None:
+        raise FitError("starting point has det A <= 0")
+    return out
+
+
 def continue_step(y, aff, chi, x, params, thresholds):
     """One continuation step from the pair (y, aff) to x; the multistart when it is refused."""
     pred = AffinePair(aff.A, aff.tau + aff.A @ (x - np.asarray(y, dtype=float)))
@@ -611,3 +630,80 @@ def fit_between(chi, x, params, ends, thresholds=None):
     (y1, aff1), (y2, aff2) = ends
     return _guard(continue_step(y1, aff1, chi, x, params, thresholds),
                   continue_step(y2, aff2, chi, x, params, thresholds), chi, params, thresholds)
+
+
+def w_eval(z):
+    """W(z) = sum_k (1 - cos 2 pi z_k) / (2 pi^2), vectorized over leading axes."""
+    z = np.asarray(z, dtype=float)
+    return np.sum((1.0 - np.cos(TWO_PI * z)) / (2.0 * math.pi**2), axis=-1)
+
+
+def w_hess_diag(z):
+    """Diagonal of the (diagonal) Hessian of W: 2 cos(2 pi z_k)."""
+    z = np.asarray(z, dtype=float)
+    return 2.0 * np.cos(TWO_PI * z)
+
+
+def w_hess(z):
+    """Full d x d Hessian of W (diagonal for the separable cosine well)."""
+    diag = w_hess_diag(z)
+    out = np.zeros(diag.shape + (diag.shape[-1],))
+    idx = np.arange(diag.shape[-1])
+    out[..., idx, idx] = diag
+    return out
+
+
+def phi_grad(r):
+    """d phi / d r; identically 0 outside (1, 2) and <= 0 everywhere."""
+    r = np.asarray(r, dtype=float)
+    u = np.clip(r - 1.0, 0.0, 1.0)
+    return -_smoothstep7_d1(u)
+
+
+def phi_hess(r):
+    """d^2 phi / d r^2 (continuous; the profile is C^3)."""
+    r = np.asarray(r, dtype=float)
+    u = np.clip(r - 1.0, 0.0, 1.0)
+    return -_smoothstep7_d2(u)
+
+
+def half_plane_count_oracle(chi, core, axis_dir, width, offsets=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)):
+    """Net extra atom columns above vs below the core, counted combinatorially.
+
+    Counts atoms in thin strips parallel to the Burgers direction at +-offset
+    from the core, spanning `width` to each side.  An inserted half-plane adds
+    one column to every strip on its side; averaging the above-minus-below
+    count over several strip offsets washes out the +-1 jitter of columns
+    sitting on the window edge.  Independent of the fitting machinery.
+    """
+    core = np.asarray(core, dtype=float)
+    e1 = np.asarray(axis_dir, dtype=float)
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.array([-e1[1], e1[0]])
+    rel = chi.positions - core
+    s = rel @ e1
+    t = rel @ e2
+
+    def strip_count(t0):
+        band = (np.abs(t - t0) < 0.5) & (np.abs(s) <= width)
+        return int(np.count_nonzero(band))
+
+    diffs = [strip_count(o) - strip_count(-o) for o in offsets]
+    return int(round(float(np.mean(diffs))))
+
+
+def express_in_frame(product, base_aff, reference_a):
+    """Rewrite a loop product in the label frame of a reference lattice matrix.
+
+    The raw product lives in the label frame of the loop's base fit; if that
+    fit is an integer relabeling B0 of the reference frame (B0 = rounding of
+    A_base A_ref^{-1}), the frame-independent content is (B0^{-1} B B0,
+    B0^{-1} t).
+    """
+    r = base_aff.A @ np.linalg.inv(np.asarray(reference_a, dtype=float))
+    b0 = np.round(r)
+    if float(np.max(np.abs(r - b0))) > 0.25:
+        raise AmbiguousReparamError("base fit is not an integer relabeling of the reference frame")
+    b0 = Reparam(b0.astype(np.int64), np.zeros(product.d, dtype=np.int64))
+    b0_inv = b0.inverse()
+    return Reparam(b0_inv.B @ product.B @ b0.B, b0_inv.B @ product.t)

@@ -27,20 +27,20 @@ from latfit.core_model import (
 )
 from latfit.fields import GridGeometry, evaluate_grid, fd_gradients, gradient_bound_check, lower_bound_report
 from latfit.fitting import fit_global, minimize_j_local
-from latfit.generators import GeneratorSpec, edge_dipole, generate, half_plane_count_oracle
+from latfit.generators import GeneratorSpec, edge_dipole, generate
 from latfit.potentials import c_con, phi_eval
 from latfit.topology import (
     Reparam,
     chain_drift_bound,
     chain_product,
     densify_loop,
-    express_in_frame,
     find_reparam,
     burgers_loop,
 )
 
 from cli_harness import field_csv_mismatches, loop_json_mismatches, run_cli
 from conftest import exact_lattice, random_a
+from kernel_oracles import express_in_frame, half_plane_count_oracle
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -141,7 +141,7 @@ def test_criterion_03_local_convexity():
         chi = configs[n_checked % 2]
         x = rng.uniform(1.0, 5.0, size=2)
         start = AffinePair(np.eye(2), (np.eye(2) @ x) % 1.0)
-        bp = minimize_j_local(start, chi, x, params, check_regular=False)
+        bp = minimize_j_local(start, chi, x, params)
         ok, _ = is_regular_pair(x, bp.aff_tilde, chi, params)
         if not ok:
             continue
@@ -204,7 +204,7 @@ def test_criterion_05_jump_bounds():
             fits = []
             for y in (y1, y2):
                 start = AffinePair(np.eye(2), (np.eye(2) @ y) % 1.0)
-                bp = minimize_j_local(start, chi, y, params, check_regular=False)
+                bp = minimize_j_local(start, chi, y, params)
                 ok, _ = is_regular_pair(y, bp.aff_tilde, chi, params)
                 fits.append((y, bp.aff_tilde) if ok else None)
             if None in fits:
@@ -240,7 +240,7 @@ def test_criterion_06_homotopy_invariance():
         fits = []
         for y in points:
             start = AffinePair(np.eye(2), (np.eye(2) @ y) % 1.0)
-            bp = minimize_j_local(start, chi, y, params, check_regular=False)
+            bp = minimize_j_local(start, chi, y, params)
             ok, _ = is_regular_pair(y, bp.aff_tilde, chi, params)
             if not ok:
                 fits = None
@@ -251,7 +251,7 @@ def test_criterion_06_homotopy_invariance():
         k = int(rng.integers(1, len(fits)))
         mid = 0.5 * (fits[k - 1][0] + fits[k][0]) + rng.uniform(-0.5, 0.5, size=2)
         start = AffinePair(np.eye(2), (np.eye(2) @ mid) % 1.0)
-        bpy = minimize_j_local(start, chi, mid, params, check_regular=False)
+        bpy = minimize_j_local(start, chi, mid, params)
         ok, _ = is_regular_pair(mid, bpy.aff_tilde, chi, params)
         if not ok:
             continue
@@ -400,7 +400,7 @@ def test_criterion_10_appendix_inequalities():
         ok_chain = True
         for _ in range(10):
             start = AffinePair(np.eye(2), (np.eye(2) @ pos) % 1.0)
-            bp = minimize_j_local(start, chi, pos, params, check_regular=False)
+            bp = minimize_j_local(start, chi, pos, params)
             ok, _ = is_regular_pair(pos, bp.aff_tilde, chi, params)
             if not ok:
                 ok_chain = False

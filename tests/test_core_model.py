@@ -18,13 +18,13 @@ from latfit.core_model import (
     j_value_grad_hess,
     local_density,
     low_energy_thresholds,
-    nu_lambda,
     pre_energy,
     split_regular_atoms,
 )
-from latfit.potentials import phi_eval, w_eval
+from latfit.potentials import phi_eval
 
 from conftest import exact_lattice, random_a
+from kernel_oracles import w_eval
 
 RNG = np.random.default_rng(11)
 DATA = Path(__file__).parent / "data"
@@ -266,7 +266,7 @@ class TestMisfitDerivatives:
         from latfit.fitting import fit_global, minimize_j_local
         from latfit.potentials import c_con
         fit = fit_global(chi_noise, np.array([20.0, 20.0]), params)
-        bp = minimize_j_local(fit.aff_hat, chi_noise, fit.position, params, check_regular=False)
+        bp = minimize_j_local(fit.aff_hat, chi_noise, fit.position, params)
         hess = j_value_grad_hess(bp.aff_tilde, chi_noise, fit.position, params.lam)[2]
         scale = np.concatenate([np.full(4, params.lam), np.ones(2)])
         hs = hess / scale[:, None] / scale[None, :]
@@ -279,28 +279,33 @@ class TestMisfitDerivatives:
 
 
 class TestVacancyTerm:
+    """nu = vartheta |det A - rho_lam(x)|, the vacancy term of `pre_energy`."""
+
+    @staticmethod
+    def nu(A, chi, x, params):
+        return pre_energy(AffinePair(A, np.zeros(2)), chi, x, params).nu_term
+
     def test_perfect_lattice_residual(self, params, chi_perfect):
         x = np.array([20.0, 20.0])
-        val = nu_lambda(np.eye(2), chi_perfect, x, params.lam, params.vartheta)
+        val = self.nu(np.eye(2), chi_perfect, x, params)
         assert val <= params.vartheta * DENSITY_C / params.lam**2
 
     def test_vacancy_fraction(self, params, chi_vacancies):
         x = np.array([20.0, 20.0])
-        val = nu_lambda(np.eye(2), chi_vacancies, x, params.lam, params.vartheta)
+        val = self.nu(np.eye(2), chi_vacancies, x, params)
         assert val == pytest.approx(0.1 * params.vartheta, rel=0.15)
 
     def test_exact_formula(self, params, chi_perfect):
         x = np.array([20.0, 20.0])
         rho = local_density(chi_perfect, x, params.lam)
         a = 2.0 * np.eye(2)  # det = 4 vs rho ~ 1
-        val = nu_lambda(a, chi_perfect, x, params.lam, params.vartheta)
+        val = self.nu(a, chi_perfect, x, params)
         assert val == pytest.approx(params.vartheta * abs(4.0 - rho), rel=1e-14)
         assert val == pytest.approx(params.vartheta * 4.0 * (1.0 - rho / 4.0), rel=1e-12)
 
     def test_rejects_bad_orientation(self, params, chi_perfect):
         with pytest.raises(ValueError):
-            nu_lambda(np.diag([1.0, -1.0]), chi_perfect, np.array([20.0, 20.0]),
-                      params.lam, params.vartheta)
+            self.nu(np.diag([1.0, -1.0]), chi_perfect, np.array([20.0, 20.0]), params)
 
 
 class TestPreEnergy:
@@ -477,7 +482,7 @@ class TestGradWDiagnostic:
 
     def test_pointwise_inequality_dense_scan(self, params):
         # |grad W|^2 (u, 0) <= alpha * W(u, 0) on a dense 1-D scan
-        from latfit.potentials import w_eval, w_grad
+        from latfit.potentials import w_grad
         dc = params.constants
         u = np.linspace(0.0, 1.0, 100001)
         z = np.stack([u, np.zeros_like(u)], axis=1)

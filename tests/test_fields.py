@@ -5,6 +5,7 @@ import kernel_oracles as oracle
 import numpy as np
 import pytest
 from cli_harness import DATA, FIELD_ATOL, FIELD_RTOL
+from conftest import assert_same_fit, lattice_from_map
 from scipy.linalg import polar
 
 from latfit import fields, fileio
@@ -22,9 +23,10 @@ from latfit.fields import (
     theorem2_check,
     unimodular_matrices,
 )
-from latfit.fitting import FitError, fit_from_stack, fit_global, fit_global_stack
+from latfit import fitting
+from latfit.fitting import FitError, fit_global, fit_global_stack
 from latfit.generators import Box as GenBox  # same class, readability
-from latfit.generators import GeneratorSpec, edge_dipole, generate, lattice_from_map
+from latfit.generators import GeneratorSpec, edge_dipole, generate
 from latfit.potentials import c_con, c_tilde_nabla
 
 
@@ -110,10 +112,7 @@ class TestGradients:
             out[:, 1] = out[:, 1] + amp * np.sin(k * out[:, 0])
             return out
 
-        def grad(z):
-            return np.array([[1.0, 0.0], [amp * k * math.cos(k * z[0]), 1.0]])
-
-        chi, a_field = lattice_from_map(disp, grad, box, lam)
+        chi = lattice_from_map(disp, box, lam)
         # sample around the curvature peak at k x = pi/2 (x = 30)
         geom = GridGeometry(origin=(26.0, 8.0), h=2.0, nx=5, ny=5)
         field = evaluate_grid(chi, geom, grid_params)
@@ -144,7 +143,7 @@ class TestGradients:
             out[:, 1] = out[:, 1] + amp * np.sin(k * out[:, 0])
             return out
 
-        chi, _ = lattice_from_map(disp, None, box, lam)
+        chi = lattice_from_map(disp, box, lam)
         center = np.array([17.0, 15.0])
         grads = []
         for h in (2.0, 1.0, 0.5):
@@ -196,7 +195,7 @@ class TestFC:
         """value is the coupling functional at (B = I, A1 = A2 = E R) or the remark value.
 
         R is the polar factor of E^T A, so E R is the point of E SO(d) nearest
-        to A, found without ElasticDensity.dist2_rot's singular-value sum.
+        to A, found without a singular-value sum.
         Each feasible value is an upper bound on the infimum F_C, so a value
         above the smaller one is looser and a value below it is unsound.
         """
@@ -266,6 +265,15 @@ class TestLowerBound:
         checks = gradient_bound_check(field)
         assert len(checks) > 0
         assert all(lhs >= rhs - 1e-12 for _, lhs, rhs in checks)
+
+    def test_gradient_bound_on_noisy_grid(self, params):
+        # a noisy lattice: every node with central differences obeys J >= rhs
+        chi, _ = generate(GeneratorSpec(kind="noise", sigma=0.02, seed=21,
+                                        domain_lo=(0, 0), domain_hi=(40, 40), lam=params.lam))
+        field = evaluate_grid(chi, GridGeometry(origin=(14.0, 17.0), h=1.5, nx=7, ny=5), params)
+        checks = gradient_bound_check(field)
+        assert int(field.valid.sum()) == 35 and len(checks) == 15
+        assert all(lhs >= rhs for _, lhs, rhs in checks)
 
     def test_requires_full_stencil(self, perfect_field):
         _, field = perfect_field
@@ -349,11 +357,11 @@ def multistart_field(chi, geom, params, thresholds=None):
     Refusing every continuation step sends each node to the unchanged
     `fit_global` fallback; alignment and branch stages are evaluate_grid's own.
     """
-    def refuse(affs, *args, **kwargs):
+    def refuse(obj, affs, *args, **kwargs):
         return [None] * len(affs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_from_stack", refuse)
+        mp.setattr(fitting, "_fit_from_rows", refuse)
         return evaluate_grid(chi, geom, params, thresholds=thresholds)
 
 
@@ -420,14 +428,16 @@ def test_continuation_matches_multistart():
     geom = GridGeometry(origin=(-10.0, -4.0), h=2.0, nx=4, ny=4)
     refused = []
 
-    def recording_fit_from_stack(affs, chi, xs, params, thresholds=None):
-        outs = fit_from_stack(affs, chi, xs, params, thresholds)
+    fit_from_rows = fitting._fit_from_rows
+
+    def recording_fit_from_rows(obj, affs, xs, *args):
+        outs = fit_from_rows(obj, affs, xs, *args)
         refused.extend(np.asarray(x) for x, out in zip(xs, outs)
                        if out is None or not (out.converged and out.regular))
         return outs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_from_stack", recording_fit_from_stack)
+        mp.setattr(fitting, "_fit_from_rows", recording_fit_from_rows)
         cont = evaluate_grid(chi, geom, params, thresholds=tight)
     ref = multistart_field(chi, geom, params, thresholds=tight)
     assert refused
@@ -487,21 +497,11 @@ def test_round_grid_matches_per_node_oracle(grid_params):
         return fit_global_stack(chi, xs, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "fit_global_stack", counting_fit_global_stack)
+        mp.setattr(fitting, "fit_global_stack", counting_fit_global_stack)
         new = evaluate_grid(chi, geom, grid_params, thresholds=tight)
     assert sum(multistarts) > 1 and not new.valid.all()
     assert max(multistarts) >= 2        # one stack holds the fallback nodes of a round
     assert_same_field(new, oracle.evaluate_grid(chi, geom, grid_params, thresholds=tight))
-
-
-def assert_same_fit(out, ref):
-    """Two FitResults equal bit for bit."""
-    assert np.array_equal(out.position, ref.position)
-    assert np.array_equal(out.aff_hat.A, ref.aff_hat.A)
-    assert np.array_equal(out.aff_hat.tau, ref.aff_hat.tau)
-    assert out.breakdown == ref.breakdown and out.report == ref.report
-    assert (out.regular, out.converged, out.iterations, out.n_candidates, out.grad_norm) \
-        == (ref.regular, ref.converged, ref.iterations, ref.n_candidates, ref.grad_norm)
 
 
 def test_fit_global_stack_matches_per_node_oracle(grid_params):

@@ -1,36 +1,33 @@
 import math
 from dataclasses import replace
 
+import kernel_oracles as oracle
 import numpy as np
 import pytest
 
-from latfit import core_model, fields, fitting
-from latfit.core_model import AffinePair, Box, Configuration, local_density
+from latfit import core_model, fitting
+from latfit.core_model import AffinePair, Box, Configuration, local_density, low_energy_thresholds
 from latfit.fields import GridGeometry, evaluate_grid
 from latfit.fitting import (
     MAX_ITER_H,
     TOL_GRAD,
-    BasinEscapeError,
     FitError,
     _newton,
     _Objective,
     a_init_candidates,
     aff_distance,
-    fit_from,
-    fit_from_stack,
     fit_global,
     fit_loop,
     minimize_j_local,
     pack,
     tau_init,
-    track_minimizer,
     transport,
 )
 from latfit.potentials import c_con
 from latfit.topology import densify_loop, find_reparam
-from latfit.generators import GeneratorSpec, edge_dipole, generate
+from latfit.generators import edge_dipole
 
-from conftest import exact_lattice
+from conftest import assert_same_fit, exact_lattice
 
 DENSITY_C = 1e-3
 
@@ -133,20 +130,12 @@ class TestMinimizeJLocal:
         assert aff_distance(bp.aff_tilde, aff0, params.lam) <= bound
         assert bp.j_value <= j0  # descent
 
-    def test_warns_on_irregular_start(self, params, chi_noise):
-        aff = AffinePair(1.7 * np.eye(2), np.zeros(2))
-        with pytest.warns(UserWarning, match="irregular"):
-            try:
-                minimize_j_local(aff, chi_noise, np.array([20.0, 20.0]), params)
-            except BasinEscapeError:
-                pass
-
     def test_uniqueness_within_basin(self, params, chi_noise):
         # random starts inside the lambda-ball of radius delta around a regular
         # fit all converge to the same minimizer
         x = np.array([20.0, 20.0])
         fit = fit_global(chi_noise, x, params)
-        base = minimize_j_local(fit.aff_hat, chi_noise, x, params, check_regular=False)
+        base = minimize_j_local(fit.aff_hat, chi_noise, x, params)
         rng = np.random.default_rng(12)
         for _ in range(20):
             d_a = rng.standard_normal((2, 2))
@@ -154,7 +143,7 @@ class TestMinimizeJLocal:
             norm = math.sqrt(params.lam**2 * np.sum(d_a**2) + np.sum(d_t**2))
             scale = rng.uniform(0.0, 0.2) / norm
             start = AffinePair(base.aff_tilde.A + scale * d_a, base.aff_tilde.tau + scale * d_t)
-            bp = minimize_j_local(start, chi_noise, x, params, check_regular=False)
+            bp = minimize_j_local(start, chi_noise, x, params)
             assert aff_distance(bp.aff_tilde, base.aff_tilde, params.lam) < 1e-8
 
 
@@ -265,71 +254,6 @@ class TestFitGlobal:
                 assert moved.iterations == base.iterations
 
 
-class TestTrackMinimizer:
-    def test_constant_path_exact_transport(self, params, chi_perfect):
-        x0 = np.array([16.0, 20.0])
-        fit = fit_global(chi_perfect, x0, params)
-        bp0 = minimize_j_local(fit.aff_hat, chi_perfect, x0, params, check_regular=False)
-        path = np.array([x0, x0 + [2.0, 0.0], x0 + [4.0, 0.0], x0 + [6.0, 0.0]])
-        out = track_minimizer(bp0, path, chi_perfect, params)
-        assert len(out) == 4
-        for prev, cur in zip(out[:-1], out[1:]):
-            assert np.allclose(cur.aff_tilde.A, prev.aff_tilde.A, atol=1e-7)
-            pred_tau = prev.aff_tilde.tau + prev.aff_tilde.A @ (cur.position - prev.position)
-            assert np.allclose(cur.aff_tilde.tau, pred_tau, atol=1e-7)
-
-    def test_sheared_lattice_matches_pointwise_fits(self, params):
-        chi, truth = generate(GeneratorSpec(kind="shear", gamma=0.02, domain_lo=(0, 0),
-                                            domain_hi=(40, 40), lam=params.lam))
-        x0 = np.array([14.0, 20.0])
-        fit = fit_global(chi, x0, params)
-        bp0 = minimize_j_local(fit.aff_hat, chi, x0, params, check_regular=False)
-        path = np.array([x0 + [2.0 * k, 0.5 * k] for k in range(6)])
-        out = track_minimizer(bp0, path, chi, params)
-        assert len(out) == 6
-        for bp in out[1:]:
-            local = fit_global(chi, bp.position, params)
-            step = find_reparam((bp.position, bp.aff_tilde),
-                                (bp.position, local.aff_hat), chi, params)
-            # same branch: the residual is the small J-vs-h minimizer offset
-            assert step.delta_a < 5e-4
-            assert step.gap < 1e-3
-
-    def test_step_cap_enforced(self, params, chi_perfect):
-        x0 = np.array([16.0, 20.0])
-        fit = fit_global(chi_perfect, x0, params)
-        bp0 = minimize_j_local(fit.aff_hat, chi_perfect, x0, params, check_regular=False)
-        path = np.array([x0, x0 + [params.lam, 0.0]])
-        with pytest.raises(ValueError, match="lam/4"):
-            track_minimizer(bp0, path, chi_perfect, params)
-
-    def test_gradient_bound_along_path(self, params):
-        # finite differences of the tracked branch obey the first-gradient bound
-        chi, _ = generate(GeneratorSpec(kind="noise", sigma=0.02, seed=21,
-                                        domain_lo=(0, 0), domain_hi=(40, 40), lam=params.lam))
-        x0 = np.array([14.0, 20.0])
-        fit = fit_global(chi, x0, params)
-        bp0 = minimize_j_local(fit.aff_hat, chi, x0, params, check_regular=False)
-        h = 1.5
-        path = np.array([x0 + [h * k, 0.0] for k in range(7)])
-        out = track_minimizer(bp0, path, chi, params)
-        assert len(out) == 7
-        dc = params.constants
-        lam = params.lam
-        e1 = np.array([1.0, 0.0])
-        for prev, mid, nxt in zip(out[:-2], out[1:-1], out[2:]):
-            d_a = (nxt.aff_tilde.A - prev.aff_tilde.A) / (2 * h)
-            d_tau = (nxt.aff_tilde.tau - prev.aff_tilde.tau) / (2 * h)
-            lhs = lam**2 * float(np.sum(d_a**2)) + float(np.sum((d_tau - mid.aff_tilde.A @ e1) ** 2))
-            rho = local_density(chi, mid.position, lam)
-            rho2 = local_density(chi, mid.position, 2 * lam)
-            nai = float(np.sum(np.linalg.inv(mid.aff_tilde.A) ** 2))
-            ccv = c_con(rho, float(np.linalg.det(mid.aff_tilde.A)), 2, dc)
-            rhs = (mid.j_value * dc.alpha_nabla * 2.0**2 * dc.norm_grad_sqrt_phi**2 * rho2
-                   / (ccv**2 * nai * rho**2 * lam**2))
-            assert lhs <= rhs
-
-
 class TestContinuationStartsOnTheRidge:
     """Continuation steps start Newton at det A = rho(x); multistart starts arrive as given."""
 
@@ -353,7 +277,6 @@ class TestContinuationStartsOnTheRidge:
 
         mp.setattr(fitting, "_newton", recording_newton)
         mp.setattr(fitting, "fit_global_stack", recording_fit_global_stack)
-        mp.setattr(fields, "fit_global_stack", recording_fit_global_stack)
         return calls
 
     @staticmethod
@@ -364,7 +287,7 @@ class TestContinuationStartsOnTheRidge:
 
     @staticmethod
     def continuation_rows(calls):
-        """(det A, rho) of every start row of the stacked Newtons on h (`fit_from_stack`)."""
+        """(det A, rho) of every start row of the continuation Newtons on h (`_fit_from_rows`)."""
         rows = []
         for obj, theta0, multistart in calls:
             if theta0.ndim == 2 and not obj.j_only and not multistart:
@@ -380,14 +303,14 @@ class TestContinuationStartsOnTheRidge:
     def test_fit_from_stack_loop_and_grid_start_on_the_ridge(self, params, chi_noise, base_fit):
         y = base_fit.position
         xs = [y + [2.5, 0.0], y + [0.0, -2.5], y + [1.5, 1.5]]
-        affs = [transport(y, AffinePair(f * base_fit.aff_hat.A, base_fit.aff_hat.tau), x)
-                for f, x in zip((1.0, 1.04, 0.97), xs)]
+        ends = [(y, AffinePair(f * base_fit.aff_hat.A, base_fit.aff_hat.tau))
+                for f in (1.0, 1.04, 0.97)]
         corners = y + 4.0 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
                                       [-1.0, -1.0]])
         loop = densify_loop(corners, 3.0)[:-1]
         with pytest.MonkeyPatch.context() as mp:
             calls = self.record_newton(mp)
-            fit_from_stack(affs, chi_noise, xs, params)
+            fitting._continue(ends, chi_noise, xs, params, None)
             n_stack = len(self.continuation_rows(calls))
             fit_loop(chi_noise, loop, params)
             n_loop = len(self.continuation_rows(calls))
@@ -433,10 +356,52 @@ class TestContinuationStartsOnTheRidge:
         y = base_fit.position
         x = y + [2.0, -1.0]
         pred = transport(y, base_fit.aff_hat, x)
-        ref = fit_from(pred, chi_noise, x, params)
+        ref = oracle.fit_from(pred, chi_noise, x, params)
         assert ref.converged and ref.regular
         for factor in (0.9, 1.07):
-            out = fit_from(AffinePair(factor * pred.A, pred.tau), chi_noise, x, params)
+            out = oracle.fit_from(AffinePair(factor * pred.A, pred.tau), chi_noise, x, params)
             assert np.max(np.abs(out.aff_hat.A - ref.aff_hat.A)) <= 1e-12
             assert np.max(np.abs(out.aff_hat.tau - ref.aff_hat.tau)) <= 1e-12
             assert abs(out.breakdown.total - ref.breakdown.total) <= 1e-12
+
+
+def test_continue_rows_match_one_row_runs(params, chi_noise):
+    """A mixed `_continue` stack: each row is its one-row run bit for bit, a FitError in place."""
+    base = fit_global(chi_noise, np.array([20.0, 20.0]), params)
+    y, aff = base.position, base.aff_hat
+    th = 0.3
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    tight = low_energy_thresholds(0.01, params)
+    # accepted step, no end, step into a higher basin, step and no end outside the atoms
+    ends = [(y, aff), None, (y, AffinePair(rot @ aff.A, aff.tau)), (y, aff), None]
+    xs = [y + [2.5, 0.0], y + [0.0, -2.5], y + [1.5, 1.5], np.array([200.0, 200.0]),
+          np.array([-150.0, 3.0])]
+    gathered = []
+    fit_from_rows = fitting._fit_from_rows
+
+    def recording_fit_from_rows(obj, *args):
+        gathered.append(len(obj.rho))
+        return fit_from_rows(obj, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_fit_from_rows", recording_fit_from_rows)
+        outs = fitting._continue(ends, chi_noise, xs, params, tight)
+        assert gathered == [3]          # the rows with an end, and only those, are gathered
+        fitting._continue([None, None], chi_noise, xs[:2], params, tight)
+        assert gathered == [3]          # no end, no continuation objective
+    for end, x, out in zip(ends, xs, outs):
+        one = fitting._continue([end], chi_noise, [x], params, tight)[0]
+        if isinstance(one, FitError):
+            assert isinstance(out, FitError) and str(out) == str(one)
+        else:
+            assert_same_fit(out, one)
+    steps = [oracle.fit_from(transport(*end, x), chi_noise, x, params, tight)
+             for end, x in zip(ends, xs) if end is not None]
+    assert [(s.converged, s.regular) for s in steps] == [(True, True), (True, False),
+                                                         (True, False)]
+    assert_same_fit(outs[0], steps[0])
+    for k in (1, 2):
+        assert_same_fit(outs[k], fit_global(chi_noise, xs[k], params, thresholds=tight))
+    assert outs[2].regular and outs[2].breakdown.total < steps[1].breakdown.total
+    assert [str(o) for o in outs[3:]] == ["no fit candidates at [200. 200.]",
+                                         "no fit candidates at [-150.    3.]"]

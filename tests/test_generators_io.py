@@ -21,10 +21,11 @@ from latfit.generators import (
     GenerationError,
     GeneratorSpec,
     generate,
-    half_plane_count_oracle,
     prune_close,
 )
 from latfit.svg import heatmap_svg
+
+from kernel_oracles import half_plane_count_oracle
 
 
 class TestGenerators:

