@@ -27,7 +27,6 @@ from .core_model import (
     is_regular_pair,
     j_lambda,
     j_value_grad_hess,
-    local_density,
     low_energy_thresholds,
     split_regular_atoms,
 )
@@ -238,7 +237,7 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
         branches.append(bp)
         hess = j_value_grad_hess(bp.aff_tilde, chi, bp.position, lam)[2]
         mineig = _lam_metric_mineig(hess, lam, d)
-        rho = local_density(chi, bp.position, lam)
+        rho = f.breakdown.rho       # rho_lam at bp.position, from the fit's own gather
         nai = float(np.sum(np.linalg.inv(bp.aff_tilde.A) ** 2))
         floor = c_con(rho, float(np.linalg.det(bp.aff_tilde.A)), d, dc) * nai * rho
         n_conv += 1

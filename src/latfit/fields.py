@@ -18,7 +18,9 @@ earlier neighbour, get the multistart, all in one stack.  The branch
 minimizers run stacked by the same rounds.
 
 Fits at the grid nodes are glued onto one parametrization branch by a
-spanning tree of integer reparametrisations from a seed node, so the tau
+spanning tree from a seed node: a node's alignment composes the integer
+reparametrisations between raw fits on its tree path (as plaquettes and
+defect rings do), so the align stage hands on integers only and the tau
 field is a single-valued Lagrangian coordinate whose finite differences
 approximate grad tau and its second derivatives.  The certified lower bound
 at a node is F_C(grad tau) plus a second-gradient term; the companion
@@ -35,7 +37,7 @@ term still certifies the theorem's inequality h_hat >= F_C + grad term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import product as iter_product
 
@@ -49,6 +51,7 @@ from .topology import (
     ReparamError,
     chain_product,
     classify_product,
+    compose,
     find_reparam,
 )
 
@@ -87,7 +90,7 @@ class FieldGrid:
     fits: list                 # (ny, nx) nested list of FitResult | None
     branch: list               # (ny, nx) nested list of BranchPoint | None
     valid: np.ndarray          # (ny, nx) bool
-    align: list                # (ny, nx) nested list of Reparam | None
+    align: list                # (ny, nx) nested list of Reparam | None: raw fit -> branch
     component: np.ndarray      # (ny, nx) int, -1 where invalid
     a_tilde: np.ndarray        # (ny, nx, d, d) aligned branch A
     tau_tilde: np.ndarray      # (ny, nx, d) aligned branch tau (unwrapped)
@@ -106,10 +109,10 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     """Fit every node, mask irregular ones, and align fits on one branch.
 
     Three stages, each its own function: fit (`_fit_nodes`), align
-    (`_align_nodes`) and branch minimizers (`_branch_points`).  Seed order
-    is distance from the grid center, then iy, then ix; `grid_rounds` groups
-    the nodes into rounds by it, and both the fit and the branch stage run
-    one stacked Newton per round, so no stack is larger than a round.
+    (`_align_nodes`, which hands on integers only) and branch minimizers
+    (`_branch_points`).  Seed order is distance from the grid center, then
+    iy, then ix; `grid_rounds` groups the nodes into rounds by it, and the
+    fit and the branch stage each run one stacked Newton per round.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
@@ -118,9 +121,9 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     order, rounds = grid_rounds(geom)
     fits, valid, reasons, h_hat, rho_l, rho_2l = _fit_nodes(chi, geom, params, thresholds,
                                                             order, rounds)
-    align, aligned_aff, component = _align_nodes(chi, geom, params, order, fits, valid)
-    branch, a_tilde, tau_tilde = _branch_points(chi, geom, params, rounds, align, aligned_aff,
-                                                valid, component, reasons)
+    align, component = _align_nodes(chi, geom, params, order, fits, valid)
+    branch, a_tilde, tau_tilde = _branch_points(chi, geom, params, rounds, fits, align, valid,
+                                                component, reasons)
     return FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
                      align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
                      h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
@@ -200,15 +203,15 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
 
 def _align_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, order: list,
                  fits: list, valid: np.ndarray):
-    """Align stage: (align, aligned pairs, component) by a spanning tree of reparametrisations.
+    """Align stage: the integers (align, component) by a spanning tree of raw-fit steps.
 
     Alignment propagates by breadth-first search from a seed (the valid node
     first in seed order); disconnected valid regions get their own seeds,
-    recorded in `component`.
+    recorded in `component`.  Edge u -> v rounds the two raw fits, with J
+    from their breakdowns (no gather), and align[v] = compose(align[u], step).
     """
     ny, nx = geom.ny, geom.nx
     align = [[None] * nx for _ in range(ny)]
-    aligned_aff = [[None] * nx for _ in range(ny)]
     component = np.full((ny, nx), -1, dtype=int)
     comp = 0
     for seed in order:
@@ -217,33 +220,29 @@ def _align_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, or
             continue
         component[sy, sx] = comp
         align[sy][sx] = Reparam.identity(2)
-        aligned_aff[sy][sx] = fits[sy][sx].aff_hat
         queue = [seed]
         while queue:
             cx, cy = queue.pop(0)
             for dx, dy in _STEPS:
                 nx_, ny_ = cx + dx, cy + dy
-                if not (0 <= nx_ < nx and 0 <= ny_ < ny):
-                    continue
-                if not valid[ny_, nx_] or component[ny_, nx_] >= 0:
+                inside = 0 <= nx_ < nx and 0 <= ny_ < ny
+                if not (inside and valid[ny_, nx_]) or component[ny_, nx_] >= 0:
                     continue
                 try:
-                    step = find_reparam((geom.node(cx, cy), aligned_aff[cy][cx]),
-                                        fits[ny_][nx_], chi, params)
+                    step = find_reparam(fits[cy][cx], fits[ny_][nx_], chi, params)
                 except ReparamError:
                     continue
                 component[ny_, nx_] = comp
-                align[ny_][nx_] = step.reparam
-                aligned_aff[ny_][nx_] = step.reparam.apply(fits[ny_][nx_].aff_hat)
+                align[ny_][nx_] = compose(align[cy][cx], step.reparam)
                 queue.append((nx_, ny_))
         comp += 1
-    return align, aligned_aff, component
+    return align, component
 
 
 def _branch_points(chi: Configuration, geom: GridGeometry, params: ModelParams, rounds: list,
-                   align: list, aligned_aff: list, valid: np.ndarray, component: np.ndarray,
+                   fits: list, align: list, valid: np.ndarray, component: np.ndarray,
                    reasons: list):
-    """Branch stage: local J-minimizers from the aligned fits, one `minimize_j_stack` per round.
+    """Branch stage: J-minimizers from align[v].apply(fits[v].aff_hat), one stack per round.
 
     A node whose minimizer leaves the convexity basin is marked invalid in
     valid, component and reasons.  Returns (branch, a_tilde, tau_tilde).
@@ -257,18 +256,30 @@ def _branch_points(chi: Configuration, geom: GridGeometry, params: ModelParams, 
         todo = [(ix, iy) for ix, iy in wave if component[iy, ix] >= 0]
         if not todo:
             continue
-        points = minimize_j_stack([aligned_aff[iy][ix] for ix, iy in todo], chi,
-                                  [geom.node(ix, iy) for ix, iy in todo], params)
+        points = minimize_j_stack([align[iy][ix].apply(fits[iy][ix].aff_hat) for ix, iy in todo],
+                                  chi, [geom.node(ix, iy) for ix, iy in todo], params)
         for (ix, iy), bp in zip(todo, points):
             if bp is None:
                 valid[iy, ix] = False
                 component[iy, ix] = -1
                 reasons[iy][ix] = "branch minimizer left convexity basin"
                 continue
-            branch[iy][ix] = bp = replace(bp, provenance=align[iy][ix])
+            branch[iy][ix] = bp
             a_tilde[iy, ix] = bp.aff_tilde.A
             tau_tilde[iy, ix] = bp.aff_tilde.tau
     return branch, a_tilde, tau_tilde
+
+
+def _ring_product(field: FieldGrid, ring, chi: Configuration) -> Reparam | None:
+    """Product of the raw-fit steps round a closed ring of nodes; None if invalid or refused."""
+    if not all(field.valid[iy, ix] for ix, iy in ring):
+        return None
+    fits = [field.fits[iy][ix] for ix, iy in ring]
+    try:
+        return chain_product([find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
+                              for k in range(len(fits))])
+    except ReparamError:
+        return None
 
 
 def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, int], Reparam]:
@@ -276,21 +287,11 @@ def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, 
 
     Keyed by the lower-left node (ix, iy); (Id, 0) away from enclosed defects.
     """
-    geom = field.geometry
-    out = {}
-    for iy in range(geom.ny - 1):
-        for ix in range(geom.nx - 1):
-            quad = [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1), (ix, iy + 1)]
-            if not all(field.valid[j, i] for i, j in quad):
-                continue
-            fits = [field.fits[j][i] for i, j in quad]
-            try:
-                steps = [find_reparam(fits[k], fits[(k + 1) % 4], chi, field.params)
-                         for k in range(4)]
-            except ReparamError:
-                continue
-            out[(ix, iy)] = chain_product(steps)
-    return out
+    ny, nx = field.shape
+    products = {(ix, iy): _ring_product(field, [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1),
+                                                (ix, iy + 1)], chi)
+                for iy in range(ny - 1) for ix in range(nx - 1)}
+    return {node: p for node, p in products.items() if p is not None}
 
 
 @dataclass(frozen=True)
@@ -386,6 +387,12 @@ def unimodular_matrices(d: int, entry_range: int = 2) -> list[np.ndarray]:
     return out
 
 
+@cache
+def _inverse_stack(d: int) -> np.ndarray:
+    """B^{-1} for every B of `unimodular_matrices(d, B_ENTRY_RANGE)`, as one (n, d, d) stack."""
+    return np.linalg.inv(unimodular_matrices(d, B_ENTRY_RANGE))
+
+
 @dataclass(frozen=True)
 class FCResult:
     """Certified upper bound on the relaxation F_C(A) and the remark-level minimum."""
@@ -410,7 +417,8 @@ def f_c(grad_tau, params: ModelParams, rho_ratio: float,
       with k3 the last term's weight (|(E R)^{-1}| = |E^{-1}| for a rotation R)
       and R = P Q^T from the SVD E^T A = P S Q^T.
     - (A1, A2) = (A, B^{-1} A) for the B with entries in [-B_ENTRY_RANGE,
-      B_ENTRY_RANGE] minimising F(B^{-1} A): U = F(B^{-1} A), the remark value.
+      B_ENTRY_RANGE] minimising F(B^{-1} A): U = F(B^{-1} A), the remark value,
+      from one kernel call on the stack, bit for bit `f_el` of each row.
     Each is an upper bound on the infimum, so h_hat >= value + grad term
     implies h_hat >= F_C + grad term: the lower-bound check stays sound.
     """
@@ -427,7 +435,8 @@ def f_c(grad_tau, params: ModelParams, rho_ratio: float,
     # |A - E R|^2 directly: |A|^2 + |E|^2 - 2 sum sigma loses ~1e-13 relative
     p, _, qt = np.linalg.svd(el.E.T @ a)
     u_rot = k3 * float(np.sum(np.linalg.inv(el.E) ** 2)) * float(np.sum((a - el.E @ p @ qt) ** 2))
-    remark = min(el.f_el(np.linalg.inv(b) @ a) for b in unimodular_matrices(d, B_ENTRY_RANGE))
+    relabeled = _inverse_stack(d) @ a
+    remark = float(np.min(el._value(relabeled, np.linalg.det(relabeled))))
     return FCResult(value=min(u_rot, remark), remark_value=remark)
 
 
@@ -551,11 +560,11 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
     the grid are reported unringable.
     """
     ny, nx = field.shape
-    seen = np.zeros((ny, nx), dtype=bool)
+    seen = field.valid.copy()       # a valid node joins no cluster
     clusters = []
     for iy in range(ny):
         for ix in range(nx):
-            if field.valid[iy, ix] or seen[iy, ix]:
+            if seen[iy, ix]:
                 continue
             stack = [(ix, iy)]
             seen[iy, ix] = True
@@ -563,10 +572,9 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
             while stack:
                 cx, cy = stack.pop()
                 nodes.append((cx, cy))
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                for dx, dy in _STEPS:
                     jx, jy = cx + dx, cy + dy
-                    if 0 <= jx < nx and 0 <= jy < ny and not field.valid[jy, jx] \
-                            and not seen[jy, jx]:
+                    if 0 <= jx < nx and 0 <= jy < ny and not seen[jy, jx]:
                         seen[jy, jx] = True
                         stack.append((jx, jy))
             clusters.append(tuple(sorted(nodes)))
@@ -586,17 +594,11 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
                     + [(x1, y) for y in range(y0, y1)]
                     + [(x, y1) for x in range(x1, x0, -1)]
                     + [(x0, y) for y in range(y1, y0, -1)])
-            if not all(field.valid[j, i] for i, j in ring):
-                continue
-            fits = [field.fits[j][i] for i, j in ring]
-            try:
-                steps = [find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
-                         for k in range(len(fits))]
-            except ReparamError:
-                continue
-            product = chain_product(steps)
-            cluster = DefectCluster(nodes=nodes, ring=tuple(ring), product=product,
-                                    classification=classify_product(product), unringable=False)
-            break
+            product = _ring_product(field, ring, chi)
+            if product is not None:
+                cluster = DefectCluster(nodes=nodes, ring=tuple(ring), product=product,
+                                        classification=classify_product(product),
+                                        unringable=False)
+                break
         out.append(cluster)
     return DefectMap(clusters=tuple(out), plaquettes=plaquette_products(field, chi))

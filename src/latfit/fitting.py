@@ -65,7 +65,7 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,9 +82,6 @@ from .core_model import (
     sample_energy,
 )
 from .potentials import det_hessian
-
-if TYPE_CHECKING:
-    from .topology import Reparam
 
 TWO_PI = 2.0 * math.pi
 
@@ -582,7 +579,7 @@ def a_init_candidates(chi: Configuration, x, lam: float | None = None) -> list[n
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """A local minimizer of J at a position, tagged with its branch provenance."""
+    """A local minimizer of J at a position, in the integer parametrisation of its start."""
 
     position: np.ndarray
     aff_tilde: AffinePair
@@ -590,7 +587,6 @@ class BranchPoint:
     grad_norm: float
     iterations: int
     converged: bool
-    provenance: Reparam | None = None
 
 
 @dataclass(frozen=True)
@@ -854,19 +850,23 @@ def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
     The rows with an end start from it transported to xs[k] (`transport`),
     all as one `_fit_from_rows` on obj, whose rows are those rows in order;
     without obj, one is built over their points, so a row with no end is
-    not gathered here.  A row whose end is None, or whose step fails, does
-    not converge or is not regular under `thresholds`, is refused: every
-    refused row gets the multistart, all of them in one `fit_global_stack`.
-    Row k is its FitResult, or in its place the FitError its multistart gave.
+    not gathered here.  A row with no end or at rho = 0 takes no step; it and
+    a row whose step fails, does not converge or is not regular under
+    `thresholds` are refused: each gets the multistart, all in one
+    `fit_global_stack`.  Row k is its FitResult, or its multistart's FitError.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
     outs = [None] * len(xs)
     go = [k for k, end in enumerate(ends) if end is not None]
     if go:
         if obj is None:
-            obj = _Objective(chi, xs[go], params, j_only=False)
-        steps = _fit_from_rows(obj, [transport(*ends[k], xs[k]) for k in go], xs[go], chi,
-                               params, thresholds)
+            obj = _Objective(chi, xs[go], params, j_only=False).on_points(np.arange(len(go)))
+        live = obj.rho[obj.point] > 0.0     # no atoms in range: never a regular pair
+        go = [k for k, ok in zip(go, live) if ok]
+    if go:
+        steps = _fit_from_rows(obj.on_points(obj.point[live]),
+                               [transport(*ends[k], xs[k]) for k in go], xs[go], chi, params,
+                               thresholds)
         for k, out in zip(go, steps):
             outs[k] = out
     refused = [k for k, out in enumerate(outs)

@@ -132,11 +132,9 @@ class ChainStep:
 
 
 def _as_point_aff(fit):
-    """Accept (y, AffinePair), FitResult, or BranchPoint."""
+    """Accept (y, AffinePair) or FitResult."""
     if hasattr(fit, "aff_hat"):
         return np.asarray(fit.position, dtype=float), fit.aff_hat
-    if hasattr(fit, "aff_tilde"):
-        return np.asarray(fit.position, dtype=float), fit.aff_tilde
     y, aff = fit
     return np.asarray(y, dtype=float), aff
 
@@ -152,10 +150,10 @@ def _misfit(fit, chi: Configuration, lam: float) -> float:
 def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainStep:
     """Unique reparametrisation connecting two nearby fitted pairs.
 
-    B is the rounding of A1 A2^{-1}; t rounds the transported phase mismatch.
-    A rounding gap above 0.25 means the integer candidate is not safely
-    unique and the step is refused.  A FitResult endpoint's J is taken from
-    its breakdown rather than recomputed.
+    Endpoints are FitResults or (y, AffinePair).  B is the rounding of
+    A1 A2^{-1}; t rounds the transported phase mismatch.  A rounding gap
+    above 0.25 means the integer candidate is not safely unique and the step
+    is refused.  A FitResult's J is taken from its breakdown, not recomputed.
     """
     y1, aff1 = _as_point_aff(fit1)
     y2, aff2 = _as_point_aff(fit2)

@@ -11,7 +11,9 @@ the difference vectors one at a time where the fit code masks them.
 `evaluate_grid` fits, aligns and minimizes node by node, one continuation
 step per node with `fit_from` (one row of `fitting._fit_from_rows`) and one
 `minimize_j_local` per node, where the grid runs one stacked Newton per
-round, and `fd_gradients` differences node by node where the grid code
+round.  It aligns each node by rounding its raw fit against its tree
+parent's aligned (y, A, tau) (`align_nodes`), where the grid composes the
+raw-fit steps.  `fd_gradients` differences node by node where the grid code
 slices arrays.  `fit_loop` runs its two sweeps one after the other and
 `fit_between` its two continuations one call each, one single-row `fit_from`
 per step, where the fit code steps both as one 2-row `fitting._continue`.
@@ -45,7 +47,6 @@ from latfit.fitting import (
     STEP_CAP,
     TOL_GRAD,
     BasinEscapeError,
-    BranchPoint,
     FitError,
     _canonical_signs,
     _exact,
@@ -406,9 +407,7 @@ def evaluate_grid(chi, geom, params, thresholds=None):
     A continued node's raw fit therefore stays in its neighbour's integer
     parametrisation, so `align` is mostly the identity.
 
-    Alignment propagates by breadth-first search from a seed (the valid node
-    first in seed order); disconnected valid regions get their own seeds,
-    recorded in `component`.
+    Alignment is `align_nodes`.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
@@ -456,7 +455,42 @@ def evaluate_grid(chi, geom, params, thresholds=None):
         else:
             valid[iy, ix] = True
 
-    # spanning-tree alignment from per-component seeds
+    align, aligned_aff, component = align_nodes(chi, geom, params, order, fits, valid)
+
+    # branch points: local J-minimizers seeded at the aligned fits
+    branch = [[None] * nx for _ in range(ny)]
+    a_tilde = np.full((ny, nx, 2, 2), np.nan)
+    tau_tilde = np.full((ny, nx, 2), np.nan)
+    for ix, iy in nodes:
+        if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
+            continue
+        try:
+            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params)
+        except BasinEscapeError:
+            valid[iy, ix] = False
+            component[iy, ix] = -1
+            reasons[iy][ix] = "branch minimizer left convexity basin"
+            continue
+        branch[iy][ix] = bp
+        a_tilde[iy, ix] = bp.aff_tilde.A
+        tau_tilde[iy, ix] = bp.aff_tilde.tau
+
+    return fields.FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
+                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
+                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+
+
+def align_nodes(chi, geom, params, order, fits, valid):
+    """(align, aligned pairs, component): alignment by rounding against the aligned parent.
+
+    Alignment propagates by breadth-first search from a seed (the valid node
+    first in seed order); disconnected valid regions get their own seeds,
+    recorded in `component`.  A tree edge rounds the child's raw fit against
+    the parent's aligned pair (y, B A, B tau + t), which gives the child's
+    alignment directly, where `fields._align_nodes` rounds the two raw fits
+    and composes.
+    """
+    ny, nx = geom.ny, geom.nx
     align = [[None] * nx for _ in range(ny)]
     aligned_aff = [[None] * nx for _ in range(ny)]
     component = np.full((ny, nx), -1, dtype=int)
@@ -487,31 +521,7 @@ def evaluate_grid(chi, geom, params, thresholds=None):
                 aligned_aff[ny_][nx_] = step.reparam.apply(fits[ny_][nx_].aff_hat)
                 queue.append((nx_, ny_))
         comp += 1
-
-    # branch points: local J-minimizers seeded at the aligned fits
-    branch = [[None] * nx for _ in range(ny)]
-    a_tilde = np.full((ny, nx, 2, 2), np.nan)
-    tau_tilde = np.full((ny, nx, 2), np.nan)
-    for ix, iy in nodes:
-        if component[iy, ix] < 0:    # invalid: every valid node is reached or seeds
-            continue
-        try:
-            bp = minimize_j_local(aligned_aff[iy][ix], chi, geom.node(ix, iy), params)
-        except BasinEscapeError:
-            valid[iy, ix] = False
-            component[iy, ix] = -1
-            reasons[iy][ix] = "branch minimizer left convexity basin"
-            continue
-        bp = BranchPoint(position=bp.position, aff_tilde=bp.aff_tilde, j_value=bp.j_value,
-                         grad_norm=bp.grad_norm, iterations=bp.iterations,
-                         converged=bp.converged, provenance=align[iy][ix])
-        branch[iy][ix] = bp
-        a_tilde[iy, ix] = bp.aff_tilde.A
-        tau_tilde[iy, ix] = bp.aff_tilde.tau
-
-    return fields.FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
-                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
-                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+    return align, aligned_aff, component
 
 
 def fd_gradients(field):

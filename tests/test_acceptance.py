@@ -11,7 +11,6 @@ import shutil
 import time
 
 import numpy as np
-import pytest
 
 from latfit.core_model import (
     AffinePair,

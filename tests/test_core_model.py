@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,6 @@ from latfit.core_model import (
     AffinePair,
     Box,
     Configuration,
-    ModelParams,
     close_pairs,
     default_beta,
     dist_to_lattice,

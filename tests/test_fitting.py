@@ -377,11 +377,13 @@ def test_continue_rows_match_one_row_runs(params, chi_noise):
     xs = [y + [2.5, 0.0], y + [0.0, -2.5], y + [1.5, 1.5], np.array([200.0, 200.0]),
           np.array([-150.0, 3.0])]
     gathered = []
+    stepped = []
     fit_from_rows = fitting._fit_from_rows
 
-    def recording_fit_from_rows(obj, *args):
+    def recording_fit_from_rows(obj, affs, xs, *args):
         gathered.append(len(obj.rho))
-        return fit_from_rows(obj, *args)
+        stepped.extend(tuple(x) for x in xs)
+        return fit_from_rows(obj, affs, xs, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_fit_from_rows", recording_fit_from_rows)
@@ -389,8 +391,11 @@ def test_continue_rows_match_one_row_runs(params, chi_noise):
         assert gathered == [3]          # the rows with an end, and only those, are gathered
         fitting._continue([None, None], chi_noise, xs[:2], params, tight)
         assert gathered == [3]          # no end, no continuation objective
-    for end, x, out in zip(ends, xs, outs):
-        one = fitting._continue([end], chi_noise, [x], params, tight)[0]
+        ones = [fitting._continue([end], chi_noise, [x], params, tight)[0]
+                for end, x in zip(ends, xs)]
+    # (200, 200) has no atoms in range (rho = 0): its row goes straight to the multistart
+    assert stepped == [tuple(xs[0]), tuple(xs[2])] * 2
+    for one, out in zip(ones, outs):
         if isinstance(one, FitError):
             assert isinstance(out, FitError) and str(out) == str(one)
         else:

@@ -10,7 +10,6 @@ from latfit.fileio import (
     atoms_to_csv,
     configuration_from_arrays,
     dump_json,
-    field_to_csv,
     params_from_dict,
     read_atoms_csv,
     spec_from_dict,

@@ -6,13 +6,12 @@ from cli_harness import DATA
 
 import kernel_oracles as oracle
 from latfit import fileio, fitting
-from latfit.core_model import AffinePair, Box, Configuration, is_regular_pair
+from latfit.core_model import AffinePair, Box, is_regular_pair
 from latfit.fitting import fit_global, tau_init
 from latfit.generators import GeneratorSpec, edge_dipole, generate
 from latfit.topology import (
     AmbiguousReparamError,
     IrregularSampleError,
-    LoopResult,
     Reparam,
     burgers_loop,
     chain_drift_bound,
