@@ -326,6 +326,11 @@ class ModelParams:
 
     @cached_property
     def constants(self) -> DerivedConstants:
+        """The derived model constants.
+
+        `derive_constants` runs once per instance, and the cutoff-root sups it
+        samples once per process and d.
+        """
         return derive_constants(self.d, self.s0, self.elastic, c_a=self.thresholds.C_A)
 
     @property

@@ -22,7 +22,9 @@ after the other, where the fit code runs the multistarts of a grid round as
 one stack per start.  `newton_step` is one row of `fitting._newton_steps` as
 the per-row loop computed it: `pd_solve` factors the equilibrated Hessian
 with LAPACK potrf and solves with potrs, where the kernel takes one
-eigendecomposition of the whole stack.  They are slow and obviously correct;
+eigendecomposition of the whole stack.  `phi_root_norms` samples the
+cutoff-root sups over one whole `linspace`, where `potentials` takes the same
+points in fixed chunks.  They are slow and obviously correct;
 the kernel tests compare against them.
 
 The well W with its Hessian, the cutoff's derivatives, the half-plane atom
@@ -60,7 +62,7 @@ from latfit.fitting import (
     pack,
     unpack,
 )
-from latfit.potentials import _smoothstep7_d1, _smoothstep7_d2
+from latfit.potentials import _smoothstep7, _smoothstep7_d1, _smoothstep7_d2
 from latfit.topology import AmbiguousReparamError, Reparam, ReparamError, find_reparam
 
 TWO_PI = 2.0 * math.pi
@@ -675,6 +677,32 @@ def phi_hess(r):
     r = np.asarray(r, dtype=float)
     u = np.clip(r - 1.0, 0.0, 1.0)
     return -_smoothstep7_d2(u)
+
+
+def phi_root_norms(d):
+    """`potentials._phi_root_norms` as one whole-array sample of 400,001 points.
+
+    The package takes the same points in fixed chunks with a running max,
+    which must give these floats exactly.
+    """
+    # parametrize by v = 2 - r: phi(r) = S(v) exactly on the transition, which
+    # stays accurate where 1 - S(r - 1) would cancel
+    v = np.linspace(1e-9, 1.0, 400001)
+    r = 2.0 - v
+    p = _smoothstep7(v)
+    dp = -_smoothstep7_d1(v)        # d phi / d r
+    d2p = _smoothstep7_d2(v)        # d^2 phi / d r^2
+
+    sqrt_p = np.sqrt(p)
+    f1 = dp / (2.0 * sqrt_p)
+    f2 = d2p / (2.0 * sqrt_p) - dp**2 / (4.0 * p * sqrt_p)
+    q1 = dp / (4.0 * p**0.75)
+
+    grad_sqrt = float(np.max(np.abs(f1)))
+    hess_sqrt = float(np.max(np.sqrt(f2**2 + (d - 1) * (f1 / r) ** 2)))
+    hess_sqrt = max(hess_sqrt, 2.0 * math.sqrt(35.0))          # r -> 2 limit
+    grad_quart = max(float(np.max(np.abs(q1))), 35.0**0.25)    # r -> 2 limit
+    return grad_sqrt, hess_sqrt, grad_quart
 
 
 def half_plane_count_oracle(chi, core, axis_dir, width, offsets=(3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import kernel_oracles as oracle
 import numpy as np
@@ -8,7 +9,7 @@ from cli_harness import DATA, FIELD_ATOL, FIELD_RTOL
 from conftest import assert_same_fit, lattice_from_map
 from scipy.linalg import polar
 
-from latfit import fields, fileio
+from latfit import fields, fileio, potentials
 from latfit.core_model import AffinePair, Box, Configuration, ModelParams, low_energy_thresholds
 from latfit.fields import (
     FCResult,
@@ -524,6 +525,28 @@ def test_align_stage_gathers_nothing(grid_params):
         mp.setattr(Configuration, "local_atoms", counting_local_atoms)
         align, component = fields._align_nodes(chi, geom, params, order, fits, valid)
     assert valid.all() and (component == 0).all() and gathers == []
+
+
+def test_cold_golden_field_memory():
+    """A cold golden 6x6 pass, cutoff-root sample included, stays small in traced memory.
+
+    A whole-array cutoff-root sample alone peaks at about 35 MB; the grid pass
+    itself needs under 2 MB.
+    """
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
+    potentials._phi_root_norms.cache_clear()
+    tracemalloc.start()
+    try:
+        field = evaluate_grid(chi, geom, params)
+        lower_bound_report(field, fd_gradients(field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert potentials._phi_root_norms.cache_info().currsize == 1   # the sample ran in the window
+    assert peak <= 8e6
 
 
 def test_alignment_composes_raw_steps(perfect_field, grid_params):

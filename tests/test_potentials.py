@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from latfit import potentials as pot
 
 from cli_harness import cli_env
-from kernel_oracles import phi_grad, phi_hess, w_eval, w_hess
+from kernel_oracles import phi_grad, phi_hess, phi_root_norms, w_eval, w_hess
 
 RNG = np.random.default_rng(20240901)
 
@@ -239,15 +240,41 @@ class TestDerivedConstants:
         assert pot.default_c_a(el) == pytest.approx(3.0 * e_op / el.det_e)
 
     def test_cutoff_root_norms_finite(self, dc):
-        assert 0 < dc.norm_grad_sqrt_phi < 10
-        assert dc.norm_hess_sqrt_phi == pytest.approx(2.0 * math.sqrt(35.0), rel=1e-6)
-        assert dc.norm_grad_quartroot_phi == pytest.approx(35.0**0.25, rel=1e-6)
+        assert (dc.norm_grad_sqrt_phi, dc.norm_hess_sqrt_phi, dc.norm_grad_quartroot_phi) \
+            == phi_root_norms(2)
+        # the r -> 2 limits exceed every sampled value, so the sample never sets them
+        assert dc.norm_hess_sqrt_phi == 2.0 * math.sqrt(35.0)
+        assert dc.norm_grad_quartroot_phi == 35.0**0.25
 
     def test_per_point_constants_positive(self, dc):
         ccv = pot.c_con(1.0, 1.0, 2, dc)
         assert 0 < ccv <= dc.c_theta0 / 12.0
         assert pot.c_nabla2(1.0, ccv, dc) > 0
         assert pot.c_tilde_nabla(1.0, ccv, dc) > 0
+
+
+class TestCutoffRootNorms:
+    """The chunked sample of the cutoff-root sups against the whole-array oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_chunked_sample_equals_whole_array(self, d, monkeypatch):
+        assert pot._phi_root_norms.__wrapped__(d) == phi_root_norms(d)
+        got = pot.derive_constants(d, 0.5, pot.default_elastic(d))
+        monkeypatch.setattr(pot, "_phi_root_norms", phi_root_norms)
+        want = pot.derive_constants(d, 0.5, pot.default_elastic(d))
+        for name in want.__dataclass_fields__:
+            assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sample_memory(self, d):
+        # a whole-array sample keeps about a dozen 3.2 MB arrays live (about 35 MB traced)
+        tracemalloc.start()
+        try:
+            pot._phi_root_norms.__wrapped__(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 def test_import_loads_no_scipy():
