@@ -402,8 +402,27 @@ def j_phases(rel: np.ndarray, A: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return TWO_PI_CORE * (A @ np.swapaxes(rel, -1, -2) + tau[:, :, None])
 
 
+def j_features(rel: np.ndarray) -> np.ndarray:
+    """The feature rows of `assemble_j` for a gather: rel_j rel_j' (j <= j'), rel_j, then 1.
+
+    rel is one gather (m, d) or one per point (G, m, d), zero-padded; the
+    block is (n_rows, m) or (G, n_rows, m), atoms along the last axis.  It
+    depends on the gather alone, so an objective builds it once for all its
+    Newton steps and hands it to `assemble_j` as `features`.
+    """
+    d = rel.shape[-1]
+    pairs = _aug_index(d)[0]
+    rel_t = np.swapaxes(rel, -1, -2)
+    n_pairs = len(pairs[0])
+    feat = np.empty(rel_t.shape[:-2] + (n_pairs + d + 1, rel_t.shape[-1]))
+    np.multiply(rel_t[..., pairs[0], :], rel_t[..., pairs[1], :], out=feat[..., :n_pairs, :])
+    feat[..., n_pairs: -1, :] = rel_t
+    feat[..., -1, :] = 1.0
+    return feat
+
+
 def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bool = True,
-               cos_z: np.ndarray | None = None):
+               cos_z: np.ndarray | None = None, features: np.ndarray | None = None):
     """J and its exact (A, tau)-gradient and Hessian from a precomputed gather.
 
     rel are atom positions relative to x, w their cutoff weights, and
@@ -416,7 +435,9 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
     (rel (K, m, d), w (K, m), c (K,)), zero-padded to the longest row: a
     padded atom has w = 0.  Flattened parameter order is row-major A then
     tau.  want_grad=False gives (J, None, None).  cos_z is the cos of
-    `j_phases` at this stack when the caller holds it.
+    `j_phases` at this stack when the caller holds it, and features the
+    gather's feature block (`j_features`, one block or one per row); each is
+    computed here when absent, and only the gradient reads features.
 
     J = c g S with g = |A^{-1}|_F^2 and S = sum_i W(z_i) w_i.  z_ik depends
     only on row k of [A | tau], through the feature row f_i = (rel_i, 1).
@@ -460,13 +481,8 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
     if not want_grad:
         return (float(value[0]) if single else value), None, None
     if m:
-        pairs, grad_src, rows, cols, hess_src = _aug_index(d)
-        rel_t = np.swapaxes(rel, -1, -2)
-        n_pairs = len(pairs[0])
-        feat = np.empty(rel_t.shape[:-2] + (n_pairs + d + 1, m))
-        np.multiply(rel_t[..., pairs[0], :], rel_t[..., pairs[1], :], out=feat[..., :n_pairs, :])
-        feat[..., n_pairs: -1, :] = rel_t
-        feat[..., -1, :] = 1.0
+        _, grad_src, rows, cols, hess_src = _aug_index(d)
+        feat = j_features(rel) if features is None else features
         w_row = w[..., None, :]
         wells = np.empty((k_rows, 2 * d, m))
         np.sin(arg, out=wells[:, :d])

@@ -28,17 +28,21 @@ longest, so the continuation steps of a grid round (`_fit_from_rows`) and
 its branch minimizers (`minimize_j_stack`) each run as one stack.  Every row
 is computed exactly as that start alone, so the lockstep run equals K single
 runs bit for bit.  The multistart (`fit_global_stack`) serves the points of
-a grid round together: it pre-converges every candidate of every point on
-J at lam/2 as one stack, each point's gather also giving its candidates'
-tau, and then runs start k of every point as one stack on h, k = 0, 1, ...
-Each start's abort bar is the best total of its own point's starts before
-it, a per-row bar.  `fit_global` and `minimize_j_local` pass one point
-through the same code; `minimize_j_local` alone raises BasinEscapeError for
-a row that left the basin.
+a grid round together.  One lam/2 objective gathers each point once; one
+`a_init_candidates` call takes every point's A candidates from those
+gathers, as array passes over the round; one stack pre-converges every
+candidate of every point on J at lam/2, each point's gather also giving its
+candidates' tau; then start k of every point runs as one stack on h,
+k = 0, 1, ...  Each start's abort bar is the best total of its own point's
+starts before it, a per-row bar.  A round with no refused point runs no
+multistart.  `fit_global` and `minimize_j_local` pass one point through the
+same code; `minimize_j_local` alone raises BasinEscapeError for a row that
+left the basin.
 
 One Newton step costs one value, gradient and Hessian per start.
-`_Objective` computes det A and A^{-1} once per evaluation (2 x 2 closed
-forms for d = 2, in an `_Iterate`, not an AffinePair) and hands them to J
+`_Objective` builds each point's J feature block (`j_features`) once, with
+its gather, and computes det A and A^{-1} once per evaluation (2 x 2 closed
+forms for d = 2, in an `_Iterate`, not an AffinePair); it hands them to J
 (`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
 for d = 2) and the smoothed nu; F and nu share one Hessian of det
 (`det_hessian`).  `value` keeps each row's cos pass, and the next
@@ -78,6 +82,7 @@ from .core_model import (
     _regularity,
     assemble_j,
     gather_weights,
+    j_features,
     j_phases,
     sample_energy,
 )
@@ -169,7 +174,8 @@ class _Objective:
     names each start's row of the run (default 0..K-1), which is its point
     when there are G = K points, while G = 1 point serves every row.  A view
     from `on_points` maps the rows of its run to points instead, so the
-    starts of several points share the points' gathers.  The
+    starts of several points share the points' gathers, and `restricted`
+    keeps some of the points, padded as if built at them alone.  The
     value, gradient and Hessian come back with theta's leading axis, each row
     computed exactly as that start alone, so a lockstep Newton over K starts
     follows K single runs bit for bit.  Each evaluation computes det A and
@@ -177,6 +183,11 @@ class _Objective:
     them between J, F and nu.  A row with det A <= 0 evaluates to +inf so line
     searches stay orientation-preserving.  `value` keeps each row's cos pass;
     `value_grad_hess` at the same theta reuses it instead of redoing it.
+    Each point's J feature block (`j_features`) is built once, with the
+    gathers, and shared with the views; `value_grad_hess` hands the rows'
+    blocks to `assemble_j`, and `value` never reads them.  A selection of the
+    points' arrays by row is copied once and reused while the same rows come
+    again, as they do through a Newton step and its line search.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
@@ -199,14 +210,29 @@ class _Objective:
         self.c = np.array([c for _, _, c in gathers])
         self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
         self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
+        self.features = j_features(self.rel)
         self.point = None       # row -> point of a run (`on_points`); None: row k is point k
         self._kept = {}         # row -> (theta, cos pass) of the last `value` at that row
+        self._sel = None        # [points, their arrays, their feature blocks] of the last selection
 
     def on_points(self, points) -> _Objective:
         """This objective for a run whose row k sits at point points[k]; the gathers are shared."""
         out = copy.copy(self)
         out.point = np.asarray(points)
         out._kept = {}
+        out._sel = None
+        return out
+
+    def restricted(self, points) -> _Objective:
+        """This objective at points only, padded to their longest gather: the one built there."""
+        points = list(points)
+        out = copy.copy(self)
+        out.sizes = [self.sizes[p] for p in points]
+        m = max(out.sizes)
+        out.rel, out.w = self.rel[points, :m], self.w[points, :m]
+        out.features = self.features[points, :, :m]
+        out.c, out.rho, out.eps_nu = self.c[points], self.rho[points], self.eps_nu[points]
+        out.point, out._kept, out._sel = None, {}, None
         return out
 
     def gather(self, i: int = 0):
@@ -217,13 +243,25 @@ class _Objective:
     def _rows(self, rows, k_rows: int) -> np.ndarray:
         return np.arange(k_rows) if rows is None else np.asarray(rows)
 
-    def _points(self, rows: np.ndarray):
-        """(rel, w, c, rho, eps_nu) of the rows' points; one point broadcasts over every row."""
+    def _points(self, rows: np.ndarray, features: bool = False):
+        """(rel, w, c, rho, eps_nu, feature blocks or None) of the rows' points.
+
+        One point broadcasts over every row, and all points in order are the
+        arrays themselves; any other selection is the last one's when the
+        rows' points are the same, and the feature blocks are copied only
+        when asked for.
+        """
         if self.point is not None:
             rows = self.point[rows]
         if self.w.shape[0] == 1 or np.array_equal(rows, np.arange(self.w.shape[0])):
-            return self.rel, self.w, self.c, self.rho, self.eps_nu
-        return self.rel[rows], self.w[rows], self.c[rows], self.rho[rows], self.eps_nu[rows]
+            return (self.rel, self.w, self.c, self.rho, self.eps_nu,
+                    self.features if features else None)
+        if self._sel is None or not np.array_equal(self._sel[0], rows):
+            self._sel = [rows.copy(), (self.rel[rows], self.w[rows], self.c[rows],
+                                       self.rho[rows], self.eps_nu[rows]), None]
+        if features and self._sel[2] is None:
+            self._sel[2] = self.features[rows]
+        return (*self._sel[1], self._sel[2])
 
     def _iterate(self, theta: np.ndarray, det_floor: float):
         """(the iterates of the rows of theta with det A > det_floor, the mask of those rows)."""
@@ -280,7 +318,7 @@ class _Objective:
         if not all_ok:
             rows, flat = rows[ok], flat[ok]
         if it.det_a.size:
-            rel, w, c, rho, eps = self._points(rows)
+            rel, w, c, rho, eps, _ = self._points(rows)
             cos_z = np.cos(j_phases(rel, it.A, it.tau))
             self._keep(rows, flat, cos_z)
             val = assemble_j(rel, w, it, c, want_grad=False, cos_z=cos_z)[0]
@@ -302,8 +340,8 @@ class _Objective:
         it, ok = self._iterate(flat, 0.0)
         if not ok.all():
             raise ValueError("value_grad_hess requires det A > 0")
-        rel, w, c, rho, eps = self._points(rows)
-        val, grad, hess = assemble_j(rel, w, it, c, cos_z=self._kept_cos(rows, flat))
+        rel, w, c, rho, eps, feat = self._points(rows, features=True)
+        val, grad, hess = assemble_j(rel, w, it, c, cos_z=self._kept_cos(rows, flat), features=feat)
         if not self.j_only:
             d = self.d
             el = self.params.elastic
@@ -485,92 +523,177 @@ def _tau_phase(A: np.ndarray, rel: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
-    """Flip each row so its first nonzero component is positive."""
-    signs = np.ones(diffs.shape[0])
-    undecided = np.ones(diffs.shape[0], dtype=bool)
-    for c in range(diffs.shape[1]):
-        decide = undecided & (np.abs(diffs[:, c]) > 1e-12)
-        signs[decide] = np.sign(diffs[decide, c])
+    """Flip each difference (..., d) so its first nonzero component is positive."""
+    signs = np.ones(diffs.shape[:-1])
+    undecided = np.ones(diffs.shape[:-1], dtype=bool)
+    for c in range(diffs.shape[-1]):
+        decide = undecided & (np.abs(diffs[..., c]) > 1e-12)
+        signs[decide] = np.sign(diffs[..., c][decide])
         undecided &= ~decide
-    return diffs * signs[:, None]
+    return diffs * signs[..., None]
 
 
-def a_init_candidates(chi: Configuration, x, lam: float | None = None) -> list[np.ndarray]:
-    """Up to MAX_CANDIDATES A matrices from the N_DIRECTIONS shortest distinct differences near x.
+def a_init_candidates(chi: Configuration, x, lam: float | None = None, rels=None) -> list:
+    """Up to MAX_CANDIDATES A matrices per point from the N_DIRECTIONS shortest distinct differences near it.
 
-    Difference vectors of atoms in B_lam(x) are sign-canonicalized and
-    clustered into directions greedily in order of length: the shortest
-    difference no direction covers yet opens the next one, and one masking
-    pass over all differences marks its cluster.  Each direction is refined as
-    the mean of its cluster (a single noisy pair would land outside the
-    Newton basin).  The directions are combined into orientation-fixed bases,
-    deduplicated up to the integer-unimodular action (same spanned lattice)
-    by one stacked product against the kept candidates' inverses.
+    x is one point (d,), or the G points (G, d) of a multistart round.  One
+    point gives its list of candidates and raises FitError when B_lam(x)
+    holds fewer than d + 1 atoms; G points give one list per point, [] for
+    such a point.  rels are the points' gathers of B_lam(x) when the caller
+    holds them: one array of positions relative to the point per point, in
+    `local_atoms` order.  `_half_stage` passes its lam/2 objective's, whose
+    radius 2 (lam/2) is lam, so no point is gathered twice.
+
+    At each point the differences of its 48 nearest atoms are
+    sign-canonicalized and clustered into directions greedily in order of
+    length: the shortest difference no direction covers yet opens the next
+    one, and one masking pass over all differences marks its cluster.  Each
+    direction is refined as the mean of its cluster (a single noisy pair
+    would land outside the Newton basin).  The directions are combined into
+    orientation-fixed bases, deduplicated up to the integer-unimodular action
+    (same spanned lattice) in order, and ranked by basis length.  The points
+    of a round go through each stage together (`_differences`, `_directions`,
+    `_bases`), and every point's list is bit for bit the one it gets alone.
     """
     if lam is None:
         lam = chi.lam
     d = chi.d
-    _, rel, dist = chi.local_atoms(x, lam)
-    if rel.shape[0] < d + 1:
-        raise FitError(f"too few atoms near {np.asarray(x)}: {rel.shape[0]} < {d + 1}")
-    order = np.argsort(dist, kind="stable")
-    sel = rel[order[: min(rel.shape[0], 48)]]
+    if rels is None:
+        rels = [chi.local_atoms(p, lam)[1] for p in np.reshape(x, (-1, d))]
+    out = [[] for _ in rels]
+    some = [g for g, rel in enumerate(rels) if rel.shape[0] >= d + 1]
+    if some:
+        for g, cands in zip(some, _bases(*_directions(*_differences([rels[g] for g in some])))):
+            out[g] = cands
+    if np.ndim(x) > 1:
+        return out
+    if not some:
+        raise FitError(f"too few atoms near {np.asarray(x)}: {rels[0].shape[0]} < {d + 1}")
+    return out[0]
 
-    m = sel.shape[0]
+
+def _differences(rels: list):
+    """The canonical differences of each point's 48 nearest atoms, as one block over the points.
+
+    Returns diffs (d, G, P), components first, and each difference's rank in
+    its point's order by length, then components: P for a zero difference
+    and for the masked ones.  Point g's differences are those of
+    `np.triu_indices` over its m_g <= 48 nearest atoms (stably by distance),
+    in that order, so masking the others out of the triangle over the
+    longest selection keeps them in order.  The masked ones sit at 1e150,
+    where no cluster reaches them.
+    """
+    g_pts, d = len(rels), rels[0].shape[1]
+    n = max(rel.shape[0] for rel in rels)
+    rel_pad = np.zeros((g_pts, n, d))
+    dist = np.full((g_pts, n), np.inf)          # padding sorts last
+    for g, rel in enumerate(rels):
+        rel_pad[g, : rel.shape[0]] = rel
+        dist[g, : rel.shape[0]] = np.linalg.norm(rel, axis=1)
+    m = min(n, 48)
+    sel = np.take_along_axis(rel_pad, np.argsort(dist, axis=1, kind="stable")[:, :m, None], axis=1)
     ii, jj = np.triu_indices(m, 1)
-    diffs = sel[jj] - sel[ii]
-    lengths = np.linalg.norm(diffs, axis=1)
-    keep = lengths > 1e-9
-    diffs, lengths = diffs[keep], lengths[keep]
-    diffs = _canonical_signs(diffs)
-    order = np.lexsort(tuple(diffs[:, c] for c in reversed(range(d))) + (lengths,))
+    diffs = np.moveaxis(_canonical_signs(sel[:, jj] - sel[:, ii]), -1, 0).copy()
+    own = jj < np.minimum([rel.shape[0] for rel in rels], m)[:, None]
+    diffs[:, ~own] = 1e150
+    lengths = _norms(diffs)
+    keys = tuple(diffs[c] for c in reversed(range(d))) + (lengths,)
+    rank = np.argsort(np.lexsort(keys, axis=-1), axis=-1)
+    return diffs, np.where(own & (lengths > 1e-9), rank, ii.size)
 
-    reps: list[np.ndarray] = []
-    free = np.ones(diffs.shape[0], dtype=bool)      # not yet covered by a direction
-    while len(reps) < N_DIRECTIONS:
-        pending = order[free[order]]
-        if pending.size == 0:
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(v, axis=0)` bit for bit: the squares summed in component order, then sqrt."""
+    sq = v[0] * v[0]
+    for c in range(1, v.shape[0]):
+        sq = sq + v[c] * v[c]
+    return np.sqrt(sq)
+
+
+def _directions(diffs: np.ndarray, rank: np.ndarray):
+    """(directions (G, N_DIRECTIONS, d), the number each point found): one greedy pass per direction.
+
+    rank is each difference's rank, P where it is not free: masked out or
+    covered by a direction.  Pass k opens direction k at every point with a
+    free difference, from the one of lowest rank, and covers its cluster at
+    all those points at once.  The 1-D `np.linalg.norm(r)` behind the
+    cluster tolerance is a BLAS dot, which `np.vecdot` computes row by row.
+    The cluster mean sums its members in their order, as `members.mean` does
+    from 0.0: a running sum over every difference, the others adding +-0.0,
+    which leaves it unchanged up to the sign of a zero, and 0.0 + that sum
+    restores the sign.
+    """
+    d, g_pts, n_pairs = diffs.shape
+    reps = np.zeros((g_pts, N_DIRECTIONS, d))
+    n_reps = np.zeros(g_pts, dtype=int)
+    rank = rank.copy()
+    for k in range(N_DIRECTIONS):
+        first = rank.argmin(axis=1)
+        live = np.flatnonzero(rank[np.arange(g_pts), first] < n_pairs)
+        if live.size == 0:
             break
-        r = diffs[pending[0]]
-        tol = 0.25 * np.linalg.norm(r)
-        dist_p = np.linalg.norm(diffs - r, axis=1)
-        dist_m = np.linalg.norm(diffs + r, axis=1)
-        near = np.minimum(dist_p, dist_m)
-        free &= near > tol
-        # refine the direction by averaging its sign-aligned cluster members
-        aligned = np.where((dist_p < tol)[:, None], diffs, -diffs)
-        members = aligned[near < tol]
-        reps.append(members.mean(axis=0) if members.shape[0] else r)
+        r = np.ascontiguousarray(diffs[:, live, first[live]].T)
+        tol = 0.25 * np.sqrt(np.vecdot(r, r))[:, None]
+        near_set = diffs if live.size == g_pts else diffs[:, live]
+        dist_p = _norms(near_set - r.T[:, :, None])
+        near = np.minimum(dist_p, _norms(near_set + r.T[:, :, None]))
+        rank[live] = np.where(near > tol, rank[live], n_pairs)
+        # refine the direction by averaging its sign-aligned cluster members; r is one of them
+        members = near < tol
+        aligned = near_set * (np.where(dist_p < tol, 1.0, -1.0) * members)
+        sums = 0.0 + np.cumsum(aligned, axis=-1)[:, :, -1]
+        reps[live, k] = (sums / np.count_nonzero(members, axis=-1)).T
+        n_reps[live] += 1
+    return reps, n_reps
 
-    combos = list(combinations(range(len(reps)), d))
-    if not combos:
-        return []
-    norms = [float(np.linalg.norm(r)) for r in reps]
-    binv = np.stack([np.column_stack([reps[c] for c in combo]) for combo in combos])
+
+def _bases(reps: np.ndarray, n_reps: np.ndarray) -> list:
+    """Per point, its candidate A's from d-combinations of its directions, deduplicated and ranked.
+
+    The combinations of all points are built and tested from index arrays
+    at once: a point's own are a prefix-ordered subset of those of
+    N_DIRECTIONS.  Candidate i of a point is dropped when A_i A_j^{-1} rounds,
+    to within 0.1, to a unimodular matrix for a kept j < i.  The products of
+    all pairs are one stacked matmul per point, and the in-order pass over
+    them tests one bit set per candidate.
+    """
+    g_pts, _, d = reps.shape
+    combos = np.array(list(combinations(range(N_DIRECTIONS), d)))
+    norms = np.sqrt(np.vecdot(reps, reps))      # `np.linalg.norm` of each direction, as above
+    binv = reps[:, combos].swapaxes(-1, -2)     # column j of basis q: direction combos[q, j]
     det = np.linalg.det(binv)
-    vol = np.array([np.prod([norms[c] for c in combo]) for combo in combos])
-    usable = np.abs(det) >= 0.15 * vol
+    usable = ((combos[:, -1] < n_reps[:, None])
+              & (np.abs(det) >= 0.15 * norms[:, combos].prod(axis=-1)))
     binv[usable & (det < 0), :, -1] *= -1.0
-    index = np.flatnonzero(usable)
-    if index.size == 0:
-        return []
-    a_all = np.linalg.inv(binv[index])
+    a_all = np.linalg.inv(binv[usable])         # point by point, in combination order
     a_all_inv = np.linalg.inv(a_all)
-
-    kept: list[int] = []
-    keys: list[tuple] = []
-    for i, combo_i in enumerate(index):
-        if kept:
-            r = a_all[i] @ a_all_inv[kept]
-            rr = np.round(r)
-            if np.any((np.max(np.abs(r - rr), axis=(1, 2)) <= 0.1)
-                      & (np.abs(np.round(np.linalg.det(rr))) == 1)):
-                continue
-        kept.append(i)
-        basis_len = sum(norms[c] for c in combos[combo_i])
-        keys.append((basis_len, tuple(np.round(a_all[i], 9).ravel())))
-    ranked = sorted(range(len(kept)), key=lambda j: keys[j])
-    return [a_all[kept[j]] for j in ranked[:MAX_CANDIDATES]]
+    basis_len = norms[:, combos].sum(axis=-1)[usable]
+    counts = usable.sum(axis=1)
+    ti, tj = np.tril_indices(max(counts.max(), 1), -1)      # pairs j < i, ordered by i
+    out = []
+    for start, u in zip(np.cumsum(counts) - counts, counts.tolist()):
+        if u == 0:
+            out.append([])
+            continue
+        a, a_inv = a_all[start: start + u], a_all_inv[start: start + u]
+        pairs = u * (u - 1) // 2
+        r = a[ti[:pairs]] @ a_inv[tj[:pairs]]
+        rr = np.round(r)
+        close = np.flatnonzero(np.max(np.abs(r - rr), axis=(1, 2)) <= 0.1)
+        close = close[np.abs(np.round(np.linalg.det(rr[close]))) == 1]
+        dup = [0] * u                   # bit j of dup[i]: A_i duplicates A_j, j < i
+        for i, j in zip(ti[close].tolist(), tj[close].tolist()):
+            dup[i] |= 1 << j
+        kept, kept_bits = [], 0
+        for i in range(u):
+            if not dup[i] & kept_bits:
+                kept.append(i)
+                kept_bits |= 1 << i
+        flat = np.round(a[kept], 9).reshape(len(kept), -1)
+        ranked = np.lexsort(tuple(flat[:, c] for c in reversed(range(d * d)))
+                            + (basis_len[start: start + u][kept],))
+        out.append([a[kept[j]] for j in ranked[:MAX_CANDIDATES]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +780,12 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
 
     Row g is the run `fit_global` makes alone at xs[g] (with warm_starts[g]),
     bit for bit: its FitResult, or in its place the FitError it would raise.
-    The A candidates come from `a_init_candidates` point by point.  Their
-    lam/2 stage (`_half_stage`) is one lockstep Newton on J over every
-    candidate of every point.  Then start k of every point that has one runs
-    as one stack on h, for k = 0, 1, ...; each row's abort bar is its own
-    point's 1.05 best + 1e-6 over its starts before k, so no bar is shared.
+    The lam/2 stage (`_half_stage`) takes the A candidates of all points
+    from one `a_init_candidates` call on its gathers and pre-converges them
+    in one lockstep Newton on J over every candidate of every point.  Then
+    start k of every point that has one runs as one stack on h, for
+    k = 0, 1, ...; each row's abort bar is its own point's 1.05 best + 1e-6
+    over its starts before k, so no bar is shared.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
     if warm_starts is None:
@@ -713,22 +837,25 @@ def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list
     """Per point, its A candidates pre-converged on J at lam/2 as starts (n,), at most 4 kept.
 
     The convexity basin is twice as wide at lam/2, which tolerates the noise
-    of the init vectors.  Each point's lam/2 gather gives its candidates'
-    tau, and one lockstep Newton steps the candidates of every point.  A
-    point whose candidates all stay on the incoherent plateau, or that has
-    none, keeps no start.
+    of the init vectors.  One lam/2 objective gathers every point once.  Its
+    gathers reach 2 (lam/2) = lam, the ball `a_init_candidates` draws its
+    differences from, so one call on them gives the candidates of the whole
+    round.  The Newton then runs on the objective `restricted` to the points
+    with candidates, so its padding is the one their gathers alone give;
+    each point's gather also gives its candidates' tau, and one lockstep
+    Newton steps the candidates of every point.  A point whose candidates
+    all stay on the incoherent plateau, or that has none, keeps no start.
     """
-    raw = []
-    for x in xs:
-        try:
-            raw.append(a_init_candidates(chi, x, lam=params.lam))
-        except FitError:
-            raw.append([])
     kept = [[] for _ in xs]
+    if not kept:
+        return kept
+    obj = _Objective(chi, xs, params, j_only=True, lam=params.lam / 2.0)
+    raw = a_init_candidates(chi, xs, params.lam, rels=[obj.gather(g)[0] for g in range(len(xs))])
     todo = [g for g in range(len(xs)) if raw[g]]
     if not todo:
         return kept
-    obj = _Objective(chi, xs[todo], params, j_only=True, lam=params.lam / 2.0)
+    if len(todo) < len(xs):
+        obj = obj.restricted(todo)      # padded as if built at the points with candidates alone
     point, theta0 = [], []
     for i, g in enumerate(todo):
         if obj.rho[i] <= 0.0:
@@ -853,7 +980,8 @@ def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
     not gathered here.  A row with no end or at rho = 0 takes no step; it and
     a row whose step fails, does not converge or is not regular under
     `thresholds` are refused: each gets the multistart, all in one
-    `fit_global_stack`.  Row k is its FitResult, or its multistart's FitError.
+    `fit_global_stack`, which is not called when no row is refused.  Row k
+    is its FitResult, or its multistart's FitError.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
     outs = [None] * len(xs)
@@ -871,8 +999,9 @@ def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
             outs[k] = out
     refused = [k for k, out in enumerate(outs)
                if out is None or not (out.converged and out.regular)]
-    for k, out in zip(refused, fit_global_stack(chi, xs[refused], params, thresholds)):
-        outs[k] = out
+    if refused:
+        for k, out in zip(refused, fit_global_stack(chi, xs[refused], params, thresholds)):
+            outs[k] = out
     return outs
 
 

@@ -7,7 +7,8 @@ diagonal well Hessian, the Hessian of |A^{-1}|_F^2 and of F column by column
 over the basis matrices E_ab, and every det A and A^{-1} recomputed where it is
 used.  F's value and gradient take the singular values and vectors of E^T A
 where the kernels use the d = 2 closed form, and `a_init_candidates` clusters
-the difference vectors one at a time where the fit code masks them.
+the difference vectors one at a time, point by point, where the fit code
+runs the points of a round through array passes.
 `evaluate_grid` fits, aligns and minimizes node by node, one continuation
 step per node with `fit_from` (one row of `fitting._fit_from_rows`) and one
 `minimize_j_local` per node, where the grid runs one stacked Newton per
@@ -204,6 +205,37 @@ def f_el_grad(el, A):
     return g_det + 2.0 * el.C2_el * (A - el.E @ u @ vt)
 
 
+def directions(diffs, order):
+    """The refined directions of `a_init_candidates` from its differences and their order by length.
+
+    Each difference, in order, opens a direction unless one kept so far lies
+    within a quarter of its length; each direction is then the mean of its
+    sign-aligned cluster.
+    """
+    reps = []
+    rep_norms = []
+    for v in diffs[order]:
+        if reps:
+            arr = np.asarray(reps)
+            near = np.minimum(np.linalg.norm(arr - v, axis=1),
+                              np.linalg.norm(arr + v, axis=1))
+            if np.any(near <= 0.25 * np.asarray(rep_norms)):
+                continue
+        reps.append(v)
+        rep_norms.append(float(np.linalg.norm(v)))
+        if len(reps) >= N_DIRECTIONS:
+            break
+    refined = []
+    for r in reps:
+        dist_p = np.linalg.norm(diffs - r, axis=1)
+        dist_m = np.linalg.norm(diffs + r, axis=1)
+        tol = 0.25 * np.linalg.norm(r)
+        aligned = np.where((dist_p < tol)[:, None], diffs, -diffs)
+        members = aligned[np.minimum(dist_p, dist_m) < tol]
+        refined.append(members.mean(axis=0) if members.shape[0] else r)
+    return refined
+
+
 def a_init_candidates(chi, x, lam):
     """The A candidates of `fitting.a_init_candidates`, clustering one difference at a time.
 
@@ -226,29 +258,7 @@ def a_init_candidates(chi, x, lam):
     diffs, lengths = diffs[keep], lengths[keep]
     diffs = _canonical_signs(diffs)
     order = np.lexsort(tuple(diffs[:, c] for c in reversed(range(d))) + (lengths,))
-
-    reps = []
-    rep_norms = []
-    for v in diffs[order]:
-        if reps:
-            arr = np.asarray(reps)
-            near = np.minimum(np.linalg.norm(arr - v, axis=1),
-                              np.linalg.norm(arr + v, axis=1))
-            if np.any(near <= 0.25 * np.asarray(rep_norms)):
-                continue
-        reps.append(v)
-        rep_norms.append(float(np.linalg.norm(v)))
-        if len(reps) >= N_DIRECTIONS:
-            break
-    refined = []
-    for r in reps:
-        dist_p = np.linalg.norm(diffs - r, axis=1)
-        dist_m = np.linalg.norm(diffs + r, axis=1)
-        tol = 0.25 * np.linalg.norm(r)
-        aligned = np.where((dist_p < tol)[:, None], diffs, -diffs)
-        members = aligned[np.minimum(dist_p, dist_m) < tol]
-        refined.append(members.mean(axis=0) if members.shape[0] else r)
-    reps = refined
+    reps = directions(diffs, order)
 
     candidates = []
     keys = []

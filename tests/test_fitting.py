@@ -365,6 +365,31 @@ class TestContinuationStartsOnTheRidge:
             assert abs(out.breakdown.total - ref.breakdown.total) <= 1e-12
 
 
+def test_continue_with_every_row_accepted_runs_no_multistart(params, chi_noise):
+    """A `_continue` whose steps all converge regular calls no `fit_global_stack`.
+
+    Its rows are the continuation steps alone, bit for bit.  Mutation caught:
+    calling `fit_global_stack` with the empty list of refused rows.
+    """
+    base = fit_global(chi_noise, np.array([20.0, 20.0]), params)
+    y, aff = base.position, base.aff_hat
+    xs = [y + [1.5, 0.0], y + [0.0, -1.5], y + [1.0, 1.0]]
+    multistarts = []
+    stack = fitting.fit_global_stack
+
+    def recording_fit_global_stack(chi, xs, *args, **kwargs):
+        multistarts.append(len(xs))
+        return stack(chi, xs, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "fit_global_stack", recording_fit_global_stack)
+        outs = fitting._continue([(y, aff)] * len(xs), chi_noise, xs, params, None)
+    assert multistarts == []
+    for x, out in zip(xs, outs):
+        assert_same_fit(out, oracle.fit_from(transport(y, aff, x), chi_noise, x, params))
+        assert out.converged and out.regular
+
+
 def test_continue_rows_match_one_row_runs(params, chi_noise):
     """A mixed `_continue` stack: each row is its one-row run bit for bit, a FitError in place."""
     base = fit_global(chi_noise, np.array([20.0, 20.0]), params)

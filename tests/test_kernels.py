@@ -6,11 +6,12 @@ different floating-point order; they must agree to 1e-12 relative.  F's
 closed-form d = 2 value and gradient must agree with the singular-value forms
 to the same tolerance.  A stack of K starts must give, row for row, exactly
 the bits of K single calls, in the kernels and through `_newton`'s exits,
-also when each row has its own gather of its own length, and the masking
-`a_init_candidates` exactly the loop form's candidates.  The batched Newton
-step `_newton_steps` must make the per-row loop's positive-definite and
-escape decisions and give its steps to 1e-12 relative, on synthetic stacks
-and on stacks recorded from a dipole grid window.
+also when each row has its own gather of its own length, and
+`a_init_candidates`, one point or a round of them, exactly the loop form's
+candidates.  The batched Newton step `_newton_steps` must make the per-row
+loop's positive-definite and escape decisions and give its steps to 1e-12
+relative, on synthetic stacks and on stacks recorded from a dipole grid
+window.
 """
 
 import math
@@ -23,9 +24,11 @@ import pytest
 
 import kernel_oracles as oracle
 from conftest import exact_lattice
-from latfit import fileio, fitting
+from latfit import core_model, fileio, fitting
 from latfit.core_model import (
     AffinePair,
+    Box,
+    Configuration,
     _g_hess,
     assemble_j,
     gather_weights,
@@ -459,6 +462,170 @@ def test_a_init_candidates_matches_loop_form(params, chi_noise):
         want = oracle.a_init_candidates(chi, x, lam)
         assert len(got) == len(want) > 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_half_stage_round_matches_per_point_oracle(params, chi_noise):
+    """One `_half_stage` round over mixed points: one A-initialisation, every point the oracle's.
+
+    The clouds sit 1000 apart in one configuration, so each point's lam-ball
+    holds its own cloud only.  The round's candidate lists must equal
+    `oracle.a_init_candidates` point by point, bit for bit with the signs of
+    zeros, and its kept
+    starts `oracle.pre_converge`'s to 1e-12: the 10-atom point's stacked
+    lam/2 Newton differs from its run alone in the last bit.  Mutation
+    caught: leaving the padding differences of the points with fewer than
+    48 atoms in place instead of at 1e150.
+    """
+    rng = np.random.default_rng(11)
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    clouds = [(chi_noise.positions, rng.uniform(8.0, 32.0, size=(4, 2))),
+              (positions[interior], 0.5 + rng.uniform(-3.0, 3.0, size=(4, 2)))]    # golden core
+    for a_true in (np.array([[1.0, 0.15], [-0.1, 0.9]]),
+                   np.linalg.inv(np.column_stack([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]))):
+        exact = exact_lattice(a_true, np.array([0.2, 0.6]), params.lam)
+        clouds.append((exact.positions, rng.uniform(1.0, 5.0, size=(2, 2))))
+    clouds.append((rng.uniform(-3.0, 3.0, size=(10, 2)), np.zeros((1, 2))))    # 10 < 48 atoms
+    line = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
+    clouds.append((line, np.array([[3.5, 0.0]])))                # one direction, no basis
+    clouds.append((np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.5, 0.0]])))  # 2 < d + 1
+    atoms, xs = [], []
+    for k, (cloud, points) in enumerate(clouds):
+        atoms.append(cloud + [1000.0 * k, 0.0])
+        xs.extend(points + [1000.0 * k, 0.0])
+    xs.append(np.array([500.0, 5000.0]))                                         # no atoms
+    atoms = np.concatenate(atoms)
+    chi = Configuration(atoms, np.ones(len(atoms), dtype=bool),
+                        Box(atoms.min(axis=0), atoms.max(axis=0)), params.lam, validate=False)
+    rounds = []
+    a_init = fitting.a_init_candidates
+
+    def recording_a_init(*args, **kwargs):
+        rounds.append(a_init(*args, **kwargs))
+        return rounds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "a_init_candidates", recording_a_init)
+        starts = fitting._half_stage(chi, np.array(xs), params)
+    assert len(rounds) == 1 and len(rounds[0]) == len(starts) == len(xs)
+    for x, got, kept in zip(xs, rounds[0], starts):
+        try:
+            want = oracle.a_init_candidates(chi, x, params.lam)
+        except FitError:
+            want = []
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))     # zero signs too
+        ref = oracle.pre_converge(want, chi, x, params) if want else []
+        assert len(kept) == len(ref)
+        assert all(np.max(np.abs(k - pack(r))) <= 1e-12 for k, r in zip(kept, ref))
+    assert [len(got) > 0 for got in rounds[0]] == [True] * (len(xs) - 3) + [False] * 3
+
+
+def test_norm_forms_are_numpys_bit_for_bit():
+    """The norms `a_init_candidates` computes in array passes are numpy's, bit for bit.
+
+    `_norms` (components first) is `np.linalg.norm(axis=1)` and the sqrt of
+    `np.vecdot` is the 1-D `np.linalg.norm` (a BLAS dot) row by row, on
+    thousands of random rows in d = 2 and 3.  Mutations caught: `_norms`
+    summing its squares in another order or form, and a row norm taken with
+    `np.einsum` or `matmul`, which do not go through the BLAS dot.
+    """
+    rng = np.random.default_rng(7)
+    for d in (2, 3):
+        v = rng.standard_normal((4000, d)) * rng.uniform(0.1, 10.0, size=(4000, 1))
+        assert np.array_equal(fitting._norms(v.T), np.linalg.norm(v, axis=1))
+        assert np.array_equal(np.sqrt(np.vecdot(v, v)), [np.linalg.norm(x) for x in v])
+
+
+def test_directions_at_the_cluster_tolerance_match_oracle():
+    """`_directions` decides membership at its bar, and signs its zeros, as the loop form does.
+
+    Each point holds a difference r and v = r + (e, 0), e = one of the two
+    floats next to 0.25 |r|, so v is a member of r's cluster or opens a
+    direction of its own depending on the last bit of that bar, the 1-D
+    `np.linalg.norm(r)`; the axis-norm form of |r| differs from it in that
+    bit at about one point in six.  A last point's cluster sums its second
+    components to -0.0, which `members.mean` returns as +0.0.  Every point's
+    directions equal `oracle.directions`' bit for bit, zero signs included.
+    Mutations caught: the bar taken from the axis norm (`_norms`) instead of
+    the BLAS dot, and the mean's sum left without its `0.0 +` sign restore.
+    """
+    rng = np.random.default_rng(3)
+    pairs = []
+    for r in rng.uniform(0.5, 2.0, size=(300, 2)):
+        bar = 0.25 * np.linalg.norm(r)
+        for e in (bar, np.nextafter(bar, 0.0)):
+            pairs.append((r, r + [e, 0.0]))
+    pairs.append((np.array([1.0, -0.0]), np.array([1.1, -0.0])))
+    diffs = np.ascontiguousarray(np.array(pairs).transpose(2, 0, 1))       # (d, G, 2)
+    rank = np.tile([0, 1], (len(pairs), 1))
+    reps, n_reps = fitting._directions(diffs, rank)
+    split = 0
+    for g, (r, v) in enumerate(pairs):
+        want = np.array(oracle.directions(np.stack([r, v]), np.array([0, 1])))
+        assert n_reps[g] == len(want)
+        assert reps[g, : n_reps[g]].tobytes() == want.tobytes()
+        split += n_reps[g] == 2
+    assert 0 < split < len(pairs) - 1                  # both outcomes occur at the bar
+    assert not np.signbit(reps[-1, 0, 1])
+
+
+def test_restricted_objective_is_the_one_built_at_its_points(params, chi_noise):
+    """`_Objective.restricted` is, array for array, the objective built at its points alone.
+
+    Its padding is the longest gather of its points, and one point is
+    unpadded; `_half_stage` pre-converges on its lam/2 objective restricted
+    to the points with candidates.  Mutation caught: keeping the padding of
+    all the points.
+    """
+    xs = np.array([[20.0, 20.0], [-46.0, -46.0], [86.0, 21.0], [-45.0, 30.0]])
+    full = _Objective(chi_noise, xs, params, j_only=True, lam=params.lam / 2.0)
+    assert full.sizes[0] > max(full.sizes[1:])          # the centre's, then three at the edge
+    for points in ([1, 3], [3, 1, 2], [2]):
+        got = full.restricted(points)
+        want = _Objective(chi_noise, xs[points], params, j_only=True, lam=params.lam / 2.0)
+        assert got.sizes == want.sizes
+        for name in ("rel", "w", "c", "rho", "eps_nu", "features"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_objective_builds_j_features_once(params, chi_noise, regular_thetas):
+    """An `_Objective` builds its J feature block once; `_newton`'s gradient calls reuse it.
+
+    A mixed stack (rows on three points, out of order, stopping at different
+    iterations) runs a whole `_newton` with no further build, in the
+    objective or in `assemble_j`; `value` does not read the block, and
+    `_points` hands back its last selection for the same rows.  Mutation
+    caught: `value_grad_hess` passing no `features` to `assemble_j`.
+    """
+    builds = []
+
+    def counting(module):
+        build = module.j_features
+
+        def j_features(rel):
+            builds.append(module.__name__)
+            return build(rel)
+        return j_features
+
+    xs = np.stack([x for x, _ in regular_thetas[:3]])
+    rows = [2, 0, 1, 1, 0, 2]
+    theta0 = np.stack([regular_thetas[r][1] for r in rows])
+    theta0[1::2, :4] *= 1.02                    # a second start per point, further out
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (core_model, fitting):
+            mp.setattr(module, "j_features", counting(module))
+        obj = _Objective(chi_noise, xs, params, j_only=False)
+        assert builds == ["latfit.fitting"]
+        view = obj.on_points(rows)
+        res = _newton(view, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
+        assert builds == ["latfit.fitting"]
+        blind = obj.on_points(rows)
+        blind.features = None
+        assert np.array_equal(blind.value(theta0), view.value(theta0))
+    assert len(set(res.iterations.tolist())) > 1 and res.converged.all()
+    picked = view._points(np.arange(4), features=True)
+    assert all(a is b for a, b in zip(view._points(np.arange(4), features=True), picked))
 
 
 @pytest.fixture(scope="module")
