@@ -66,7 +66,9 @@ class Box:
         hi = np.array(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box corners must be vectors of equal length")
-        if np.any(hi <= lo):
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"box corners must be finite, got lo {lo}, hi {hi}")
+        if not np.all(hi > lo):
             raise ValueError("box must have positive extent")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -223,8 +225,8 @@ class Configuration:
             raise ValueError("positions must be finite")
         if interior.shape != (positions.shape[0],):
             raise ValueError("interior mask must have one entry per atom")
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
         if validate and positions.shape[0]:
             if not np.all(domain.contains(positions[interior])):
                 raise ValueError("interior atoms must lie inside the domain box")
@@ -282,8 +284,10 @@ class RegularityThresholds:
     C_A: float
 
     def __post_init__(self):
-        if min(self.eps_rho, self.eps_J, self.C_A) <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("eps_rho", "eps_J", "C_A"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"threshold {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -300,8 +304,9 @@ class ModelParams:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ValueError(f"d must be 2 or 3, got {self.d}")
-        if self.lam <= 0 or self.s0 <= 0 or self.vartheta <= 0:
-            raise ValueError("lam, s0, vartheta must be positive")
+        for name, value in (("lambda", self.lam), ("s0", self.s0), ("vartheta", self.vartheta)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.lam < 10.0 * self.s0:
             raise ValueError(f"mesoscale separation requires lam >= 10*s0, got lam={self.lam}, s0={self.s0}")
         if self.elastic is None:
@@ -449,9 +454,11 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
     A-then-tau layout.  g enters through the product rule with its
     closed-form gradient and Hessian (`_g_hess`).  Atoms run along the last
     axis throughout, and every sum over them is a matrix product with at
-    least two rows and two columns.  Such a product accumulates each entry
-    atom by atom, so zero padding leaves it unchanged to the bit, and a row
-    of a padded stack equals that row alone.
+    least two rows and two columns, so a row of a padded stack is bitwise
+    that row alone at the same padding width.  Zero padding adds exact
+    zeros, but the BLAS kernel can change with the width: a short gather's
+    row can move by an ulp between widths (10 atoms padded to 522 against
+    10 unpadded).
     """
     A, tau, ainv = aff.A, aff.tau, aff.ainv
     single = A.ndim == 2

@@ -135,6 +135,14 @@ _PARAM_KEYS = {"d", "lambda", "s0", "vartheta", "E", "C1_el", "C2_el", "threshol
 _THRESHOLD_KEYS = {"eps_rho", "eps_J", "C_A"}
 
 
+def _number(doc: dict, key: str, default: float | None = None) -> float:
+    """doc[key], or default when absent, as a float; a ValueError naming key for a non-number."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_from_dict(doc: dict, path: str = "<params>"):
     """Strict RunConfig parser: unknown keys rejected; returns (params, domain|None)."""
     if not isinstance(doc, dict):
@@ -142,28 +150,29 @@ def params_from_dict(doc: dict, path: str = "<params>"):
     unknown = set(doc) - _PARAM_KEYS
     if unknown:
         raise FileFormatError(f"{path}: unknown parameter keys {sorted(unknown)}")
-    d = int(doc.get("d", 2))
-    elastic = None
-    if any(k in doc for k in ("E", "C1_el", "C2_el")):
-        e_mat = np.asarray(doc.get("E", np.eye(d).tolist()), dtype=float)
-        elastic = ElasticDensity(E=e_mat, C1_el=float(doc.get("C1_el", 1.0)),
-                                 C2_el=float(doc.get("C2_el", 1.0)))
-    thresholds = None
-    if "thresholds" in doc:
-        tdoc = doc["thresholds"]
+    d = doc.get("d", 2)
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise FileFormatError(f"{path}: d must be an integer, got {d!r}")
+    tdoc = doc.get("thresholds")
+    if tdoc is not None:
         unknown = set(tdoc) - _THRESHOLD_KEYS
         if unknown:
             raise FileFormatError(f"{path}: unknown threshold keys {sorted(unknown)}")
         missing = _THRESHOLD_KEYS - set(tdoc)
         if missing:
             raise FileFormatError(f"{path}: thresholds need keys {sorted(missing)}")
-        thresholds = RegularityThresholds(eps_rho=float(tdoc["eps_rho"]),
-                                          eps_J=float(tdoc["eps_J"]),
-                                          C_A=float(tdoc["C_A"]))
     try:
-        params = ModelParams(d=d, lam=float(doc.get("lambda", 12.0)),
-                             s0=float(doc.get("s0", 0.5)),
-                             vartheta=float(doc.get("vartheta", 1.0)),
+        elastic = thresholds = None
+        if any(k in doc for k in ("E", "C1_el", "C2_el")):
+            e_mat = np.asarray(doc.get("E", np.eye(d).tolist()), dtype=float)
+            elastic = ElasticDensity(E=e_mat, C1_el=_number(doc, "C1_el", 1.0),
+                                     C2_el=_number(doc, "C2_el", 1.0))
+        if tdoc is not None:
+            thresholds = RegularityThresholds(eps_rho=_number(tdoc, "eps_rho"),
+                                              eps_J=_number(tdoc, "eps_J"),
+                                              C_A=_number(tdoc, "C_A"))
+        params = ModelParams(d=d, lam=_number(doc, "lambda", 12.0), s0=_number(doc, "s0", 0.5),
+                             vartheta=_number(doc, "vartheta", 1.0),
                              elastic=elastic, thresholds=thresholds)
     except ValueError as err:
         raise FileFormatError(f"{path}: {err}") from None
@@ -172,7 +181,10 @@ def params_from_dict(doc: dict, path: str = "<params>"):
         ddoc = doc["domain"]
         if set(ddoc) != {"lo", "hi"}:
             raise FileFormatError(f"{path}: domain needs exactly keys lo, hi")
-        domain = Box(np.asarray(ddoc["lo"], dtype=float), np.asarray(ddoc["hi"], dtype=float))
+        try:
+            domain = Box(np.asarray(ddoc["lo"], dtype=float), np.asarray(ddoc["hi"], dtype=float))
+        except ValueError as err:
+            raise FileFormatError(f"{path}: domain: {err}") from None
     return params, domain
 
 
@@ -308,18 +320,42 @@ def write_field_csv(path: str, field, lb_entries=None) -> None:
 
 
 def read_field_csv(path: str) -> dict[str, np.ndarray]:
-    """Read a field CSV back into column arrays (NaN for blanks)."""
+    """Read a field CSV back into column arrays (NaN for blanks).
+
+    The rows must cover one nx x ny grid, each node once: ix and iy are
+    non-negative integers, and every (ix, iy) below the largest of each
+    has exactly one row.  Errors carry the 1-based line number.
+    """
+    rows, nodes = [], set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != FIELD_COLUMNS:
             raise FileFormatError(f"{path}:1: not a latfit field CSV")
-        rows = []
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(FIELD_COLUMNS):
                 raise FileFormatError(f"{path}:{lineno}: expected {len(FIELD_COLUMNS)} fields")
-            rows.append([float(v) if v != "" else np.nan for v in row])
+            for name, v in zip(("ix", "iy"), row):
+                if not (v.isascii() and v.isdigit()):
+                    raise FileFormatError(
+                        f"{path}:{lineno}: {name} must be a non-negative integer, got {v!r}")
+            node = (int(row[0]), int(row[1]))
+            if node in nodes:
+                raise FileFormatError(f"{path}:{lineno}: node (ix, iy) = {node} repeats")
+            nodes.add(node)
+            try:
+                rows.append([float(v) if v != "" else np.nan for v in row])
+            except ValueError as err:
+                raise FileFormatError(f"{path}:{lineno}: bad number: {err}") from None
+    if not rows:
+        raise FileFormatError(f"{path}:{lineno + 1}: no data rows")
+    nx, ny = (1 + max(node[i] for node in nodes) for i in (0, 1))
+    if len(nodes) != nx * ny:
+        gap = next((ix, iy) for iy in range(ny) for ix in range(nx) if (ix, iy) not in nodes)
+        raise FileFormatError(f"{path}:{lineno}: the rows cover {len(nodes)} of the {nx} x {ny} "
+                              f"grid's nodes; node (ix, iy) = {gap} has no row")
     data = np.array(rows, dtype=float)
     return {name: data[:, i] for i, name in enumerate(FIELD_COLUMNS)}

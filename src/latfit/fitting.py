@@ -22,13 +22,16 @@ on a leading axis.  A stack is stepped in lockstep: one evaluation of the
 value, gradient and Hessian per step, and one value per line-search trial,
 serve every start still running, and each start keeps its own exit
 (converged, cap, line-search failure, abort bar, det A <= 0, and under
-require_pd leaving the convexity basin).  The starts share one point's
-gather, or each has its own point: one gather per row, zero-padded to the
-longest, so the continuation steps of a grid round (`_fit_from_rows`) and
-its branch minimizers (`minimize_j_stack`) each run as one stack.  Every row
-is computed exactly as that start alone, so the lockstep run equals K single
-runs bit for bit.  The multistart (`fit_global_stack`) serves the points of
-a grid round together.  One lam/2 objective gathers each point once; one
+require_pd leaving the convexity basin).  The objective holds the points'
+gathers, zero-padded to the longest, and nothing about a run: `_newton`
+takes each row's point (`points`), so the starts share one point or sit on
+several, in any order, and the continuation steps of a grid round
+(`_fit_from_rows`) and its branch minimizers (`minimize_j_stack`) each run
+as one stack.  Every row is computed as that start alone at the same
+padding width, so the lockstep run equals K single runs on that objective
+bit for bit; a row on a short gather can move by an ulp when the width
+changes.  The multistart (`fit_global_stack`) serves the points of a grid
+round together.  One lam/2 objective gathers each point once; one
 `a_init_candidates` call takes every point's A candidates from those
 gathers, as array passes over the round; one stack pre-converges every
 candidate of every point on J at lam/2, each point's gather also giving its
@@ -45,16 +48,17 @@ its gather, and computes det A and A^{-1} once per evaluation (2 x 2 closed
 forms for d = 2, in an `_Iterate`, not an AffinePair); it hands them to J
 (`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
 for d = 2) and the smoothed nu; F and nu share one Hessian of det
-(`det_hessian`).  `value` keeps each row's cos pass, and the next
-`value_grad_hess` at the accepted iterate takes it from there instead of
-redoing it.  `_newton_steps` gives every row its step in one batched pass,
-with no solve per row.
+(`det_hessian`).  `_newton` keeps each row's cos pass from the evaluation
+at its accepted iterate and hands it to the next `value_grad_hess` instead
+of redoing it.  `_newton_steps` gives every row its step in one batched
+pass, with no solve per row.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
 fit from sample to sample.  The sweeps are independent chains, so each step
-of both runs as one 2-row `_continue` on a view of one objective over the
-loop's samples: each sample is gathered once, not once per sweep.  Samples
+of both runs as one 2-row `_continue` on one objective over the loop's
+samples, each row at its own sample: each sample is gathered once, not
+once per sweep.  Samples
 1.2 lam apart can still land in a higher neighbouring basin, so where the
 sweeps disagree the sample gets the multistart warm-started from both (the
 basin guard).  A sample the sweeps agree on keeps the forward fit, in sample
@@ -170,24 +174,22 @@ class _Objective:
     (relative positions and cutoff weights) is fixed and hoisted out of the
     iteration, zero-padded to the longest; rho and the nu smoothing are
     likewise constant per point during the (A, tau) optimization.  theta is
-    one start (n,) or a stack of K starts (K, n) on a leading axis; `rows`
-    names each start's row of the run (default 0..K-1), which is its point
-    when there are G = K points, while G = 1 point serves every row.  A view
-    from `on_points` maps the rows of its run to points instead, so the
-    starts of several points share the points' gathers, and `restricted`
-    keeps some of the points, padded as if built at them alone.  The
-    value, gradient and Hessian come back with theta's leading axis, each row
-    computed exactly as that start alone, so a lockstep Newton over K starts
-    follows K single runs bit for bit.  Each evaluation computes det A and
-    A^{-1} once per row (`_iterate`, 2 x 2 closed forms for d = 2) and shares
-    them between J, F and nu.  A row with det A <= 0 evaluates to +inf so line
-    searches stay orientation-preserving.  `value` keeps each row's cos pass;
-    `value_grad_hess` at the same theta reuses it instead of redoing it.
+    one start (n,) or a stack of K starts (K, n) on a leading axis, and
+    points names the point of each row: by default row k sits at point k,
+    and one point serves every row.  `restricted` keeps some of the points,
+    padded as if built at them alone.  The value, gradient and Hessian come
+    back with theta's leading axis, each row computed as that start alone at
+    the same padding width, so a lockstep Newton over K starts follows K
+    single runs bit for bit.  Each evaluation computes det A and A^{-1} once
+    per row (`_iterate`, 2 x 2 closed forms for d = 2) and shares them
+    between J, F and nu.  A row with det A <= 0 evaluates to +inf so line
+    searches stay orientation-preserving.  `_value` also returns each row's
+    cos pass, which `value_grad_hess` takes back as cos_z at the same theta.
     Each point's J feature block (`j_features`) is built once, with the
-    gathers, and shared with the views; `value_grad_hess` hands the rows'
-    blocks to `assemble_j`, and `value` never reads them.  A selection of the
-    points' arrays by row is copied once and reused while the same rows come
-    again, as they do through a Newton step and its line search.
+    gathers; `value_grad_hess` hands the rows' blocks to `assemble_j`, and
+    `_value` never reads them.  A selection of the points' arrays by row is
+    copied once and reused while the same points come again, as they do
+    through a Newton step and its line search.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
@@ -211,17 +213,7 @@ class _Objective:
         self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
         self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
         self.features = j_features(self.rel)
-        self.point = None       # row -> point of a run (`on_points`); None: row k is point k
-        self._kept = {}         # row -> (theta, cos pass) of the last `value` at that row
         self._sel = None        # [points, their arrays, their feature blocks] of the last selection
-
-    def on_points(self, points) -> _Objective:
-        """This objective for a run whose row k sits at point points[k]; the gathers are shared."""
-        out = copy.copy(self)
-        out.point = np.asarray(points)
-        out._kept = {}
-        out._sel = None
-        return out
 
     def restricted(self, points) -> _Objective:
         """This objective at points only, padded to their longest gather: the one built there."""
@@ -232,7 +224,7 @@ class _Objective:
         out.rel, out.w = self.rel[points, :m], self.w[points, :m]
         out.features = self.features[points, :, :m]
         out.c, out.rho, out.eps_nu = self.c[points], self.rho[points], self.eps_nu[points]
-        out.point, out._kept, out._sel = None, {}, None
+        out._sel = None
         return out
 
     def gather(self, i: int = 0):
@@ -240,27 +232,23 @@ class _Objective:
         m = self.sizes[i]
         return self.rel[i, :m], self.w[i, :m], float(self.c[i])
 
-    def _rows(self, rows, k_rows: int) -> np.ndarray:
-        return np.arange(k_rows) if rows is None else np.asarray(rows)
-
-    def _points(self, rows: np.ndarray, features: bool = False):
-        """(rel, w, c, rho, eps_nu, feature blocks or None) of the rows' points.
+    def _points(self, points: np.ndarray, features: bool = False):
+        """(rel, w, c, rho, eps_nu, feature blocks or None) of the points of a stack's rows.
 
         One point broadcasts over every row, and all points in order are the
         arrays themselves; any other selection is the last one's when the
-        rows' points are the same, and the feature blocks are copied only
-        when asked for.
+        points are the same, and the feature blocks are copied only when
+        asked for.
         """
-        if self.point is not None:
-            rows = self.point[rows]
-        if self.w.shape[0] == 1 or np.array_equal(rows, np.arange(self.w.shape[0])):
+        if self.w.shape[0] == 1 or np.array_equal(points, np.arange(self.w.shape[0])):
             return (self.rel, self.w, self.c, self.rho, self.eps_nu,
                     self.features if features else None)
-        if self._sel is None or not np.array_equal(self._sel[0], rows):
-            self._sel = [rows.copy(), (self.rel[rows], self.w[rows], self.c[rows],
-                                       self.rho[rows], self.eps_nu[rows]), None]
+        if self._sel is None or not np.array_equal(self._sel[0], points):
+            self._sel = None            # let the last selection go before copying the next
+            self._sel = [points.copy(), (self.rel[points], self.w[points], self.c[points],
+                                         self.rho[points], self.eps_nu[points]), None]
         if features and self._sel[2] is None:
-            self._sel[2] = self.features[rows]
+            self._sel[2] = self.features[points]
         return (*self._sel[1], self._sel[2])
 
     def _iterate(self, theta: np.ndarray, det_floor: float):
@@ -273,23 +261,6 @@ class _Objective:
             theta, a, det_a = theta[ok], a[ok], det_a[ok]
         ainv = _inv(a, det_a) if det_a.size else np.empty_like(a)
         return _Iterate(a, theta[:, d * d:], det_a, ainv), ok
-
-    def _keep(self, rows: np.ndarray, theta: np.ndarray, cos_z: np.ndarray):
-        """Remember each row's cos pass (a view, no copy) at a private copy of its theta."""
-        theta = theta.copy()
-        for i, r in enumerate(rows.tolist()):
-            self._kept[r] = (theta[i: i + 1], cos_z[i: i + 1])
-
-    def _kept_cos(self, rows: np.ndarray, theta: np.ndarray):
-        """The kept cos pass of the rows, taken out, when every row was kept at exactly theta."""
-        kept = [self._kept.pop(r, None) for r in rows.tolist()]
-        if None in kept:
-            return None
-        if len(kept) == 1:
-            return kept[0][1] if np.array_equal(kept[0][0], theta) else None
-        if not np.array_equal(np.concatenate([k[0] for k in kept]), theta):
-            return None
-        return np.concatenate([k[1] for k in kept])
 
     def _nu_smooth(self, det_a: np.ndarray, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
         return self.params.vartheta * (np.hypot(det_a - rho, eps) - eps)
@@ -308,40 +279,50 @@ class _Objective:
                      + (u / r)[:, None, None] * h_det)
         return grad, hess
 
-    def value(self, theta: np.ndarray, rows=None):
-        """h (or J) at one start, a float, or at a stack of starts, a (K,) array."""
-        theta = np.asarray(theta, dtype=float)
-        flat = theta.reshape(-1, theta.shape[-1])
-        rows = self._rows(rows, flat.shape[0])
-        it, ok = self._iterate(flat, 1e-12)
-        all_ok = bool(ok.all())
-        if not all_ok:
-            rows, flat = rows[ok], flat[ok]
+    def _value(self, theta: np.ndarray, points: np.ndarray):
+        """(the value at each start of theta (K, n), (K,); each row's cos pass, (K, d, m)).
+
+        Row k sits at point points[k].  A row with det A <= 1e-12 has value
+        +inf and no cos pass (NaN).
+        """
+        it, ok = self._iterate(theta, 1e-12)
+        if not ok.all():
+            points = points[ok]
         if it.det_a.size:
-            rel, w, c, rho, eps, _ = self._points(rows)
+            rel, w, c, rho, eps, _ = self._points(points)
             cos_z = np.cos(j_phases(rel, it.A, it.tau))
-            self._keep(rows, flat, cos_z)
             val = assemble_j(rel, w, it, c, want_grad=False, cos_z=cos_z)[0]
             if not self.j_only:
                 val = val + (self.params.elastic._value(it.A, it.det_a)
                              + self._nu_smooth(it.det_a, rho, eps))
-        if not all_ok:
-            out = np.full(ok.shape, math.inf)
-            if it.det_a.size:
-                out[ok] = val
-            val = out
-        return float(val[0]) if theta.ndim == 1 else val
+        if ok.all():
+            return val, cos_z
+        out = np.full(ok.shape, math.inf), np.full((ok.size, self.d, self.w.shape[-1]), math.nan)
+        if it.det_a.size:
+            out[0][ok], out[1][ok] = val, cos_z
+        return out
 
-    def value_grad_hess(self, theta: np.ndarray, rows=None):
-        """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required."""
+    def value(self, theta: np.ndarray, points=None):
+        """h (or J) at one start, a float, or at a stack of starts, a (K,) array."""
         theta = np.asarray(theta, dtype=float)
         flat = theta.reshape(-1, theta.shape[-1])
-        rows = self._rows(rows, flat.shape[0])
+        val = self._value(flat, np.arange(len(flat)) if points is None else np.asarray(points))[0]
+        return float(val[0]) if theta.ndim == 1 else val
+
+    def value_grad_hess(self, theta: np.ndarray, points=None, cos_z=None):
+        """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required.
+
+        cos_z is the stack's cos pass from `_value` at this theta, when the
+        caller holds it.
+        """
+        theta = np.asarray(theta, dtype=float)
+        flat = theta.reshape(-1, theta.shape[-1])
         it, ok = self._iterate(flat, 0.0)
         if not ok.all():
             raise ValueError("value_grad_hess requires det A > 0")
-        rel, w, c, rho, eps, feat = self._points(rows, features=True)
-        val, grad, hess = assemble_j(rel, w, it, c, cos_z=self._kept_cos(rows, flat), features=feat)
+        rel, w, c, rho, eps, feat = self._points(
+            np.arange(len(flat)) if points is None else np.asarray(points), features=True)
+        val, grad, hess = assemble_j(rel, w, it, c, cos_z=cos_z, features=feat)
         if not self.j_only:
             d = self.d
             el = self.params.elastic
@@ -408,14 +389,20 @@ def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: 
 
 
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
-            require_pd: bool, abort_above: float | np.ndarray | None = None) -> _NewtonResult:
+            require_pd: bool, abort_above: float | np.ndarray | None = None,
+            points=None) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
     theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
     stacked evaluation of obj per step and per line-search trial serves every
     row still running, one `_newton_steps` call gives all of them their
-    steps, and each row follows exactly the run it would make alone.  A row
-    stops in one of six ways:
+    steps, and each row follows exactly the run it would make alone.  Row k
+    sits at obj's point points[k]: by default point k, or the one point of a
+    one-point obj.  The run keeps each row's cos pass at its current iterate,
+    from the first evaluation and then from the trial its line search
+    accepts (Nocedal & Wright, ch. 3), and hands it to every
+    `value_grad_hess`, so no gradient redoes it.  A row stops in one of six
+    ways:
     - converged: the scaled gradient norm is at most tol_grad;
     - abort_above: from iteration 10 on, the value is still above the row's
       bar (a multistart's bar: the descent is monotone, so such a run cannot
@@ -434,7 +421,8 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     single = theta.ndim == 1
     theta = theta.reshape(-1, scale.size)
     k_rows = theta.shape[0]
-    f_cur = obj.value(theta, np.arange(k_rows))
+    points = np.arange(k_rows) if points is None else np.asarray(points)
+    f_cur, cos_z = obj._value(theta, points)
     running = np.isfinite(f_cur)
     if not running.any():
         raise FitError("starting point has det A <= 0")
@@ -450,7 +438,9 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         if rows.size == 0:
             break
         base = theta[rows]
-        _, grad, hess = obj.value_grad_hess(base, rows)
+        # all rows running: the kept passes themselves, with no copy next to them
+        _, grad, hess = obj.value_grad_hess(base, points[rows],
+                                            cos_z if rows.size == k_rows else cos_z[rows])
         grad_norm[rows], done, esc, step, slope, blind = _newton_steps(
             grad / scale, hess / scale[:, None] / scale[None, :], f_cur[rows], tol_grad,
             require_pd)
@@ -469,17 +459,15 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         t = 1.0
         trial = base + p
         while True:
-            f_new = obj.value(trial, rows)
+            f_new, cos_new = obj._value(trial, points[rows])
             ok = blind | (f_new <= f_rows + ARMIJO_C1 * t * slope)
             if ok.all():
-                theta[rows] = trial
-                f_cur[rows] = f_new
+                theta[rows], f_cur[rows], cos_z[rows] = trial, f_new, cos_new
                 break
-            if ok.any():
-                theta[rows[ok]] = trial[ok]
-                f_cur[rows[ok]] = f_new[ok]
-                rows, base, p = rows[~ok], base[~ok], p[~ok]
-                blind, f_rows, slope = blind[~ok], f_rows[~ok], slope[~ok]
+            acc = rows[ok]
+            theta[acc], f_cur[acc], cos_z[acc] = trial[ok], f_new[ok], cos_new[ok]
+            rows, base, p = rows[~ok], base[~ok], p[~ok]
+            blind, f_rows, slope = blind[~ok], f_rows[~ok], slope[~ok]
             t *= 0.5
             if t < 2.0**-40:
                 iterations[rows] = it
@@ -489,7 +477,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     else:
         rows = running.nonzero()[0]
         if rows.size:
-            gs = obj.value_grad_hess(theta[rows], rows)[1] / scale
+            gs = obj.value_grad_hess(theta[rows], points[rows], cos_z[rows])[1] / scale
             grad_norm[rows] = np.sqrt((gs * gs).sum(axis=1))
             converged[rows] = grad_norm[rows] <= tol_grad
             iterations[rows] = max_iter
@@ -802,9 +790,9 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
         rows = [i for i, g in enumerate(live) if len(starts[g]) > k]
         nodes = [live[i] for i in rows]
         try:
-            res = _newton(obj.on_points(rows), np.stack([starts[g][k] for g in nodes]),
-                          TOL_GRAD, MAX_ITER_H, require_pd=False,
-                          abort_above=1.05 * best[nodes] + 1e-6)    # inf: no bar yet
+            res = _newton(obj, np.stack([starts[g][k] for g in nodes]), TOL_GRAD, MAX_ITER_H,
+                          require_pd=False, abort_above=1.05 * best[nodes] + 1e-6,  # inf: no bar
+                          points=rows)
         except FitError:
             continue
         for r, (i, g) in enumerate(zip(rows, nodes)):
@@ -867,7 +855,7 @@ def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list
     if not theta0:
         return kept
     try:
-        res = _newton(obj.on_points(point), np.concatenate(theta0), 1e-8, 15, require_pd=False)
+        res = _newton(obj, np.concatenate(theta0), 1e-8, 15, require_pd=False, points=point)
     except FitError:
         return kept
     point = np.asarray(point)
@@ -884,19 +872,18 @@ def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list
 
 
 def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelParams,
-                   thresholds) -> list:
+                   thresholds, points) -> list:
     """One continuation Newton on h per row, all rows one lockstep stack on obj's gathers.
 
-    Row k starts from affs[k] at xs[k], on obj's point k, or point[k] of a
-    view, with A scaled onto that point's det A = rho ridge (`_on_ridge`).
-    Each row is the run it makes alone, bit for bit, and keeps affs[k]'s
-    integer parametrisation (tau wrapped to [0, 1)).  A row whose start has
+    Row k starts from affs[k] at xs[k], on obj's point points[k], with A
+    scaled onto that point's det A = rho ridge (`_on_ridge`).  Each row is
+    the run it makes alone, bit for bit, and keeps affs[k]'s integer
+    parametrisation (tau wrapped to [0, 1)).  A row whose start has
     det A <= 0 comes back as None.
     """
-    points = np.arange(len(affs)) if obj.point is None else obj.point
     theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho[points], chi.d)
     try:
-        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
+        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, points=points)
     except FitError:
         return [None] * len(affs)
     out = []
@@ -939,8 +926,8 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     (1 -> n-1) and a backward sweep (n-1 -> 1) each fit a sample by one
     continuation step from the previous fit of that sweep (`_continue`); the
     two sweeps are independent chains, so step i of both, to samples i and
-    n-i, runs as one 2-row stack, on a view of one objective over samples
-    1..n-1, so each sample is gathered once.  A step that fails, does not
+    n-i, runs as one 2-row stack on one objective over samples 1..n-1, so
+    each sample is gathered once.  A step that fails, does not
     converge or is not regular under `thresholds` gets the multistart.
     Where the two sweeps' totals differ by more than GUARD_TOL, one sweep
     sits in a higher basin, and the sample gets `fit_global` warm-started
@@ -955,7 +942,7 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     for i in range(1, n):
         ends = [(fwd[-1].position, fwd[-1].aff_hat), (bwd[-1].position, bwd[-1].aff_hat)]
         f, b = _raise_errors(_continue(ends, chi, [pts[i], pts[n - i]], params, thresholds,
-                                       obj.on_points([i - 1, n - i - 1])))
+                                       obj, [i - 1, n - i - 1]))
         fwd.append(f)
         bwd.append(b)
     bwd = [first] + bwd[:0:-1]
@@ -965,36 +952,35 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
 def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=None) -> FitResult:
     """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
     x = np.asarray(x, dtype=float)
-    obj = _Objective(chi, x, params, j_only=False).on_points([0, 0])
-    return _guard(*_raise_errors(_continue(ends, chi, [x, x], params, thresholds, obj)), chi,
-                  params, thresholds)
+    obj = _Objective(chi, x, params, j_only=False)
+    return _guard(*_raise_errors(_continue(ends, chi, [x, x], params, thresholds, obj, [0, 0])),
+                  chi, params, thresholds)
 
 
 def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
-              obj: _Objective | None = None) -> list:
+              obj: _Objective | None = None, points=None) -> list:
     """Row k: one continuation step to xs[k] from ends[k] = (y_k, aff_k), or the multistart.
 
     The rows with an end start from it transported to xs[k] (`transport`),
-    all as one `_fit_from_rows` on obj, whose rows are those rows in order;
-    without obj, one is built over their points, so a row with no end is
-    not gathered here.  A row with no end or at rho = 0 takes no step; it and
-    a row whose step fails, does not converge or is not regular under
-    `thresholds` are refused: each gets the multistart, all in one
-    `fit_global_stack`, which is not called when no row is refused.  Row k
-    is its FitResult, or its multistart's FitError.
+    all as one `_fit_from_rows` on obj, where the i-th row with an end sits
+    at obj's point points[i]; without obj, one is built over their points,
+    so a row with no end is not gathered here.  A row with no end or at
+    rho = 0 takes no step; it and a row whose step fails, does not converge
+    or is not regular under `thresholds` are refused: each gets the
+    multistart, all in one `fit_global_stack`, which is not called when no
+    row is refused.  Row k is its FitResult, or its multistart's FitError.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
     outs = [None] * len(xs)
     go = [k for k, end in enumerate(ends) if end is not None]
     if go:
         if obj is None:
-            obj = _Objective(chi, xs[go], params, j_only=False).on_points(np.arange(len(go)))
-        live = obj.rho[obj.point] > 0.0     # no atoms in range: never a regular pair
+            obj, points = _Objective(chi, xs[go], params, j_only=False), np.arange(len(go))
+        live = obj.rho[points] > 0.0        # no atoms in range: never a regular pair
         go = [k for k, ok in zip(go, live) if ok]
     if go:
-        steps = _fit_from_rows(obj.on_points(obj.point[live]),
-                               [transport(*ends[k], xs[k]) for k in go], xs[go], chi, params,
-                               thresholds)
+        steps = _fit_from_rows(obj, [transport(*ends[k], xs[k]) for k in go], xs[go], chi,
+                               params, thresholds, np.asarray(points)[live])
         for k, out in zip(go, steps):
             outs[k] = out
     refused = [k for k, out in enumerate(outs)

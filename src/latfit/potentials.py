@@ -108,11 +108,15 @@ class ElasticDensity:
         E = np.array(self.E, dtype=float)
         if E.ndim != 2 or E.shape[0] != E.shape[1]:
             raise ValueError(f"E must be a square matrix, got shape {E.shape}")
+        if not np.all(np.isfinite(E)):
+            raise ValueError(f"E must be finite, got {E.tolist()}")
         det_e = float(np.linalg.det(E))
-        if det_e <= 0:
+        if not det_e > 0:
             raise ValueError("E must have positive determinant")
-        if self.C1_el <= 0 or self.C2_el <= 0:
-            raise ValueError("elastic coefficients must be positive")
+        for name in ("C1_el", "C2_el"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"elastic coefficient {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         E.setflags(write=False)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "det_e", det_e)

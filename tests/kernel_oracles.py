@@ -614,7 +614,7 @@ def fit_from(aff0, chi, x, params, thresholds=None):
     """
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False)
-    out = _fit_from_rows(obj, [aff0], x[None], chi, params, thresholds)[0]
+    out = _fit_from_rows(obj, [aff0], x[None], chi, params, thresholds, [0])[0]
     if out is None:
         raise FitError("starting point has det A <= 0")
     return out

@@ -3,12 +3,15 @@
 perfbench/tracer.py wraps the functions listed in its TRACED table from
 outside the package and keeps attributes of some results, so a renamed or
 deleted function or attribute would otherwise only show when the benchmark
-runs.
+runs.  `tests/same_outputs.py` digests the benchmark pipelines' outputs; one
+of its digests runs here, so a change to the workloads or to the results it
+dumps cannot break it unseen.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
@@ -16,14 +19,21 @@ import latfit
 from latfit import fields
 from latfit.core_model import ModelParams
 
-TRACER_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import same_outputs
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def traced_objects(traced):
@@ -64,3 +74,18 @@ def test_tracer_metrics_read_the_results_it_keeps():
     metrics = tracer.metrics(points=1, passes=1)
     assert metrics["fields.f_c.calls"] == (1.0, "count")
     assert metrics["fields.f_c.fallbacks"] == (0.0, "count")
+
+
+def test_same_outputs_digest_repeats_in_one_process(tmp_path):
+    """The `golden-field` seed-0 digest of `same_outputs.py`, taken twice in one process, is one.
+
+    A digest that moved between two runs of one tree (an address, a set
+    order or a cache in the dump) could not tell two trees apart.
+    """
+    workloads = load_perfbench("workloads")
+    digests = []
+    for name in ("a", "b"):                 # a workdir each: the digest holds no input path
+        (tmp_path / name).mkdir()
+        digests.append(same_outputs.digest("golden-field", 0, workloads, str(tmp_path / name)))
+    first, second = digests
+    assert len(first) == 64 and first == second

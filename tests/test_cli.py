@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import pytest
@@ -237,3 +238,93 @@ class TestErrorPaths:
         assert f"{where}: point {point} lies outside the domain box [-14, -14] .. [14, 14]" \
             in proc.stderr
         assert not (tmp_path / command[-1]).exists()
+
+
+def _with_row_cells(line, **cells):
+    """field.csv perturbation: set the named cells of data line `line` (2 = first row)."""
+    def apply(lines):
+        columns = lines[0].split(",")
+        row = lines[line - 1].split(",")
+        for column, value in cells.items():
+            row[columns.index(column)] = value
+        lines[line - 1] = ",".join(row)
+        return lines
+    return apply
+
+
+@pytest.mark.parametrize("edit, line, reason", [
+    (lambda lines: lines[:1], 2, "no data rows"),
+    (_with_row_cells(2, ix="-1"), 2, "ix must be a non-negative integer, got '-1'"),
+    (_with_row_cells(2, ix="0.5"), 2, "ix must be a non-negative integer, got '0.5'"),
+    (_with_row_cells(2, ix=""), 2, "ix must be a non-negative integer, got ''"),
+    (_with_row_cells(3, iy="x"), 3, "iy must be a non-negative integer, got 'x'"),
+    (_with_row_cells(3, ix="0"), 3, "node (ix, iy) = (0, 0) repeats"),
+    (_with_row_cells(4, h_hat="abc"), 4, "bad number: could not convert string to float: 'abc'"),
+    (lambda lines: lines[:7] + lines[8:], 36,
+     "the rows cover 35 of the 6 x 6 grid's nodes; node (ix, iy) = (0, 1) has no row"),
+], ids=["header_only", "ix_negative", "ix_fraction", "ix_blank", "iy_text", "node_repeated",
+        "h_hat_text", "node_missing"])
+def test_report_rejects_broken_field_csv(tmp_path, edit, line, reason):
+    """`latfit report` on a field CSV that is not one full grid: exit 2, file:line named, no SVG."""
+    lines = (DATA / "golden_field.csv").read_text().splitlines()
+    (tmp_path / "field.csv").write_text("\n".join(edit(lines)) + "\n")
+    proc = run_cli("report", "--field", "field.csv", "--svg", "report.svg", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"field.csv:{line}: {reason}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.svg").exists()
+
+
+def test_report_renders_the_golden_field_csv(tmp_path):
+    proc = run_cli("report", "--field", str(DATA / "golden_field.csv"), "--svg", "report.svg",
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.svg").read_text().startswith('<?xml version="1.0"')
+
+
+def _set(*keys, value):
+    """params.json perturbation: set the entry at the path `keys` to `value`."""
+    def apply(doc):
+        for key in keys[:-1]:
+            doc = doc.setdefault(key, {})
+        doc[keys[-1]] = value
+    return apply
+
+
+_THRESHOLDS = {"eps_rho": 0.125, "eps_J": 0.1, "C_A": 3.0}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("d", value=2.7), "d must be an integer, got 2.7"),
+    (_set("lambda", value=math.nan), "lambda must be positive and finite, got nan"),
+    (_set("lambda", value=math.inf), "lambda must be positive and finite, got inf"),
+    (_set("s0", value=math.nan), "s0 must be positive and finite, got nan"),
+    (_set("vartheta", value=math.nan), "vartheta must be positive and finite, got nan"),
+    (_set("E", value=[[math.nan, 0.0], [0.0, 1.0]]), "E must be finite"),
+    (_set("C1_el", value=math.nan), "C1_el must be positive and finite, got nan"),
+    (_set("C2_el", value=math.inf), "C2_el must be positive and finite, got inf"),
+    (_set("thresholds", value={**_THRESHOLDS, "eps_rho": math.nan}),
+     "eps_rho must be positive and finite, got nan"),
+    (_set("thresholds", value={**_THRESHOLDS, "eps_J": math.inf}),
+     "eps_J must be positive and finite, got inf"),
+    (_set("thresholds", value={**_THRESHOLDS, "C_A": math.nan}),
+     "C_A must be positive and finite, got nan"),
+    (_set("domain", "lo", value=[math.nan, -14.0]), "domain: box corners must be finite"),
+    (_set("s0", value=None), "s0 must be a number, got None"),
+    (_set("lambda", value="8"), "lambda must be a number, got '8'"),
+    (_set("thresholds", value={**_THRESHOLDS, "eps_J": None}), "eps_J must be a number, got None"),
+], ids=["d_fraction", "lambda_nan", "lambda_inf", "s0_nan", "vartheta_nan", "E_nan",
+        "C1_el_nan", "C2_el_inf", "eps_rho_nan", "eps_J_inf", "C_A_nan", "domain_nan",
+        "s0_null", "lambda_string", "eps_J_null"])
+def test_non_finite_parameter_is_named(tmp_path, edit, message):
+    """A params.json value that is not a finite positive number (or d not an integer): exit 2."""
+    doc = json.loads((DATA / "params.json").read_text())
+    edit(doc)
+    (tmp_path / "params.json").write_text(json.dumps(doc))       # NaN, Infinity as JSON allows
+    shutil.copy(DATA / "golden_atoms.csv", tmp_path / "golden_atoms.csv")
+    proc = run_cli("fit", "--atoms", "golden_atoms.csv", "--params", "params.json",
+                   "--at", "5,5", "--out", "fit.json", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "params.json: " in proc.stderr and message in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "fit.json").exists()

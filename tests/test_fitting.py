@@ -259,7 +259,7 @@ class TestContinuationStartsOnTheRidge:
 
     @staticmethod
     def record_newton(mp):
-        """(objective, starts, made by a multistart) of every `_newton` call."""
+        """(objective, starts, made by a multistart, row points) of every `_newton` call."""
         calls = []
         inside = [0]                # open `fit_global_stack` calls
         stack = fitting.fit_global_stack
@@ -272,7 +272,8 @@ class TestContinuationStartsOnTheRidge:
                 inside[0] -= 1
 
         def recording_newton(obj, theta0, *args, **kwargs):
-            calls.append((obj, np.array(theta0, dtype=float), inside[0] > 0))
+            calls.append((obj, np.array(theta0, dtype=float), inside[0] > 0,
+                          kwargs.get("points")))
             return _newton(obj, theta0, *args, **kwargs)
 
         mp.setattr(fitting, "_newton", recording_newton)
@@ -282,17 +283,18 @@ class TestContinuationStartsOnTheRidge:
     @staticmethod
     def h_starts(calls):
         """The start rows of the multistarts' Newtons on h."""
-        return [row for obj, theta0, multistart in calls if multistart and not obj.j_only
+        return [row for obj, theta0, multistart, _ in calls if multistart and not obj.j_only
                 for row in theta0]
 
     @staticmethod
     def continuation_rows(calls):
         """(det A, rho) of every start row of the continuation Newtons on h (`_fit_from_rows`)."""
         rows = []
-        for obj, theta0, multistart in calls:
+        for obj, theta0, multistart, points in calls:
             if theta0.ndim == 2 and not obj.j_only and not multistart:
                 a = theta0[:, : obj.d * obj.d].reshape(-1, obj.d, obj.d)
-                rho = obj.rho if obj.point is None else obj.rho[obj.point]
+                rho = obj.rho[points]
+                assert len(rho) == len(a)
                 rows.extend(zip(np.linalg.det(a), rho))
         return rows
 

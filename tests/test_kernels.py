@@ -367,9 +367,9 @@ class _Wall(_Objective):
 
     wall = math.inf
 
-    def value(self, theta, rows=None):
-        theta = np.asarray(theta, dtype=float)
-        return super().value(theta, rows) + np.where(theta[..., 0] > self.wall, 1.0, 0.0)
+    def _value(self, theta, points):
+        val, cos_z = super()._value(theta, points)
+        return val + np.where(theta[:, 0] > self.wall, 1.0, 0.0), cos_z
 
 
 def assert_row_is_single_run(res, k, single):
@@ -595,7 +595,7 @@ def test_objective_builds_j_features_once(params, chi_noise, regular_thetas):
     A mixed stack (rows on three points, out of order, stopping at different
     iterations) runs a whole `_newton` with no further build, in the
     objective or in `assemble_j`; `value` does not read the block, and
-    `_points` hands back its last selection for the same rows.  Mutation
+    `_points` hands back its last selection for the same points.  Mutation
     caught: `value_grad_hess` passing no `features` to `assemble_j`.
     """
     builds = []
@@ -617,15 +617,69 @@ def test_objective_builds_j_features_once(params, chi_noise, regular_thetas):
             mp.setattr(module, "j_features", counting(module))
         obj = _Objective(chi_noise, xs, params, j_only=False)
         assert builds == ["latfit.fitting"]
-        view = obj.on_points(rows)
-        res = _newton(view, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False)
+        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, points=rows)
         assert builds == ["latfit.fitting"]
-        blind = obj.on_points(rows)
+        want = obj.value(theta0, rows)
+        blind = _Objective(chi_noise, xs, params, j_only=False)
         blind.features = None
-        assert np.array_equal(blind.value(theta0), view.value(theta0))
+        assert np.array_equal(blind.value(theta0, rows), want)
     assert len(set(res.iterations.tolist())) > 1 and res.converged.all()
-    picked = view._points(np.arange(4), features=True)
-    assert all(a is b for a, b in zip(view._points(np.arange(4), features=True), picked))
+    picked = obj._points(np.array(rows[:4]), features=True)
+    assert all(a is b for a, b in zip(obj._points(np.array(rows[:4]), features=True), picked))
+
+
+def test_newton_hands_every_gradient_its_kept_cos_pass(params, chi_noise, regular_thetas):
+    """A mixed `_newton` run never redoes a cos pass in `value_grad_hess`.
+
+    Rows sit on three points, out of order, and some line searches accept
+    part of their rows.  Every `assemble_j` gradient call gets the cos pass
+    that `_value` made at its rows' accepted iterates, bit for bit the one
+    it would compute, and the run's cos passes, counted at `fitting.j_phases`,
+    are one per `_value` call.  Mutation caught: `_newton` passing no
+    `cos_z`, or not keeping the cos pass of a row its line search accepts.
+    """
+    events = []
+    assemble, phases = fitting.assemble_j, fitting.j_phases
+
+    class Recording(_Objective):
+        def _value(self, theta, points):
+            events.append(("value", len(theta)))
+            return super()._value(theta, points)
+
+    def checking_assemble_j(rel, w, it, c, want_grad=True, cos_z=None, features=None):
+        if want_grad:
+            kept = cos_z is not None and np.array_equal(
+                cos_z, np.cos(core_model.j_phases(rel, it.A, it.tau)))
+            events.append(("grad", kept))
+        return assemble(rel, w, it, c, want_grad=want_grad, cos_z=cos_z, features=features)
+
+    def counting_j_phases(*args):
+        events.append(("cos", None))
+        return phases(*args)
+
+    xs = np.stack([x for x, _ in regular_thetas[:3]])
+    rows = [2, 0, 1, 1, 0, 2]
+    theta0 = np.stack([regular_thetas[r][1] for r in rows])
+    theta0[1::2, :4] *= 1.06                    # a second start per point, further out
+    obj = Recording(chi_noise, xs, params, j_only=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "assemble_j", checking_assemble_j)
+        mp.setattr(fitting, "j_phases", counting_j_phases)
+        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, points=rows)
+    assert res.converged.all() and len(set(res.iterations.tolist())) > 1
+    grads = [kept for kind, kept in events if kind == "grad"]
+    assert grads and all(grads)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("cos") == kinds.count("value")
+    # a line search is the value calls between two gradient calls; a trial
+    # on fewer rows than the one before it follows a partial acceptance
+    sizes = []
+    for kind, n in events:
+        if kind == "grad":
+            sizes.append([])
+        elif kind == "value" and sizes:
+            sizes[-1].append(n)
+    assert any(0 < b < a for s in sizes for a, b in zip(s, s[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -666,7 +720,8 @@ def test_ragged_stack_matches_single_rows(params, chi_vacancies, ragged_stack, j
 def test_ragged_fit_and_branch_stacks_match_single_calls(params, chi_vacancies, ragged_stack):
     xs, affs = ragged_stack
     stack = _Objective(chi_vacancies, xs, params, j_only=False)
-    for k, out in enumerate(_fit_from_rows(stack, affs, xs, chi_vacancies, params, None)):
+    for k, out in enumerate(_fit_from_rows(stack, affs, xs, chi_vacancies, params, None,
+                                           np.arange(len(xs)))):
         one = oracle.fit_from(affs[k], chi_vacancies, xs[k], params)
         assert out.breakdown == one.breakdown and out.report == one.report
         # the test on the fit's own rho and J is the one a fresh gather gives
@@ -698,16 +753,20 @@ def test_stacked_row_leaving_the_basin_is_the_single_escape(params, chi_noise):
 
 
 def test_value_grad_hess_reuses_the_kept_cos_pass_bit_for_bit(params, chi_noise, regular_thetas):
-    x = regular_thetas[0][0]
+    """`value_grad_hess` given `_value`'s cos pass at theta is the cold call, bit for bit.
+
+    On one point's stack and on a stack whose rows sit on three points out
+    of order.  Mutation caught: `_value` returning the cos pass of other
+    rows, or of phases other than the ones `assemble_j` takes.
+    """
+    xs = np.stack([x for x, _ in regular_thetas[:3]])
     thetas = np.stack([theta for _, theta in regular_thetas[:3]])
-    warm = _Objective(chi_noise, x, params, j_only=False)
-    cold = _Objective(chi_noise, x, params, j_only=False)
-    warm.value(thetas)
-    assert sorted(warm._kept) == [0, 1, 2]
-    for got, want in zip(warm.value_grad_hess(thetas), cold.value_grad_hess(thetas)):
-        assert np.array_equal(got, want)
-    assert not warm._kept                   # taken by value_grad_hess
-    moved = thetas.copy()
-    moved[1, 4] += 1e-9
-    warm.value(thetas)
-    assert warm._kept_cos(np.arange(3), moved) is None
+    for x, points in ((xs[0], [0, 0, 0]), (xs, [2, 0, 1])):
+        obj = _Objective(chi_noise, x, params, j_only=False)
+        cold = _Objective(chi_noise, x, params, j_only=False).value_grad_hess(thetas, points)
+        val, cos_z = obj._value(thetas, np.array(points))
+        assert cos_z.shape == (3, 2, obj.w.shape[-1])
+        warm = obj.value_grad_hess(thetas, points, cos_z=cos_z)
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got, want)
+        assert np.array_equal(val, cold[0])
