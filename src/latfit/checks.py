@@ -313,17 +313,20 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
 
         plq = plaquette_products(field, chi)
         plq_bad = sum(0 if v.is_identity else 1 for v in plq.values())
-        results.append(CheckResult("plaquette_consistency", _verdict(plq_bad == 0),
-                                   f"{len(plq)} computable plaquettes, {plq_bad} nontrivial"))
+        results.append(_sampled("plaquette_consistency", len(plq), plq_bad == 0,
+                                f"{len(plq)} computable plaquettes, {plq_bad} nontrivial",
+                                "no plaquette of four valid nodes and unrefused links"))
 
         rep = lower_bound_report(field, grads)
-        results.append(CheckResult("lower_bound_slack", _verdict(rep.ok),
-                                   f"{len(rep.entries)} nodes, min slack {rep.min_slack:.3e}"))
+        results.append(_sampled("lower_bound_slack", len(rep.entries), rep.ok,
+                                f"{len(rep.entries)} nodes, min slack {rep.min_slack:.3e}",
+                                "no valid node with a full 3x3 stencil"))
 
         gb = gradient_bound_check(field, grads)
         gb_bad = sum(0 if lhs >= rhs - 1e-12 else 1 for _, lhs, rhs in gb)
-        results.append(CheckResult("gradient_bound", _verdict(gb_bad == 0),
-                                   f"{len(gb)} nodes obey the first-gradient bound"))
+        results.append(_sampled("gradient_bound", len(gb), gb_bad == 0,
+                                f"{len(gb)} nodes obey the first-gradient bound",
+                                "no valid node with central differences"))
     else:
         results.append(CheckResult("grid_checks", SKIP, "skipped (domain too small for a grid)"))
 

@@ -17,14 +17,17 @@ per-node gathers, and its nodes whose step is refused, or that have no valid
 earlier neighbour, get the multistart, all in one stack.  The branch
 minimizers run stacked by the same rounds.
 
-Fits at the grid nodes are glued onto one parametrization branch by a
-spanning tree from a seed node: a node's alignment composes the integer
-reparametrisations between raw fits on its tree path (as plaquettes and
-defect rings do), so the align stage hands on integers only and the tau
-field is a single-valued Lagrangian coordinate whose finite differences
-approximate grad tau and its second derivatives.  The certified lower bound
-at a node is F_C(grad tau) plus a second-gradient term; the companion
-first-gradient estimate is checked at every node.
+The integer reparametrisation between the raw fits of two 4-adjacent
+nodes, a link, is rounded once per grid and kept in the grid's link table
+(`FieldGrid.link`), or the message of `find_reparam`'s refusal in its
+place.  Fits at the grid nodes are glued onto one parametrization branch by
+a spanning tree of links from a seed node: a node's alignment composes the
+links on its tree path, and plaquettes and defect rings fold the links
+round them, so the align stage hands on integers only and the tau field is
+a single-valued Lagrangian coordinate whose finite differences approximate
+grad tau and its second derivatives.  The certified lower bound at a node
+is F_C(grad tau) plus a second-gradient term; the companion first-gradient
+estimate is checked at every node.
 
 F_C is an infimum over (A1, B, A2) of a coupling functional.  `f_c` does not
 minimise it: it evaluates the functional at two explicit feasible points,
@@ -83,7 +86,14 @@ _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 @dataclass
 class FieldGrid:
-    """Per-node fits, branch points, and alignment onto one parametrization branch."""
+    """Per-node fits, branch points, and alignment onto one parametrization branch.
+
+    `evaluate_grid`'s stages fill one grid: `_fit_nodes` makes it with align,
+    component, branch, a_tilde and tau_tilde empty, and `_align_nodes` and
+    `_branch_points` fill them.  A stage assigns fresh arrays rather than
+    writing into the grid's, so a grid made by `dataclasses.replace` never
+    shares them with its source.
+    """
 
     geometry: GridGeometry
     params: ModelParams
@@ -99,34 +109,53 @@ class FieldGrid:
     rho_2l: np.ndarray
     invalid_reason: list
 
+    def __post_init__(self):
+        # the link table is no field: dataclasses.replace starts a fresh one
+        self._links = {}
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
+
+    def link(self, u: tuple[int, int], v: tuple[int, int], chi: Configuration) -> Reparam | str:
+        """The raw-fit step u -> v between 4-adjacent nodes, or why `find_reparam` refused it.
+
+        Rounded on first use and kept, so the align stage, the plaquettes and
+        the defect rings round each link once.  Keys are directed: v -> u is
+        rounded on its own, not taken as the inverse, so a step that fails to
+        invert shows in the plaquettes.  chi is the configuration the grid
+        was fitted on.
+        """
+        if (u, v) not in self._links:
+            try:
+                step = find_reparam(self.fits[u[1]][u[0]], self.fits[v[1]][v[0]], chi, self.params)
+                self._links[u, v] = step.reparam
+            except ReparamError as refusal:
+                self._links[u, v] = str(refusal)
+        return self._links[u, v]
 
 
 def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
                   thresholds=None) -> FieldGrid:
     """Fit every node, mask irregular ones, and align fits on one branch.
 
-    Three stages, each its own function: fit (`_fit_nodes`), align
-    (`_align_nodes`, which hands on integers only) and branch minimizers
-    (`_branch_points`).  Seed order is distance from the grid center, then
-    iy, then ix; `grid_rounds` groups the nodes into rounds by it, and the
-    fit and the branch stage each run one stacked Newton per round.
+    Three stages, each its own function, fill one `FieldGrid`: fit
+    (`_fit_nodes`, which makes it), align (`_align_nodes`, which hands on
+    integers only) and branch minimizers (`_branch_points`).  Seed order is
+    distance from the grid center, then iy, then ix; `grid_rounds` groups
+    the nodes into rounds by it, and the fit and the branch stage each run
+    one stacked Newton per round.  The links the align stage rounds stay in
+    the grid's link table for `plaquette_products` and `defect_map`.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
     if chi.d != 2:
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
     order, rounds = grid_rounds(geom)
-    fits, valid, reasons, h_hat, rho_l, rho_2l = _fit_nodes(chi, geom, params, thresholds,
-                                                            order, rounds)
-    align, component = _align_nodes(chi, geom, params, order, fits, valid)
-    branch, a_tilde, tau_tilde = _branch_points(chi, geom, params, rounds, fits, align, valid,
-                                                component, reasons)
-    return FieldGrid(geometry=geom, params=params, fits=fits, branch=branch, valid=valid,
-                     align=align, component=component, a_tilde=a_tilde, tau_tilde=tau_tilde,
-                     h_hat=h_hat, rho_l=rho_l, rho_2l=rho_2l, invalid_reason=reasons)
+    grid = _fit_nodes(chi, geom, params, thresholds, order, rounds)
+    _align_nodes(grid, chi, order)
+    _branch_points(grid, chi, rounds)
+    return grid
 
 
 def grid_rounds(geom: GridGeometry):
@@ -153,7 +182,7 @@ def grid_rounds(geom: GridGeometry):
 
 
 def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thresholds,
-               order: list, rounds: list):
+               order: list, rounds: list) -> FieldGrid:
     """Fit stage: natural-parameter continuation, one `fitting._continue` per round.
 
     A node's end is its valid 4-neighbour earliest in seed order, with that
@@ -162,17 +191,14 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
     to a regular pair under `thresholds`; every other node of the round gets
     the multistart, each the `fit_global` run of its node, bit for bit.  A
     continued node's raw fit stays in its neighbour's integer
-    parametrisation, so `align` is mostly the identity.  Returns (fits,
-    valid, reasons, h_hat, rho_l, rho_2l).
+    parametrisation, so `align` is mostly the identity.  Returns the grid,
+    with align, component, branch, a_tilde and tau_tilde still empty.
     """
     ny, nx = geom.ny, geom.nx
     rank = {n: i for i, n in enumerate(order)}
-    fits = [[None] * nx for _ in range(ny)]
-    reasons = [[None] * nx for _ in range(ny)]
+    fits, reasons, align, branch = ([[None] * nx for _ in range(ny)] for _ in range(4))
     valid = np.zeros((ny, nx), dtype=bool)
-    h_hat = np.full((ny, nx), np.nan)
-    rho_l = np.full((ny, nx), np.nan)
-    rho_2l = np.full((ny, nx), np.nan)
+    h_hat, rho_l, rho_2l = (np.full((ny, nx), np.nan) for _ in range(3))
     for wave in rounds:
         ends = []
         for ix, iy in wave:
@@ -198,25 +224,28 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
                 reasons[iy][ix] = "fit not a regular pair"
             else:
                 valid[iy, ix] = True
-    return fits, valid, reasons, h_hat, rho_l, rho_2l
+    return FieldGrid(geometry=geom, params=params, fits=fits, valid=valid, h_hat=h_hat, rho_l=rho_l,
+                     rho_2l=rho_2l, invalid_reason=reasons, align=align, branch=branch,
+                     component=np.full((ny, nx), -1), a_tilde=np.full((ny, nx, 2, 2), np.nan),
+                     tau_tilde=np.full((ny, nx, 2), np.nan))
 
 
-def _align_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, order: list,
-                 fits: list, valid: np.ndarray):
-    """Align stage: the integers (align, component) by a spanning tree of raw-fit steps.
+def _align_nodes(grid: FieldGrid, chi: Configuration, order: list) -> None:
+    """Align stage: fills grid.align and grid.component by a spanning tree of raw-fit steps.
 
     Alignment propagates by breadth-first search from a seed (the valid node
     first in seed order); disconnected valid regions get their own seeds,
-    recorded in `component`.  Edge u -> v rounds the two raw fits, with J
-    from their breakdowns (no gather), and align[v] = compose(align[u], step).
+    recorded in `component`.  Edge u -> v is the grid's link u -> v, which
+    rounds the two raw fits with J from their breakdowns (no gather), and
+    align[v] = compose(align[u], step); a refused link is not a tree edge.
     """
-    ny, nx = geom.ny, geom.nx
+    ny, nx = grid.shape
     align = [[None] * nx for _ in range(ny)]
     component = np.full((ny, nx), -1, dtype=int)
     comp = 0
     for seed in order:
         sx, sy = seed
-        if not valid[sy, sx] or component[sy, sx] >= 0:
+        if not grid.valid[sy, sx] or component[sy, sx] >= 0:
             continue
         component[sy, sx] = comp
         align[sy][sx] = Reparam.identity(2)
@@ -226,38 +255,38 @@ def _align_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, or
             for dx, dy in _STEPS:
                 nx_, ny_ = cx + dx, cy + dy
                 inside = 0 <= nx_ < nx and 0 <= ny_ < ny
-                if not (inside and valid[ny_, nx_]) or component[ny_, nx_] >= 0:
+                if not (inside and grid.valid[ny_, nx_]) or component[ny_, nx_] >= 0:
                     continue
-                try:
-                    step = find_reparam(fits[cy][cx], fits[ny_][nx_], chi, params)
-                except ReparamError:
+                step = grid.link((cx, cy), (nx_, ny_), chi)
+                if isinstance(step, str):
                     continue
                 component[ny_, nx_] = comp
-                align[ny_][nx_] = compose(align[cy][cx], step.reparam)
+                align[ny_][nx_] = compose(align[cy][cx], step)
                 queue.append((nx_, ny_))
         comp += 1
-    return align, component
+    grid.align, grid.component = align, component
 
 
-def _branch_points(chi: Configuration, geom: GridGeometry, params: ModelParams, rounds: list,
-                   fits: list, align: list, valid: np.ndarray, component: np.ndarray,
-                   reasons: list):
+def _branch_points(grid: FieldGrid, chi: Configuration, rounds: list) -> None:
     """Branch stage: J-minimizers from align[v].apply(fits[v].aff_hat), one stack per round.
 
-    A node whose minimizer leaves the convexity basin is marked invalid in
-    valid, component and reasons.  Returns (branch, a_tilde, tau_tilde).
+    Fills grid.branch, a_tilde and tau_tilde.  A node whose minimizer leaves
+    the convexity basin is marked invalid in copies of valid, component and
+    invalid_reason, which replace the grid's.
     """
-    ny, nx = geom.ny, geom.nx
+    ny, nx = grid.shape
+    valid, component = grid.valid.copy(), grid.component.copy()
+    reasons = [row[:] for row in grid.invalid_reason]
     branch = [[None] * nx for _ in range(ny)]
-    a_tilde = np.full((ny, nx, 2, 2), np.nan)
-    tau_tilde = np.full((ny, nx, 2), np.nan)
+    a_tilde, tau_tilde = np.full((ny, nx, 2, 2), np.nan), np.full((ny, nx, 2), np.nan)
     for wave in rounds:
         # invalid nodes have no component: every valid node is reached or seeds
         todo = [(ix, iy) for ix, iy in wave if component[iy, ix] >= 0]
         if not todo:
             continue
-        points = minimize_j_stack([align[iy][ix].apply(fits[iy][ix].aff_hat) for ix, iy in todo],
-                                  chi, [geom.node(ix, iy) for ix, iy in todo], params)
+        points = minimize_j_stack([grid.align[iy][ix].apply(grid.fits[iy][ix].aff_hat)
+                                   for ix, iy in todo],
+                                  chi, [grid.geometry.node(ix, iy) for ix, iy in todo], grid.params)
         for (ix, iy), bp in zip(todo, points):
             if bp is None:
                 valid[iy, ix] = False
@@ -267,25 +296,28 @@ def _branch_points(chi: Configuration, geom: GridGeometry, params: ModelParams, 
             branch[iy][ix] = bp
             a_tilde[iy, ix] = bp.aff_tilde.A
             tau_tilde[iy, ix] = bp.aff_tilde.tau
-    return branch, a_tilde, tau_tilde
+    grid.branch, grid.a_tilde, grid.tau_tilde = branch, a_tilde, tau_tilde
+    grid.valid, grid.component, grid.invalid_reason = valid, component, reasons
 
 
 def _ring_product(field: FieldGrid, ring, chi: Configuration) -> Reparam | None:
-    """Product of the raw-fit steps round a closed ring of nodes; None if invalid or refused."""
+    """Fold of the grid's links round a closed ring of nodes; None if invalid or refused."""
     if not all(field.valid[iy, ix] for ix, iy in ring):
         return None
-    fits = [field.fits[iy][ix] for ix, iy in ring]
-    try:
-        return chain_product([find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
-                              for k in range(len(fits))])
-    except ReparamError:
-        return None
+    steps = []
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        step = field.link(u, v, chi)
+        if isinstance(step, str):
+            return None
+        steps.append(step)
+    return chain_product(steps)
 
 
 def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, int], Reparam]:
-    """Product of the four raw-fit edge reparams around each all-valid plaquette.
+    """Product of the four raw-fit links around each all-valid plaquette.
 
     Keyed by the lower-left node (ix, iy); (Id, 0) away from enclosed defects.
+    The links come from the grid's link table, rounded once per grid.
     """
     ny, nx = field.shape
     products = {(ix, iy): _ring_product(field, [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1),
@@ -491,12 +523,8 @@ def lower_bound_report(field: FieldGrid, grads: FieldGradients | None = None) ->
     """Theorem-2 slack at every valid node with a full stencil."""
     if grads is None:
         grads = fd_gradients(field)
-    entries = []
-    ny, nx = field.shape
-    for iy in range(ny):
-        for ix in range(nx):
-            if field.valid[iy, ix] and grads.hess_ok[iy, ix]:
-                entries.append(theorem2_check(field, (ix, iy), grads))
+    entries = [theorem2_check(field, (int(ix), int(iy)), grads)
+               for iy, ix in np.argwhere(field.valid & grads.hess_ok)]
     min_slack = min((e.slack for e in entries), default=math.inf)
     return LowerBoundReport(entries=tuple(entries), min_slack=min_slack)
 
@@ -513,22 +541,18 @@ def gradient_bound_check(field: FieldGrid, grads: FieldGradients | None = None):
     dc = params.constants
     lam2 = params.lam**2
     out = []
-    ny, nx = field.shape
-    for iy in range(ny):
-        for ix in range(nx):
-            if not (field.valid[iy, ix] and grads.order[iy, ix] == 2):
-                continue
-            a_t = field.a_tilde[iy, ix]
-            inv_sq = float(np.sum(np.linalg.inv(a_t) ** 2))
-            rho = float(field.rho_l[iy, ix])
-            rho2 = float(field.rho_2l[iy, ix])
-            ccv = c_con(rho, float(np.linalg.det(a_t)), 2, dc)
-            grad_part = (lam2 * float(np.sum(grads.grad_a[iy, ix] ** 2))
-                         + float(np.sum((grads.grad_tau[iy, ix] - a_t) ** 2)))
-            rhs = (ccv**2 * inv_sq / (dc.alpha_nabla * 2.0**2 * dc.norm_grad_sqrt_phi**2)
-                   * rho**2 / rho2 * lam2 * grad_part)
-            lhs = field.branch[iy][ix].j_value
-            out.append(((ix, iy), lhs, rhs))
+    for iy, ix in np.argwhere(field.valid & (grads.order == 2)):
+        a_t = field.a_tilde[iy, ix]
+        inv_sq = float(np.sum(np.linalg.inv(a_t) ** 2))
+        rho = float(field.rho_l[iy, ix])
+        rho2 = float(field.rho_2l[iy, ix])
+        ccv = c_con(rho, float(np.linalg.det(a_t)), 2, dc)
+        grad_part = (lam2 * float(np.sum(grads.grad_a[iy, ix] ** 2))
+                     + float(np.sum((grads.grad_tau[iy, ix] - a_t) ** 2)))
+        rhs = (ccv**2 * inv_sq / (dc.alpha_nabla * 2.0**2 * dc.norm_grad_sqrt_phi**2)
+               * rho**2 / rho2 * lam2 * grad_part)
+        lhs = field.branch[iy][ix].j_value
+        out.append(((int(ix), int(iy)), lhs, rhs))
     return out
 
 
@@ -554,10 +578,10 @@ class DefectMap:
 def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
     """Cluster invalid nodes and ring each cluster with a minimal valid loop.
 
-    Each ring's chain product (from the already-computed node fits) is the
-    enclosed Burgers content.  A ring with a refused reparametrisation step
-    gives way to the next larger one; clusters with no usable ring inside
-    the grid are reported unringable.
+    Each ring's chain product, a fold of the grid's links, is the enclosed
+    Burgers content; the links the align stage rounded are not rounded
+    again.  A ring with a refused link gives way to the next larger one;
+    clusters with no usable ring inside the grid are reported unringable.
     """
     ny, nx = field.shape
     seen = field.valid.copy()       # a valid node joins no cluster
@@ -581,8 +605,7 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
 
     out = []
     for nodes in clusters:
-        xs = [n[0] for n in nodes]
-        ys = [n[1] for n in nodes]
+        xs, ys = zip(*nodes)
         cluster = DefectCluster(nodes=nodes, ring=None, product=None,
                                 classification=None, unringable=True)
         for m in range(1, max(nx, ny)):

@@ -14,16 +14,17 @@ step per node with `fit_from` (one row of `fitting._fit_from_rows`) and one
 `minimize_j_local` per node, where the grid runs one stacked Newton per
 round.  It aligns each node by rounding its raw fit against its tree
 parent's aligned (y, A, tau) (`align_nodes`), where the grid composes the
-raw-fit steps.  `fd_gradients` differences node by node where the grid code
-slices arrays.  `fit_loop` runs its two sweeps one after the other and
-`fit_between` its two continuations one call each, one single-row `fit_from`
-per step, where the fit code steps both as one 2-row `fitting._continue`.
-`fit_global` is the multistart one point at a time, its starts on h one
-after the other, where the fit code runs the multistarts of a grid round as
-one stack per start.  `newton_step` is one row of `fitting._newton_steps` as
-the per-row loop computed it: `pd_solve` factors the equilibrated Hessian
-with LAPACK potrf and solves with potrs, where the kernel takes one
-eigendecomposition of the whole stack.  `phi_root_norms` samples the
+raw-fit steps.  `ring_product` rounds every step of a ring afresh, where
+the grid folds its link table.  `fd_gradients` differences node by node
+where the grid code slices arrays.  `fit_loop` runs its two sweeps one
+after the other and `fit_between` its two continuations one call each, one
+single-row `fit_from` per step, where the fit code steps both as one 2-row
+`fitting._continue`.  `fit_global` is the multistart one point at a time,
+its starts on h one after the other, where the fit code runs the
+multistarts of a grid round as one stack per start.  `newton_step` is one
+row of `fitting._newton_steps` as the per-row loop computed it: `pd_solve`
+factors the equilibrated Hessian with LAPACK potrf and solves with potrs,
+where the kernel takes one eigendecomposition of the whole stack.  `phi_root_norms` samples the
 cutoff-root sups over one whole `linspace`, where `potentials` takes the same
 points in fixed chunks.  They are slow and obviously correct;
 the kernel tests compare against them.
@@ -64,7 +65,13 @@ from latfit.fitting import (
     unpack,
 )
 from latfit.potentials import _smoothstep7, _smoothstep7_d1, _smoothstep7_d2
-from latfit.topology import AmbiguousReparamError, Reparam, ReparamError, find_reparam
+from latfit.topology import (
+    AmbiguousReparamError,
+    Reparam,
+    ReparamError,
+    chain_product,
+    find_reparam,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -534,6 +541,22 @@ def align_nodes(chi, geom, params, order, fits, valid):
                 queue.append((nx_, ny_))
         comp += 1
     return align, aligned_aff, component
+
+
+def ring_product(field, ring, chi):
+    """Product of the raw-fit steps round a closed ring of nodes; None if invalid or refused.
+
+    Every step is a fresh `find_reparam` of the two raw fits, where
+    `fields._ring_product` folds the grid's link table.
+    """
+    if not all(field.valid[iy, ix] for ix, iy in ring):
+        return None
+    fits = [field.fits[iy][ix] for ix, iy in ring]
+    try:
+        return chain_product([find_reparam(fits[k], fits[(k + 1) % len(fits)], chi, field.params)
+                              for k in range(len(fits))])
+    except ReparamError:
+        return None
 
 
 def fd_gradients(field):

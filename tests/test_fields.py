@@ -284,6 +284,21 @@ class TestLowerBound:
             theorem2_check(field, (0, 0), grads)
 
 
+def assert_rings_match_oracle(field, chi):
+    """`plaquette_products` and `defect_map`'s ring products equal a fresh `find_reparam` fold."""
+    ny, nx = field.shape
+    want = {(ix, iy): oracle.ring_product(field, [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1),
+                                                  (ix, iy + 1)], chi)
+            for iy in range(ny - 1) for ix in range(nx - 1)}
+    dm = defect_map(field, chi)
+    assert dm.plaquettes == {node: p for node, p in want.items() if p is not None}
+    assert plaquette_products(field, chi) == dm.plaquettes
+    for cluster in dm.clusters:
+        if cluster.ring is not None:
+            assert cluster.product == oracle.ring_product(field, list(cluster.ring), chi)
+    return dm
+
+
 class TestDefectMap:
     def test_defect_free(self, perfect_field):
         chi, field = perfect_field
@@ -307,13 +322,22 @@ class TestDefectMap:
             return dataclasses.replace(field, valid=valid, fits=fits)
 
         # the turned node sits on the smallest ring only; the next ring carries the content
-        (cluster,) = defect_map(with_defect((3, 3), (2, 2)), chi).clusters
+        turned = with_defect((3, 3), (2, 2))
+        (cluster,) = defect_map(turned, chi).clusters
         assert not cluster.unringable and (2, 2) not in cluster.ring
         assert cluster.product is not None and cluster.product.is_identity
         assert cluster.classification == "trivial"
+        # the link table says why the smallest ring was refused
+        for u, v in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
+            refusal = turned.link(u, v, chi)
+            assert isinstance(refusal, str) and "A-rounding gap" in refusal
+        assert isinstance(turned.link((1, 1), (1, 2), chi), Reparam)
+        assert_rings_match_oracle(turned, chi)
         # no larger ring fits inside the grid
-        (cluster,) = defect_map(with_defect((1, 1), (0, 0)), chi).clusters
+        corner = with_defect((1, 1), (0, 0))
+        (cluster,) = defect_map(corner, chi).clusters
         assert cluster.unringable and cluster.ring is None and cluster.product is None
+        assert_rings_match_oracle(corner, chi)
 
     def test_single_dislocation_cluster_and_ring(self, grid_params, dislocation8):
         chi, truth = dislocation8
@@ -506,6 +530,31 @@ def test_round_grid_matches_per_node_oracle(grid_params):
     assert_same_field(new, oracle.evaluate_grid(chi, geom, grid_params, thresholds=tight))
 
 
+def test_each_link_is_rounded_once(grid_params):
+    """The align stage, plaquettes and defect rings share links: no ordered pair rounds twice."""
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-12.0, -4.0), h=2.0, nx=6, ny=5)
+    rounded = []
+    find_reparam = fields.find_reparam
+
+    def recording_find_reparam(fit1, fit2, *args):
+        rounded.append((tuple(fit1.position), tuple(fit2.position)))
+        return find_reparam(fit1, fit2, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "find_reparam", recording_find_reparam)
+        field = evaluate_grid(chi, geom, grid_params, thresholds=tight)
+        aligned = len(rounded)
+        dm = defect_map(field, chi)
+        plaquette_products(field, chi)
+    assert not field.valid.all() and dm.plaquettes
+    assert aligned > 0 and len(rounded) > aligned
+    assert len(set(rounded)) == len(rounded)
+    assert_rings_match_oracle(field, chi)
+
+
 def test_align_stage_gathers_nothing(grid_params):
     """Every tree step rounds two raw fits and takes J from their breakdowns."""
     params, domain = fileio.load_params(DATA / "params.json")
@@ -513,7 +562,7 @@ def test_align_stage_gathers_nothing(grid_params):
     chi = fileio.configuration_from_arrays(positions, interior, params, domain)
     geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
     order, rounds = fields.grid_rounds(geom)
-    fits, valid = fields._fit_nodes(chi, geom, params, None, order, rounds)[:2]
+    grid = fields._fit_nodes(chi, geom, params, None, order, rounds)
     gathers = []
     local_atoms = Configuration.local_atoms
 
@@ -523,8 +572,8 @@ def test_align_stage_gathers_nothing(grid_params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Configuration, "local_atoms", counting_local_atoms)
-        align, component = fields._align_nodes(chi, geom, params, order, fits, valid)
-    assert valid.all() and (component == 0).all() and gathers == []
+        fields._align_nodes(grid, chi, order)
+    assert grid.valid.all() and (grid.component == 0).all() and gathers == []
 
 
 def test_cold_golden_field_memory():
@@ -566,8 +615,13 @@ def test_alignment_composes_raw_steps(perfect_field, grid_params):
     fits = [list(row) for row in field.fits]
     raw = fits[node[1]][node[0]]
     fits[node[1]][node[0]] = dataclasses.replace(raw, aff_hat=gauge.apply(raw.aff_hat))
-    align, component = fields._align_nodes(chi, geom, grid_params, order, field.fits, field.valid)
-    align_g, component_g = fields._align_nodes(chi, geom, grid_params, order, fits, field.valid)
+    # the stage fills the grid it is given: copies, so the module's field keeps its own
+    base, regauged = dataclasses.replace(field), dataclasses.replace(field, fits=fits)
+    fields._align_nodes(base, chi, order)
+    fields._align_nodes(regauged, chi, order)
+    align, component = base.align, base.component
+    align_g, component_g = regauged.align, regauged.component
+    assert field.align is not align and field.component is not component
     ref_align, ref_aff, ref_component = oracle.align_nodes(chi, geom, grid_params, order, fits,
                                                            field.valid)
     assert np.array_equal(component_g, component) and np.array_equal(component_g, ref_component)
