@@ -404,7 +404,10 @@ def j_phases(rel: np.ndarray, A: np.ndarray, tau: np.ndarray) -> np.ndarray:
     (K, d).  Their cos is the cos pass of `assemble_j`, which a caller that
     has just evaluated J at a pair can hand back in as `cos_z`.
     """
-    return TWO_PI_CORE * (A @ np.swapaxes(rel, -1, -2) + tau[:, :, None])
+    z = A @ np.swapaxes(rel, -1, -2)
+    z += tau[:, :, None]            # in place: one (K, d, m) array, no temporaries
+    z *= TWO_PI_CORE
+    return z
 
 
 def j_features(rel: np.ndarray) -> np.ndarray:
@@ -427,7 +430,7 @@ def j_features(rel: np.ndarray) -> np.ndarray:
 
 
 def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bool = True,
-               cos_z: np.ndarray | None = None, features: np.ndarray | None = None):
+               cos_z: np.ndarray | None = None, features=None):
     """J and its exact (A, tau)-gradient and Hessian from a precomputed gather.
 
     rel are atom positions relative to x, w their cutoff weights, and
@@ -441,8 +444,10 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
     padded atom has w = 0.  Flattened parameter order is row-major A then
     tau.  want_grad=False gives (J, None, None).  cos_z is the cos of
     `j_phases` at this stack when the caller holds it, and features the
-    gather's feature block (`j_features`, one block or one per row); each is
-    computed here when absent, and only the gradient reads features.
+    gather's feature block (`j_features`): one block, one per row, or the
+    pair (blocks (G, n_rows, m), points (K,)) of per-point blocks and the
+    point of each row; each is computed here when absent, and only the
+    gradient reads features.
 
     J = c g S with g = |A^{-1}|_F^2 and S = sum_i W(z_i) w_i.  z_ik depends
     only on row k of [A | tau], through the feature row f_i = (rel_i, 1).
@@ -450,15 +455,17 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
     sum_i dW_k f_i w_i and its Hessian is block diagonal, block k being
     sum_i d2W_k f_i f_i^T w_i.  One matmul per start of the distinct feature
     products (rel_ij rel_ij', rel_ij, 1) against the weighted sin and cos
-    columns gives all of them; `_aug_index` scatters the result into the
-    A-then-tau layout.  g enters through the product rule with its
-    closed-form gradient and Hessian (`_g_hess`).  Atoms run along the last
-    axis throughout, and every sum over them is a matrix product with at
-    least two rows and two columns, so a row of a padded stack is bitwise
-    that row alone at the same padding width.  Zero padding adds exact
-    zeros, but the BLAS kernel can change with the width: a short gather's
-    row can move by an ulp between widths (10 atoms padded to 522 against
-    10 unpadded).
+    columns gives all of them; per-point blocks take one matmul per run of
+    consecutive rows on one point, reading the block in place, the same
+    product per row that a copied block per row gives, with no copy.
+    `_aug_index` scatters the result into the A-then-tau layout.  g enters
+    through the product rule with its closed-form gradient and Hessian
+    (`_g_hess`).  Atoms run along the last axis throughout, and every sum
+    over them is a matrix product with at least two rows and two columns,
+    so a row of a padded stack is bitwise that row alone at the same
+    padding width.  Zero padding adds exact zeros, but the BLAS kernel can
+    change with the width: a short gather's row can move by an ulp between
+    widths (10 atoms padded to 522 against 10 unpadded).
     """
     A, tau, ainv = aff.A, aff.tau, aff.ainv
     single = A.ndim == 2
@@ -480,6 +487,7 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
         w_pair[..., 0, :] = w
         w_pair[..., 1, :] = w
         per_axis = np.matmul(1.0 - cos_z, w_pair.swapaxes(-1, -2))          # (K, d, 2)
+        del w_pair                                          # not held through the gradient
         s_val = per_axis[:, 0, 0]
         for k in range(1, d):
             s_val = s_val + per_axis[:, k, 0]
@@ -493,9 +501,18 @@ def assemble_j(rel: np.ndarray, w: np.ndarray, aff: AffinePair, c, want_grad: bo
         w_row = w[..., None, :]
         wells = np.empty((k_rows, 2 * d, m))
         np.sin(arg, out=wells[:, :d])
+        del arg                                             # not held through the feature product
         wells[:, :d] *= w_row / math.pi                      # grad W, weighted
         np.multiply(cos_z, 2.0 * w_row, out=wells[:, d:])     # diagonal of hess W, weighted
-        sums = np.matmul(feat, wells.transpose(0, 2, 1)).reshape(k_rows, -1)
+        if isinstance(feat, tuple):
+            blocks, points = feat
+            sums = np.empty((k_rows, blocks.shape[-2], 2 * d))
+            cuts = np.flatnonzero(np.diff(points)) + 1
+            for lo, hi in zip([0, *cuts], [*cuts, k_rows]):
+                np.matmul(blocks[points[lo]], wells[lo:hi].transpose(0, 2, 1), out=sums[lo:hi])
+            sums = sums.reshape(k_rows, -1)
+        else:
+            sums = np.matmul(feat, wells.transpose(0, 2, 1)).reshape(k_rows, -1)
         grad_s = sums[:, grad_src]
 
         g1 = np.zeros((k_rows, n))                          # gradient of g, zero in tau

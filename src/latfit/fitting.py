@@ -35,9 +35,14 @@ round together.  One lam/2 objective gathers each point once; one
 `a_init_candidates` call takes every point's A candidates from those
 gathers, as array passes over the round; one stack pre-converges every
 candidate of every point on J at lam/2, each point's gather also giving its
-candidates' tau; then start k of every point runs as one stack on h,
-k = 0, 1, ...  Each start's abort bar is the best total of its own point's
-starts before it, a per-row bar.  A round with no refused point runs no
+candidates' tau; then one stack on h runs every start of every point,
+grouped by point in start order.  Each start's abort bar comes from the
+best total of its own point's starts before it, so it is pending until
+they are done; `_newton` records the row's values meanwhile and drops the
+row when the bar arrives if they went above it, which is where the starts
+run one after the other would have aborted it.  An aborted start can
+neither lower nor tie its point's best, so the fits are those of that
+sequential schedule, bit for bit.  A round with no refused point runs no
 multistart.  `fit_global` and `minimize_j_local` pass one point through the
 same code; `minimize_j_local` alone raises BasinEscapeError for a row that
 left the basin.
@@ -48,9 +53,10 @@ its gather, and computes det A and A^{-1} once per evaluation (2 x 2 closed
 forms for d = 2, in an `_Iterate`, not an AffinePair); it hands them to J
 (`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
 for d = 2) and the smoothed nu; F and nu share one Hessian of det
-(`det_hessian`).  `_newton` keeps each row's cos pass from the evaluation
-at its accepted iterate and hands it to the next `value_grad_hess` instead
-of redoing it.  `_newton_steps` gives every row its step in one batched
+(`det_hessian`).  `_newton` keeps the cos pass of each running row from
+the evaluation at its accepted iterate and hands it to the next
+`value_grad_hess` instead of redoing it.  Rows on one point read that
+point's feature block in place.  `_newton_steps` gives every row its step in one batched
 pass, with no solve per row.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
@@ -186,10 +192,11 @@ class _Objective:
     searches stay orientation-preserving.  `_value` also returns each row's
     cos pass, which `value_grad_hess` takes back as cos_z at the same theta.
     Each point's J feature block (`j_features`) is built once, with the
-    gathers; `value_grad_hess` hands the rows' blocks to `assemble_j`, and
-    `_value` never reads them.  A selection of the points' arrays by row is
-    copied once and reused while the same points come again, as they do
-    through a Newton step and its line search.
+    gathers; `value_grad_hess` hands the blocks, with each row's point, to
+    `assemble_j`, which reads them in place, and `_value` never reads them.
+    A selection of the points' gathers by row is copied once and reused
+    while the same points come again, as they do through a Newton step and
+    its line search.
     """
 
     def __init__(self, chi: Configuration, x, params: ModelParams, j_only: bool,
@@ -213,7 +220,7 @@ class _Objective:
         self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
         self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
         self.features = j_features(self.rel)
-        self._sel = None        # [points, their arrays, their feature blocks] of the last selection
+        self._sel = None        # (row arrays, (feature blocks, row points)) of the last selection
 
     def restricted(self, points) -> _Objective:
         """This objective at points only, padded to their longest gather: the one built there."""
@@ -236,20 +243,21 @@ class _Objective:
         """(rel, w, c, rho, eps_nu, feature blocks or None) of the points of a stack's rows.
 
         One point broadcasts over every row, and all points in order are the
-        arrays themselves; any other selection is the last one's when the
-        points are the same, and the feature blocks are copied only when
-        asked for.
+        arrays themselves, feature blocks included.  Any other selection is
+        the last one's when the points are the same; its gathers are copied
+        by row, but its feature blocks are the objective's own per-point
+        blocks with the points as their map (`assemble_j` reads them in
+        place), so no (K, n_rows, m) block is copied.
         """
         if self.w.shape[0] == 1 or np.array_equal(points, np.arange(self.w.shape[0])):
             return (self.rel, self.w, self.c, self.rho, self.eps_nu,
                     self.features if features else None)
-        if self._sel is None or not np.array_equal(self._sel[0], points):
+        if self._sel is None or not np.array_equal(self._sel[1][1], points):
             self._sel = None            # let the last selection go before copying the next
-            self._sel = [points.copy(), (self.rel[points], self.w[points], self.c[points],
-                                         self.rho[points], self.eps_nu[points]), None]
-        if features and self._sel[2] is None:
-            self._sel[2] = self.features[points]
-        return (*self._sel[1], self._sel[2])
+            points = points.copy()
+            self._sel = ((self.rel[points], self.w[points], self.c[points], self.rho[points],
+                          self.eps_nu[points]), (self.features, points))
+        return (*self._sel[0], self._sel[1] if features else None)
 
     def _iterate(self, theta: np.ndarray, det_floor: float):
         """(the iterates of the rows of theta with det A > det_floor, the mask of those rows)."""
@@ -290,7 +298,8 @@ class _Objective:
             points = points[ok]
         if it.det_a.size:
             rel, w, c, rho, eps, _ = self._points(points)
-            cos_z = np.cos(j_phases(rel, it.A, it.tau))
+            cos_z = j_phases(rel, it.A, it.tau)
+            np.cos(cos_z, out=cos_z)    # the cos pass takes the phases' place
             val = assemble_j(rel, w, it, c, want_grad=False, cos_z=cos_z)[0]
             if not self.j_only:
                 val = val + (self.params.elastic._value(it.A, it.det_a)
@@ -346,6 +355,7 @@ class _NewtonResult:
     grad_norm: float
     value: float
     escaped: bool       # left the convexity basin (require_pd only)
+    aborted: bool       # stopped by its abort bar; a late bar leaves it where the run was
 
 
 def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: float,
@@ -390,7 +400,7 @@ def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: 
 
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             require_pd: bool, abort_above: float | np.ndarray | None = None,
-            points=None) -> _NewtonResult:
+            points=None, on_stop=None) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
     theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
@@ -398,22 +408,34 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     row still running, one `_newton_steps` call gives all of them their
     steps, and each row follows exactly the run it would make alone.  Row k
     sits at obj's point points[k]: by default point k, or the one point of a
-    one-point obj.  The run keeps each row's cos pass at its current iterate,
-    from the first evaluation and then from the trial its line search
-    accepts (Nocedal & Wright, ch. 3), and hands it to every
-    `value_grad_hess`, so no gradient redoes it.  A row stops in one of six
-    ways:
+    one-point obj.  The run keeps the cos pass of each running row at its
+    current iterate, from the first evaluation and then from the trial its
+    line search accepts (Nocedal & Wright, ch. 3), aligned with the running
+    rows, and hands it to every `value_grad_hess`, so no gradient redoes it
+    and none copies it; when a whole line search accepts at once its trial's
+    passes are kept as they are.  A row stops in one of six ways:
     - converged: the scaled gradient norm is at most tol_grad;
-    - abort_above: from iteration 10 on, the value is still above the row's
-      bar (a multistart's bar: the descent is monotone, so such a run cannot
-      win).  abort_above is one bar for every row or a (K,) array of bars,
-      one per row, where inf is no bar;
+    - abort_above: from iteration 10 on, the value at the top of an
+      iteration is above the row's bar (a multistart's bar: the descent is
+      monotone, so such a run cannot win).  abort_above is one bar for every
+      row or a (K,) array of bars, one per row, where inf is no bar;
     - line-search failure: no step length down to 2^-40 decreases the value;
     - max-iter: max_iter steps taken;
     - det A <= 0 at the start: value +inf, 0 iterations;
     - left the basin (`escaped`): require_pd and the Hessian is not positive
       definite.
-    Raises FitError when every start has det A <= 0.
+    A bar may be pending (NaN): the caller learns it only once other rows
+    have stopped.  Such a row runs on as if it had no bar, with its highest
+    value at an iteration top from iteration 10 on recorded.  A row is done
+    for good once it has stopped and its bar is known; on_stop(rows, result)
+    then hears of the rows done since its last call, with the run's current
+    arrays as a `_NewtonResult` (read only), and returns (rows, bars) of the
+    bars it now knows.  A bar that arrives aborts its row if the row's
+    recorded value is above it, running or stopped: where the bar, known
+    from the start, would have stopped the run.  Otherwise the row goes on,
+    or stays, exactly as its run with that bar.  An aborted row's theta,
+    value and iterations are where the run left it (`aborted`), not its
+    run's with the bar.  Raises FitError when every start has det A <= 0.
     """
     d = obj.d
     scale = np.concatenate([np.full(d * d, obj.lam), np.ones(d)])
@@ -422,25 +444,47 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     theta = theta.reshape(-1, scale.size)
     k_rows = theta.shape[0]
     points = np.arange(k_rows) if points is None else np.asarray(points)
+    bars = None if abort_above is None else \
+        np.array(np.broadcast_to(abort_above, k_rows), dtype=float)
     f_cur, cos_z = obj._value(theta, points)
+    cos_rows = np.arange(k_rows)        # the rows cos_z holds the passes of, in order
     running = np.isfinite(f_cur)
     if not running.any():
         raise FitError("starting point has det A <= 0")
-    converged, escaped = np.zeros((2, k_rows), dtype=bool)
+    converged, escaped, aborted, settled = np.zeros((4, k_rows), dtype=bool)
     iterations = np.zeros(k_rows, dtype=int)
     grad_norm = np.full(k_rows, math.inf)
+    high = np.full(k_rows, -math.inf)   # highest value at an iteration top from iteration 10 on
+    res = _NewtonResult(theta, converged, iterations, grad_norm, f_cur, escaped, aborted)
+
+    def settle(it: int) -> None:
+        # abort the rows above a known bar, then hand on the rows done for good
+        # until no new bar arrives
+        if bars is None:
+            return
+        while True:
+            over = ~aborted & (high > bars)         # a pending (NaN) bar compares False
+            iterations[over & running] = it
+            running[over], aborted[over] = False, True
+            done = ~running & ~settled & ~np.isnan(bars)
+            if on_stop is None or not done.any():
+                return
+            settled[done] = True
+            rows, new = on_stop(done.nonzero()[0], res)
+            bars[rows] = new
+
     for it in range(max_iter):
-        if abort_above is not None and it >= 10:
-            aborted = running & (f_cur > abort_above)
-            iterations[aborted] = it
-            running &= ~aborted
+        if bars is not None and it >= 10:
+            np.maximum(high, f_cur, out=high, where=running)
+        settle(it)
         rows = running.nonzero()[0]
         if rows.size == 0:
             break
+        if rows.size < cos_rows.size:       # rows stopped since their passes were kept
+            cos_z, cos_rows = cos_z[running[cos_rows]], rows
         base = theta[rows]
-        # all rows running: the kept passes themselves, with no copy next to them
-        _, grad, hess = obj.value_grad_hess(base, points[rows],
-                                            cos_z if rows.size == k_rows else cos_z[rows])
+        _, grad, hess = obj.value_grad_hess(base, points[rows], cos_z)
+        cos_z = None                        # the accepted trials bring the next passes
         grad_norm[rows], done, esc, step, slope, blind = _newton_steps(
             grad / scale, hess / scale[:, None] / scale[None, :], f_cur[rows], tol_grad,
             require_pd)
@@ -449,24 +493,30 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         if stop.any():
             iterations[rows[stop]] = it
             running[rows[stop]] = False
-            if stop.all():
+            settle(it)                      # the bars they settle may abort rows still running
+            go = running[rows]
+            if not go.any():
                 break
-            go = ~stop
             rows, base, step, slope, blind = rows[go], base[go], step[go], slope[go], blind[go]
         p = step / scale
         f_rows = f_cur[rows]
+        cos_rows, slot = rows, np.arange(rows.size)
         # every row still searching has the same step length t
         t = 1.0
         trial = base + p
         while True:
             f_new, cos_new = obj._value(trial, points[rows])
             ok = blind | (f_new <= f_rows + ARMIJO_C1 * t * slope)
-            if ok.all():
-                theta[rows], f_cur[rows], cos_z[rows] = trial, f_new, cos_new
+            if cos_z is None and ok.all():
+                theta[rows], f_cur[rows], cos_z = trial, f_new, cos_new
                 break
+            if cos_z is None:
+                cos_z = np.empty((cos_rows.size,) + cos_new.shape[1:])
             acc = rows[ok]
-            theta[acc], f_cur[acc], cos_z[acc] = trial[ok], f_new[ok], cos_new[ok]
-            rows, base, p = rows[~ok], base[~ok], p[~ok]
+            theta[acc], f_cur[acc], cos_z[slot[ok]] = trial[ok], f_new[ok], cos_new[ok]
+            if ok.all():
+                break
+            rows, base, p, slot = rows[~ok], base[~ok], p[~ok], slot[~ok]
             blind, f_rows, slope = blind[~ok], f_rows[~ok], slope[~ok]
             t *= 0.5
             if t < 2.0**-40:
@@ -477,14 +527,20 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     else:
         rows = running.nonzero()[0]
         if rows.size:
-            gs = obj.value_grad_hess(theta[rows], points[rows], cos_z[rows])[1] / scale
+            if rows.size < cos_rows.size:
+                cos_z = cos_z[running[cos_rows]]
+            gs = obj.value_grad_hess(theta[rows], points[rows], cos_z)[1] / scale
             grad_norm[rows] = np.sqrt((gs * gs).sum(axis=1))
             converged[rows] = grad_norm[rows] <= tol_grad
             iterations[rows] = max_iter
+            running[rows] = False
+        it = max_iter
+    settle(it)
     if single:
         return _NewtonResult(theta[0], bool(converged[0]), int(iterations[0]),
-                             float(grad_norm[0]), float(f_cur[0]), bool(escaped[0]))
-    return _NewtonResult(theta, converged, iterations, grad_norm, f_cur, escaped)
+                             float(grad_norm[0]), float(f_cur[0]), bool(escaped[0]),
+                             bool(aborted[0]))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +827,17 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
     The lam/2 stage (`_half_stage`) takes the A candidates of all points
     from one `a_init_candidates` call on its gathers and pre-converges them
     in one lockstep Newton on J over every candidate of every point.  Then
-    start k of every point that has one runs as one stack on h, for
-    k = 0, 1, ...; each row's abort bar is its own point's 1.05 best + 1e-6
-    over its starts before k, so no bar is shared.
+    one Newton on h runs every start of every point, rows grouped by point
+    in start order.  Start k's abort bar is 1.05 times the best exact total
+    of its point's starts before k, plus 1e-6 (none for k = 0), so it is
+    known only once those starts are done: until then it is pending, and
+    `_newton` aborts the row when the bar arrives if its run went above it.
+    An aborted start is dropped with no exact energy.  Its smoothed total is
+    above 1.05 best + 1e-6 and its exact total is no lower (nu >= its
+    smoothing), so it could neither lower a point's best nor tie with it,
+    and every outcome that is read is the one starts run one after the
+    other give.  Outcomes are kept in start order, so ties still go to the
+    earliest start.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
     if warm_starts is None:
@@ -786,22 +850,40 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
     best = np.full(len(xs), math.inf)
     if live:
         obj = _Objective(chi, xs[live], params, j_only=False)
-    for k in range(max((len(starts[g]) for g in live), default=0)):
-        rows = [i for i, g in enumerate(live) if len(starts[g]) > k]
-        nodes = [live[i] for i in rows]
-        try:
-            res = _newton(obj, np.stack([starts[g][k] for g in nodes]), TOL_GRAD, MAX_ITER_H,
-                          require_pd=False, abort_above=1.05 * best[nodes] + 1e-6,  # inf: no bar
-                          points=rows)
-        except FitError:
-            continue
-        for r, (i, g) in enumerate(zip(rows, nodes)):
-            if math.isfinite(res.value[r]):
-                aff, breakdown = _exact(obj, res.theta[r], params, i)
-                best[g] = min(best[g], breakdown.total)
-                outcomes[g].append((aff, breakdown, int(res.iterations[r]),
-                                    float(res.grad_norm[r]), bool(res.converged[r])))
+        point = np.repeat(np.arange(len(live)), [len(starts[g]) for g in live])
+        node = np.asarray(live)[point]
+        bars = np.full(point.size, math.nan)
+        bars[np.r_[True, point[1:] != point[:-1]]] = math.inf      # each point's first start
 
+        def on_stop(rows, res):
+            # a point's starts are done in start order: each hands its bar to the next
+            for r in rows:
+                g = node[r]
+                if not res.aborted[r] and math.isfinite(res.value[r]):
+                    aff, breakdown = _exact(obj, res.theta[r], params, point[r])
+                    best[g] = min(best[g], breakdown.total)
+                    outcomes[g].append((aff, breakdown, int(res.iterations[r]),
+                                        float(res.grad_norm[r]), bool(res.converged[r])))
+            nxt = [r + 1 for r in rows if r + 1 < point.size and point[r + 1] == point[r]]
+            return nxt, 1.05 * best[node[nxt]] + 1e-6      # inf: no bar
+
+        try:
+            _newton(obj, np.stack([s for g in live for s in starts[g]]), TOL_GRAD, MAX_ITER_H,
+                    require_pd=False, abort_above=bars, points=point, on_stop=on_stop)
+        except FitError:
+            pass
+    return _pick_fits(xs, starts, outcomes, chi, params, thresholds)
+
+
+def _pick_fits(xs: np.ndarray, starts: list, outcomes: list, chi: Configuration,
+               params: ModelParams, thresholds) -> list:
+    """Per point, the multistart's fit from its outcomes in start order, or its FitError.
+
+    outcomes[g] holds (pair, breakdown, iterations, grad_norm, converged) of
+    point g's starts.  Of the outcomes within 1e-12 of the lowest total, the
+    lexicographically smallest (tau, A) wins, reported by the earliest start
+    among its copies.
+    """
     out = []
     for g, x in enumerate(xs):
         if not starts[g]:
@@ -810,7 +892,8 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
         if not outcomes[g]:
             out.append(FitError(f"all fit candidates failed at {x}"))
             continue
-        tied = [o for o in outcomes[g] if o[1].total <= best[g] + 1e-12]
+        best = min(o[1].total for o in outcomes[g])
+        tied = [o for o in outcomes[g] if o[1].total <= best + 1e-12]
         lead = pack(min(tied, key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))[0])
         # copies of one minimizer differ by roundoff: the earliest start reports it
         aff, breakdown, iterations, grad_norm, _ = next(

@@ -20,8 +20,10 @@ where the grid code slices arrays.  `fit_loop` runs its two sweeps one
 after the other and `fit_between` its two continuations one call each, one
 single-row `fit_from` per step, where the fit code steps both as one 2-row
 `fitting._continue`.  `fit_global` is the multistart one point at a time,
-its starts on h one after the other, where the fit code runs the
-multistarts of a grid round as one stack per start.  `newton_step` is one
+its starts on h one after the other, and `fit_global_stack` the multistart
+of a grid round with start k of every point as one stack on h, k = 0, 1,
+..., each bar known when its stack starts, where the fit code runs every
+start of every point as one stack with deferred bars.  `newton_step` is one
 row of `fitting._newton_steps` as the per-row loop computed it: `pd_solve`
 factors the equilibrated Hessian with LAPACK potrf and solves with potrs,
 where the kernel takes one eigendecomposition of the whole stack.  `phi_root_norms` samples the
@@ -385,6 +387,49 @@ def fit_global(chi, x, params, warm_starts=(), thresholds=None):
     aff, breakdown, res = tied[0]
     return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params, thresholds,
                    converged=any(o[2].converged for o in tied), n_candidates=len(starts))
+
+
+def fit_global_stack(chi, xs, params, thresholds=None, warm_starts=None, aborted=None):
+    """`fitting.fit_global_stack` with start k of every point as its own stack on h, k = 0, 1, ...
+
+    Each row's abort bar is its own point's 1.05 best + 1e-6 over its starts
+    before k, so every bar is known when its stack starts.  An aborted start
+    keeps its outcome and its exact total counts towards its point's best.
+    When aborted is a list, it receives (g, exact total, g's final best) of
+    every aborted start.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1, chi.d)
+    if warm_starts is None:
+        warm_starts = [()] * len(xs)
+    starts = fitting._half_stage(chi, xs, params)
+    for g, warm in enumerate(warm_starts):
+        starts[g].extend(pack(a) for a in warm)
+    live = [g for g in range(len(xs)) if starts[g]]
+    outcomes = [[] for _ in xs]
+    best = np.full(len(xs), math.inf)
+    dropped = []
+    if live:
+        obj = _Objective(chi, xs[live], params, j_only=False)
+    for k in range(max((len(starts[g]) for g in live), default=0)):
+        rows = [i for i, g in enumerate(live) if len(starts[g]) > k]
+        nodes = [live[i] for i in rows]
+        try:
+            res = _newton(obj, np.stack([starts[g][k] for g in nodes]), TOL_GRAD, MAX_ITER_H,
+                          require_pd=False, abort_above=1.05 * best[nodes] + 1e-6,
+                          points=rows)
+        except FitError:
+            continue
+        for r, (i, g) in enumerate(zip(rows, nodes)):
+            if math.isfinite(res.value[r]):
+                aff, breakdown = _exact(obj, res.theta[r], params, i)
+                best[g] = min(best[g], breakdown.total)
+                outcomes[g].append((aff, breakdown, int(res.iterations[r]),
+                                    float(res.grad_norm[r]), bool(res.converged[r])))
+                if res.aborted[r]:
+                    dropped.append((g, breakdown.total))
+    if aborted is not None:
+        aborted.extend((g, total, best[g]) for g, total in dropped)
+    return fitting._pick_fits(xs, starts, outcomes, chi, params, thresholds)
 
 
 def pre_converge(raw, chi, x, params):

@@ -3,6 +3,7 @@
 Usage (from the repository root):
     python3 tests/same_outputs.py                      # this checkout
     python3 tests/same_outputs.py --root ../parent     # another checkout, e.g. the parent commit
+    python3 tests/same_outputs.py --against ../parent  # both, then the lines that differ
 
 For each workload of `perfbench/workloads.py` and each seed it runs the
 timed pipeline once on the seed's generated inputs and prints one line,
@@ -14,7 +15,9 @@ masks, components, invalid reasons and `align`; the bytes of `a_tilde`,
 plaquettes; the lower-bound entries; the field CSV and SVG text; the loop
 results; and `params.constants`.  Floats are dumped in hex, arrays as dtype,
 shape and raw bytes, so equal digests mean equal bits.  Two checkouts keep
-the same outputs when every line matches.
+the same outputs when every line matches.  With --against ROOT the script
+computes the digests of --root and of ROOT, each checkout in its own
+process, prints the lines that differ and exits 1 on any mismatch.
 
 The file is not named test_*.py, so pytest does not collect it; it imports
 latfit and the workloads from the checkout given by --root.
@@ -26,6 +29,7 @@ import argparse
 import dataclasses
 import hashlib
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -97,8 +101,12 @@ def main(argv=None) -> int:
                    help="workload to digest, repeatable (default: all)")
     p.add_argument("--seed", type=int, action="append",
                    help="seed to digest, repeatable (default: each workload's list)")
+    p.add_argument("--against", type=Path,
+                   help="another checkout: digest both, print the lines that differ, exit 1 on any")
     args = p.parse_args(argv)
     root = args.root.resolve()
+    if args.against is not None:
+        return compare(root, args.against.resolve(), args)
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
@@ -108,6 +116,24 @@ def main(argv=None) -> int:
             for seed in args.seed or SEEDS[name]:
                 print(f"{name} seed {seed} {digest(name, seed, workloads, workdir)}", flush=True)
     return 0
+
+
+def compare(root: Path, other: Path, args) -> int:
+    """Digest both checkouts, each in its own process; print the differing lines; 0 if none."""
+    picks = ([f"--workload={w}" for w in args.workload or ()]
+             + [f"--seed={s}" for s in args.seed or ()])
+    lines = []
+    for checkout in (root, other):
+        run = subprocess.run([sys.executable, __file__, f"--root={checkout}", *picks],
+                             capture_output=True, text=True, check=True)
+        lines.append(run.stdout.splitlines())
+    differ = [(a, b) for a, b in zip(*lines) if a != b]
+    if len(lines[0]) != len(lines[1]):
+        differ.append((f"{len(lines[0])} lines", f"{len(lines[1])} lines"))
+    for a, b in differ:
+        print(f"- {a}  ({root})\n+ {b}  ({other})")
+    print(f"{len(lines[0]) - len(differ)} of {len(lines[0])} lines equal", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

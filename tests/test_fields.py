@@ -672,6 +672,78 @@ def test_fit_global_stack_matches_per_node_oracle(grid_params):
         fit_global(chi, xs[5], grid_params, thresholds=tight)
 
 
+def test_fit_global_stack_matches_per_start_oracle(grid_params):
+    """One Newton on h per multistart round gives the per-start loop's fits, bit for bit.
+
+    `oracle.fit_global_stack` runs start k of every point as its own stack,
+    every bar known; `fit_global_stack` runs all starts in one stack with
+    deferred bars and drops the aborted starts.  Cases: the golden grid's
+    seed node; round 4 of the benchmark's dipole grid under tight
+    thresholds, with a point that has no candidates; the same round with
+    warm starts after the candidates, as `_guard` passes them (two other
+    points' fits carried over).
+    The round must drop a row and keep a row whose bar arrived after
+    iteration 10.  In the per-start loop, every aborted start's exact total
+    is above its point's final best by more than 1e-12: it could neither
+    lower nor tie the best, which is why dropping it keeps every output.
+    """
+    newton = fitting._newton
+    seen = {"dropped": 0, "late_kept": 0}
+
+    def recording_newton(*args, on_stop=None, **kwargs):
+        if on_stop is None:
+            return newton(*args, **kwargs)
+        got_bar = []
+
+        def hook(rows, res):
+            nxt, bars = on_stop(rows, res)
+            got_bar.extend(nxt)         # row r's bar arrives once row r - 1 is done
+            return nxt, bars
+
+        res = newton(*args, on_stop=hook, **kwargs)
+        seen["dropped"] += int(res.aborted.sum())
+        seen["late_kept"] += sum(1 for r in got_bar if not res.aborted[r]
+                                 and res.iterations[r - 1] > 10 and res.iterations[r] > 10)
+        return res
+
+    def check(chi, xs, params, thresholds=None, warm_starts=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "_newton", recording_newton)
+            outs = fit_global_stack(chi, xs, params, thresholds, warm_starts=warm_starts)
+        aborted = []
+        refs = oracle.fit_global_stack(chi, xs, params, thresholds, warm_starts, aborted=aborted)
+        assert len(outs) == len(refs) == len(xs)
+        for out, ref in zip(outs, refs):
+            if isinstance(ref, FitError):
+                assert isinstance(out, FitError) and str(out) == str(ref)
+            else:
+                assert_same_fit(out, ref)
+        assert all(total > best + 1e-12 for _, total, best in aborted)
+        return outs, aborted
+
+    params, domain = fileio.load_params(DATA / "params.json")
+    positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")
+    chi = fileio.configuration_from_arrays(positions, interior, params, domain)
+    geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
+    outs, _ = check(chi, [geom.node(*fields.grid_rounds(geom)[0][0])], params)
+    assert outs[0].n_candidates >= 2
+
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-16.0, -10.0), h=2.0, nx=17, ny=11)
+    xs = [geom.node(ix, iy) for ix, iy in fields.grid_rounds(geom)[1][4]]
+    xs.insert(5, np.array([200.0, 200.0]))
+    outs, aborted = check(chi, xs, grid_params, tight)
+    assert str(outs[5]) == "no fit candidates at [200. 200.]"
+    assert aborted and seen["dropped"] > 0 and seen["late_kept"] > 0, seen
+
+    fits = [o for o in outs if not isinstance(o, FitError)]
+    warm = [tuple(fitting.transport(f.position, f.aff_hat, x) for f in fits[i + 1: i + 3])
+            for i, x in enumerate(xs)]
+    check(chi, xs, grid_params, tight, warm)
+
+
 def test_fd_gradients_match_loop_form(grid_params, perfect_field):
     params, domain = fileio.load_params(DATA / "params.json")
     positions, interior = fileio.read_atoms_csv(DATA / "golden_atoms.csv")

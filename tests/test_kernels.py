@@ -6,9 +6,9 @@ different floating-point order; they must agree to 1e-12 relative.  F's
 closed-form d = 2 value and gradient must agree with the singular-value forms
 to the same tolerance.  A stack of K starts must give, row for row, exactly
 the bits of K single calls, in the kernels and through `_newton`'s exits,
-also when each row has its own gather of its own length, and
-`a_init_candidates`, one point or a round of them, exactly the loop form's
-candidates.  The batched Newton step `_newton_steps` must make the per-row
+also when each row has its own gather of its own length or its abort bar
+arrives late, and `a_init_candidates`, one point or a round of them,
+exactly the loop form's candidates.  The batched Newton step `_newton_steps` must make the per-row
 loop's positive-definite and escape decisions and give its steps to 1e-12
 relative, on synthetic stacks and on stacks recorded from a dipole grid
 window.
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import kernel_oracles as oracle
-from conftest import exact_lattice
+from conftest import assert_same_fit, exact_lattice
 from latfit import core_model, fileio, fitting
 from latfit.core_model import (
     AffinePair,
@@ -49,6 +49,7 @@ from latfit.fitting import (
     _Objective,
     a_init_candidates,
     fit_global,
+    fit_global_stack,
     minimize_j_local,
     minimize_j_stack,
     pack,
@@ -435,6 +436,85 @@ def test_stacked_newton_rows_keep_their_own_abort_bars(params, chi_noise):
     assert res.converged[3] and res.iterations[3] > 10 and res.value[3] > full.value
 
 
+def test_late_abort_bars_drop_exactly_the_rows_their_bar_stops(params, chi_noise):
+    """A bar arriving after iteration 10 drops its row iff a value from iteration 10 on exceeds it.
+
+    Row 0 has no bar; the others' bars are pending (NaN) until row 0 stops,
+    as a multistart's later starts wait for its first.  A row whose bar
+    arrives is dropped exactly when its run with that bar known from the
+    start aborts, and otherwise equals that run bit for bit.  In the first
+    stack the bars reach rows still running, in the second rows that have
+    stopped; `start` rises by an ulp at its last step, so a bar at its value
+    one step before is exceeded only by the step after.
+    """
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    start = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    other = pack(AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6])))
+
+    def top(theta, it):
+        """The value at the top of iteration it of the run from theta with no bar."""
+        return _newton(obj, theta, TOL_GRAD, it, require_pd=False).value
+
+    full = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False)
+    slow = _newton(obj, other, TOL_GRAD, MAX_ITER_H, require_pd=False)
+    assert 10 < full.iterations < slow.iterations
+    f10, f_last = top(start, 10), top(start, full.iterations - 1)
+    assert top(start, full.iterations) > f_last            # the ulp rise of the last step
+    g10 = top(other, 10)
+    stacks = [
+        # bars reach running rows when `start` converges
+        (start, [(other, 1e9, False), (other, g10, False),
+                 (other, math.nextafter(g10, -math.inf), True), (other, full.value, True)]),
+        # bars reach stopped rows when `other` converges
+        (other, [(start, f10, False), (start, math.nextafter(f10, -math.inf), True),
+                 (start, f_last, True), (start, 0.0, True), (full.theta, 0.0, False)]),
+    ]
+    for first, rows in stacks:
+        thetas = np.stack([first] + [theta for theta, _, _ in rows])
+        late = np.array([bar for _, bar, _ in rows])
+        arrivals = []
+
+        def on_stop(done, res):
+            if 0 not in done:
+                return [], []
+            arrivals.append(int(res.iterations[0]))
+            return np.arange(1, len(thetas)), late
+
+        bars = np.r_[math.inf, np.full(len(rows), math.nan)]
+        res = _newton(obj, thetas, TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=bars,
+                      on_stop=on_stop)
+        assert len(arrivals) == 1 and arrivals[0] > 10
+        assert not res.aborted[0]
+        for k, (theta, bar, dropped) in enumerate(rows, start=1):
+            single = _newton(obj, theta, TOL_GRAD, MAX_ITER_H, require_pd=False,
+                             abort_above=bar)
+            assert res.aborted[k] == single.aborted == dropped, k
+            if not dropped:
+                assert_row_is_single_run(res, k, single)
+    assert full.iterations < arrivals[0]        # the second stack's rows had stopped
+
+
+def test_aborted_multistart_starts_neither_lower_nor_tie_the_best(params, chi_noise):
+    """In the per-start multistart an aborted start's exact total is over its point's best + 1e-12.
+
+    Warm starts in higher basins abort under the bars of the candidates
+    before them, at both points.  So the one-stack multistart, which drops
+    aborted starts with no exact energy, gives the per-start loop's fits bit
+    for bit.
+    """
+    xs = [[20.0, 20.0], [14.0, 22.0]]
+    warm = [(AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6])),
+             AffinePair(1.1 * np.eye(2), np.zeros(2))),
+            (AffinePair(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2)),)]
+    aborted = []
+    refs = oracle.fit_global_stack(chi_noise, xs, params, warm_starts=warm, aborted=aborted)
+    assert sorted(g for g, _, _ in aborted) == [0, 1]
+    assert all(total > best + 1e-12 for _, total, best in aborted)
+    for out, ref in zip(fit_global_stack(chi_noise, xs, params, warm_starts=warm), refs):
+        assert_same_fit(out, ref)
+
+
 def test_run_start_energy_is_pre_energy(params, chi_noise):
     rng = np.random.default_rng(4)
     for _ in range(3):
@@ -626,6 +706,7 @@ def test_objective_builds_j_features_once(params, chi_noise, regular_thetas):
     assert len(set(res.iterations.tolist())) > 1 and res.converged.all()
     picked = obj._points(np.array(rows[:4]), features=True)
     assert all(a is b for a, b in zip(obj._points(np.array(rows[:4]), features=True), picked))
+    assert picked[-1][0] is obj.features        # the rows read the per-point blocks in place
 
 
 def test_newton_hands_every_gradient_its_kept_cos_pass(params, chi_noise, regular_thetas):
