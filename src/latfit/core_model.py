@@ -126,10 +126,13 @@ class CellGrid:
     key (stably, so ascending within a cell), `points` and `keys` follow that
     order, and start[key] : start[key + 1] is one cell's slice of them.  The
     cells that meet a box thus form one contiguous slice per row (the
-    linked-cell method).  The edge is widened when the points' extent would
-    need more than max(4 N, 4096) cells, so a sparse cloud cannot blow up
-    the grid.
+    linked-cell method), and `near` takes the rows of the boxes of G query
+    points in one array pass.  The edge is widened when the points' extent
+    would need more than max(4 N, 4096) cells, so a sparse cloud cannot blow
+    up the grid.
     """
+
+    _SIDES = np.array([-1.0, 1.0])[:, None, None]      # a box's corners at x - r and x + r
 
     def __init__(self, positions: np.ndarray, edge: float):
         n, d = positions.shape
@@ -137,7 +140,7 @@ class CellGrid:
         span = positions.max(axis=0) - lo if n else np.zeros(d)
         edge = max(edge, float(np.prod(span + edge) / max(4 * n, 4096)) ** (1.0 / d))
         self.edge = edge if edge > 0.0 else 1.0
-        self.lo = lo.tolist()
+        self.lo = lo
         self.shape = (np.floor(span / self.edge).astype(np.intp) + 3).tolist()
         self.strides = np.cumprod([1] + self.shape[:0:-1])[::-1]
         keys = (np.floor((positions - lo) / self.edge).astype(np.intp) + 1) @ self.strides
@@ -146,30 +149,39 @@ class CellGrid:
         self.points = positions[self.order]
         self.start = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys, minlength=self.start.size - 1), out=self.start[1:])
-        self._begins = self.start[:-1].reshape(self.shape)
-        self._ends = self.start[1:].reshape(self.shape)
+        self._top = np.array(self.shape, dtype=float) - 1.0     # the last cell of each axis
 
-    def near(self, x: np.ndarray, r: float) -> np.ndarray:
-        """Grid-order positions of the points in every cell that meets |p - x|_inf <= r."""
+    def near(self, xs: np.ndarray, r: float):
+        """The points in every cell that meets |p - x|_inf <= r, for each of G points xs (G, d).
+
+        Returns (grid-order positions, bounds): point g's are positions
+        bounds[g] : bounds[g + 1], its cells row by row.  The cell box is
+        clipped to the padded grid as floats, so a point far outside cannot
+        overflow it, and keeps at least one (empty, padding) cell per axis.
+        """
         # an atom on a cell boundary just past fl(x + r) can still have fl(p - x) = r
-        reach = r * (1.0 + 1e-9)
-        box = []
-        for xk, lo, n in zip(x.tolist(), self.lo, self.shape):
-            c0 = max(math.floor((xk - reach - lo) / self.edge) + 1, 1)
-            c1 = min(math.floor((xk + reach - lo) / self.edge) + 1, n - 2)
-            if c0 > c1:
-                return np.empty(0, dtype=np.intp)
-            box.append((c0, c1))
-        rows = tuple(slice(c0, c1 + 1) for c0, c1 in box[:-1])
-        return _slices(self._begins[rows + (box[-1][0],)].ravel(),
-                       self._ends[rows + (box[-1][1],)].ravel())
+        box = np.floor((xs + self._SIDES * (r * (1.0 + 1e-9)) - self.lo) / self.edge) + 1.0
+        c0, c1 = np.minimum(np.maximum(box, 0.0), self._top).astype(np.intp)
+        ext = c1 - c0 + 1                       # cells per axis, at least 1
+        n_rows = np.multiply.reduce(ext[:, :-1], axis=1)
+        row_pt = np.arange(len(xs)).repeat(n_rows)              # the point of each row
+        rows_to = n_rows.cumsum()
+        j = np.arange(row_pt.size) - (rows_to - n_rows).repeat(n_rows)      # its row number there
+        key = (c0 @ self.strides)[row_pt]       # each row's first cell, rows in row-major order
+        for k in range(xs.shape[1] - 2, 0, -1):
+            e = ext[row_pt, k]
+            key += (j % e) * self.strides[k]
+            j //= e
+        key += j * self.strides[0]
+        near, ends = _slices(self.start[key], self.start[key + ext[row_pt, -1]])
+        return near, np.concatenate(([0], ends))[np.concatenate(([0], rows_to))]
 
 
-def _slices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The concatenated ranges a[k] : b[k]."""
+def _slices(a: np.ndarray, b: np.ndarray):
+    """The concatenated ranges a[k] : b[k], and where each of them ends in that concatenation."""
     lens = b - a
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if lens.size else 0) + np.repeat(a - ends + lens, lens)
+    ends = lens.cumsum()
+    return np.arange(ends[-1] if lens.size else 0) + (a - ends + lens).repeat(lens), ends
 
 
 def _squared_norms(diff: np.ndarray) -> np.ndarray:
@@ -198,22 +210,44 @@ def close_pairs(points: np.ndarray, r: float) -> np.ndarray:
         a = np.arange(1, n + 1) if step == 0 else grid.start[grid.keys + step]
         b = grid.start[grid.keys + step + 1]
         firsts.append(np.repeat(np.arange(n), b - a))
-        seconds.append(_slices(a, b))
+        seconds.append(_slices(a, b)[0])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    near = _squared_norms(grid.points[first] - grid.points[second]) <= r * r
+    diff = grid.points.take(first, axis=0)
+    diff -= grid.points.take(second, axis=0)
+    near = _squared_norms(diff) <= r * r
     first, second = grid.order[first[near]], grid.order[second[near]]
     pairs = np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+class Gathers:
+    """The gathers of G points in one CSR block.
+
+    Point g's atoms are rows start[g] : start[g + 1] of idx, rel and dist,
+    ascending by index; gathers[g] is its (idx, rel, dist), as views.
+    """
+
+    def __init__(self, idx: np.ndarray, rel: np.ndarray, dist: np.ndarray, start: np.ndarray):
+        self.idx, self.rel, self.dist, self.start = idx, rel, dist, start
+
+    def __len__(self) -> int:
+        return self.start.size - 1
+
+    def __getitem__(self, g: int):
+        g = range(len(self))[g]         # g < 0 counts from the end; out of range raises
+        a, b = self.start[g], self.start[g + 1]
+        return self.idx[a:b], self.rel[a:b], self.dist[a:b]
 
 
 class Configuration:
     """Atom positions with interior/boundary tags, a domain box, and a cell index.
 
     One `CellGrid` of edge lam/2 over all positions answers every radius
-    query: `local_atoms` scans the cells that meet the query box and keeps
-    the atoms with |x_i - x|^2 <= r^2, indices ascending so gathers sum in a
-    fixed order.  The hardcore pair search runs `close_pairs`.  Immutable
-    after construction.
+    query: `local_atoms` scans the cells that meet each query point's box
+    and keeps the atoms with |x_i - x|^2 <= r^2, indices ascending so
+    gathers sum in a fixed order.  One call serves one point or G points.
+    The hardcore pair search runs `close_pairs`.  Immutable after
+    construction.
     """
 
     def __init__(self, positions, interior, domain: Box, lam: float, validate: bool = True):
@@ -254,13 +288,40 @@ class Configuration:
         return self.domain.d
 
     def local_atoms(self, x, r: float):
-        """(indices, relative positions, distances) of atoms with |x_i - x| <= r."""
+        """(indices, relative positions, distances) of the atoms with |x_i - x| <= r.
+
+        x is one point (d,), or G points (G, d), which give their `Gathers`:
+        one (idx, rel, dist) per point, views into one CSR block, from one
+        pass over the candidates of every point.  A candidate's rel is its
+        position minus x, taken once from the cell index, and its dist the
+        square root of the squared norm the radius test compares with r^2
+        (`_squared_norms` adds the terms in `np.linalg.norm`'s order, so dist
+        is bit for bit the norm of rel).  One argsort of (point, index)
+        orders the block.  Points of the wrong shape, a point that is not
+        finite and a radius that is negative or not finite raise ValueError.
+        """
         x = np.asarray(x, dtype=float)
-        near = self._grid.near(x, r)
-        inside = _squared_norms(self._grid.points[near] - x) <= r * r
-        idx = np.sort(self._grid.order[near[inside]])
-        rel = self.positions[idx] - x
-        return idx, rel, np.linalg.norm(rel, axis=1)
+        if x.shape[-1:] != (self.d,) or x.ndim > 2:
+            raise ValueError(f"query points must be ({self.d},) or (G, {self.d}), got {x.shape}")
+        xs = x.reshape(-1, self.d)
+        finite = np.isfinite(xs).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"query point must be finite, got {xs[~finite][0].tolist()}")
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"query radius must be finite and >= 0, got {r}")
+        # array methods, not np.* functions: a one-point query is mostly call overhead
+        near, bounds = self._grid.near(xs, r)
+        diff = self._grid.points.take(near, axis=0)
+        diff -= xs.repeat(bounds[1:] - bounds[:-1], axis=0)
+        d2 = _squared_norms(diff)
+        keep = (d2 <= r * r).nonzero()[0]
+        start = keep.searchsorted(bounds)           # each point's first kept candidate
+        ids = self._grid.order.take(near.take(keep))
+        key = (np.arange(len(xs)) * self.n_atoms).repeat(start[1:] - start[:-1]) + ids
+        perm = key.argsort(kind="stable")       # point, then index; in runs, so stable is fastest
+        keep = keep.take(perm)
+        out = ids.take(perm), diff.take(keep, axis=0), np.sqrt(d2.take(keep))
+        return Gathers(*out, start) if x.ndim > 1 else out
 
     def hardcore_pairs(self, s0: float) -> np.ndarray:
         """All index pairs (i < j) with |x_i - x_j| < s0, cached per s0."""
@@ -268,7 +329,8 @@ class Configuration:
         if cached is not None:
             return cached
         pairs = close_pairs(self.positions, s0)
-        diff = self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]]
+        diff = self.positions.take(pairs[:, 0], axis=0)
+        diff -= self.positions.take(pairs[:, 1], axis=0)
         pairs = pairs[np.linalg.norm(diff, axis=1) < s0]
         pairs.setflags(write=False)
         self._hardcore_cache[s0] = pairs
@@ -373,10 +435,16 @@ def gather_weights(chi: Configuration, x, lam: float):
 
     Returns (rel, w, c): positions of the atoms within 2 lam relative to x,
     their cutoff weights phi(|x_i - x| / lam), and c = 1/(C_phi lam^d), so
-    rho_lam(x) = c sum(w).
+    rho_lam(x) = c sum(w).  G points x (G, d) take one `local_atoms` query
+    and give (rel, w, c, start): the blocks of every point's rel and w in
+    CSR form, point g in rows start[g] : start[g + 1], each in its own
+    one-point order.
     """
-    _, rel, dist = chi.local_atoms(x, 2.0 * lam)
-    return rel, phi_eval(dist / lam), 1.0 / (cphi(chi.d) * lam**chi.d)
+    got = chi.local_atoms(x, 2.0 * lam)
+    c = 1.0 / (cphi(chi.d) * lam**chi.d)
+    if np.ndim(x) == 1:
+        return got[1], phi_eval(got[2] / lam), c
+    return got.rel, phi_eval(got.dist / lam), c, got.start
 
 
 def local_density(chi: Configuration, x, scale: float) -> float:

@@ -178,8 +178,10 @@ class _Objective:
 
     x is one point (d,) or G points (G, d).  Each point's neighbor gather
     (relative positions and cutoff weights) is fixed and hoisted out of the
-    iteration, zero-padded to the longest; rho and the nu smoothing are
-    likewise constant per point during the (A, tau) optimization.  theta is
+    iteration, zero-padded to the longest: one `gather_weights` query takes
+    every point's, and its CSR blocks are scattered into the padded rows.
+    rho (the sum of each point's own unpadded weights) and the nu smoothing
+    are likewise constant per point during the (A, tau) optimization.  theta is
     one start (n,) or a stack of K starts (K, n) on a leading axis, and
     points names the point of each row: by default row k sits at point k,
     and one point serves every row.  `restricted` keeps some of the points,
@@ -205,19 +207,20 @@ class _Objective:
         self.j_only = j_only
         self.d = d = chi.d
         self.lam = params.lam if lam is None else lam
-        gathers = [gather_weights(chi, p, self.lam) for p in np.reshape(x, (-1, d))]
-        self.sizes = [w.size for _, w, _ in gathers]
-        if len(gathers) == 1:           # nothing to pad: a single start copies no gather
-            self.rel, self.w = gathers[0][0][None], gathers[0][1][None]
-        else:
-            m = max(self.sizes)
-            self.rel = np.zeros((len(gathers), m, d))
-            self.w = np.zeros((len(gathers), m))
-            for i, (rel, w, _) in enumerate(gathers):
-                self.rel[i, : w.size] = rel
-                self.w[i, : w.size] = w
-        self.c = np.array([c for _, _, c in gathers])
-        self.rho = np.array([float(np.sum(w)) * c for _, w, c in gathers])
+        rel, w, c, start = gather_weights(chi, np.reshape(x, (-1, d)), self.lam)
+        sizes = start[1:] - start[:-1]
+        self.sizes = sizes.tolist()
+        if sizes.size == 1:             # nothing to pad: a single start copies no gather
+            self.rel, self.w = rel[None], w[None]
+        else:                           # the CSR blocks scattered into the padded rows
+            pad = np.arange(max(self.sizes)) < sizes[:, None]
+            self.rel = np.zeros(pad.shape + (d,))
+            self.w = np.zeros(pad.shape)
+            self.w[pad] = w
+            for k in range(d):          # numpy scatters scalars much faster than rows
+                self.rel[..., k][pad] = rel[:, k]
+        self.c = np.full(sizes.size, c)
+        self.rho = np.array([float(np.sum(w[a:b])) * c for a, b in zip(start[:-1], start[1:])])
         self.eps_nu = NU_SMOOTH_FACTOR * np.maximum(self.rho, 1e-30)
         self.features = j_features(self.rel)
         self._sel = None        # (row arrays, (feature blocks, row points)) of the last selection
@@ -603,7 +606,7 @@ def a_init_candidates(chi: Configuration, x, lam: float | None = None, rels=None
         lam = chi.lam
     d = chi.d
     if rels is None:
-        rels = [chi.local_atoms(p, lam)[1] for p in np.reshape(x, (-1, d))]
+        rels = [rel for _, rel, _ in chi.local_atoms(np.reshape(x, (-1, d)), lam)]
     out = [[] for _ in rels]
     some = [g for g, rel in enumerate(rels) if rel.shape[0] >= d + 1]
     if some:

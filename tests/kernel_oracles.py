@@ -16,7 +16,14 @@ round.  It aligns each node by rounding its raw fit against its tree
 parent's aligned (y, A, tau) (`align_nodes`), where the grid composes the
 raw-fit steps.  `ring_product` rounds every step of a ring afresh, where
 the grid folds its link table.  `fd_gradients` differences node by node
-where the grid code slices arrays.  `fit_loop` runs its two sweeps one
+where the grid code slices arrays.  `local_atoms` is the gather at one point as
+the per-point cell scan took it: the cell box from Python floats, the
+candidates by fancy index, the kept indices sorted and the positions
+indexed again, where `Configuration.local_atoms` takes the boxes of G
+points in one array pass and every row once.  `objective_arrays` builds
+an `_Objective`'s gathers one `gather_weights` call per point, padding
+each point's row in a loop, where the objective makes one query and one
+scatter.  `fit_loop` runs its two sweeps one
 after the other and `fit_between` its two continuations one call each, one
 single-row `fit_from` per step, where the fit code steps both as one 2-row
 `fitting._continue`.  `fit_global` is the multistart one point at a time,
@@ -45,11 +52,12 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from latfit import fields, fitting
-from latfit.core_model import AffinePair, local_density
+from latfit.core_model import AffinePair, gather_weights, j_features, local_density
 from latfit.fitting import (
     MAX_CANDIDATES,
     MAX_ITER_H,
     N_DIRECTIONS,
+    NU_SMOOTH_FACTOR,
     STEP_CAP,
     TOL_GRAD,
     BasinEscapeError,
@@ -76,6 +84,62 @@ from latfit.topology import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def local_atoms(chi, x, r):
+    """(indices, relative positions, distances) of the atoms within r of one point x (d,).
+
+    The cells that meet the box |p - x|_inf <= r (widened by 1e-9 r, so an
+    atom on a cell boundary just past fl(x + r) is scanned) are taken row by
+    row; the atoms with dx*dx + dy*dy (+ dz*dz) <= r*r are kept, their
+    indices sorted, their positions indexed again and the norms taken by
+    `np.linalg.norm`.
+    """
+    grid = chi._grid
+    x = np.asarray(x, dtype=float)
+    reach = r * (1.0 + 1e-9)
+    box = []
+    for xk, lo, n in zip(x.tolist(), grid.lo.tolist(), grid.shape):
+        c0 = max(math.floor((xk - reach - lo) / grid.edge) + 1, 1)
+        c1 = min(math.floor((xk + reach - lo) / grid.edge) + 1, n - 2)
+        box.append((c0, c1))
+    near = []
+    if all(c0 <= c1 for c0, c1 in box):
+        begins = grid.start[:-1].reshape(grid.shape)
+        ends = grid.start[1:].reshape(grid.shape)
+        rows = tuple(slice(c0, c1 + 1) for c0, c1 in box[:-1])
+        for a, b in zip(begins[rows + (box[-1][0],)].ravel(), ends[rows + (box[-1][1],)].ravel()):
+            near.extend(range(a, b))
+    near = np.array(near, dtype=np.intp)
+    diff = grid.points[near] - x
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        d2 = d2 + diff[:, k] * diff[:, k]
+    idx = np.sort(grid.order[near[d2 <= r * r]])
+    rel = chi.positions[idx] - x
+    return idx, rel, np.linalg.norm(rel, axis=1)
+
+
+def objective_arrays(chi, xs, lam):
+    """The gathers an `_Objective` at the points xs (G, d) holds, one `gather_weights` call per point.
+
+    Returns sizes, rel and w zero-padded to the longest gather (one point
+    unpadded), c, rho = c sum(w) of each point's own gather, eps_nu and the
+    J feature blocks.
+    """
+    gathers = [gather_weights(chi, p, lam) for p in xs]
+    sizes = [w.size for _, w, _ in gathers]
+    if len(gathers) == 1:
+        rel, w = gathers[0][0][None], gathers[0][1][None]
+    else:
+        rel = np.zeros((len(gathers), max(sizes), chi.d))
+        w = np.zeros((len(gathers), max(sizes)))
+        for i, (rel_i, w_i, _) in enumerate(gathers):
+            rel[i, : w_i.size] = rel_i
+            w[i, : w_i.size] = w_i
+    rho = np.array([float(np.sum(w_i)) * c for _, w_i, c in gathers])
+    return dict(sizes=sizes, rel=rel, w=w, c=np.array([c for _, _, c in gathers]), rho=rho,
+                eps_nu=NU_SMOOTH_FACTOR * np.maximum(rho, 1e-30), features=j_features(rel))
 
 
 def g_hess(ainv):

@@ -87,6 +87,28 @@ class TestConfiguration:
                 Configuration(np.array([[1.0, 1.0], [bad, 2.0]]), np.array([True, True]),
                               box, 2.0, validate=False)
 
+    def test_queries_reject_non_finite_points_and_bad_radii(self):
+        """One point or G points: a non-finite point, or a negative or non-finite radius, is named.
+
+        A G-point query names its first non-finite point.  A zero radius is
+        a valid query (the atoms exactly at x).
+        """
+        chi = exact_lattice(np.eye(2), np.zeros(2), 2.0, 4.0)
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, np.nan]):
+            with pytest.raises(ValueError, match="query point must be finite") as err:
+                chi.local_atoms(np.array(bad), 2.0)
+            assert str(bad) in str(err.value)
+            with pytest.raises(ValueError, match="query point must be finite") as err:
+                chi.local_atoms(np.array([[1.0, 1.0], bad, [2.0, np.nan]]), 2.0)
+            assert str(bad) in str(err.value)
+        for r in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="query radius must be finite and >= 0"):
+                chi.local_atoms(np.array([1.0, 1.0]), r)
+            with pytest.raises(ValueError, match="query radius must be finite and >= 0"):
+                chi.local_atoms(np.array([[1.0, 1.0], [2.0, 2.0]]), r)
+        idx, rel, dist = chi.local_atoms(np.array([1.0, 1.0]), 0.0)
+        assert np.array_equal(chi.positions[idx], [[1.0, 1.0]]) and dist.tolist() == [0.0]
+
     def test_cell_index_matches_brute_force(self):
         rng = np.random.default_rng(0)
         box = Box(np.zeros(2), np.full(2, 10.0))

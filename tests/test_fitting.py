@@ -73,6 +73,18 @@ class TestTauInit:
             tau_init(np.eye(2), chi, np.array([0.5, 0.5]), params.lam)
 
 
+def test_fit_at_a_non_finite_point_is_a_named_error(params, chi_noise):
+    """A multistart at a point with an inf or NaN coordinate raises the gather's ValueError.
+
+    The query names the point before any cell index is computed from it (an
+    inf coordinate used to overflow in the cell box, a NaN one to fail to
+    convert to an integer).
+    """
+    for x in ([math.inf, 1.0], [1.0, -math.inf], [math.nan, 20.0]):
+        with pytest.raises(ValueError, match="query point must be finite"):
+            fit_global(chi_noise, x, params)
+
+
 class TestAInitCandidates:
     def test_square_lattice_recovered(self, params):
         a_true = np.array([[1.0, 0.15], [-0.1, 0.9]])

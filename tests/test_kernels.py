@@ -11,7 +11,9 @@ arrives late, and `a_init_candidates`, one point or a round of them,
 exactly the loop form's candidates.  The batched Newton step `_newton_steps` must make the per-row
 loop's positive-definite and escape decisions and give its steps to 1e-12
 relative, on synthetic stacks and on stacks recorded from a dipole grid
-window.
+window.  `local_atoms` at G points must give each point the per-point cell
+scan's gather bit for bit, and an `_Objective` the arrays of one
+`gather_weights` call per point.
 """
 
 import math
@@ -647,6 +649,104 @@ def test_directions_at_the_cluster_tolerance_match_oracle():
         split += n_reps[g] == 2
     assert 0 < split < len(pairs) - 1                  # both outcomes occur at the bar
     assert not np.signbit(reps[-1, 0, 1])
+
+
+def gather_battery():
+    """The queries of `test_cell_index_matches_brute_force`, as (configuration, points (G, d), r).
+
+    The same seeded clouds and points: random radii on a random cloud, the
+    pipeline's radii from points inside and far outside its atoms' box,
+    integer-lattice atoms at exactly distance r, an atom on a cell boundary
+    just past fl(x + r), an empty configuration and d = 3.  Queries of one
+    radius on one configuration form one G-point group; the random radii
+    give G = 1, and each configuration adds G = 0.
+    """
+    rng = np.random.default_rng(0)
+    box = Box(np.zeros(2), np.full(2, 10.0))
+    lam = 3.0
+    pts = rng.uniform(-4.0 * lam, 10.0 + 4.0 * lam, size=(4000, 2))
+    pts = pts[box.contains(pts, pad=4.0 * lam)]
+    chi = Configuration(pts, box.contains(pts), box, lam)
+    out = []
+    for _ in range(60):
+        x = rng.uniform(-1.0, 11.0, size=2)
+        out.append((chi, x[None], rng.uniform(0.1, 2.0 * lam)))
+    outside = [(-30.0, 5.0), (5.0, 40.0), (45.0, -45.0), (-12.5, -12.5)]
+    xs = np.concatenate([rng.uniform(-1.0, 11.0, size=(10, 2)), outside])
+    out += [(chi, xs, r) for r in (lam, 2.0 * lam, 4.0 * lam)]
+    out.append((chi, np.empty((0, 2)), lam))
+    g = np.arange(-20.0, 21.0)
+    lattice = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    chi_z = Configuration(lattice, np.zeros(len(lattice), dtype=bool), box, 4.0, validate=False)
+    out += [(chi_z, np.array([(0.0, 0.0), (3.0, -2.0)]), 5.0),
+            (chi_z, np.array([(1.0, 1.0)]), 13.0), (chi_z, np.array([(0.0, 0.0)]), 1.0),
+            (chi_z, np.array([(2.0, 7.0)]), 4.0), (chi_z, np.array([(-20.0, 20.0)]), 10.0)]
+    pair = np.array([[0.0, 0.0], [3.0, 0.0]])
+    chi_edge = Configuration(pair, np.zeros(2, dtype=bool), box, 2.0, validate=False)
+    out.append((chi_edge, np.array([[-2.697867137638703, 0.0]]), 5.697867137638703))
+    empty = Configuration(np.empty((0, 2)), np.empty(0, dtype=bool), box, lam)
+    out += [(empty, np.array([[5.0, 5.0], [50.0, -5.0]]), 2.0 * lam),
+            (empty, np.empty((0, 2)), lam)]
+    box3 = Box(np.zeros(3), np.full(3, 6.0))
+    pts3 = rng.uniform(-4.0, 10.0, size=(3000, 3))
+    chi3 = Configuration(pts3, box3.contains(pts3), box3, 1.0, validate=False)
+    xs3 = rng.uniform(-6.0, 12.0, size=(30, 3))
+    out += [(chi3, x[None], rng.uniform(0.1, 5.0)) for x in xs3]
+    out += [(chi3, xs3, r) for r in (0.5, 1.0, 2.0, 4.0)]
+    out.append((chi3, np.empty((0, 3)), 1.0))
+    return out
+
+
+def test_batched_gather_matches_per_point_oracle():
+    """`local_atoms` at G points is, point by point, the per-point cell scan, bit for bit.
+
+    On every group of `gather_battery` (G = 0, 1, 2, 14 and 30; lattice atoms
+    at exactly r; the cell-boundary reach; points outside the cloud; an
+    empty configuration; d = 3), each point's (idx, rel, dist) equals
+    `oracle.local_atoms` in dtype, shape and bytes, the views tile one CSR
+    block in point order, and a one-point call gives the same arrays.
+    Mutations caught: sorting the kept atoms by index alone across points,
+    and summing dist's squares in another order (`np.einsum` over the
+    components reversed).
+    """
+    sizes = set()
+    for chi, xs, r in gather_battery():
+        got = chi.local_atoms(xs, r)
+        assert len(got) == len(xs) and got.start[0] == 0 and got.start[-1] == len(got.idx)
+        assert len(list(got)) == len(xs)
+        if len(xs):                     # a negative index counts from the end
+            assert all(np.array_equal(a, b) for a, b in zip(got[-1], got[len(xs) - 1]))
+        sizes.add(len(xs))
+        for g, x in enumerate(xs):
+            want = oracle.local_atoms(chi, x, r)
+            one = chi.local_atoms(x, r)
+            for a, b, c in zip(got[g], want, one):
+                assert a.dtype == b.dtype == c.dtype and a.shape == b.shape == c.shape
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+            assert np.shares_memory(got[g][1], got.rel) or got[g][1].size == 0
+    assert {0, 1, 2, 14, 30} <= sizes
+
+
+def test_objective_gathers_match_per_point_gather_weights(params, chi_noise, chi_vacancies):
+    """An `_Objective` over G points holds the arrays of G one-point `gather_weights` calls.
+
+    rel, w, c, rho, eps_nu and the J feature blocks are equal in bytes, and
+    the sizes too, at lam and lam/2, for one point and for points with
+    gathers of every length: the centre, the edges, a vacancy cloud and a
+    point with no atoms.  Mutation caught: each point's rho summed over its
+    padded row instead of its own gather.
+    """
+    xs = np.array([[20.0, 20.0], [-46.0, -46.0], [86.0, 21.0], [-45.0, 30.0], [500.0, 500.0],
+                   [1.5, 38.0]])
+    for chi in (chi_noise, chi_vacancies):
+        for lam in (params.lam, params.lam / 2.0):
+            for pts in (xs, xs[:1], xs[3:5], xs[::-1]):
+                obj = _Objective(chi, pts, params, j_only=False, lam=lam)
+                want = oracle.objective_arrays(chi, pts, lam)
+                assert obj.sizes == want["sizes"]
+                for name in ("rel", "w", "c", "rho", "eps_nu", "features"):
+                    a, b = getattr(obj, name), want[name]
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_restricted_objective_is_the_one_built_at_its_points(params, chi_noise):
