@@ -30,6 +30,7 @@ holds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -48,6 +49,41 @@ from .potentials import (
     phi_eval,
     w_grad,
 )
+
+
+# ---------------------------------------------------------------------------
+# input checks: a ValueError naming the key, for values read from documents
+# ---------------------------------------------------------------------------
+
+def as_number(key: str, value) -> float:
+    """value as a float; bools, strings, lists and None are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _is_number_list(value, d: int | None) -> bool:
+    """Whether value is a list (tuple, 1-D array) of numbers, d of them when d is given."""
+    listed = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+    return (listed and (d is None or len(value) == d)
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value))
+
+
+def as_vector(key: str, value, d: int | None = None) -> tuple:
+    """value as a tuple of numbers, d of them when d is given."""
+    if not _is_number_list(value, d):
+        count = "numbers" if d is None else f"{d} numbers"
+        raise ValueError(f"{key} must be a list of {count}, got {value!r}")
+    return tuple(value)
+
+
+def as_matrix(key: str, value, d: int) -> tuple:
+    """value as a d x d tuple of rows of numbers."""
+    listed = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 2
+    if not (listed and len(value) == d and all(_is_number_list(row, d) for row in value)):
+        raise ValueError(f"{key} must be a {d} x {d} matrix, a list of {d} rows of {d} numbers, "
+                         f"got {value!r}")
+    return tuple(tuple(row) for row in value)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,15 @@ import tempfile
 
 import numpy as np
 
-from .core_model import Box, Configuration, ModelParams, RegularityThresholds
+from .core_model import (
+    Box,
+    Configuration,
+    ModelParams,
+    RegularityThresholds,
+    as_matrix,
+    as_number,
+    as_vector,
+)
 from .generators import KINDS, GeneratorSpec
 from .potentials import ElasticDensity
 
@@ -135,14 +143,6 @@ _PARAM_KEYS = {"d", "lambda", "s0", "vartheta", "E", "C1_el", "C2_el", "threshol
 _THRESHOLD_KEYS = {"eps_rho", "eps_J", "C_A"}
 
 
-def _number(doc: dict, key: str, default: float | None = None) -> float:
-    """doc[key], or default when absent, as a float; a ValueError naming key for a non-number."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def params_from_dict(doc: dict, path: str = "<params>"):
     """Strict RunConfig parser: unknown keys rejected; returns (params, domain|None)."""
     if not isinstance(doc, dict):
@@ -155,6 +155,9 @@ def params_from_dict(doc: dict, path: str = "<params>"):
         raise FileFormatError(f"{path}: d must be an integer, got {d!r}")
     tdoc = doc.get("thresholds")
     if tdoc is not None:
+        if not isinstance(tdoc, dict):
+            raise FileFormatError(f"{path}: thresholds must be an object with keys "
+                                  f"{sorted(_THRESHOLD_KEYS)}, got {tdoc!r}")
         unknown = set(tdoc) - _THRESHOLD_KEYS
         if unknown:
             raise FileFormatError(f"{path}: unknown threshold keys {sorted(unknown)}")
@@ -164,25 +167,26 @@ def params_from_dict(doc: dict, path: str = "<params>"):
     try:
         elastic = thresholds = None
         if any(k in doc for k in ("E", "C1_el", "C2_el")):
-            e_mat = np.asarray(doc.get("E", np.eye(d).tolist()), dtype=float)
-            elastic = ElasticDensity(E=e_mat, C1_el=_number(doc, "C1_el", 1.0),
-                                     C2_el=_number(doc, "C2_el", 1.0))
+            e_mat = as_matrix("E", doc["E"], d) if "E" in doc else np.eye(d)
+            elastic = ElasticDensity(E=e_mat, C1_el=as_number("C1_el", doc.get("C1_el", 1.0)),
+                                     C2_el=as_number("C2_el", doc.get("C2_el", 1.0)))
         if tdoc is not None:
-            thresholds = RegularityThresholds(eps_rho=_number(tdoc, "eps_rho"),
-                                              eps_J=_number(tdoc, "eps_J"),
-                                              C_A=_number(tdoc, "C_A"))
-        params = ModelParams(d=d, lam=_number(doc, "lambda", 12.0), s0=_number(doc, "s0", 0.5),
-                             vartheta=_number(doc, "vartheta", 1.0),
+            thresholds = RegularityThresholds(eps_rho=as_number("eps_rho", tdoc["eps_rho"]),
+                                              eps_J=as_number("eps_J", tdoc["eps_J"]),
+                                              C_A=as_number("C_A", tdoc["C_A"]))
+        params = ModelParams(d=d, lam=as_number("lambda", doc.get("lambda", 12.0)),
+                             s0=as_number("s0", doc.get("s0", 0.5)),
+                             vartheta=as_number("vartheta", doc.get("vartheta", 1.0)),
                              elastic=elastic, thresholds=thresholds)
     except ValueError as err:
         raise FileFormatError(f"{path}: {err}") from None
     domain = None
     if "domain" in doc:
         ddoc = doc["domain"]
-        if set(ddoc) != {"lo", "hi"}:
-            raise FileFormatError(f"{path}: domain needs exactly keys lo, hi")
+        if not isinstance(ddoc, dict) or set(ddoc) != {"lo", "hi"}:
+            raise FileFormatError(f"{path}: domain needs exactly keys lo, hi, got {ddoc!r}")
         try:
-            domain = Box(np.asarray(ddoc["lo"], dtype=float), np.asarray(ddoc["hi"], dtype=float))
+            domain = Box(as_vector("lo", ddoc["lo"], d), as_vector("hi", ddoc["hi"], d))
         except ValueError as err:
             raise FileFormatError(f"{path}: domain: {err}") from None
     return params, domain
@@ -204,14 +208,8 @@ def spec_from_dict(doc: dict, path: str = "<spec>") -> GeneratorSpec:
         raise FileFormatError(f"{path}: unknown spec keys {sorted(unknown)}")
     if "kind" not in doc:
         raise FileFormatError(f"{path}: spec needs a kind, one of {KINDS}")
-    kwargs = dict(doc)
-    for key in ("domain_lo", "domain_hi", "tau", "burgers", "core"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    if kwargs.get("a_matrix") is not None:
-        kwargs["a_matrix"] = tuple(tuple(row) for row in kwargs["a_matrix"])
     try:
-        return GeneratorSpec(**kwargs)
+        return GeneratorSpec(**doc)
     except (TypeError, ValueError) as err:
         raise FileFormatError(f"{path}: {err}") from None
 

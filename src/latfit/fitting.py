@@ -56,8 +56,9 @@ for d = 2) and the smoothed nu; F and nu share one Hessian of det
 (`det_hessian`).  `_newton` keeps the cos pass of each running row from
 the evaluation at its accepted iterate and hands it to the next
 `value_grad_hess` instead of redoing it.  Rows on one point read that
-point's feature block in place.  `_newton_steps` gives every row its step in one batched
-pass, with no solve per row.
+point's feature block in place.  `_newton_steps` gives every row its step
+as one expression from one batched eigendecomposition, with no solve or
+inverse per row.
 
 `fit_loop` fits the samples of a closed loop by continuation: the multistart
 runs at sample 0, and two sweeps, one each way round the loop, carry that
@@ -366,34 +367,30 @@ def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: 
     """(grad_norm, converged, escaped, step, slope, blind) of every row of a lockstep stack.
 
     gs (K, n) and hs (K, n, n) are lambda-scaled.  One batched eigh of the
-    Jacobi-equilibrated hs, which has hs's inertia (Sylvester), tests each row:
-    positive definite when its smallest eigenvalue exceeds n eps times its
-    largest.  There it gives hs^{-1} for the solve and two refinement passes;
-    elsewhere the step is the eigenvalue-floored one of hs (Nocedal & Wright,
-    sec. 3.4), or under require_pd the row escapes the basin.  Steps are
-    capped at STEP_CAP.  Each row is bit for bit that row alone.
+    Jacobi-equilibrated D^-1 hs D^-1, which has hs's inertia (Sylvester), tests
+    each row: positive definite when its smallest eigenvalue exceeds n eps
+    times its largest.  Every row's step is -V diag(1/w) V^T g.  A positive
+    definite row takes that decomposition, V = D^-1 (its eigenvectors).  Any
+    other row that has not converged takes the eigh of hs itself with its
+    eigenvalues floored (Nocedal & Wright, sec. 3.4), or under require_pd
+    escapes the basin; there and at a converged row that is not positive
+    definite w = inf, so the step is 0.  Steps are capped at STEP_CAP.  Each
+    row is bit for bit that row alone.
     """
     k_rows, n = gs.shape
     grad_norm = np.sqrt((gs * gs).sum(axis=1))
     converged = grad_norm <= tol_grad
     dj = np.sqrt(np.maximum(hs.reshape(k_rows, -1)[:, :: n + 1], 1e-300))    # sqrt diag hs
-    evals, evecs = np.linalg.eigh(hs / dj[:, :, None] / dj[:, None, :])
-    pd = evals[:, 0] > n * np.finfo(float).eps * evals[:, -1]
-    u = evecs / dj[:, :, None]
-    # the other rows divide by inf: their inverse, and so their solve, is 0
-    hinv = (u / np.where(pd[:, None, None], evals[:, None, :], np.inf)) @ u.transpose(0, 2, 1)
-    g_col = gs[:, :, None]
-    step = -(hinv @ g_col)
-    for _ in range(2):
-        step -= hinv @ (hs @ step + g_col)
-    step = step[:, :, 0]
+    w, v = np.linalg.eigh(hs / dj[:, :, None] / dj[:, None, :])
+    pd = w[:, 0] > n * np.finfo(float).eps * w[:, -1]
     indefinite = ~(pd | converged)
     escaped = indefinite & require_pd
+    v = v / dj[:, :, None]              # hs^-1 = V diag(1/w) V^T at a positive definite row
+    w = np.where(pd[:, None], w, np.inf)    # the other rows divide by inf: step 0
     if not require_pd and indefinite.any():
-        w, v = np.linalg.eigh(hs[indefinite])
-        w = np.maximum(w, np.maximum(1e-8 * np.abs(w).max(axis=1), 1e-12)[:, None])
-        coef = (v.transpose(0, 2, 1) @ g_col[indefinite]) / w[:, :, None]
-        step[indefinite] = -(v @ coef)[:, :, 0]
+        wf, v[indefinite] = np.linalg.eigh(hs[indefinite])
+        w[indefinite] = np.maximum(wf, np.maximum(1e-8 * np.abs(wf).max(axis=1), 1e-12)[:, None])
+    step = -(v @ ((v.transpose(0, 2, 1) @ gs[:, :, None]) / w[:, :, None]))[:, :, 0]
     step *= (STEP_CAP / np.maximum(np.sqrt((step * step).sum(axis=1)), STEP_CAP))[:, None]
     slope = (gs * step).sum(axis=1)
     # predicted decrease below value roundoff: the line search takes the full step

@@ -9,13 +9,15 @@ generation is bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_model import Box, Configuration, close_pairs
+from .core_model import Box, Configuration, as_matrix, as_number, as_vector, close_pairs
 
 KINDS = ("perfect", "noise", "vacancies", "edge_dislocation", "shear", "bend", "grain_boundary")
+PLANAR_KINDS = ("edge_dislocation", "bend", "grain_boundary")     # their maps are written for d = 2
 
 
 SEAM_GAP = 0.75     # a grain boundary keeps no two atoms this close
@@ -41,7 +43,12 @@ class GeneratorSpec:
     lam sizes the boundary band (4*lam) and the cell index; it should be at
     least the lam later used for analysis.  a_matrix is the reference lattice
     matrix (lattice = a_matrix^{-1} (Z^d - tau)); sigma, fraction, burgers,
-    core, gamma, kappa, angle select the deformation per kind.
+    core, gamma, kappa, angle select the deformation per kind.  Each field
+    is checked on construction, its vectors and a_matrix against the
+    domain's d (burgers only for edge_dislocation, the kind that reads it);
+    a bad value raises a ValueError naming the field, and a kind in
+    PLANAR_KINDS on a domain that is not 2-D a GenerationError naming the
+    kind.
     """
 
     kind: str
@@ -64,6 +71,27 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GenerationError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
+        lo = as_vector("domain_lo", self.domain_lo)
+        d = len(lo)
+        if self.kind in PLANAR_KINDS and d != 2:
+            raise GenerationError(f"generator kind {self.kind!r} needs a 2-D domain, "
+                                  f"got domain_lo {self.domain_lo!r}")
+        checked = {"domain_lo": lo, "domain_hi": as_vector("domain_hi", self.domain_hi, d),
+                   "burgers": as_vector("burgers", self.burgers,
+                                        d if self.kind == "edge_dislocation" else None)}
+        for key in ("tau", "core"):
+            if getattr(self, key) is not None:
+                checked[key] = as_vector(key, getattr(self, key), d)
+        if self.a_matrix is not None:
+            checked["a_matrix"] = as_matrix("a_matrix", self.a_matrix, d)
+        for key in ("lam", "sigma", "fraction", "poisson", "core_radius", "gamma", "kappa",
+                    "angle"):
+            as_number(key, getattr(self, key))
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,11 @@ def test_tracer_metrics_read_the_results_it_keeps():
 
 
 def test_same_outputs_digest_repeats_in_one_process(tmp_path):
-    """The `golden-field` seed-0 digest of `same_outputs.py`, taken twice in one process, is one.
+    """The `golden-field` seed-0 digests of `same_outputs.py`, taken twice in one process, are one.
 
     A digest that moved between two runs of one tree (an address, a set
-    order or a cache in the dump) could not tell two trees apart.
+    order or a cache in the dump) could not tell two trees apart.  Both the
+    exact and the float-free digest must repeat, and they must differ.
     """
     workloads = load_perfbench("workloads")
     digests = []
@@ -88,4 +89,5 @@ def test_same_outputs_digest_repeats_in_one_process(tmp_path):
         (tmp_path / name).mkdir()
         digests.append(same_outputs.digest("golden-field", 0, workloads, str(tmp_path / name)))
     first, second = digests
-    assert len(first) == 64 and first == second
+    assert [len(h) for h in first] == [64, 64] and first == second
+    assert first[0] != first[1]

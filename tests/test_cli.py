@@ -4,6 +4,8 @@ import shutil
 
 import pytest
 
+from latfit import cli
+
 from cli_harness import DATA, field_csv_mismatches, loop_json_mismatches, run_cli
 
 
@@ -328,3 +330,61 @@ def test_non_finite_parameter_is_named(tmp_path, edit, message):
     assert "params.json: " in proc.stderr and message in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "fit.json").exists()
+
+
+def run_in_process(capsys, *argv):
+    """`latfit *argv` through `cli.main` in this process: (exit code, stderr)."""
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("thresholds", value=5), "thresholds must be an object with keys"),
+    (_set("domain", value=5), "domain needs exactly keys lo, hi, got 5"),
+], ids=["thresholds_number", "domain_number"])
+def test_malformed_params_document_is_named(tmp_path, capsys, edit, message):
+    """A params.json entry of the wrong JSON type: exit 2, file and key named, no output."""
+    doc = json.loads((DATA / "params.json").read_text())
+    edit(doc)
+    (tmp_path / "params.json").write_text(json.dumps(doc))
+    code, err = run_in_process(capsys, "fit", "--atoms", DATA / "golden_atoms.csv",
+                               "--params", tmp_path / "params.json", "--at", "5,5",
+                               "--out", tmp_path / "fit.json")
+    assert code == 2
+    assert f"params.json: {message}" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+_PLANAR_3D = {"domain_lo": [-10, -10, -10], "domain_hi": [10, 10, 10], "lam": 2.0}
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"domain_lo": 5}, "spec.json: domain_lo must be a list of numbers, got 5"),
+    ({"a_matrix": [1, 2]}, "spec.json: a_matrix must be a 2 x 2 matrix"),
+    ({"lam": "x"}, "spec.json: lam must be a number, got 'x'"),
+    ({"seed": 1.5}, "spec.json: seed must be a non-negative integer, got 1.5"),
+    ({"sigma": "x"}, "spec.json: sigma must be a number, got 'x'"),
+    ({"core_radius": None}, "spec.json: core_radius must be a number, got None"),
+    ({"fraction": [0.1]}, "spec.json: fraction must be a number, got [0.1]"),
+    ({"gamma": {}}, "spec.json: gamma must be a number, got {}"),
+    ({"tau": [0.1]}, "spec.json: tau must be a list of 2 numbers, got [0.1]"),
+    ({"burgers": [1]}, "spec.json: burgers must be a list of 2 numbers, got [1]"),
+    ({"kind": "bend", "kappa": 0.01, **_PLANAR_3D}, "generator kind 'bend' needs a 2-D domain"),
+    ({"kind": "edge_dislocation", **_PLANAR_3D},
+     "generator kind 'edge_dislocation' needs a 2-D domain"),
+    ({"kind": "grain_boundary", "angle": 0.1, **_PLANAR_3D},
+     "generator kind 'grain_boundary' needs a 2-D domain"),
+], ids=["domain_lo_number", "a_matrix_vector", "lam_string", "seed_fraction", "sigma_string",
+        "core_radius_null", "fraction_list", "gamma_object", "tau_short", "burgers_short",
+        "bend_3d", "edge_dislocation_3d", "grain_boundary_3d"])
+def test_malformed_spec_is_named(tmp_path, capsys, keys, message):
+    """A generator spec entry of the wrong type or length, or a 2-D-only kind in 3-D: exit 2."""
+    doc = {**json.loads((DATA / "dislocation_spec.json").read_text()), **keys}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    code, err = run_in_process(capsys, "generate", "--spec", tmp_path / "spec.json",
+                               "--out", tmp_path / "atoms.csv", "--truth", tmp_path / "truth.json")
+    assert code == 2
+    assert message in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "atoms.csv").exists() and not (tmp_path / "truth.json").exists()

@@ -110,6 +110,14 @@ class TestGenerators:
         with pytest.raises(GenerationError, match="unknown generator kind"):
             GeneratorSpec(kind="quasicrystal")
 
+    @pytest.mark.parametrize("kind, value", [("perfect", {}), ("noise", {"sigma": 0.02}),
+                                             ("shear", {"gamma": 0.05})])
+    def test_d_generic_kinds_generate_in_3d(self, kind, value):
+        chi, _ = generate(GeneratorSpec(kind=kind, domain_lo=(0, 0, 0), domain_hi=(3, 3, 3),
+                                        lam=1.0, seed=2, **value))
+        assert chi.positions.shape[1] == 3 and len(chi.positions) > 1000
+        assert np.all(np.isfinite(chi.positions))
+
 
 class TestAtomsCsv:
     def test_round_trip_bit_exact(self, tmp_path, dislocation8):
