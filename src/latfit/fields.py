@@ -19,7 +19,7 @@ minimizers run stacked by the same rounds.
 
 The integer reparametrisation between the raw fits of two 4-adjacent
 nodes, a link, is rounded once per grid and kept in the grid's link table
-(`FieldGrid.link`), or the message of `find_reparam`'s refusal in its
+(`FieldGrid.link`), or the message of `round_reparam`'s refusal in its
 place.  Fits at the grid nodes are glued onto one parametrization branch by
 a spanning tree of links from a seed node: a node's alignment composes the
 links on its tree path, and plaquettes and defect rings fold the links
@@ -55,7 +55,7 @@ from .topology import (
     chain_product,
     classify_product,
     compose,
-    find_reparam,
+    round_reparam,
 )
 
 
@@ -117,19 +117,18 @@ class FieldGrid:
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
 
-    def link(self, u: tuple[int, int], v: tuple[int, int], chi: Configuration) -> Reparam | str:
-        """The raw-fit step u -> v between 4-adjacent nodes, or why `find_reparam` refused it.
+    def link(self, u: tuple[int, int], v: tuple[int, int]) -> Reparam | str:
+        """The raw-fit step u -> v between 4-adjacent nodes, or why `round_reparam` refused it.
 
         Rounded on first use and kept, so the align stage, the plaquettes and
         the defect rings round each link once.  Keys are directed: v -> u is
         rounded on its own, not taken as the inverse, so a step that fails to
-        invert shows in the plaquettes.  chi is the configuration the grid
-        was fitted on.
+        invert shows in the plaquettes.  A link needs the integers alone, so
+        no jump residual or bound is computed.
         """
         if (u, v) not in self._links:
             try:
-                step = find_reparam(self.fits[u[1]][u[0]], self.fits[v[1]][v[0]], chi, self.params)
-                self._links[u, v] = step.reparam
+                self._links[u, v] = round_reparam(self.fits[u[1]][u[0]], self.fits[v[1]][v[0]])[0]
             except ReparamError as refusal:
                 self._links[u, v] = str(refusal)
         return self._links[u, v]
@@ -153,7 +152,7 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
     order, rounds = grid_rounds(geom)
     grid = _fit_nodes(chi, geom, params, thresholds, order, rounds)
-    _align_nodes(grid, chi, order)
+    _align_nodes(grid, order)
     _branch_points(grid, chi, rounds)
     return grid
 
@@ -230,13 +229,13 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
                      tau_tilde=np.full((ny, nx, 2), np.nan))
 
 
-def _align_nodes(grid: FieldGrid, chi: Configuration, order: list) -> None:
+def _align_nodes(grid: FieldGrid, order: list) -> None:
     """Align stage: fills grid.align and grid.component by a spanning tree of raw-fit steps.
 
     Alignment propagates by breadth-first search from a seed (the valid node
     first in seed order); disconnected valid regions get their own seeds,
     recorded in `component`.  Edge u -> v is the grid's link u -> v, which
-    rounds the two raw fits with J from their breakdowns (no gather), and
+    rounds the two raw fits (no gather, no J), and
     align[v] = compose(align[u], step); a refused link is not a tree edge.
     """
     ny, nx = grid.shape
@@ -257,7 +256,7 @@ def _align_nodes(grid: FieldGrid, chi: Configuration, order: list) -> None:
                 inside = 0 <= nx_ < nx and 0 <= ny_ < ny
                 if not (inside and grid.valid[ny_, nx_]) or component[ny_, nx_] >= 0:
                     continue
-                step = grid.link((cx, cy), (nx_, ny_), chi)
+                step = grid.link((cx, cy), (nx_, ny_))
                 if isinstance(step, str):
                     continue
                 component[ny_, nx_] = comp
@@ -300,13 +299,13 @@ def _branch_points(grid: FieldGrid, chi: Configuration, rounds: list) -> None:
     grid.valid, grid.component, grid.invalid_reason = valid, component, reasons
 
 
-def _ring_product(field: FieldGrid, ring, chi: Configuration) -> Reparam | None:
+def _ring_product(field: FieldGrid, ring) -> Reparam | None:
     """Fold of the grid's links round a closed ring of nodes; None if invalid or refused."""
     if not all(field.valid[iy, ix] for ix, iy in ring):
         return None
     steps = []
     for u, v in zip(ring, ring[1:] + ring[:1]):
-        step = field.link(u, v, chi)
+        step = field.link(u, v)
         if isinstance(step, str):
             return None
         steps.append(step)
@@ -317,11 +316,12 @@ def plaquette_products(field: FieldGrid, chi: Configuration) -> dict[tuple[int, 
     """Product of the four raw-fit links around each all-valid plaquette.
 
     Keyed by the lower-left node (ix, iy); (Id, 0) away from enclosed defects.
-    The links come from the grid's link table, rounded once per grid.
+    The links come from the grid's link table, rounded once per grid; chi,
+    the configuration the grid was fitted on, is not read.
     """
     ny, nx = field.shape
     products = {(ix, iy): _ring_product(field, [(ix, iy), (ix + 1, iy), (ix + 1, iy + 1),
-                                                (ix, iy + 1)], chi)
+                                                (ix, iy + 1)])
                 for iy in range(ny - 1) for ix in range(nx - 1)}
     return {node: p for node, p in products.items() if p is not None}
 
@@ -582,6 +582,7 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
     Burgers content; the links the align stage rounded are not rounded
     again.  A ring with a refused link gives way to the next larger one;
     clusters with no usable ring inside the grid are reported unringable.
+    chi, the configuration the grid was fitted on, is not read.
     """
     ny, nx = field.shape
     seen = field.valid.copy()       # a valid node joins no cluster
@@ -617,7 +618,7 @@ def defect_map(field: FieldGrid, chi: Configuration) -> DefectMap:
                     + [(x1, y) for y in range(y0, y1)]
                     + [(x, y1) for x in range(x1, x0, -1)]
                     + [(x0, y) for y in range(y1, y0, -1)])
-            product = _ring_product(field, ring, chi)
+            product = _ring_product(field, ring)
             if product is not None:
                 cluster = DefectCluster(nodes=nodes, ring=tuple(ring), product=product,
                                         classification=classify_product(product),

@@ -10,12 +10,16 @@ A continuation step (`_continue`, the one policy for grids, loops and
 `fit_between`) runs one start alone from a caller's predictor, a
 neighbour's fit carried over by `transport`, with its A scaled onto the
 det A = rho(x) ridge of nu, the kink Newton would otherwise cross back and
-forth for its first steps.  A step that fails, does not converge or is not
-regular, and a point with no predictor, get the multistart, whose starts
-are never scaled (Allgower & Georg, *Introduction to Numerical Continuation
-Methods*, ch. 2).  Both finish a start the same way (canonical tau, exact
-energy from the Newton's own gather, regular-pair test on that energy's rho
-and J, with no second gather).
+forth for its first steps.  Its Newton also cuts a step that would carry an
+iterate off the ridge across it (`_ridge_cut`): the step stops where its
+linearized det A meets rho, so an iterate that has left the ridge comes
+back to it in one step instead of overshooting and halving its way back.
+A step that fails, does not converge or is not regular, and a point with
+no predictor, get the multistart, whose starts are never scaled and whose
+steps are never cut (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*, ch. 2).  Both finish a start the same way (canonical
+tau, exact energy from the Newton's own gather, regular-pair test on that
+energy's rho and J, with no second gather).
 
 `_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
 on a leading axis.  A stack is stepped in lockstep: one evaluation of the
@@ -398,9 +402,34 @@ def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: 
     return grad_norm, converged, escaped, step, slope, blind
 
 
+def _ridge_cut(obj: _Objective, base: np.ndarray, p: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per row, the step length t_c at which step p's linearized det A reaches the nu ridge, else 1.
+
+    u = det A - rho at the row's base iterate moves along p as
+    u + t det A tr(A^{-1} P) to first order (P is p's A block).  A row more
+    than eps_nu off the ridge whose full step would land more than eps_nu
+    beyond it, on the other side, stops at t_c = -u / (det A tr(A^{-1} P)),
+    in (0, 1), the breakpoint of the piecewise-smooth nu (Nocedal & Wright,
+    ch. 3 and sec. 16.7).  Every other row keeps t = 1.  Elementwise per row,
+    for any d.
+    """
+    d = obj.d
+    a = base[:, : d * d].reshape(-1, d, d)
+    det_a = _det(a)
+    rho, eps = obj._points(points)[3:5]
+    u0 = det_a - rho
+    du = det_a * (_inv(a, det_a).transpose(0, 2, 1) * p[:, : d * d].reshape(-1, d, d)
+                  ).reshape(len(u0), -1).sum(axis=1)
+    u1 = u0 + du
+    cut = (np.abs(u0) > eps) & (np.abs(u1) > eps) & ((u0 > 0.0) != (u1 > 0.0))
+    t_c = np.ones_like(u0)
+    t_c[cut] = -u0[cut] / du[cut]
+    return t_c
+
+
 def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             require_pd: bool, abort_above: float | np.ndarray | None = None,
-            points=None, on_stop=None) -> _NewtonResult:
+            points=None, on_stop=None, ridge_cut: bool = False) -> _NewtonResult:
     """Damped Newton in the lambda-scaled metric; steps accepted only on decrease.
 
     theta0 is one start (n,) or K starts (K, n) stepped in lockstep: one
@@ -424,6 +453,12 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     - det A <= 0 at the start: value +inf, 0 iterations;
     - left the basin (`escaped`): require_pd and the Hessian is not positive
       definite.
+    Under ridge_cut (on h only, not J alone) a step is capped a second time,
+    after STEP_CAP: a row more than eps_nu off the det A = rho ridge whose
+    step would land more than eps_nu beyond it takes the step, and its
+    slope, scaled by `_ridge_cut`'s t_c < 1, so the line search starts on
+    the ridge.  The factor is elementwise per row, so each row is still its
+    single run.
     A bar may be pending (NaN): the caller learns it only once other rows
     have stopped.  Such a row runs on as if it had no bar, with its highest
     value at an iteration top from iteration 10 on recorded.  A row is done
@@ -499,6 +534,9 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
                 break
             rows, base, step, slope, blind = rows[go], base[go], step[go], slope[go], blind[go]
         p = step / scale
+        if ridge_cut and not obj.j_only:
+            t_c = _ridge_cut(obj, base, p, points[rows])
+            p, slope = p * t_c[:, None], slope * t_c
         f_rows = f_cur[rows]
         cos_rows, slot = rows, np.arange(rows.size)
         # every row still searching has the same step length t
@@ -959,14 +997,16 @@ def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelP
     """One continuation Newton on h per row, all rows one lockstep stack on obj's gathers.
 
     Row k starts from affs[k] at xs[k], on obj's point points[k], with A
-    scaled onto that point's det A = rho ridge (`_on_ridge`).  Each row is
-    the run it makes alone, bit for bit, and keeps affs[k]'s integer
-    parametrisation (tau wrapped to [0, 1)).  A row whose start has
+    scaled onto that point's det A = rho ridge (`_on_ridge`), and its Newton
+    cuts every step that would cross the ridge from off it (ridge_cut).
+    Each row is the run it makes alone, bit for bit, and keeps affs[k]'s
+    integer parametrisation (tau wrapped to [0, 1)).  A row whose start has
     det A <= 0 comes back as None.
     """
     theta0 = _on_ridge(np.stack([pack(a) for a in affs]), obj.rho[points], chi.d)
     try:
-        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, points=points)
+        res = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False, points=points,
+                      ridge_cut=True)
     except FitError:
         return [None] * len(affs)
     out = []

@@ -45,7 +45,9 @@ class GeneratorSpec:
     matrix (lattice = a_matrix^{-1} (Z^d - tau)); sigma, fraction, burgers,
     core, gamma, kappa, angle select the deformation per kind.  Each field
     is checked on construction, its vectors and a_matrix against the
-    domain's d (burgers only for edge_dislocation, the kind that reads it);
+    domain's d (burgers only for edge_dislocation, the kind that reads it),
+    every number and entry for finiteness, and poisson for
+    -1 < poisson <= 1/2, the range of an isotropic solid's Poisson ratio;
     a bad value raises a ValueError naming the field, and a kind in
     PLANAR_KINDS on a domain that is not 2-D a GenerationError naming the
     kind.
@@ -84,9 +86,14 @@ class GeneratorSpec:
                 checked[key] = as_vector(key, getattr(self, key), d)
         if self.a_matrix is not None:
             checked["a_matrix"] = as_matrix("a_matrix", self.a_matrix, d)
-        for key in ("lam", "sigma", "fraction", "poisson", "core_radius", "gamma", "kappa",
-                    "angle"):
-            as_number(key, getattr(self, key))
+        nums = {key: as_number(key, getattr(self, key))
+                for key in ("lam", "sigma", "fraction", "poisson", "core_radius", "gamma",
+                            "kappa", "angle")}
+        for key, value in {**checked, **nums}.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        if not -1.0 < nums["poisson"] <= 0.5:
+            raise ValueError(f"poisson must satisfy -1 < poisson <= 1/2, got {self.poisson!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

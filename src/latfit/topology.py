@@ -147,22 +147,19 @@ def _misfit(fit, chi: Configuration, lam: float) -> float:
     return j_lambda(aff, chi, y, lam)
 
 
-def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainStep:
-    """Unique reparametrisation connecting two nearby fitted pairs.
+def round_reparam(fit1, fit2) -> tuple[Reparam, float]:
+    """(the reparametrisation connecting two nearby fitted pairs, its rounding gap).
 
     Endpoints are FitResults or (y, AffinePair).  B is the rounding of
-    A1 A2^{-1}; t rounds the transported phase mismatch.  A rounding gap
-    above 0.25 means the integer candidate is not safely unique and the step
-    is refused.  A FitResult's J is taken from its breakdown, not recomputed.
+    A1 A2^{-1}; t rounds the transported phase mismatch
+    tau1 + ((B A2 + A1)/2)(y2 - y1) - B tau2.  A rounding gap above 0.25
+    means the integer candidate is not safely unique and raises
+    AmbiguousReparamError; a B with det B != 1 raises ReparamError.  The gap
+    is the larger of the two.  No residual, bound or J is computed: a grid
+    link (`FieldGrid.link`) needs only the integers.
     """
     y1, aff1 = _as_point_aff(fit1)
     y2, aff2 = _as_point_aff(fit2)
-    lam = params.lam
-    dy = y2 - y1
-    sep = float(np.linalg.norm(dy))
-    if sep > 1.5 * lam + 1e-9:
-        raise ValueError(f"points are {sep:g} apart; chain steps require <= 1.5*lam = {1.5 * lam:g}")
-
     r = aff1.A @ np.linalg.inv(aff2.A)
     b = np.round(r)
     gap_b = float(np.max(np.abs(r - b)))
@@ -172,16 +169,33 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
     b = b.astype(np.int64)
     if _int_det(b) != 1:
         raise ReparamError(f"orientation/volume mismatch: det B = {_int_det(b)}")
-
-    ba2 = b @ aff2.A
-    t_real = aff1.tau + 0.5 * (ba2 + aff1.A) @ dy - b @ aff2.tau
+    t_real = aff1.tau + 0.5 * (b @ aff2.A + aff1.A) @ (y2 - y1) - b @ aff2.tau
     t = np.round(t_real)
     gap_t = float(np.max(np.abs(t_real - t)))
     if gap_t > 0.25:
         raise AmbiguousReparamError(
             f"ambiguous reparametrisation: tau-rounding gap {gap_t:.3f} > 0.25")
-    rep = Reparam(b, t.astype(np.int64))
+    return Reparam(b, t.astype(np.int64)), max(gap_b, gap_t)
 
+
+def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainStep:
+    """Unique reparametrisation connecting two nearby fitted pairs, with residuals and bounds.
+
+    Endpoints are FitResults or (y, AffinePair), at most 1.5 lam apart.  The
+    integers and the refusals are `round_reparam`'s; this adds the jump
+    residuals and the theorem's bounds on them.  A FitResult's J is taken
+    from its breakdown, not recomputed.
+    """
+    y1, aff1 = _as_point_aff(fit1)
+    y2, aff2 = _as_point_aff(fit2)
+    lam = params.lam
+    dy = y2 - y1
+    sep = float(np.linalg.norm(dy))
+    if sep > 1.5 * lam + 1e-9:
+        raise ValueError(f"points are {sep:g} apart; chain steps require <= 1.5*lam = {1.5 * lam:g}")
+    rep, gap = round_reparam(fit1, fit2)
+
+    ba2 = rep.B @ aff2.A
     delta_a = float(np.linalg.norm(np.eye(chi.d) - np.linalg.inv(aff1.A) @ ba2))
     delta_tau = float(np.linalg.norm(rep.B @ aff2.tau + rep.t - aff1.tau - 0.5 * (ba2 + aff1.A) @ dy))
 
@@ -197,7 +211,7 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
     return ChainStep(y1=y1, y2=y2, aff1=aff1, aff2=aff2, reparam=rep,
                      delta_a=delta_a, delta_tau=delta_tau,
                      bound_a=bound_a, bound_tau=bound_tau,
-                     j1=j1, j2=j2, gap=max(gap_b, gap_t))
+                     j1=j1, j2=j2, gap=gap)
 
 
 def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configuration,

@@ -370,6 +370,14 @@ _PLANAR_3D = {"domain_lo": [-10, -10, -10], "domain_hi": [10, 10, 10], "lam": 2.
     ({"gamma": {}}, "spec.json: gamma must be a number, got {}"),
     ({"tau": [0.1]}, "spec.json: tau must be a list of 2 numbers, got [0.1]"),
     ({"burgers": [1]}, "spec.json: burgers must be a list of 2 numbers, got [1]"),
+    ({"core_radius": math.nan}, "spec.json: core_radius must be finite, got nan"),
+    ({"poisson": math.nan}, "spec.json: poisson must be finite, got nan"),
+    ({"kind": "noise", "sigma": math.nan}, "spec.json: sigma must be finite, got nan"),
+    ({"lam": math.inf}, "spec.json: lam must be finite, got inf"),
+    ({"core": [0.5, math.nan]}, "spec.json: core must be finite, got [0.5, nan]"),
+    ({"a_matrix": [[1.0, 0.0], [0.0, math.inf]]}, "spec.json: a_matrix must be finite"),
+    ({"poisson": 1.0}, "spec.json: poisson must satisfy -1 < poisson <= 1/2, got 1.0"),
+    ({"poisson": -1.0}, "spec.json: poisson must satisfy -1 < poisson <= 1/2, got -1.0"),
     ({"kind": "bend", "kappa": 0.01, **_PLANAR_3D}, "generator kind 'bend' needs a 2-D domain"),
     ({"kind": "edge_dislocation", **_PLANAR_3D},
      "generator kind 'edge_dislocation' needs a 2-D domain"),
@@ -377,9 +385,12 @@ _PLANAR_3D = {"domain_lo": [-10, -10, -10], "domain_hi": [10, 10, 10], "lam": 2.
      "generator kind 'grain_boundary' needs a 2-D domain"),
 ], ids=["domain_lo_number", "a_matrix_vector", "lam_string", "seed_fraction", "sigma_string",
         "core_radius_null", "fraction_list", "gamma_object", "tau_short", "burgers_short",
+        "core_radius_nan", "poisson_nan", "noise_sigma_nan", "lam_inf", "core_nan",
+        "a_matrix_inf", "poisson_one", "poisson_minus_one",
         "bend_3d", "edge_dislocation_3d", "grain_boundary_3d"])
 def test_malformed_spec_is_named(tmp_path, capsys, keys, message):
-    """A generator spec entry of the wrong type or length, or a 2-D-only kind in 3-D: exit 2."""
+    """A generator spec entry of the wrong type or length, a non-finite number or vector entry,
+    a Poisson ratio outside (-1, 1/2], or a 2-D-only kind in 3-D: exit 2."""
     doc = {**json.loads((DATA / "dislocation_spec.json").read_text()), **keys}
     (tmp_path / "spec.json").write_text(json.dumps(doc))
     code, err = run_in_process(capsys, "generate", "--spec", tmp_path / "spec.json",

@@ -29,7 +29,7 @@ from latfit.fitting import FitError, fit_global, fit_global_stack
 from latfit.generators import Box as GenBox  # same class, readability
 from latfit.generators import GeneratorSpec, edge_dipole, generate
 from latfit.potentials import c_con, c_tilde_nabla
-from latfit.topology import Reparam, compose
+from latfit.topology import Reparam, ReparamError, compose, find_reparam
 
 
 @pytest.fixture(scope="module")
@@ -329,9 +329,9 @@ class TestDefectMap:
         assert cluster.classification == "trivial"
         # the link table says why the smallest ring was refused
         for u, v in (((1, 2), (2, 2)), ((2, 2), (1, 2))):
-            refusal = turned.link(u, v, chi)
+            refusal = turned.link(u, v)
             assert isinstance(refusal, str) and "A-rounding gap" in refusal
-        assert isinstance(turned.link((1, 1), (1, 2), chi), Reparam)
+        assert isinstance(turned.link((1, 1), (1, 2)), Reparam)
         assert_rings_match_oracle(turned, chi)
         # no larger ring fits inside the grid
         corner = with_defect((1, 1), (0, 0))
@@ -537,14 +537,14 @@ def test_each_link_is_rounded_once(grid_params):
     tight = low_energy_thresholds(0.01, grid_params)
     geom = GridGeometry(origin=(-12.0, -4.0), h=2.0, nx=6, ny=5)
     rounded = []
-    find_reparam = fields.find_reparam
+    round_reparam = fields.round_reparam
 
-    def recording_find_reparam(fit1, fit2, *args):
+    def recording_round_reparam(fit1, fit2):
         rounded.append((tuple(fit1.position), tuple(fit2.position)))
-        return find_reparam(fit1, fit2, *args)
+        return round_reparam(fit1, fit2)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "find_reparam", recording_find_reparam)
+        mp.setattr(fields, "round_reparam", recording_round_reparam)
         field = evaluate_grid(chi, geom, grid_params, thresholds=tight)
         aligned = len(rounded)
         dm = defect_map(field, chi)
@@ -553,6 +553,33 @@ def test_each_link_is_rounded_once(grid_params):
     assert aligned > 0 and len(rounded) > aligned
     assert len(set(rounded)) == len(rounded)
     assert_rings_match_oracle(field, chi)
+
+
+def test_links_are_find_reparams_integers_and_refusals(grid_params):
+    """Every link of a dipole-core window, both ways, is `find_reparam`'s Reparam or refusal.
+
+    A link rounds with `round_reparam` alone, without the jump residuals and
+    bounds, so the two must agree on every pair of fitted 4-neighbours,
+    refused ones included.
+    """
+    box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
+    tight = low_energy_thresholds(0.01, grid_params)
+    geom = GridGeometry(origin=(-12.0, -4.0), h=2.0, nx=6, ny=5)
+    field = evaluate_grid(chi, geom, grid_params, thresholds=tight)
+    links = [((ix, iy), (ix + dx, iy + dy)) for iy in range(geom.ny) for ix in range(geom.nx)
+             for dx, dy in fields._STEPS
+             if 0 <= ix + dx < geom.nx and 0 <= iy + dy < geom.ny]
+    kinds = []
+    for u, v in links:
+        fit_u, fit_v = field.fits[u[1]][u[0]], field.fits[v[1]][v[0]]
+        try:
+            want = find_reparam(fit_u, fit_v, chi, grid_params).reparam
+        except ReparamError as refusal:
+            want = str(refusal)
+        assert field.link(u, v) == want
+        kinds.append(type(want))
+    assert len(links) == 2 * (2 * 6 * 5 - 6 - 5) and set(kinds) == {Reparam, str}
 
 
 def test_align_stage_gathers_nothing(grid_params):
@@ -572,7 +599,7 @@ def test_align_stage_gathers_nothing(grid_params):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Configuration, "local_atoms", counting_local_atoms)
-        fields._align_nodes(grid, chi, order)
+        fields._align_nodes(grid, order)
     assert grid.valid.all() and (grid.component == 0).all() and gathers == []
 
 
@@ -617,8 +644,8 @@ def test_alignment_composes_raw_steps(perfect_field, grid_params):
     fits[node[1]][node[0]] = dataclasses.replace(raw, aff_hat=gauge.apply(raw.aff_hat))
     # the stage fills the grid it is given: copies, so the module's field keeps its own
     base, regauged = dataclasses.replace(field), dataclasses.replace(field, fits=fits)
-    fields._align_nodes(base, chi, order)
-    fields._align_nodes(regauged, chi, order)
+    fields._align_nodes(base, order)
+    fields._align_nodes(regauged, order)
     align, component = base.align, base.component
     align_g, component_g = regauged.align, regauged.component
     assert field.align is not align and field.component is not component

@@ -9,6 +9,7 @@ from latfit import core_model, fitting
 from latfit.core_model import AffinePair, Box, Configuration, local_density, low_energy_thresholds
 from latfit.fields import GridGeometry, evaluate_grid
 from latfit.fitting import (
+    COPY_TOL,
     MAX_ITER_H,
     TOL_GRAD,
     FitError,
@@ -180,6 +181,37 @@ def test_newton_exits(params, chi_noise):
     flipped = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])    # A = diag(1, -1), tau = 0
     with pytest.raises(FitError, match="det A <= 0"):
         _newton(obj, flipped, TOL_GRAD, MAX_ITER_H, require_pd=False)
+
+
+def test_ridge_cut_reaches_the_same_minimizer_in_fewer_steps(params, chi_noise):
+    """A = 1.1 I is far off det A = rho; cut at the nu ridge, Newton reaches the uncut minimizer sooner.
+
+    Uncut, the first steps overshoot the ridge the smoothed nu hides within
+    eps_nu and back off by halving; cut, each crossing step stops on the
+    linearized ridge.  Trials are the rows of every `_value` call.
+    """
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    theta0 = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    assert abs(np.linalg.det(1.1 * np.eye(2)) - obj.rho[0]) > 1e4 * obj.eps_nu[0]
+    value = obj._value
+    runs = {}
+    for cut in (False, True):
+        trials = []
+
+        def counting_value(theta, points, trials=trials):
+            trials.append(len(theta))
+            return value(theta, points)
+
+        obj._value = counting_value
+        runs[cut] = _newton(obj, theta0, TOL_GRAD, MAX_ITER_H, require_pd=False,
+                            ridge_cut=cut), sum(trials)
+    del obj._value
+    (plain, plain_trials), (cut, cut_trials) = runs[False], runs[True]
+    assert plain.converged and cut.converged
+    assert abs(cut.value - plain.value) <= 1e-12
+    assert np.max(np.abs(cut.theta - plain.theta)) <= COPY_TOL
+    assert cut.iterations < plain.iterations and cut_trials < plain_trials
 
 
 class TestFitGlobal:

@@ -6,10 +6,11 @@ different floating-point order; they must agree to 1e-12 relative.  F's
 closed-form d = 2 value and gradient must agree with the singular-value forms
 to the same tolerance.  A stack of K starts must give, row for row, exactly
 the bits of K single calls, in the kernels and through `_newton`'s exits,
-also when each row has its own gather of its own length or its abort bar
-arrives late, and `a_init_candidates`, one point or a round of them,
-exactly the loop form's candidates.  The batched Newton step `_newton_steps` must make the per-row
-loop's positive-definite and escape decisions and give its steps to 1e-12
+also when each row has its own gather of its own length, its abort bar
+arrives late or its steps are cut at the nu ridge, and `a_init_candidates`,
+one point or a round of them, exactly the loop form's candidates.  The
+batched Newton step `_newton_steps` must make the per-row loop's
+positive-definite and escape decisions and give its steps to 1e-12
 relative, on synthetic stacks and on stacks recorded from a dipole grid
 window.  `local_atoms` at G points must give each point the per-point cell
 scan's gather bit for bit, and an `_Objective` the arrays of one
@@ -49,6 +50,8 @@ from latfit.fitting import (
     _newton,
     _newton_steps,
     _Objective,
+    _on_ridge,
+    _ridge_cut,
     a_init_candidates,
     fit_global,
     fit_global_stack,
@@ -410,6 +413,92 @@ def test_stacked_newton_rows_match_single_runs(params, chi_noise):
         single = _newton(obj, thetas[k], TOL_GRAD, MAX_ITER_H, require_pd=False, abort_above=0.0)
         assert_row_is_single_run(aborted, k, single)
     assert aborted.iterations.tolist() == [0, 10] and aborted.converged.tolist() == [True, False]
+
+
+def test_ridge_cut_stack_mixes_cut_and_uncut_rows_as_single_runs(params, chi_noise):
+    """Under ridge_cut each row of a stack is its single run bit for bit, cut or not.
+
+    The starts off det A = rho (A = 1.1 I, and 0.93 I scaled onto the ridge,
+    whose first steps leave it) take cut steps and end away from their uncut
+    runs' bits.  A start at the minimizer and one moved in tau alone stay
+    within eps_nu of the ridge and keep their uncut runs' bits.
+    """
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    start = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    conv = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False).theta
+    other = pack(AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6])))
+    thetas = np.stack([start, conv, conv + np.array([0.0, 0.0, 0.0, 0.0, 0.05, -0.04]),
+                       _on_ridge(other[None], obj.rho, 2)[0]])
+    res = _newton(obj, thetas, TOL_GRAD, MAX_ITER_H, require_pd=False, ridge_cut=True)
+    moved = []
+    for k, theta in enumerate(thetas):
+        single = _newton(obj, theta, TOL_GRAD, MAX_ITER_H, require_pd=False, ridge_cut=True)
+        assert_row_is_single_run(res, k, single)
+        plain = _newton(obj, theta, TOL_GRAD, MAX_ITER_H, require_pd=False)
+        moved.append(not np.array_equal(single.theta, plain.theta))
+        assert single.converged and single.iterations <= plain.iterations
+    assert moved == [True, False, False, True]
+    assert res.iterations[2] > 0
+
+
+def test_ridge_cut_stops_only_steps_that_cross_the_ridge(params, chi_noise):
+    """`_ridge_cut` is 1 unless a row more than eps_nu off the ridge steps more than eps_nu across.
+
+    A crossing row stops where its linearized det A meets rho.  A row on
+    the ridge, a row stepping along or away from it and a row landing within
+    eps_nu beyond it keep the full step, bit for bit.
+    """
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    rho, eps = obj.rho[0], obj.eps_nu[0]
+    on = _on_ridge(pack(AffinePair(np.eye(2), np.zeros(2)))[None], obj.rho, 2)[0]
+    off = pack(AffinePair(1.1 * np.eye(2), np.zeros(2)))
+    shrink = np.array([-0.2, 0.0, 0.0, -0.2, 0.3, 0.1])     # det A falls by about 0.4
+    to_edge = np.zeros(6)
+    to_edge[0] = -(1.21 - rho + 0.5 * eps) / 1.1            # lands eps_nu / 2 beyond rho
+    bases = np.stack([off, on, on, off, off, off])
+    steps = np.stack([shrink, shrink, -shrink, -shrink,
+                      np.array([0.0, 0.1, -0.1, 0.0, 0.5, 0.5]), to_edge])
+    t_c = _ridge_cut(obj, bases, steps, np.zeros(len(bases), dtype=int))
+    assert 0.0 < t_c[0] < 1.0 and t_c[1:].tolist() == [1.0] * 5
+    # the same step a little longer crosses by more than eps_nu: cut
+    assert _ridge_cut(obj, off[None], 1.02 * to_edge[None], np.zeros(1, dtype=int))[0] < 1.0
+    a = 1.1 * np.eye(2)
+    lin = np.linalg.det(a) * (1.0 + t_c[0] * np.trace(np.linalg.inv(a) @ shrink[:4].reshape(2, 2)))
+    assert abs(lin - rho) <= 1e-12
+
+
+def test_continuation_rows_take_cut_steps(params, chi_noise):
+    """`_fit_from_rows` runs its Newton under ridge_cut: a row is the cut run from its ridge start."""
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=False)
+    aff = AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6]))
+    start = _on_ridge(pack(aff)[None], obj.rho, 2)[0]
+    (fit,) = _fit_from_rows(obj, [aff], x[None], chi_noise, params, None, np.array([0]))
+    cut = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False, ridge_cut=True)
+    plain = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False)
+    assert fit.converged and fit.iterations == cut.iterations < plain.iterations
+    assert fit.grad_norm == cut.grad_norm
+    want = _exact(obj, cut.theta, params)[0]
+    assert np.array_equal(fit.aff_hat.A, want.A) and np.array_equal(fit.aff_hat.tau, want.tau)
+
+
+def test_ridge_cut_leaves_j_only_runs_untouched(params, chi_noise):
+    """J has no nu ridge: with ridge_cut a J-only run is the uncut run bit for bit."""
+    x = np.array([20.0, 20.0])
+    obj = _Objective(chi_noise, x, params, j_only=True)
+    thetas = np.stack([pack(AffinePair(1.1 * np.eye(2), np.zeros(2))),
+                       pack(AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6])))])
+    for require_pd in (False, True):
+        plain = _newton(obj, thetas, TOL_GRAD, MAX_ITER_H, require_pd=require_pd)
+        cut = _newton(obj, thetas, TOL_GRAD, MAX_ITER_H, require_pd=require_pd, ridge_cut=True)
+        for k in range(len(thetas)):
+            assert_row_is_single_run(cut, k, SimpleNamespace(
+                theta=plain.theta[k], converged=plain.converged[k],
+                iterations=plain.iterations[k], grad_norm=plain.grad_norm[k],
+                value=plain.value[k]))
+            assert cut.escaped[k] == plain.escaped[k]
 
 
 def test_stacked_newton_rows_keep_their_own_abort_bars(params, chi_noise):
