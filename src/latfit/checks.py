@@ -12,7 +12,7 @@ not run at all reports SKIP, which fails nothing and passes nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,11 +119,11 @@ def run_checks(chi: Configuration, params: ModelParams, seed: int = 0,
                                f"{len(good)}/{n_samples} sample fits converged"))
 
     # 2. low-energy points are regular (lemma thresholds)
-    thr = low_energy_thresholds(eps_hat, params)
+    lemma = replace(params, thresholds=low_energy_thresholds(eps_hat, params))
     low = [f for f in good if f.breakdown.total <= eps_hat]
     bad = []
     for f in low:
-        ok, _ = is_regular_pair(f.position, f.aff_hat, chi, params, thr)
+        ok, _ = is_regular_pair(f.position, f.aff_hat, chi, lemma)
         if not ok:
             bad.append(f.position)
         if float(np.linalg.det(f.aff_hat.A)) > 1.5 * params.elastic.det_e + 1e-9:

@@ -157,6 +157,8 @@ def cmd_loop(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise FileFormatError(f"--seed must be a non-negative integer, got {args.seed}")
     params, chi = _load_configuration(args)
     report = run_checks(chi, params, seed=args.seed)
     for line in report.lines():

@@ -777,17 +777,16 @@ class RegularityReport:
         return self.norm_ok and self.density_ok and self.j_ok and self.hardcore_ok
 
 
-def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams,
-                    thresholds: RegularityThresholds | None = None):
-    """Regular-pair test; returns (bool, RegularityReport with per-condition margins)."""
+def is_regular_pair(x, aff: AffinePair, chi: Configuration, params: ModelParams):
+    """Regular-pair test under params.thresholds; returns (bool, RegularityReport with margins)."""
     rho, j_val = _density_and_misfit(aff, chi, x, params.lam)
-    return _regularity(x, aff, rho, j_val, chi, params, thresholds)
+    return _regularity(x, aff, rho, j_val, chi, params)
 
 
 def _regularity(x, aff: AffinePair, rho: float, j_val: float, chi: Configuration,
-                params: ModelParams, thresholds: RegularityThresholds | None):
+                params: ModelParams):
     """`is_regular_pair` given rho_lam(x) and J(aff; x), as a fit's own gather gives them."""
-    thr = thresholds if thresholds is not None else params.thresholds
+    thr = params.thresholds
     norm_ainv = float(np.linalg.norm(np.linalg.inv(aff.A)))
     det_a = float(np.linalg.det(aff.A))
 

@@ -40,7 +40,7 @@ term still certifies the theorem's inequality h_hat >= F_C + grad term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product as iter_product
 
@@ -90,9 +90,11 @@ class FieldGrid:
 
     `evaluate_grid`'s stages fill one grid: `_fit_nodes` makes it with align,
     component, branch, a_tilde and tau_tilde empty, and `_align_nodes` and
-    `_branch_points` fill them.  A stage assigns fresh arrays rather than
-    writing into the grid's, so a grid made by `dataclasses.replace` never
-    shares them with its source.
+    `_branch_points` fill them.  `valid` marks the nodes whose fit converged
+    to a pair regular under `params.thresholds`, the params the grid was
+    fitted with.  A stage assigns fresh arrays rather than writing into the
+    grid's, so a grid made by `dataclasses.replace` never shares them with
+    its source.
     """
 
     geometry: GridGeometry
@@ -144,14 +146,18 @@ def evaluate_grid(chi: Configuration, geom: GridGeometry, params: ModelParams,
     distance from the grid center, then iy, then ix; `grid_rounds` groups
     the nodes into rounds by it, and the fit and the branch stage each run
     one stacked Newton per round.  The links the align stage rounds stay in
-    the grid's link table for `plaquette_products` and `defect_map`.
+    the grid's link table for `plaquette_products` and `defect_map`.  A
+    node is valid when its fit converged to a pair regular under
+    `params.thresholds`; `thresholds`, when given, replace those for the
+    whole grid, and the grid's params record them.
     """
     if geom.h > params.lam / 4.0 + 1e-9:
         raise ValueError(f"grid spacing {geom.h:g} exceeds lam/4 = {params.lam / 4.0:g}")
     if chi.d != 2:
         raise ValueError("field grids are 2-D (planar slices for d=3 are out of scope)")
+    params = params if thresholds is None else replace(params, thresholds=thresholds)
     order, rounds = grid_rounds(geom)
-    grid = _fit_nodes(chi, geom, params, thresholds, order, rounds)
+    grid = _fit_nodes(chi, geom, params, order, rounds)
     _align_nodes(grid, order)
     _branch_points(grid, chi, rounds)
     return grid
@@ -180,16 +186,16 @@ def grid_rounds(geom: GridGeometry):
     return order, rounds
 
 
-def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thresholds,
+def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams,
                order: list, rounds: list) -> FieldGrid:
     """Fit stage: natural-parameter continuation, one `fitting._continue` per round.
 
     A node's end is its valid 4-neighbour earliest in seed order, with that
     neighbour's fit, or None where it has none (the first node, for one).
     `_continue` keeps the continuation step from the end when it converged
-    to a regular pair under `thresholds`; every other node of the round gets
-    the multistart, each the `fit_global` run of its node, bit for bit.  A
-    continued node's raw fit stays in its neighbour's integer
+    to a regular pair under `params.thresholds`; every other node of the
+    round gets the multistart, each the `fit_global` run of its node, bit
+    for bit.  A continued node's raw fit stays in its neighbour's integer
     parametrisation, so `align` is mostly the identity.  Returns the grid,
     with align, component, branch, a_tilde and tau_tilde still empty.
     """
@@ -209,7 +215,7 @@ def _fit_nodes(chi: Configuration, geom: GridGeometry, params: ModelParams, thre
                 end = (geom.node(px, py), fits[py][px].aff_hat)
             ends.append(end)
         xs = [geom.node(ix, iy) for ix, iy in wave]
-        for (ix, iy), x, out in zip(wave, xs, _continue(ends, chi, xs, params, thresholds)):
+        for (ix, iy), x, out in zip(wave, xs, _continue(ends, chi, xs, params)):
             if isinstance(out, FitError):
                 reasons[iy][ix] = f"fit failed: {out}"
                 continue

@@ -14,12 +14,14 @@ forth for its first steps.  Its Newton also cuts a step that would carry an
 iterate off the ridge across it (`_ridge_cut`): the step stops where its
 linearized det A meets rho, so an iterate that has left the ridge comes
 back to it in one step instead of overshooting and halving its way back.
-A step that fails, does not converge or is not regular, and a point with
-no predictor, get the multistart, whose starts are never scaled and whose
-steps are never cut (Allgower & Georg, *Introduction to Numerical
-Continuation Methods*, ch. 2).  Both finish a start the same way (canonical
-tau, exact energy from the Newton's own gather, regular-pair test on that
-energy's rho and J, with no second gather).
+A step that fails, does not converge or is not regular under
+`params.thresholds`, and a point with no predictor, get the multistart,
+whose starts are never scaled and whose steps are never cut (Allgower &
+Georg, *Introduction to Numerical Continuation Methods*, ch. 2).  Both
+finish a start the same way (canonical tau, exact energy from the Newton's
+own gather, regular-pair test under `params.thresholds` on that energy's
+rho and J, with no second gather).  A caller that wants other thresholds
+passes `dataclasses.replace(params, thresholds=...)`.
 
 `_Objective` and `_newton` take one start (n,) or a stack of K starts (K, n)
 on a leading axis.  A stack is stepped in lockstep: one evaluation of the
@@ -841,8 +843,7 @@ def minimize_j_stack(affs, chi: Configuration, xs, params: ModelParams) -> list:
             for k in range(len(affs))]
 
 
-def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
-               thresholds=None) -> FitResult:
+def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=()) -> FitResult:
     """Multistart damped Newton on h = J + F + smoothed nu; lowest total wins.
 
     The returned total is an upper bound on the true infimum by construction.
@@ -852,12 +853,10 @@ def fit_global(chi: Configuration, x, params: ModelParams, warm_starts=(),
     warm starts run after the pre-converged candidates.  One row of
     `fit_global_stack`; raises its row's FitError.
     """
-    return _raise_errors(fit_global_stack(chi, [x], params, thresholds,
-                                          warm_starts=[warm_starts]))[0]
+    return _raise_errors(fit_global_stack(chi, [x], params, warm_starts=[warm_starts]))[0]
 
 
-def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=None,
-                     warm_starts=None) -> list:
+def fit_global_stack(chi: Configuration, xs, params: ModelParams, warm_starts=None) -> list:
     """`fit_global` at G points in lockstep: the multistart fallbacks of a grid round.
 
     Row g is the run `fit_global` makes alone at xs[g] (with warm_starts[g]),
@@ -910,11 +909,11 @@ def fit_global_stack(chi: Configuration, xs, params: ModelParams, thresholds=Non
                     require_pd=False, abort_above=bars, points=point, on_stop=on_stop)
         except FitError:
             pass
-    return _pick_fits(xs, starts, outcomes, chi, params, thresholds)
+    return _pick_fits(xs, starts, outcomes, chi, params)
 
 
 def _pick_fits(xs: np.ndarray, starts: list, outcomes: list, chi: Configuration,
-               params: ModelParams, thresholds) -> list:
+               params: ModelParams) -> list:
     """Per point, the multistart's fit from its outcomes in start order, or its FitError.
 
     outcomes[g] holds (pair, breakdown, iterations, grad_norm, converged) of
@@ -937,8 +936,7 @@ def _pick_fits(xs: np.ndarray, starts: list, outcomes: list, chi: Configuration,
         aff, breakdown, iterations, grad_norm, _ = next(
             o for o in tied if np.max(np.abs(pack(o[0]) - lead)) <= COPY_TOL)
         out.append(_finish(x.copy(), aff, breakdown, iterations, grad_norm, chi, params,
-                           thresholds, converged=any(o[4] for o in tied),
-                           n_candidates=len(starts[g])))
+                           converged=any(o[4] for o in tied), n_candidates=len(starts[g])))
     return out
 
 
@@ -993,7 +991,7 @@ def _half_stage(chi: Configuration, xs: np.ndarray, params: ModelParams) -> list
 
 
 def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelParams,
-                   thresholds, points) -> list:
+                   points) -> list:
     """One continuation Newton on h per row, all rows one lockstep stack on obj's gathers.
 
     Row k starts from affs[k] at xs[k], on obj's point points[k], with A
@@ -1016,7 +1014,7 @@ def _fit_from_rows(obj: _Objective, affs, xs, chi: Configuration, params: ModelP
             continue
         aff, breakdown = _exact(obj, res.theta[k], params, points[k])
         out.append(_finish(xs[k].copy(), aff, breakdown, int(res.iterations[k]),
-                           float(res.grad_norm[k]), chi, params, thresholds,
+                           float(res.grad_norm[k]), chi, params,
                            converged=bool(res.converged[k]), n_candidates=1))
     return out
 
@@ -1041,7 +1039,7 @@ def _on_ridge(theta: np.ndarray, rho: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([theta[:, : d * d] * scale[:, None], theta[:, d * d:]], axis=1)
 
 
-def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -> list[FitResult]:
+def fit_loop(chi: Configuration, points, params: ModelParams) -> list[FitResult]:
     """Fits of the samples of a closed loop by two-way continuation with a basin guard.
 
     `points` are the distinct samples in loop order (the closing point not
@@ -1051,7 +1049,7 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     two sweeps are independent chains, so step i of both, to samples i and
     n-i, runs as one 2-row stack on one objective over samples 1..n-1, so
     each sample is gathered once.  A step that fails, does not
-    converge or is not regular under `thresholds` gets the multistart.
+    converge or is not regular under `params.thresholds` gets the multistart.
     Where the two sweeps' totals differ by more than GUARD_TOL, one sweep
     sits in a higher basin, and the sample gets `fit_global` warm-started
     from both; elsewhere it keeps the forward fit, which stays in sample 0's
@@ -1059,28 +1057,27 @@ def fit_loop(chi: Configuration, points, params: ModelParams, thresholds=None) -
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    first = fit_global(chi, pts[0], params, thresholds=thresholds)
+    first = fit_global(chi, pts[0], params)
     fwd, bwd = [first], [first]
     obj = _Objective(chi, pts[1:], params, j_only=False) if n > 1 else None
     for i in range(1, n):
         ends = [(fwd[-1].position, fwd[-1].aff_hat), (bwd[-1].position, bwd[-1].aff_hat)]
-        f, b = _raise_errors(_continue(ends, chi, [pts[i], pts[n - i]], params, thresholds,
+        f, b = _raise_errors(_continue(ends, chi, [pts[i], pts[n - i]], params,
                                        obj, [i - 1, n - i - 1]))
         fwd.append(f)
         bwd.append(b)
     bwd = [first] + bwd[:0:-1]
-    return [_guard(f, b, chi, params, thresholds) for f, b in zip(fwd, bwd)]
+    return [_guard(f, b, chi, params) for f, b in zip(fwd, bwd)]
 
 
-def fit_between(chi: Configuration, x, params: ModelParams, ends, thresholds=None) -> FitResult:
+def fit_between(chi: Configuration, x, params: ModelParams, ends) -> FitResult:
     """Fit of a point from two nearby fitted pairs (y, AffinePair), guarded as a loop sample is."""
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False)
-    return _guard(*_raise_errors(_continue(ends, chi, [x, x], params, thresholds, obj, [0, 0])),
-                  chi, params, thresholds)
+    return _guard(*_raise_errors(_continue(ends, chi, [x, x], params, obj, [0, 0])), chi, params)
 
 
-def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
+def _continue(ends, chi: Configuration, xs, params: ModelParams,
               obj: _Objective | None = None, points=None) -> list:
     """Row k: one continuation step to xs[k] from ends[k] = (y_k, aff_k), or the multistart.
 
@@ -1089,7 +1086,7 @@ def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
     at obj's point points[i]; without obj, one is built over their points,
     so a row with no end is not gathered here.  A row with no end or at
     rho = 0 takes no step; it and a row whose step fails, does not converge
-    or is not regular under `thresholds` are refused: each gets the
+    or is not regular under `params.thresholds` are refused: each gets the
     multistart, all in one `fit_global_stack`, which is not called when no
     row is refused.  Row k is its FitResult, or its multistart's FitError.
     """
@@ -1103,13 +1100,13 @@ def _continue(ends, chi: Configuration, xs, params: ModelParams, thresholds,
         go = [k for k, ok in zip(go, live) if ok]
     if go:
         steps = _fit_from_rows(obj, [transport(*ends[k], xs[k]) for k in go], xs[go], chi,
-                               params, thresholds, np.asarray(points)[live])
+                               params, np.asarray(points)[live])
         for k, out in zip(go, steps):
             outs[k] = out
     refused = [k for k, out in enumerate(outs)
                if out is None or not (out.converged and out.regular)]
     if refused:
-        for k, out in zip(refused, fit_global_stack(chi, xs[refused], params, thresholds)):
+        for k, out in zip(refused, fit_global_stack(chi, xs[refused], params)):
             outs[k] = out
     return outs
 
@@ -1122,13 +1119,11 @@ def _raise_errors(outs: list) -> list:
     return outs
 
 
-def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams,
-           thresholds) -> FitResult:
+def _guard(a: FitResult, b: FitResult, chi: Configuration, params: ModelParams) -> FitResult:
     """a when two fits of one point agree in total to GUARD_TOL; else the multistart from both."""
     if abs(a.breakdown.total - b.breakdown.total) <= GUARD_TOL:
         return a
-    return fit_global(chi, a.position, params, warm_starts=(a.aff_hat, b.aff_hat),
-                      thresholds=thresholds)
+    return fit_global(chi, a.position, params, warm_starts=(a.aff_hat, b.aff_hat))
 
 
 def _exact(obj: _Objective, theta: np.ndarray, params: ModelParams, point: int = 0):
@@ -1139,11 +1134,10 @@ def _exact(obj: _Objective, theta: np.ndarray, params: ModelParams, point: int =
 
 
 def _finish(x, aff: AffinePair, breakdown: EnergyBreakdown, iterations: int, grad_norm: float,
-            chi: Configuration, params: ModelParams, thresholds, converged: bool,
+            chi: Configuration, params: ModelParams, converged: bool,
             n_candidates: int) -> FitResult:
     """The regular-pair test of the chosen fit on its energy's rho and J, packed into a FitResult."""
-    regular, report = _regularity(x, aff, breakdown.rho, breakdown.j_term, chi, params,
-                                  thresholds)
+    regular, report = _regularity(x, aff, breakdown.rho, breakdown.j_term, chi, params)
     return FitResult(position=x, aff_hat=aff, breakdown=breakdown, regular=regular,
                      report=report, iterations=iterations, converged=converged,
                      grad_norm=grad_norm, n_candidates=n_candidates)

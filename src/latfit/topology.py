@@ -178,6 +178,14 @@ def round_reparam(fit1, fit2) -> tuple[Reparam, float]:
     return Reparam(b, t.astype(np.int64)), max(gap_b, gap_t)
 
 
+def _chain_step(fit1, fit2, lam: float) -> tuple[Reparam, float, float]:
+    """(`round_reparam` of two fits, its gap, their distance), for fits at most 1.5 lam apart."""
+    sep = float(np.linalg.norm(_as_point_aff(fit2)[0] - _as_point_aff(fit1)[0]))
+    if sep > 1.5 * lam + 1e-9:
+        raise ValueError(f"points are {sep:g} apart; chain steps require <= 1.5*lam = {1.5 * lam:g}")
+    return (*round_reparam(fit1, fit2), sep)
+
+
 def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainStep:
     """Unique reparametrisation connecting two nearby fitted pairs, with residuals and bounds.
 
@@ -190,10 +198,7 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
     y2, aff2 = _as_point_aff(fit2)
     lam = params.lam
     dy = y2 - y1
-    sep = float(np.linalg.norm(dy))
-    if sep > 1.5 * lam + 1e-9:
-        raise ValueError(f"points are {sep:g} apart; chain steps require <= 1.5*lam = {1.5 * lam:g}")
-    rep, gap = round_reparam(fit1, fit2)
+    rep, gap, sep = _chain_step(fit1, fit2, lam)
 
     ba2 = rep.B @ aff2.A
     delta_a = float(np.linalg.norm(np.eye(chi.d) - np.linalg.inv(aff1.A) @ ba2))
@@ -215,8 +220,16 @@ def find_reparam(fit1, fit2, chi: Configuration, params: ModelParams) -> ChainSt
 
 
 def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configuration,
-                                params: ModelParams, thresholds=None) -> bool:
-    """Product invariance when a regular point is inserted at insert_index."""
+                                params: ModelParams) -> bool:
+    """Product invariance when a point regular under params.thresholds is inserted at insert_index.
+
+    Endpoints are FitResults or (y, AffinePair).  Each step of the chain,
+    and the two steps to and from the inserted point, is rounded once, as
+    `find_reparam` rounds it (its 1.5 lam gate, `round_reparam`'s integers
+    and refusals).  By the group law the refined product equals the chain's
+    exactly when those two steps compose to the one they replace, so the
+    check needs the integers alone and gathers no J.
+    """
     fits = [_as_point_aff(f) for f in chain]
     if not 1 <= insert_index <= len(fits) - 1:
         raise ValueError("insert_index must be interior to the chain")
@@ -225,18 +238,13 @@ def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configur
     for nb in (fits[insert_index - 1][0], fits[insert_index][0]):
         if np.linalg.norm(y_new - nb) > 1.5 * lam + 1e-9:
             raise ValueError("inserted point must be within 1.5*lam of both neighbors")
-    ok, report = is_regular_pair(y_new, aff_new, chi, params, thresholds)
-    if not ok:
+    if not is_regular_pair(y_new, aff_new, chi, params)[0]:
         raise IrregularSampleError(
             f"inserted point at {np.array2string(y_new, precision=3)} is not a regular pair")
 
-    def product(points):
-        steps = [find_reparam(points[i], points[i + 1], chi, params)
-                 for i in range(len(points) - 1)]
-        return chain_product(steps)
-
-    refined = fits[:insert_index] + [(y_new, aff_new)] + fits[insert_index:]
-    return product(fits) == product(refined)
+    replaced = [_chain_step(a, b, lam)[0] for a, b in zip(fits, fits[1:])][insert_index - 1]
+    return compose(_chain_step(fits[insert_index - 1], new_fit, lam)[0],
+                   _chain_step(new_fit, fits[insert_index], lam)[0]) == replaced
 
 
 @dataclass(frozen=True)
@@ -272,25 +280,28 @@ def densify_loop(points: np.ndarray, max_step: float) -> np.ndarray:
 
 
 def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
-                 thresholds=None, verify_refinement: bool = False) -> LoopResult:
+                 verify_refinement: bool = False) -> LoopResult:
     """Fit every loop sample, connect consecutive fits, and fold the product.
 
-    The loop must be closed (first point equals last) with steps <= 1.5*lam.
+    The loop must be closed (first point equals last) with steps <= 1.5*lam,
+    and its distinct samples must number at least three and not all lie on
+    one line: a loop that encloses nothing is refused with a ValueError.
     Without `fits`, the samples are fitted by `fit_loop`: the multistart at
     sample 0, then a forward and a backward sweep of continuation steps,
     stepped together, each transported from the sweep's previous fit, put
     on the det A = rho ridge and kept when it converges to a pair regular
-    under `thresholds` (the multistart runs otherwise).  Where the two
+    under `params.thresholds` (the multistart runs otherwise).  Where the two
     sweeps' totals differ by more than 1e-12 one of them sits in a higher
     basin, and the sample gets the multistart warm-started from both fits;
     elsewhere it keeps the forward fit, so most samples stay in sample 0's
     integer gauge and most steps have B = I.
     Any irregular sample refuses the loop, naming the sample, so the caller
     can reroute around defect cores.  A fit from `fit_loop` carries its
-    regular-pair test under `thresholds`; caller-supplied `fits` are tested
-    here.  With `verify_refinement`, the
-    midpoint of the longest step is fitted from both its neighbours the
-    same way and must leave the product unchanged.
+    regular-pair test under `params.thresholds`; caller-supplied `fits` are
+    tested here.  With `verify_refinement`, the midpoint of the longest step
+    is fitted from both its neighbours the same way, and inserting it there
+    must leave the product unchanged (`chain_refinement_invariance` on that
+    step's two fits, integers only).
     """
     pts = np.atleast_2d(np.asarray(loop, dtype=float))
     if pts.shape[0] < 3:
@@ -298,16 +309,24 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
     if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
         raise ValueError("loop is not closed (first point must equal last)")
     core = pts[:-1]
+    distinct = np.array(list(dict.fromkeys(map(tuple, core.tolist()))))
+    if len(distinct) < 3:
+        raise ValueError(f"a loop needs at least 3 distinct points, got {len(distinct)}: "
+                         "it encloses nothing")
+    rel = distinct[1:] - distinct[0]
+    u = rel[np.argmax(np.sum(rel * rel, axis=1))]       # the line to the farthest point
+    if np.max(np.abs(rel - np.outer(rel @ u, u) / (u @ u))) <= 1e-9:
+        raise ValueError("loop points all lie on one line: it encloses nothing")
     seps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(seps > 1.5 * params.lam + 1e-9):
         raise ValueError(f"loop step {float(np.max(seps)):g} exceeds 1.5*lam; densify first")
 
     tested = fits is None       # fit_loop's fits carry their regular-pair test
-    fits = fit_loop(chi, core, params, thresholds) if tested else list(fits)
+    fits = fit_loop(chi, core, params) if tested else list(fits)
     pairs = [_as_point_aff(f) for f in fits]
 
     for i, (f, (y, aff)) in enumerate(zip(fits, pairs)):
-        ok = f.regular if tested else is_regular_pair(y, aff, chi, params, thresholds)[0]
+        ok = f.regular if tested else is_regular_pair(y, aff, chi, params)[0]
         if not ok:
             raise IrregularSampleError(
                 f"loop sample {i} at {np.array2string(y, precision=3)} is not a regular pair")
@@ -318,12 +337,10 @@ def burgers_loop(chi: Configuration, loop, params: ModelParams, fits=None,
 
     if verify_refinement:
         i_long = int(np.argmax(seps[: len(pairs)]))
-        left, right = pairs[i_long], pairs[(i_long + 1) % len(pairs)]
-        midpoint = 0.5 * (left[0] + right[0])
-        mid_fit = fit_between(chi, midpoint, params, (left, right), thresholds)
-        open_chain = pairs[i_long + 1:] + pairs[: i_long + 1] + [right]
-        if not chain_refinement_invariance(open_chain, len(open_chain) - 1,
-                                           mid_fit, chi, params, thresholds):
+        ends = [i_long, (i_long + 1) % len(pairs)]
+        left, right = pairs[ends[0]], pairs[ends[1]]
+        mid_fit = fit_between(chi, 0.5 * (left[0] + right[0]), params, (left, right))
+        if not chain_refinement_invariance([fits[k] for k in ends], 1, mid_fit, chi, params):
             raise ReparamError("loop product changed under refinement")
 
     return LoopResult(points=pts, steps=tuple(steps), product=product,

@@ -414,7 +414,7 @@ def newton_step(g, hs, f, tol_grad, require_pd):
     return gn, False, False, ps, slope, -slope <= 1e-13 * (1.0 + abs(f))
 
 
-def fit_global(chi, x, params, warm_starts=(), thresholds=None):
+def fit_global(chi, x, params, warm_starts=()):
     """`fitting.fit_global` one point at a time, its starts on h run one after the other.
 
     Each start's abort bar is 1.05 times the best total before it, plus 1e-6.
@@ -449,11 +449,11 @@ def fit_global(chi, x, params, warm_starts=(), thresholds=None):
     tied = [o for o in outcomes if o[1].total <= best_total + 1e-12]
     tied.sort(key=lambda o: (tuple(o[0].tau), tuple(o[0].A.ravel())))
     aff, breakdown, res = tied[0]
-    return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params, thresholds,
+    return _finish(x, aff, breakdown, res.iterations, res.grad_norm, chi, params,
                    converged=any(o[2].converged for o in tied), n_candidates=len(starts))
 
 
-def fit_global_stack(chi, xs, params, thresholds=None, warm_starts=None, aborted=None):
+def fit_global_stack(chi, xs, params, warm_starts=None, aborted=None):
     """`fitting.fit_global_stack` with start k of every point as its own stack on h, k = 0, 1, ...
 
     Each row's abort bar is its own point's 1.05 best + 1e-6 over its starts
@@ -493,7 +493,7 @@ def fit_global_stack(chi, xs, params, thresholds=None, warm_starts=None, aborted
                     dropped.append((g, breakdown.total))
     if aborted is not None:
         aborted.extend((g, total, best[g]) for g, total in dropped)
-    return fitting._pick_fits(xs, starts, outcomes, chi, params, thresholds)
+    return fitting._pick_fits(xs, starts, outcomes, chi, params)
 
 
 def pre_converge(raw, chi, x, params):
@@ -523,14 +523,14 @@ def run_start(obj, aff0, params, abort_above=None):
     return (*_exact(obj, res.theta, params), res)
 
 
-def evaluate_grid(chi, geom, params, thresholds=None):
+def evaluate_grid(chi, geom, params):
     """`fields.evaluate_grid` one node at a time: fit, align, then one branch minimizer per node.
 
     Nodes are fitted in seed order: distance from the grid center, then iy,
     then ix.  A node with an already-fitted valid 4-neighbour (the earliest
     in that order) is fitted by one damped Newton on h from the neighbour's
     transported fit (A_n, tau_n + A_n dx), and the result is kept when it
-    converged and is a regular pair under `thresholds`.  Otherwise, at the
+    converged and is a regular pair under `params.thresholds`.  Otherwise, at the
     first node and on any FitError, the full multistart `fit_global` runs.
     A continued node's raw fit therefore stays in its neighbour's integer
     parametrisation, so `align` is mostly the identity.
@@ -563,12 +563,12 @@ def evaluate_grid(chi, geom, params, thresholds=None):
             aff = fits[py][px].aff_hat
             pred = AffinePair(aff.A, aff.tau + aff.A @ (x - geom.node(px, py)))
             try:
-                out = fit_from(pred, chi, x, params, thresholds)
+                out = fit_from(pred, chi, x, params)
             except FitError:
                 pass
         if out is None or not (out.converged and out.regular):
             try:
-                out = fit_global(chi, x, params, thresholds=thresholds)
+                out = fit_global(chi, x, params)
             except FitError as err:
                 reasons[iy][ix] = f"fit failed: {err}"
                 continue
@@ -739,51 +739,51 @@ def fd_gradients(field):
                                  order=order, hess_ok=hess_ok)
 
 
-def fit_from(aff0, chi, x, params, thresholds=None):
+def fit_from(aff0, chi, x, params):
     """One continuation Newton on h from aff0 at x: `fitting._fit_from_rows` on one row.
 
     Raises FitError when aff0 has det A <= 0.
     """
     x = np.asarray(x, dtype=float)
     obj = _Objective(chi, x, params, j_only=False)
-    out = _fit_from_rows(obj, [aff0], x[None], chi, params, thresholds, [0])[0]
+    out = _fit_from_rows(obj, [aff0], x[None], chi, params, [0])[0]
     if out is None:
         raise FitError("starting point has det A <= 0")
     return out
 
 
-def continue_step(y, aff, chi, x, params, thresholds):
+def continue_step(y, aff, chi, x, params):
     """One continuation step from the pair (y, aff) to x; the multistart when it is refused."""
     pred = AffinePair(aff.A, aff.tau + aff.A @ (x - np.asarray(y, dtype=float)))
     try:
-        out = fit_from(pred, chi, x, params, thresholds)
+        out = fit_from(pred, chi, x, params)
     except FitError:
         out = None
     if out is not None and out.converged and out.regular:
         return out
-    return fit_global(chi, x, params, thresholds=thresholds)
+    return fit_global(chi, x, params)
 
 
-def fit_loop(chi, points, params, thresholds=None):
+def fit_loop(chi, points, params):
     """`fitting.fit_loop` with the forward sweep run to the end before the backward one starts."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    first = fit_global(chi, pts[0], params, thresholds=thresholds)
+    first = fit_global(chi, pts[0], params)
     fwd = [first]
     for x in pts[1:]:
-        fwd.append(continue_step(fwd[-1].position, fwd[-1].aff_hat, chi, x, params, thresholds))
+        fwd.append(continue_step(fwd[-1].position, fwd[-1].aff_hat, chi, x, params))
     bwd = [first]
     for x in pts[:0:-1]:
-        bwd.append(continue_step(bwd[-1].position, bwd[-1].aff_hat, chi, x, params, thresholds))
+        bwd.append(continue_step(bwd[-1].position, bwd[-1].aff_hat, chi, x, params))
     bwd = [first] + bwd[:0:-1]
-    return [_guard(f, b, chi, params, thresholds) for f, b in zip(fwd, bwd)]
+    return [_guard(f, b, chi, params) for f, b in zip(fwd, bwd)]
 
 
-def fit_between(chi, x, params, ends, thresholds=None):
+def fit_between(chi, x, params, ends):
     """`fitting.fit_between` with one continuation call per end."""
     x = np.asarray(x, dtype=float)
     (y1, aff1), (y2, aff2) = ends
-    return _guard(continue_step(y1, aff1, chi, x, params, thresholds),
-                  continue_step(y2, aff2, chi, x, params, thresholds), chi, params, thresholds)
+    return _guard(continue_step(y1, aff1, chi, x, params),
+                  continue_step(y2, aff2, chi, x, params), chi, params)
 
 
 def w_eval(z):

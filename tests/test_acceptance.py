@@ -9,6 +9,7 @@ import math
 import pathlib
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -318,7 +319,7 @@ def test_criterion_08_low_energy_regular():
             fit = fit_global(chi, x, params)
             if fit.breakdown.total <= eps_hat:
                 n_low += 1
-                ok, rep = is_regular_pair(x, fit.aff_hat, chi, params, thr)
+                ok, rep = is_regular_pair(x, fit.aff_hat, chi, replace(params, thresholds=thr))
                 det_ok = float(np.linalg.det(fit.aff_hat.A)) <= 1.5 * params.elastic.det_e + 1e-9
                 if not (ok and det_ok):
                     failures.append((spec.kind, x))

@@ -399,3 +399,28 @@ def test_malformed_spec_is_named(tmp_path, capsys, keys, message):
     assert message in err, err
     assert "Traceback" not in err
     assert not (tmp_path / "atoms.csv").exists() and not (tmp_path / "truth.json").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,1\n1,1\n1,1\n", "a loop needs at least 3 distinct points, got 1"),
+    ("0,0\n5,0\n0,0\n", "a loop needs at least 3 distinct points, got 2"),
+    ("0,0\n5,0\n10,0\n0,0\n", "loop points all lie on one line"),
+], ids=["coincident", "back_and_forth", "collinear"])
+def test_loop_enclosing_nothing_is_refused(tmp_path, capsys, rows, message):
+    """A closed loop that encloses nothing exits 2 with the reason, not `trivial` with exit 0."""
+    (tmp_path / "loop.csv").write_text("x,y\n" + rows)
+    code, err = run_in_process(capsys, "loop", "--atoms", DATA / "golden_atoms.csv",
+                               "--params", DATA / "params.json", "--loop", tmp_path / "loop.csv",
+                               "--out", tmp_path / "loop.json")
+    assert code == 2
+    assert message in err and "it encloses nothing" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "loop.json").exists()
+
+
+def test_negative_check_seed_is_named(capsys):
+    code, err = run_in_process(capsys, "check", "--atoms", DATA / "golden_atoms.csv",
+                               "--params", DATA / "params.json", "--seed", -1)
+    assert code == 2
+    assert "latfit: error: --seed must be a non-negative integer, got -1" in err, err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -458,7 +459,7 @@ class TestRegularPair:
         x = np.array([20.0, 20.0])
         aff = AffinePair(np.eye(2), np.zeros(2))
         thr = RegularityThresholds(eps_rho=0.125, eps_J=1e-300, C_A=3.0)
-        ok, report = is_regular_pair(x, aff, chi_noise, params, thr)
+        ok, report = is_regular_pair(x, aff, chi_noise, replace(params, thresholds=thr))
         assert not ok
         assert not report.j_ok
         assert report.norm_ok and report.density_ok and report.hardcore_ok

@@ -377,6 +377,45 @@ class TestDefectMap:
                 assert c.product.is_identity
 
 
+@pytest.mark.parametrize("offset", [(ox, oy) for oy in (0.5, 0.95) for ox in (0.05, 0.45, 0.95)],
+                         ids=lambda o: f"{o[0]}-{o[1]}")
+def test_wide_dipole_rings_each_core(grid_params, offset):
+    """Cores 24 apart (3 lam) at six offsets in the unit cell: one ring around each core.
+
+    The dipole-defects setup (lam 8, h 2, tight thresholds) on a grid wide
+    enough to ring each core apart.  Each core is enclosed, by its ring's
+    node bounding box, by exactly one ring, whose product in the lab frame
+    (`express_in_frame` on the ring's first raw fit) is B = I with
+    t = (-1, 0) around the +b core and (1, 0) around the -b core, the sign
+    of test_edge_dislocation_detected's counterclockwise loops.  A ring that
+    encloses no core reports the identity.
+    """
+    ox, oy = offset
+    cores = {(-12.0 + ox, oy): [-1, 0], (12.0 + ox, oy): [1, 0]}
+    box = GenBox(np.array([-28.0, -24.0]), np.array([28.0, 24.0]))
+    chi, _ = edge_dipole(box, grid_params.lam, core1=(-12.0 + ox, oy), core2=(12.0 + ox, oy))
+    geom = GridGeometry(origin=(-20.0, -10.0), h=2.0, nx=21, ny=11)
+    field = evaluate_grid(chi, geom, grid_params,
+                          thresholds=low_energy_thresholds(0.01, grid_params))
+    enclosing = {core: [] for core in cores}
+    for c in defect_map(field, chi).clusters:
+        if c.unringable:
+            continue
+        ring = np.array([geom.node(ix, iy) for ix, iy in c.ring])
+        lo, hi = ring.min(axis=0), ring.max(axis=0)
+        inside = [core for core in cores if np.all((lo < core) & (core < hi))]
+        for core in inside:
+            enclosing[core].append(c)
+        if not inside:
+            assert c.product.is_identity, c.ring
+    for core, t in cores.items():
+        assert len(enclosing[core]) == 1, (core, len(enclosing[core]))
+        (c,) = enclosing[core]
+        ix, iy = c.ring[0]
+        lab = oracle.express_in_frame(c.product, field.fits[iy][ix].aff_hat, np.eye(2))
+        assert np.array_equal(lab.B, np.eye(2, dtype=np.int64)) and lab.t.tolist() == t, core
+
+
 def multistart_field(chi, geom, params, thresholds=None):
     """The field of the per-node multistart: `fit_global` at every node, as before continuation.
 
@@ -527,7 +566,8 @@ def test_round_grid_matches_per_node_oracle(grid_params):
         new = evaluate_grid(chi, geom, grid_params, thresholds=tight)
     assert sum(multistarts) > 1 and not new.valid.all()
     assert max(multistarts) >= 2        # one stack holds the fallback nodes of a round
-    assert_same_field(new, oracle.evaluate_grid(chi, geom, grid_params, thresholds=tight))
+    assert_same_field(new, oracle.evaluate_grid(chi, geom,
+                                                dataclasses.replace(grid_params, thresholds=tight)))
 
 
 def test_each_link_is_rounded_once(grid_params):
@@ -589,7 +629,7 @@ def test_align_stage_gathers_nothing(grid_params):
     chi = fileio.configuration_from_arrays(positions, interior, params, domain)
     geom = GridGeometry(origin=(2.0, 2.0), h=2.0, nx=6, ny=6)
     order, rounds = fields.grid_rounds(geom)
-    grid = fields._fit_nodes(chi, geom, params, None, order, rounds)
+    grid = fields._fit_nodes(chi, geom, params, order, rounds)
     gathers = []
     local_atoms = Configuration.local_atoms
 
@@ -676,16 +716,16 @@ def test_fit_global_stack_matches_per_node_oracle(grid_params):
     # a point far outside the atoms has too few of them and fails on its own
     box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
     chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
-    tight = low_energy_thresholds(0.01, grid_params)
+    tight = dataclasses.replace(grid_params, thresholds=low_energy_thresholds(0.01, grid_params))
     geom = GridGeometry(origin=(-16.0, -10.0), h=2.0, nx=17, ny=11)
     xs = [geom.node(ix, iy) for ix, iy in fields.grid_rounds(geom)[1][4]]
     xs.insert(5, np.array([200.0, 200.0]))
     assert len(xs) == 17
-    outs = fit_global_stack(chi, xs, grid_params, tight)
+    outs = fit_global_stack(chi, xs, tight)
     assert len(outs) == len(xs)
     for x, out in zip(xs, outs):
         try:
-            ref = oracle.fit_global(chi, x, grid_params, thresholds=tight)
+            ref = oracle.fit_global(chi, x, tight)
         except FitError as err:
             assert isinstance(out, FitError) and str(out) == str(err)
             continue
@@ -694,9 +734,9 @@ def test_fit_global_stack_matches_per_node_oracle(grid_params):
     regular = [o.regular for o in outs if not isinstance(o, FitError)]
     assert any(regular) and not all(regular)
     # a one-row stack is fit_global, and raises its row's error
-    assert_same_fit(fit_global(chi, xs[0], grid_params, thresholds=tight), outs[0])
+    assert_same_fit(fit_global(chi, xs[0], tight), outs[0])
     with pytest.raises(FitError, match=r"no fit candidates at \[200\. 200\.\]"):
-        fit_global(chi, xs[5], grid_params, thresholds=tight)
+        fit_global(chi, xs[5], tight)
 
 
 def test_fit_global_stack_matches_per_start_oracle(grid_params):
@@ -733,12 +773,12 @@ def test_fit_global_stack_matches_per_start_oracle(grid_params):
                                  and res.iterations[r - 1] > 10 and res.iterations[r] > 10)
         return res
 
-    def check(chi, xs, params, thresholds=None, warm_starts=None):
+    def check(chi, xs, params, warm_starts=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fitting, "_newton", recording_newton)
-            outs = fit_global_stack(chi, xs, params, thresholds, warm_starts=warm_starts)
+            outs = fit_global_stack(chi, xs, params, warm_starts=warm_starts)
         aborted = []
-        refs = oracle.fit_global_stack(chi, xs, params, thresholds, warm_starts, aborted=aborted)
+        refs = oracle.fit_global_stack(chi, xs, params, warm_starts, aborted=aborted)
         assert len(outs) == len(refs) == len(xs)
         for out, ref in zip(outs, refs):
             if isinstance(ref, FitError):
@@ -757,18 +797,18 @@ def test_fit_global_stack_matches_per_start_oracle(grid_params):
 
     box = GenBox(np.array([-24.0, -24.0]), np.array([24.0, 24.0]))
     chi, _ = edge_dipole(box, grid_params.lam, core1=(-6.5, 0.5), core2=(7.5, 0.5))
-    tight = low_energy_thresholds(0.01, grid_params)
+    tight = dataclasses.replace(grid_params, thresholds=low_energy_thresholds(0.01, grid_params))
     geom = GridGeometry(origin=(-16.0, -10.0), h=2.0, nx=17, ny=11)
     xs = [geom.node(ix, iy) for ix, iy in fields.grid_rounds(geom)[1][4]]
     xs.insert(5, np.array([200.0, 200.0]))
-    outs, aborted = check(chi, xs, grid_params, tight)
+    outs, aborted = check(chi, xs, tight)
     assert str(outs[5]) == "no fit candidates at [200. 200.]"
     assert aborted and seen["dropped"] > 0 and seen["late_kept"] > 0, seen
 
     fits = [o for o in outs if not isinstance(o, FitError)]
     warm = [tuple(fitting.transport(f.position, f.aff_hat, x) for f in fits[i + 1: i + 3])
             for i, x in enumerate(xs)]
-    check(chi, xs, grid_params, tight, warm)
+    check(chi, xs, tight, warm)
 
 
 def test_fd_gradients_match_loop_form(grid_params, perfect_field):

@@ -254,7 +254,8 @@ class TestFitGlobal:
             x = rng.uniform(10.0, 30.0, size=2)
             fit = fit_global(chi_noise, x, params)
             if fit.breakdown.total <= eps_hat:
-                ok, report = is_regular_pair(x, fit.aff_hat, chi_noise, params, thr)
+                ok, report = is_regular_pair(x, fit.aff_hat, chi_noise,
+                                             replace(params, thresholds=thr))
                 assert ok, report
 
     def test_reparam_equivariant_warm_start(self, params, chi_noise):
@@ -356,7 +357,7 @@ class TestContinuationStartsOnTheRidge:
         loop = densify_loop(corners, 3.0)[:-1]
         with pytest.MonkeyPatch.context() as mp:
             calls = self.record_newton(mp)
-            fitting._continue(ends, chi_noise, xs, params, None)
+            fitting._continue(ends, chi_noise, xs, params)
             n_stack = len(self.continuation_rows(calls))
             fit_loop(chi_noise, loop, params)
             n_loop = len(self.continuation_rows(calls))
@@ -392,7 +393,7 @@ class TestContinuationStartsOnTheRidge:
             assert all(np.array_equal(h, e) for h, e in zip(h_starts, expected))
             # a guard that fires hands both fits to the multistart unscaled
             n_before = len(calls)
-            fitting._guard(replace(base_fit, aff_hat=warm[0]), other, chi_noise, params, None)
+            fitting._guard(replace(base_fit, aff_hat=warm[0]), other, chi_noise, params)
             guard_starts = self.h_starts(calls[n_before:])
         assert np.array_equal(guard_starts[-2], pack(warm[0]))
         assert np.array_equal(guard_starts[-1], pack(warm[1]))
@@ -429,7 +430,7 @@ def test_continue_with_every_row_accepted_runs_no_multistart(params, chi_noise):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "fit_global_stack", recording_fit_global_stack)
-        outs = fitting._continue([(y, aff)] * len(xs), chi_noise, xs, params, None)
+        outs = fitting._continue([(y, aff)] * len(xs), chi_noise, xs, params)
     assert multistarts == []
     for x, out in zip(xs, outs):
         assert_same_fit(out, oracle.fit_from(transport(y, aff, x), chi_noise, x, params))
@@ -442,7 +443,7 @@ def test_continue_rows_match_one_row_runs(params, chi_noise):
     y, aff = base.position, base.aff_hat
     th = 0.3
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    tight = low_energy_thresholds(0.01, params)
+    tight = replace(params, thresholds=low_energy_thresholds(0.01, params))
     # accepted step, no end, step into a higher basin, step and no end outside the atoms
     ends = [(y, aff), None, (y, AffinePair(rot @ aff.A, aff.tau)), (y, aff), None]
     xs = [y + [2.5, 0.0], y + [0.0, -2.5], y + [1.5, 1.5], np.array([200.0, 200.0]),
@@ -458,11 +459,11 @@ def test_continue_rows_match_one_row_runs(params, chi_noise):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_fit_from_rows", recording_fit_from_rows)
-        outs = fitting._continue(ends, chi_noise, xs, params, tight)
+        outs = fitting._continue(ends, chi_noise, xs, tight)
         assert gathered == [3]          # the rows with an end, and only those, are gathered
-        fitting._continue([None, None], chi_noise, xs[:2], params, tight)
+        fitting._continue([None, None], chi_noise, xs[:2], tight)
         assert gathered == [3]          # no end, no continuation objective
-        ones = [fitting._continue([end], chi_noise, [x], params, tight)[0]
+        ones = [fitting._continue([end], chi_noise, [x], tight)[0]
                 for end, x in zip(ends, xs)]
     # (200, 200) has no atoms in range (rho = 0): its row goes straight to the multistart
     assert stepped == [tuple(xs[0]), tuple(xs[2])] * 2
@@ -471,13 +472,13 @@ def test_continue_rows_match_one_row_runs(params, chi_noise):
             assert isinstance(out, FitError) and str(out) == str(one)
         else:
             assert_same_fit(out, one)
-    steps = [oracle.fit_from(transport(*end, x), chi_noise, x, params, tight)
+    steps = [oracle.fit_from(transport(*end, x), chi_noise, x, tight)
              for end, x in zip(ends, xs) if end is not None]
     assert [(s.converged, s.regular) for s in steps] == [(True, True), (True, False),
                                                          (True, False)]
     assert_same_fit(outs[0], steps[0])
     for k in (1, 2):
-        assert_same_fit(outs[k], fit_global(chi_noise, xs[k], params, thresholds=tight))
+        assert_same_fit(outs[k], fit_global(chi_noise, xs[k], tight))
     assert outs[2].regular and outs[2].breakdown.total < steps[1].breakdown.total
     assert [str(o) for o in outs[3:]] == ["no fit candidates at [200. 200.]",
                                          "no fit candidates at [-150.    3.]"]

@@ -1,11 +1,14 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""Import hygiene of the package and its tests, checked by a stdlib `ast` scan.
 
-A stdlib `ast` scan, so the check needs no linter: a name bound by an import
-counts as used when it appears as a name anywhere in the module (an
-attribute's root included), in a string annotation, or in `__all__`.
+No module of the package or of its tests imports a name it never uses, and
+the package imports nothing but the standard library, numpy and itself.
+The scan needs no linter: a name bound by an import counts as used when it
+appears as a name anywhere in the module (an attribute's root included), in
+a string annotation, or in `__all__`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,37 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level packages `source` imports that are not the stdlib, numpy or latfit."""
+    allowed = sys.stdlib_module_names | {"numpy", "latfit"}
+    roots = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append(node.module.split(".")[0])
+    return [root for root in roots if root not in allowed]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/latfit/*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_needs_only_numpy(path):
+    # pyproject.toml's one runtime dependency; a scipy import would also slow `import latfit`
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_dependency_scan_sees_every_kind_of_import():
+    source = '''
+import os, numpy.linalg as la
+from . import fitting
+from latfit.core_model import Box
+import scipy.spatial
+def f():
+    from scipy.linalg import polar
+'''
+    assert foreign_imports(source) == ["scipy", "scipy"]
 
 
 def test_scan_sees_every_kind_of_use():

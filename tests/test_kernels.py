@@ -475,7 +475,7 @@ def test_continuation_rows_take_cut_steps(params, chi_noise):
     obj = _Objective(chi_noise, x, params, j_only=False)
     aff = AffinePair(0.93 * np.eye(2), np.array([0.3, 0.6]))
     start = _on_ridge(pack(aff)[None], obj.rho, 2)[0]
-    (fit,) = _fit_from_rows(obj, [aff], x[None], chi_noise, params, None, np.array([0]))
+    (fit,) = _fit_from_rows(obj, [aff], x[None], chi_noise, params, np.array([0]))
     cut = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False, ridge_cut=True)
     plain = _newton(obj, start, TOL_GRAD, MAX_ITER_H, require_pd=False)
     assert fit.converged and fit.iterations == cut.iterations < plain.iterations
@@ -990,7 +990,7 @@ def test_ragged_stack_matches_single_rows(params, chi_vacancies, ragged_stack, j
 def test_ragged_fit_and_branch_stacks_match_single_calls(params, chi_vacancies, ragged_stack):
     xs, affs = ragged_stack
     stack = _Objective(chi_vacancies, xs, params, j_only=False)
-    for k, out in enumerate(_fit_from_rows(stack, affs, xs, chi_vacancies, params, None,
+    for k, out in enumerate(_fit_from_rows(stack, affs, xs, chi_vacancies, params,
                                            np.arange(len(xs)))):
         one = oracle.fit_from(affs[k], chi_vacancies, xs[k], params)
         assert out.breakdown == one.breakdown and out.report == one.report

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from cli_harness import DATA
 
 import kernel_oracles as oracle
-from latfit import fileio, fitting
+from latfit import core_model, fileio, fitting, topology
 from latfit.core_model import AffinePair, Box, is_regular_pair
 from latfit.fitting import fit_global, tau_init
 from latfit.generators import GeneratorSpec, edge_dipole, generate
@@ -225,6 +226,33 @@ class TestRefinementInvariance:
         with pytest.raises(IrregularSampleError):
             chain_refinement_invariance([left, right], 1, near_core, chi, params8)
 
+    def test_integer_check_is_the_product_comparison(self, params, lattice_fit):
+        # bare pairs in different integer gauges, so no step is the identity: inserting a
+        # point anywhere gives what comparing the two chains' find_reparam products gives
+        chi, y, aff = lattice_fit
+        gauges = [Reparam(np.array(b), np.array(t)) for b, t in (
+            ([[1, 0], [0, 1]], [0, 0]), ([[1, 1], [0, 1]], [1, -2]),
+            ([[1, 0], [-1, 1]], [0, 3]), ([[2, 1], [1, 1]], [-1, 0]))]
+        pts = [y + np.array(v) for v in ([0.0, 0.0], [8.0, 2.0], [14.0, 8.0])]
+
+        def pair(p, gauge):
+            return p, gauge.apply(AffinePair(aff.A, aff.tau + aff.A @ (p - y)))
+
+        def product(chain):
+            return chain_product([find_reparam(a, b, chi, params)
+                                  for a, b in zip(chain, chain[1:])])
+
+        chain = [pair(p, g) for p, g in zip(pts, gauges)]
+        for k in (1, 2):
+            new = pair(0.5 * (pts[k - 1] + pts[k]), gauges[3])
+            assert product(chain) == product(chain[:k] + [new] + chain[k:])
+            assert chain_refinement_invariance(chain, k, new, chi, params)
+        # a step beyond 1.5 lam is refused as find_reparam refuses it
+        far = chain + [pair(pts[2] + [19.0, 0.0], gauges[0])]
+        with pytest.raises(ValueError, match="chain steps require"):
+            chain_refinement_invariance(far, 1, pair(0.5 * (pts[0] + pts[1]), gauges[3]),
+                                        chi, params)
+
 
 def square_loop(center, radius, max_step):
     c = np.asarray(center, dtype=float)
@@ -276,7 +304,17 @@ class TestBurgersLoop:
         tight = low_energy_thresholds(0.01, params8)
         loop = square_loop(truth.core, 1.5, 1.0 * params8.lam)
         with pytest.raises(IrregularSampleError, match="sample"):
-            burgers_loop(chi, loop, params8, thresholds=tight)
+            burgers_loop(chi, loop, replace(params8, thresholds=tight))
+
+    @pytest.mark.parametrize("loop, message", [
+        ([[20.0, 20.0]] * 3, "at least 3 distinct points, got 1"),
+        ([[20.0, 20.0], [25.0, 20.0], [20.0, 20.0]], "at least 3 distinct points, got 2"),
+        ([[20.0, 20.0], [25.0, 20.0], [30.0, 20.0], [20.0, 20.0]], "all lie on one line"),
+        (densify_loop([[16.0, 16.0], [30.1, 23.3], [16.0, 16.0]], 4.0), "all lie on one line"),
+    ], ids=["coincident", "back_and_forth", "collinear", "densified_back_and_forth"])
+    def test_loop_enclosing_nothing_refused(self, params, chi_noise, loop, message):
+        with pytest.raises(ValueError, match=message):
+            burgers_loop(chi_noise, np.asarray(loop), params)
 
     def test_open_loop_rejected(self, params, chi_noise):
         pts = np.array([[16.0, 16.0], [22.0, 16.0], [22.0, 22.0]])
@@ -308,6 +346,23 @@ class TestBurgersLoop:
         res = burgers_loop(chi_noise, loop, params, verify_refinement=True)
         assert res.product.is_identity
 
+    def test_refinement_check_gathers_no_misfit(self, params, chi_noise):
+        # the loop's fits carry J and the refinement check needs integers alone
+        calls = []
+        j_lambda = core_model.j_lambda
+
+        def counting_j_lambda(*args):
+            calls.append(args)
+            return j_lambda(*args)
+
+        loop = square_loop([20.0, 20.0], 5.0, 1.2 * params.lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "j_lambda", counting_j_lambda)
+            mp.setattr(core_model, "j_lambda", counting_j_lambda)
+            res = burgers_loop(chi_noise, loop, params, verify_refinement=True)
+        assert res.product.is_identity and len(res.fits) == 4
+        assert calls == []
+
 
 def test_loop_continuation_matches_multistart():
     # golden dislocation, the half-width 6 and 10 loops of the golden-loops
@@ -320,10 +375,10 @@ def test_loop_continuation_matches_multistart():
     core = json.loads((DATA / "golden_truth.json").read_text())["core"]
     guarded = []
 
-    def recording_fit_global(chi, x, params, warm_starts=(), thresholds=None):
+    def recording_fit_global(chi, x, params, warm_starts=()):
         if warm_starts:
             guarded.append(half_width)
-        return fit_global(chi, x, params, warm_starts=warm_starts, thresholds=thresholds)
+        return fit_global(chi, x, params, warm_starts=warm_starts)
 
     for half_width in (6.0, 10.0):
         loop = square_loop(core, half_width, 1.2 * params.lam)
@@ -379,7 +434,7 @@ def test_fit_loop_samples_carry_their_regularity_test():
     for half_width in (6.0, 10.0):
         pts = square_loop(core, half_width, 1.2 * params.lam)[:-1]
         for f in fitting.fit_loop(chi, pts, params):
-            assert f.regular == is_regular_pair(f.position, f.aff_hat, chi, params, None)[0]
+            assert f.regular == is_regular_pair(f.position, f.aff_hat, chi, params)[0]
 
 
 class TestChainDrift:
