@@ -15,13 +15,12 @@ import sys
 import numpy as np
 
 from . import fileio
-from .checks import run_checks
-from .fields import GridGeometry, evaluate_grid, fd_gradients, lower_bound_report
 from .fileio import FileFormatError
-from .fitting import FitError, fit_global
-from .generators import GenerationError, generate
-from .svg import heatmap_svg
-from .topology import IrregularSampleError, ReparamError, burgers_loop, densify_loop
+
+# main's exit-2 errors beyond OSError and ValueError, by home module; each command
+# imports only the modules it runs, and a module that was never loaded raised nothing
+_NAMED_ERRORS = {"latfit.generators": ("GenerationError",), "latfit.fitting": ("FitError",),
+                 "latfit.topology": ("ReparamError", "IrregularSampleError")}
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -53,6 +52,8 @@ def _load_configuration(args):
 
 
 def cmd_generate(args) -> int:
+    from .generators import generate
+
     spec = fileio.load_spec(args.spec)
     chi, truth = generate(spec)
     fileio.write_atoms_csv(args.out, chi)
@@ -68,6 +69,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .fitting import fit_global
+
     params, chi = _load_configuration(args)
     x = _parse_point(args.at)
     if x.shape != (params.d,):
@@ -80,6 +83,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_field(args) -> int:
+    from .fields import GridGeometry, evaluate_grid, fd_gradients, lower_bound_report
+
     params, chi = _load_configuration(args)
     parts = args.grid.split(",")
     if len(parts) != 5:
@@ -104,6 +109,8 @@ def cmd_field(args) -> int:
     else:
         msg += "no lower-bound node checked: none has a valid full 3x3 stencil"
     if args.svg:
+        from .svg import heatmap_svg
+
         bands = _field_bands_from_grid(field, report)
         fileio.atomic_write_text(args.svg, heatmap_svg(bands, title="latfit field"))
         msg += f", svg -> {args.svg}"
@@ -127,6 +134,8 @@ def _field_bands_from_grid(field, report):
 
 
 def cmd_loop(args) -> int:
+    from .topology import burgers_loop, densify_loop
+
     params, chi = _load_configuration(args)
     pts = []
     with open(args.loop, "r", encoding="utf-8") as fh:
@@ -159,6 +168,8 @@ def cmd_loop(args) -> int:
 def cmd_check(args) -> int:
     if args.seed < 0:
         raise FileFormatError(f"--seed must be a non-negative integer, got {args.seed}")
+    from .checks import run_checks
+
     params, chi = _load_configuration(args)
     report = run_checks(chi, params, seed=args.seed)
     for line in report.lines():
@@ -171,6 +182,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .svg import heatmap_svg
+
     data = fileio.read_field_csv(args.field)
     nx = int(np.max(data["ix"])) + 1
     ny = int(np.max(data["iy"])) + 1
@@ -186,6 +199,13 @@ def cmd_report(args) -> int:
     fileio.atomic_write_text(args.svg, heatmap_svg(bands, title="latfit report"))
     print(f"report -> {args.svg} ({', '.join(names)})")
     return 0
+
+
+def _named_errors() -> tuple:
+    """OSError, ValueError (FileFormatError is one) and the `_NAMED_ERRORS` of the modules loaded."""
+    loaded = [getattr(sys.modules[mod], name) for mod, names in _NAMED_ERRORS.items()
+              if mod in sys.modules for name in names]
+    return (*loaded, OSError, ValueError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, GenerationError, FitError, ReparamError,
-            IrregularSampleError, OSError, ValueError) as err:
+    except _named_errors() as err:
         print(f"latfit: error: {err}", file=sys.stderr)
         return 2
 

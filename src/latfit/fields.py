@@ -511,7 +511,7 @@ def theorem2_check(field: FieldGrid, node: tuple[int, int],
     det_gt = float(np.linalg.det(gt))
     x_ratio = float(field.rho_2l[iy, ix] / field.rho_l[iy, ix])
     fc = f_c(gt, params, x_ratio, rho_lambda=float(field.rho_l[iy, ix]))
-    c_con_val = c_con(float(field.rho_l[iy, ix]), det_gt, 2, dc)
+    c_con_val = c_con(float(field.rho_l[iy, ix]), det_gt, params.d, dc)
     ctn = c_tilde_nabla(x_ratio, c_con_val, dc)
     hess_sq = float(np.sum(grads.hess_tau[iy, ix] ** 2))
     inv_sq = float(np.sum(np.linalg.inv(gt) ** 2))
@@ -552,10 +552,10 @@ def gradient_bound_check(field: FieldGrid, grads: FieldGradients | None = None):
         inv_sq = float(np.sum(np.linalg.inv(a_t) ** 2))
         rho = float(field.rho_l[iy, ix])
         rho2 = float(field.rho_2l[iy, ix])
-        ccv = c_con(rho, float(np.linalg.det(a_t)), 2, dc)
+        ccv = c_con(rho, float(np.linalg.det(a_t)), params.d, dc)
         grad_part = (lam2 * float(np.sum(grads.grad_a[iy, ix] ** 2))
                      + float(np.sum((grads.grad_tau[iy, ix] - a_t) ** 2)))
-        rhs = (ccv**2 * inv_sq / (dc.alpha_nabla * 2.0**2 * dc.norm_grad_sqrt_phi**2)
+        rhs = (ccv**2 * inv_sq / (dc.alpha_nabla * 2.0**params.d * dc.norm_grad_sqrt_phi**2)
                * rho**2 / rho2 * lam2 * grad_part)
         lhs = field.branch[iy][ix].j_value
         out.append(((int(ix), int(iy)), lhs, rhs))

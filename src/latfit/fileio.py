@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .core_model import (
     as_number,
     as_vector,
 )
-from .generators import KINDS, GeneratorSpec
 from .potentials import ElasticDensity
 
 
@@ -39,6 +37,8 @@ def _fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    import tempfile     # here, not at the top: reading inputs never needs it
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-latfit-")
     try:
@@ -69,9 +69,13 @@ def write_atoms_csv(path: str, chi: Configuration) -> None:
 
 
 def read_atoms_csv(path: str):
-    """Parse positions and interior flags; errors carry the 1-based line number."""
-    positions = []
-    interior = []
+    """Parse positions and interior flags; errors carry the 1-based line number.
+
+    One pass keeps each record's kind and the floats of its coordinates;
+    the kinds and finiteness are checked once, at the end.  When a record
+    fails, `_first_bad_record` reads the file again and raises the error of
+    the first bad one.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -82,6 +86,30 @@ def read_atoms_csv(path: str):
         if cols not in (["x", "y", "kind"], ["x", "y", "z", "kind"]):
             raise FileFormatError(f"{path}:1: expected header x,y[,z],kind, got {','.join(cols)}")
         d = len(cols) - 1
+        coords, kinds = [], []
+        try:
+            for row in reader:
+                if len(row) != d + 1:
+                    if row:
+                        raise ValueError
+                    continue
+                kinds.append(row.pop().strip())
+                coords.extend(map(float, row))
+            positions = np.array(coords).reshape(-1, d)
+            if not (set(kinds) <= {"I", "S"} and np.isfinite(positions).all()):
+                raise ValueError
+        except ValueError:
+            _first_bad_record(path, d)
+    if not kinds:
+        raise FileFormatError(f"{path}:2: no atoms")
+    return positions, np.array([k == "I" for k in kinds])
+
+
+def _first_bad_record(path: str, d: int) -> None:
+    """Raise the FileFormatError of the first bad record of an atoms file with a valid header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -92,15 +120,12 @@ def read_atoms_csv(path: str):
             except ValueError as err:
                 raise FileFormatError(f"{path}:{lineno}: bad coordinate: {err}") from None
             if not all(math.isfinite(v) for v in coords):
-                raise FileFormatError(f"{path}:{lineno}: coordinates must be finite, got {row[:d]}")
-            positions.append(coords)
+                raise FileFormatError(
+                    f"{path}:{lineno}: coordinates must be finite, got {row[:d]}")
             kind = row[d].strip()
             if kind not in ("I", "S"):
                 raise FileFormatError(f"{path}:{lineno}: kind must be I or S, got {kind!r}")
-            interior.append(kind == "I")
-    if not positions:
-        raise FileFormatError(f"{path}:2: no atoms")
-    return np.array(positions, dtype=float), np.array(interior, dtype=bool)
+    raise AssertionError(f"{path}: a record failed the fast check and passed every named one")
 
 
 def configuration_from_arrays(positions: np.ndarray, interior: np.ndarray,
@@ -201,6 +226,8 @@ _SPEC_KEYS = {"kind", "domain_lo", "domain_hi", "lam", "seed", "a_matrix", "tau"
 
 
 def spec_from_dict(doc: dict, path: str = "<spec>") -> GeneratorSpec:
+    from .generators import KINDS, GeneratorSpec   # only `generate` reads a spec
+
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: generator spec must be a JSON object")
     unknown = set(doc) - _SPEC_KEYS

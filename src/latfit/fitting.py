@@ -53,15 +53,16 @@ multistart.  `fit_global` and `minimize_j_local` pass one point through the
 same code; `minimize_j_local` alone raises BasinEscapeError for a row that
 left the basin.
 
-One Newton step costs one value, gradient and Hessian per start.
-`_Objective` builds each point's J feature block (`j_features`) once, with
-its gather, and computes det A and A^{-1} once per evaluation (2 x 2 closed
-forms for d = 2, in an `_Iterate`, not an AffinePair); it hands them to J
-(`assemble_j`), F (`ElasticDensity._value`, `_grad`, `_hess`, closed forms
-for d = 2) and the smoothed nu; F and nu share one Hessian of det
-(`det_hessian`).  `_newton` keeps the cos pass of each running row from
-the evaluation at its accepted iterate and hands it to the next
-`value_grad_hess` instead of redoing it.  Rows on one point read that
+One Newton step costs one gradient and Hessian per start, and one value
+per line-search trial.  `_Objective` builds each point's J feature block
+(`j_features`) once, with its gather, and computes det A and A^{-1} once
+per evaluation (2 x 2 closed forms for d = 2, in an `_Iterate`, not an
+AffinePair); it hands them to J (`assemble_j`), F (`ElasticDensity._value`
+and `_grad_hess`, closed forms for d = 2) and the smoothed nu; F and nu
+share one Hessian of det (`det_hessian`), and `_ridge_cut` reads the same
+iterate.  `_newton` keeps the cos pass of each running row from the
+evaluation at its accepted iterate and hands it to the next `_grad_hess`
+instead of redoing it.  Rows on one point read that
 point's feature block in place.  `_newton_steps` gives every row its step
 as one expression from one batched eigendecomposition, with no solve or
 inverse per row.
@@ -199,9 +200,9 @@ class _Objective:
     per row (`_iterate`, 2 x 2 closed forms for d = 2) and shares them
     between J, F and nu.  A row with det A <= 0 evaluates to +inf so line
     searches stay orientation-preserving.  `_value` also returns each row's
-    cos pass, which `value_grad_hess` takes back as cos_z at the same theta.
+    cos pass, which `_grad_hess` takes back as cos_z at the same theta.
     Each point's J feature block (`j_features`) is built once, with the
-    gathers; `value_grad_hess` hands the blocks, with each row's point, to
+    gathers; `_grad_hess` hands the blocks, with each row's point, to
     `assemble_j`, which reads them in place, and `_value` never reads them.
     A selection of the points' gathers by row is copied once and reused
     while the same points come again, as they do through a Newton step and
@@ -328,28 +329,41 @@ class _Objective:
         val = self._value(flat, np.arange(len(flat)) if points is None else np.asarray(points))[0]
         return float(val[0]) if theta.ndim == 1 else val
 
-    def value_grad_hess(self, theta: np.ndarray, points=None, cos_z=None):
-        """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required.
+    def _grad_hess(self, theta: np.ndarray, points: np.ndarray, cos_z=None):
+        """(the rows' `_Iterate`, J's value, gradient, Hessian) at a stack (K, n); det A > 0 required.
 
+        The gradient and Hessian are h's (or J's); the value is J's alone,
+        which `assemble_j` forms on the way, and a Newton step reads none.
         cos_z is the stack's cos pass from `_value` at this theta, when the
         caller holds it.
         """
-        theta = np.asarray(theta, dtype=float)
-        flat = theta.reshape(-1, theta.shape[-1])
-        it, ok = self._iterate(flat, 0.0)
+        it, ok = self._iterate(theta, 0.0)
         if not ok.all():
             raise ValueError("value_grad_hess requires det A > 0")
-        rel, w, c, rho, eps, feat = self._points(
-            np.arange(len(flat)) if points is None else np.asarray(points), features=True)
-        val, grad, hess = assemble_j(rel, w, it, c, cos_z=cos_z, features=feat)
+        rel, w, c, rho, eps, feat = self._points(points, features=True)
+        j_val, grad, hess = assemble_j(rel, w, it, c, cos_z=cos_z, features=feat)
         if not self.j_only:
             d = self.d
-            el = self.params.elastic
-            val = val + (el._value(it.A, it.det_a) + self._nu_smooth(it.det_a, rho, eps))
             h_det = det_hessian(it.det_a, it.ainv)
             nu_grad, nu_hess = self._nu_smooth_grad_hess(it, h_det, rho, eps)
-            grad[:, : d * d] += (el._grad(it.A, it.det_a, it.ainv) + nu_grad).reshape(len(val), -1)
-            hess[:, : d * d, : d * d] += el._hess(it.A, it.det_a, it.ainv, h_det) + nu_hess
+            el_grad, el_hess = self.params.elastic._grad_hess(it.A, it.det_a, it.ainv, h_det)
+            grad[:, : d * d] += (el_grad + nu_grad).reshape(len(j_val), -1)
+            hess[:, : d * d, : d * d] += el_hess + nu_hess
+        return it, j_val, grad, hess
+
+    def value_grad_hess(self, theta: np.ndarray, points=None, cos_z=None):
+        """(value, gradient, Hessian) at one start or at a stack of starts; det A > 0 required.
+
+        `_grad_hess` plus F's and nu's values.
+        """
+        theta = np.asarray(theta, dtype=float)
+        flat = theta.reshape(-1, theta.shape[-1])
+        points = np.arange(len(flat)) if points is None else np.asarray(points)
+        it, val, grad, hess = self._grad_hess(flat, points, cos_z)
+        if not self.j_only:
+            rho, eps = self._points(points)[3:5]
+            val = val + (self.params.elastic._value(it.A, it.det_a)
+                         + self._nu_smooth(it.det_a, rho, eps))
         if theta.ndim == 1:
             return float(val[0]), grad[0], hess[0]
         return val, grad, hess
@@ -404,9 +418,11 @@ def _newton_steps(gs: np.ndarray, hs: np.ndarray, f_rows: np.ndarray, tol_grad: 
     return grad_norm, converged, escaped, step, slope, blind
 
 
-def _ridge_cut(obj: _Objective, base: np.ndarray, p: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _ridge_cut(obj: _Objective, base: _Iterate, p: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Per row, the step length t_c at which step p's linearized det A reaches the nu ridge, else 1.
 
+    base holds the rows' iterates before the step, as the gradient
+    evaluation there built them (det A and A^{-1}).
     u = det A - rho at the row's base iterate moves along p as
     u + t det A tr(A^{-1} P) to first order (P is p's A block).  A row more
     than eps_nu off the ridge whose full step would land more than eps_nu
@@ -416,12 +432,10 @@ def _ridge_cut(obj: _Objective, base: np.ndarray, p: np.ndarray, points: np.ndar
     for any d.
     """
     d = obj.d
-    a = base[:, : d * d].reshape(-1, d, d)
-    det_a = _det(a)
     rho, eps = obj._points(points)[3:5]
-    u0 = det_a - rho
-    du = det_a * (_inv(a, det_a).transpose(0, 2, 1) * p[:, : d * d].reshape(-1, d, d)
-                  ).reshape(len(u0), -1).sum(axis=1)
+    u0 = base.det_a - rho
+    du = base.det_a * (base.ainv.transpose(0, 2, 1) * p[:, : d * d].reshape(-1, d, d)
+                       ).reshape(len(u0), -1).sum(axis=1)
     u1 = u0 + du
     cut = (np.abs(u0) > eps) & (np.abs(u1) > eps) & ((u0 > 0.0) != (u1 > 0.0))
     t_c = np.ones_like(u0)
@@ -442,7 +456,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
     one-point obj.  The run keeps the cos pass of each running row at its
     current iterate, from the first evaluation and then from the trial its
     line search accepts (Nocedal & Wright, ch. 3), aligned with the running
-    rows, and hands it to every `value_grad_hess`, so no gradient redoes it
+    rows, and hands it to every `_grad_hess`, so no gradient redoes it
     and none copies it; when a whole line search accepts at once its trial's
     passes are kept as they are.  A row stops in one of six ways:
     - converged: the scaled gradient norm is at most tol_grad;
@@ -520,7 +534,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         if rows.size < cos_rows.size:       # rows stopped since their passes were kept
             cos_z, cos_rows = cos_z[running[cos_rows]], rows
         base = theta[rows]
-        _, grad, hess = obj.value_grad_hess(base, points[rows], cos_z)
+        it_base, _, grad, hess = obj._grad_hess(base, points[rows], cos_z)
         cos_z = None                        # the accepted trials bring the next passes
         grad_norm[rows], done, esc, step, slope, blind = _newton_steps(
             grad / scale, hess / scale[:, None] / scale[None, :], f_cur[rows], tol_grad,
@@ -535,9 +549,10 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
             if not go.any():
                 break
             rows, base, step, slope, blind = rows[go], base[go], step[go], slope[go], blind[go]
+            it_base = it_base._make(x[go] for x in it_base)
         p = step / scale
         if ridge_cut and not obj.j_only:
-            t_c = _ridge_cut(obj, base, p, points[rows])
+            t_c = _ridge_cut(obj, it_base, p, points[rows])
             p, slope = p * t_c[:, None], slope * t_c
         f_rows = f_cur[rows]
         cos_rows, slot = rows, np.arange(rows.size)
@@ -569,7 +584,7 @@ def _newton(obj: _Objective, theta0: np.ndarray, tol_grad: float, max_iter: int,
         if rows.size:
             if rows.size < cos_rows.size:
                 cos_z = cos_z[running[cos_rows]]
-            gs = obj.value_grad_hess(theta[rows], points[rows], cos_z)[1] / scale
+            gs = obj._grad_hess(theta[rows], points[rows], cos_z)[2] / scale
             grad_norm[rows] = np.sqrt((gs * gs).sum(axis=1))
             converged[rows] = grad_norm[rows] <= tol_grad
             iterations[rows] = max_iter

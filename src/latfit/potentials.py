@@ -92,9 +92,9 @@ class ElasticDensity:
     E U V^T is (E G + det G A^{-T}) / sum_i sigma_i(G); d = 3 takes the SVD.
 
     The public f_el, f_el_grad and f_el_hess check det A > 0 and hand det A
-    and A^{-1} to the kernels _value, _grad and _hess, which a Newton step
-    calls directly, on its stack of starts, with the det A and A^{-1} it
-    already has.
+    and A^{-1} to the kernels _value, _grad and _grad_hess; a Newton step
+    calls _grad_hess directly, on its stack of starts, with the det A and
+    A^{-1} it already has.
     """
 
     E: np.ndarray
@@ -147,7 +147,7 @@ class ElasticDensity:
         """
         A = np.asarray(A, dtype=float)
         det_a = np.array([_positive_det(A, "f_el_hess")])
-        return self._hess(A[None], det_a, np.linalg.inv(A)[None])[0]
+        return self._grad_hess(A[None], det_a, np.linalg.inv(A)[None])[1][0]
 
     # The kernels take a stack of K matrices A (K, d, d) with det A (K,) > 0
     # and A^{-1} (K, d, d); each row is computed as that matrix alone.
@@ -162,37 +162,47 @@ class ElasticDensity:
         dist2 = (A * A).sum(axis=(1, 2)) + self.e_norm2 - 2.0 * self._sigma_sum(self.E.T @ A, det_a)
         return self.C1_el * (self.det_e - det_a) ** 2 + self.C2_el * np.maximum(dist2, 0.0)
 
-    def _grad(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray) -> np.ndarray:
-        """Gradient of F at A.
+    def _polar(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray):
+        """(K^T, s, E U V^T) at A: the pieces F's gradient and Hessian share.
 
-        d(det A)/dA = det A K^T with K = A^{-1}, and d(sum sigma_i(E^T A))/dA
-        = E U V^T for the SVD E^T A = U S V^T.  For d = 2 that is
-        (E G + det G K^T) / s with G = E^T A and s = sum sigma_i(G).
+        K = A^{-1}, s = sum sigma_i(G) for G = E^T A (None for d != 2), and
+        E U V^T, from the SVD G = U S V^T, is the gradient of s; for d = 2
+        it is (E G + det G K^T) / s.
         """
         kt = ainv.transpose(0, 2, 1)
         g = self.E.T @ A
-        if self.d == 2:
-            det_g = (self.det_e * det_a)[:, None, None]
-            e_polar = (self.E @ g + det_g * kt) / self._sigma_sum(g, det_a)[:, None, None]
-        else:
+        if self.d != 2:
             u, _, vt = np.linalg.svd(g)
-            e_polar = self.E @ u @ vt
+            return kt, None, self.E @ u @ vt
+        s = self._sigma_sum(g, det_a)[:, None, None]
+        return kt, s, (self.E @ g + (self.det_e * det_a)[:, None, None] * kt) / s
+
+    def _grad_from(self, A: np.ndarray, det_a: np.ndarray, kt: np.ndarray,
+                   e_polar: np.ndarray) -> np.ndarray:
+        # d(det A)/dA = det A K^T and d(sum sigma_i(E^T A))/dA = E U V^T
         det_a = det_a[:, None, None]
         g_det = 2.0 * self.C1_el * (det_a - self.det_e) * det_a * kt
         return g_det + 2.0 * self.C2_el * (A - e_polar)
 
-    def _hess(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray,
-              h_det: np.ndarray | None = None) -> np.ndarray:
-        """Hessian of F at A as (K, d^2, d^2); h_det is `det_hessian(det_a, ainv)` when the caller has it.
+    def _grad(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray) -> np.ndarray:
+        """Gradient of F at A (`_polar`'s E U V^T and the det term)."""
+        kt, _, e_polar = self._polar(A, det_a, ainv)
+        return self._grad_from(A, det_a, kt, e_polar)
 
-        With K = A^{-1}, C = det A K^T (the gradient of det) and H_det the
-        Hessian of det (`det_hessian`), for d = 2:
+    def _grad_hess(self, A: np.ndarray, det_a: np.ndarray, ainv: np.ndarray,
+                   h_det: np.ndarray | None = None):
+        """(gradient (K, d, d), Hessian (K, d^2, d^2)) of F at A from one `_polar` pass.
+
+        h_det is `det_hessian(det_a, ainv)` when the caller has it.  With
+        C = det A K^T (the gradient of det) and H_det the Hessian of det,
+        for d = 2:
           det term   2 C1 [C (x) C + (det A - det E) H_det]
           dist term  2 C2 [I - (E E^T (x) I + det E H_det - g_s (x) g_s) / s]
-        where s = sum sigma_i(G) and g_s = (E G + det G K^T) / s is its
-        gradient; G^{-T} = E^{-1} K^T, so det G E G^{-T} = det G K^T.
-        d = 3 takes central differences of `_grad`.
+        where g_s = E U V^T is the gradient of s; G^{-T} = E^{-1} K^T, so
+        det G E G^{-T} = det G K^T.  d = 3 takes central differences of `_grad`.
         """
+        kt, s, e_polar = self._polar(A, det_a, ainv)
+        grad = self._grad_from(A, det_a, kt, e_polar)
         k_rows, d = A.shape[:2]
         if d != 2:
             step = 1e-6 * (1.0 + np.sqrt((A * A).sum(axis=(1, 2))))
@@ -203,21 +213,17 @@ class ElasticDensity:
                 da = da.reshape(k_rows, d, d)
                 diff = _grad_at(self, A + da) - _grad_at(self, A - da)
                 h[:, :, i] = diff.reshape(k_rows, d * d) / (2.0 * step[:, None])
-            return 0.5 * (h + h.transpose(0, 2, 1))
+            return grad, 0.5 * (h + h.transpose(0, 2, 1))
 
-        e = self.E
-        g = e.T @ A
-        s = self._sigma_sum(g, det_a)[:, None, None]
-        kt = ainv.transpose(0, 2, 1)
         c_det = (det_a[:, None, None] * kt).reshape(k_rows, 4)
         if h_det is None:
             h_det = det_hessian(det_a, ainv)
-        grad_s = ((e @ g + (self.det_e * det_a)[:, None, None] * kt) / s).reshape(k_rows, 4)
+        grad_s = e_polar.reshape(k_rows, 4)
         h = 2.0 * self.C1_el * (c_det[:, :, None] * c_det[:, None, :]
                                 + (det_a - self.det_e)[:, None, None] * h_det)
         h += 2.0 * self.C2_el * (np.eye(4) - (self.ee_kron + self.det_e * h_det
                                              - grad_s[:, :, None] * grad_s[:, None, :]) / s)
-        return 0.5 * (h + h.transpose(0, 2, 1))
+        return grad, 0.5 * (h + h.transpose(0, 2, 1))
 
 
 def _grad_at(el: ElasticDensity, A: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import AffinePair, Configuration, ModelParams, is_regular_pair, j_lambda
-from .fitting import fit_between, fit_loop
+from .fitting import FitResult, fit_between, fit_loop
 
 
 class ReparamError(RuntimeError):
@@ -228,7 +228,9 @@ def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configur
     `find_reparam` rounds it (its 1.5 lam gate, `round_reparam`'s integers
     and refusals).  By the group law the refined product equals the chain's
     exactly when those two steps compose to the one they replace, so the
-    check needs the integers alone and gathers no J.
+    check needs the integers alone and gathers no J.  An inserted FitResult
+    carries its regular-pair test from its fit's own gather (`regular`), so
+    it is not gathered again; a bare pair is tested here.
     """
     fits = [_as_point_aff(f) for f in chain]
     if not 1 <= insert_index <= len(fits) - 1:
@@ -238,7 +240,9 @@ def chain_refinement_invariance(chain, insert_index: int, new_fit, chi: Configur
     for nb in (fits[insert_index - 1][0], fits[insert_index][0]):
         if np.linalg.norm(y_new - nb) > 1.5 * lam + 1e-9:
             raise ValueError("inserted point must be within 1.5*lam of both neighbors")
-    if not is_regular_pair(y_new, aff_new, chi, params)[0]:
+    regular = new_fit.regular if isinstance(new_fit, FitResult) else \
+        is_regular_pair(y_new, aff_new, chi, params)[0]
+    if not regular:
         raise IrregularSampleError(
             f"inserted point at {np.array2string(y_new, precision=3)} is not a regular pair")
 

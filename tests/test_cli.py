@@ -424,3 +424,27 @@ def test_negative_check_seed_is_named(capsys):
     assert code == 2
     assert "latfit: error: --seed must be a non-negative integer, got -1" in err, err
     assert "Traceback" not in err
+
+
+def test_every_named_error_exits_2(capsys, monkeypatch):
+    """`main` reports each named error class with exit 2; any other exception propagates.
+
+    The handler finds the classes of the modules a command loaded; here every
+    module is loaded, and each class, a subclass and the builtins are caught.
+    """
+    from latfit.fileio import FileFormatError
+    from latfit.fitting import BasinEscapeError, FitError
+    from latfit.generators import GenerationError
+    from latfit.topology import AmbiguousReparamError, IrregularSampleError, ReparamError
+
+    for cls in (FileFormatError, FitError, BasinEscapeError, GenerationError, ReparamError,
+                AmbiguousReparamError, IrregularSampleError, OSError, ValueError):
+        def raising(args, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setattr(cli, "cmd_report", raising)
+        code, err = run_in_process(capsys, "report", "--field", "f.csv", "--svg", "f.svg")
+        assert code == 2 and err == f"latfit: error: raised {cls.__name__}\n", cls
+    monkeypatch.setattr(cli, "cmd_report", lambda args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["report", "--field", "f.csv", "--svg", "f.svg"])

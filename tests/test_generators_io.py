@@ -145,6 +145,37 @@ class TestAtomsCsv:
         with pytest.raises(FileFormatError, match="bad.csv:1"):
             read_atoms_csv(str(bad))
 
+    def test_quoted_fields_crlf_and_blank_lines(self, tmp_path):
+        # csv quoting, CRLF line ends, blank records and padded kinds parse like plain rows
+        path = tmp_path / "atoms.csv"
+        path.write_bytes(b'x,y,kind\r\n"1.5",2.0,I\r\n\r\n-3e-1,"4", S\r\n\r\n')
+        positions, interior = read_atoms_csv(str(path))
+        assert positions.tolist() == [[1.5, 2.0], [-0.3, 4.0]] and positions.flags.c_contiguous
+        assert interior.tolist() == [True, False] and interior.dtype == bool
+        # a blank record still counts as a line
+        path.write_bytes(b'x,y,kind\r\n1.0,2.0,I\r\n\r\n"oops",3.0,I\r\n')
+        with pytest.raises(FileFormatError, match=r"atoms.csv:4: bad coordinate"):
+            read_atoms_csv(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y,kind\n1,2,I\n1,2\n", "3: expected 3 fields, got 2"),
+        ("x,y,z,kind\n1,2,3,I\n1,2,I\n", "3: expected 4 fields, got 3"),
+        ("x,y,kind\n1,inf,I\nbad,2,I\n", "2: coordinates must be finite, got ['1', 'inf']"),
+        ("x,y,kind\n1,2,Q\nnan,2,I\n", "2: kind must be I or S, got 'Q'"),
+        ("x,y,kind\nnan,2,Q\n", "2: coordinates must be finite, got ['nan', '2']"),
+        ("x,y,kind\n1,2,I\n1,2,I,extra\noops,1,I\n", "3: expected 3 fields, got 4"),
+        ("x,y,kind\n1,2,I\n1,2,x\n", "3: kind must be I or S, got 'x'"),
+        ("x,y,kind\n\n\n", "2: no atoms"),
+    ], ids=["short", "short_3d", "inf_before_bad", "kind_before_nan", "nan_and_kind",
+            "long_before_bad", "kind_late", "only_blank"])
+    def test_first_bad_line_is_named(self, tmp_path, text, message):
+        """The first bad record's error, checked in order: fields, coordinates, finite, kind."""
+        path = tmp_path / "atoms.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_atoms_csv(str(path))
+        assert str(err.value) == f"{path}:{message}"
+
     def test_inferred_domain_contains_interior(self, chi_noise):
         text_positions = chi_noise.positions
         chi = configuration_from_arrays(text_positions, chi_noise.interior, _params())

@@ -4,14 +4,20 @@ No module of the package or of its tests imports a name it never uses, and
 the package imports nothing but the standard library, numpy and itself.
 The scan needs no linter: a name bound by an import counts as used when it
 appears as a name anywhere in the module (an attribute's root included), in
-a string annotation, or in `__all__`.
+a string annotation, or in `__all__`.  Fresh interpreters check that reading
+the inputs and each CLI command load only the modules they run.
 """
 
 import ast
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cli_harness import DATA, cli_env
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/latfit/*.py"), *ROOT.glob("tests/*.py")])
@@ -90,3 +96,69 @@ def f(x: "List[int]") -> None:
 '''
     assert unused_imports(source) == ["os", "turn"]
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+# the modules set-up never runs: reading inputs must not compile them
+HEAVY = ("latfit.fitting", "latfit.topology", "latfit.fields", "latfit.checks",
+         "latfit.generators")
+
+
+def loaded_after(code: str, cwd) -> set:
+    """The latfit modules a fresh interpreter holds as it exits after running `code`."""
+    report = ("import atexit, sys\n"
+              "atexit.register(lambda: print(' '.join(sorted(m for m in sys.modules\n"
+              "                                              if m.startswith('latfit')))))\n")
+    proc = subprocess.run([sys.executable, "-c", report + code], cwd=cwd, env=cli_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def run_module_code(*argv) -> str:
+    """Code that runs `python -m latfit *argv`, exiting with its exit code."""
+    return ("import runpy\n"
+            f"sys.argv = ['latfit', *{list(argv)!r}]\n"
+            "runpy.run_module('latfit', run_name='__main__', alter_sys=True)\n")
+
+
+def test_reading_inputs_loads_no_fitting_code(tmp_path):
+    code = (f"import latfit.fileio as fileio\n"
+            f"params, domain = fileio.load_params({str(DATA / 'params.json')!r})\n"
+            f"positions, interior = fileio.read_atoms_csv({str(DATA / 'golden_atoms.csv')!r})\n"
+            "chi = fileio.configuration_from_arrays(positions, interior, params, domain)\n"
+            "assert chi.n_atoms == 8460\n")
+    loaded = loaded_after(code, tmp_path)
+    assert "latfit.fileio" in loaded and loaded.isdisjoint(HEAVY)
+    # a lazy re-export loads its module on first access, and only that one
+    loaded = loaded_after(code + "import latfit\nlatfit.fit_global\n", tmp_path)
+    assert "latfit.fitting" in loaded and loaded.isdisjoint(set(HEAVY) - {"latfit.fitting"})
+
+
+def test_generate_loads_no_fitting(tmp_path):
+    shutil.copy(DATA / "dislocation_spec.json", tmp_path)
+    loaded = loaded_after(run_module_code("generate", "--spec", "dislocation_spec.json",
+                                          "--out", "atoms.csv"), tmp_path)
+    assert "latfit.generators" in loaded and "latfit.fitting" not in loaded
+    assert (tmp_path / "atoms.csv").read_bytes() == (DATA / "golden_atoms.csv").read_bytes()
+
+
+def test_fit_loads_no_fields_checks_or_topology(tmp_path):
+    core = json.loads((DATA / "golden_truth.json").read_text())["core"]
+    loaded = loaded_after(run_module_code(
+        "fit", "--atoms", str(DATA / "golden_atoms.csv"), "--params", str(DATA / "params.json"),
+        "--at", ",".join(str(v + 6.0) for v in core), "--out", "fit.json"), tmp_path)
+    assert "latfit.fitting" in loaded
+    assert loaded.isdisjoint({"latfit.fields", "latfit.checks", "latfit.topology"})
+    assert json.loads((tmp_path / "fit.json").read_text())["regular"] is True
+
+
+def test_public_names_resolve_to_their_home_objects():
+    import latfit
+    listed = dir(latfit)
+    for name in latfit.__all__:
+        obj = getattr(latfit, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert obj.__module__.startswith("latfit."), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        latfit.no_such_name

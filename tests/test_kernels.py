@@ -460,10 +460,11 @@ def test_ridge_cut_stops_only_steps_that_cross_the_ridge(params, chi_noise):
     bases = np.stack([off, on, on, off, off, off])
     steps = np.stack([shrink, shrink, -shrink, -shrink,
                       np.array([0.0, 0.1, -0.1, 0.0, 0.5, 0.5]), to_edge])
-    t_c = _ridge_cut(obj, bases, steps, np.zeros(len(bases), dtype=int))
+    t_c = _ridge_cut(obj, obj._iterate(bases, 0.0)[0], steps, np.zeros(len(bases), dtype=int))
     assert 0.0 < t_c[0] < 1.0 and t_c[1:].tolist() == [1.0] * 5
     # the same step a little longer crosses by more than eps_nu: cut
-    assert _ridge_cut(obj, off[None], 1.02 * to_edge[None], np.zeros(1, dtype=int))[0] < 1.0
+    assert _ridge_cut(obj, obj._iterate(off[None], 0.0)[0], 1.02 * to_edge[None],
+                      np.zeros(1, dtype=int))[0] < 1.0
     a = 1.1 * np.eye(2)
     lin = np.linalg.det(a) * (1.0 + t_c[0] * np.trace(np.linalg.inv(a) @ shrink[:4].reshape(2, 2)))
     assert abs(lin - rho) <= 1e-12

@@ -254,6 +254,32 @@ class TestRefinementInvariance:
                                         chi, params)
 
 
+    def test_inserted_fit_carries_the_fresh_regularity_test(self, params, chi_noise, params8,
+                                                             dislocation8):
+        # the check reads an inserted FitResult's `regular` instead of gathering again: on
+        # burgers_loop's verified loops that is the fresh is_regular_pair test bit for bit
+        inserted = []
+        check = topology.chain_refinement_invariance
+
+        def recording_check(chain, k, new_fit, chi, prm):
+            inserted.append((new_fit, chi, prm))
+            return check(chain, k, new_fit, chi, prm)
+
+        chi8, truth = dislocation8
+        loops = [(chi_noise, square_loop([20.0, 20.0], r, 1.2 * params.lam), params)
+                 for r in (5.0, 6.0)]
+        loops.append((chi8, square_loop(truth.core, 8.0, 1.2 * params8.lam), params8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "chain_refinement_invariance", recording_check)
+            for chi, loop, prm in loops:
+                burgers_loop(chi, loop, prm, verify_refinement=True)
+        assert len(inserted) == len(loops)
+        for fit, chi, prm in inserted:
+            assert isinstance(fit, fitting.FitResult)
+            regular, report = is_regular_pair(fit.position, fit.aff_hat, chi, prm)
+            assert fit.regular == regular and fit.report == report
+
+
 def square_loop(center, radius, max_step):
     c = np.asarray(center, dtype=float)
     corners = np.array([c + [-radius, -radius], c + [radius, -radius],
@@ -347,21 +373,41 @@ class TestBurgersLoop:
         assert res.product.is_identity
 
     def test_refinement_check_gathers_no_misfit(self, params, chi_noise):
-        # the loop's fits carry J and the refinement check needs integers alone
-        calls = []
+        # the loop's fits carry J and the refinement check needs integers alone; the
+        # inserted FitResult carries its regular-pair test, so the check gathers nothing
+        calls, gathers, checked = [], [], []
+        inside = [False]
         j_lambda = core_model.j_lambda
+        local_atoms = core_model.Configuration.local_atoms
+        check = topology.chain_refinement_invariance
 
         def counting_j_lambda(*args):
             calls.append(args)
             return j_lambda(*args)
 
+        def counting_local_atoms(chi, *args):
+            gathers.append(inside[0])
+            return local_atoms(chi, *args)
+
+        def watched_check(chain, k, new_fit, *rest):
+            checked.append(new_fit)
+            inside[0] = True
+            try:
+                return check(chain, k, new_fit, *rest)
+            finally:
+                inside[0] = False
+
         loop = square_loop([20.0, 20.0], 5.0, 1.2 * params.lam)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(topology, "j_lambda", counting_j_lambda)
             mp.setattr(core_model, "j_lambda", counting_j_lambda)
+            mp.setattr(core_model.Configuration, "local_atoms", counting_local_atoms)
+            mp.setattr(topology, "chain_refinement_invariance", watched_check)
             res = burgers_loop(chi_noise, loop, params, verify_refinement=True)
         assert res.product.is_identity and len(res.fits) == 4
         assert calls == []
+        assert len(checked) == 1 and isinstance(checked[0], fitting.FitResult)
+        assert gathers and not any(gathers)     # the loop's fits gather; the check does not
 
 
 def test_loop_continuation_matches_multistart():
